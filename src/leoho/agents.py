@@ -4,6 +4,12 @@ All of them pin already-accessed terminals to action 0: the environment
 would ignore their requests anyway, and for the learned policy the pin keeps
 recorded behavior log-probabilities consistent (a pinned head chose 0 with
 probability one).
+
+Every decision function takes arrays with any leading episode axes, so one
+call decides for all the episodes a :class:`HandoverEnv` steps together.
+Stochastic agents draw each episode's randomness at ``begin_episode``, in
+one block per episode from that episode's generator: (N, J) uniform actions
+for the random agent, (N, J, K) Gumbel noise for the sampling learned agent.
 """
 
 from __future__ import annotations
@@ -24,53 +30,57 @@ def conventional_decide(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A3-triggered handover: request the strongest target once the event holds.
 
-    ``streak`` counts consecutive slots the A3 condition held per
-    (terminal, target); it is carried by the caller and returned updated.
-    A terminal requests when some target's streak reaches ``trigger_slots``,
-    choosing the highest filtered measurement among those targets (ties go
-    to the lowest plane index).
+    ``streak`` (..., J, K-1) counts consecutive slots the A3 condition held
+    per (terminal, target); it is carried by the caller and returned
+    updated.  A terminal requests when some target's streak reaches
+    ``trigger_slots``, choosing the highest filtered measurement among those
+    targets (ties go to the lowest plane index).
     """
     flags = measurements.a3_flags(offset_db)
     streak = np.where(flags, streak + 1, 0)
     eligible = streak >= trigger_slots
-
-    actions = np.zeros(accessed.shape[0], dtype=np.int64)
-    any_eligible = eligible.any(axis=1) & ~accessed
-    if any_eligible.any():
-        scores = np.where(eligible, measurements.l3_dbm[:, 1:], -np.inf)
-        actions[any_eligible] = scores[any_eligible].argmax(axis=1) + 1
+    any_eligible = eligible.any(axis=-1) & ~accessed
+    scores = np.where(eligible, measurements.l3_dbm[..., 1:], -np.inf)
+    actions = np.where(any_eligible, scores.argmax(axis=-1) + 1, 0)
     return actions, streak
 
 
 def random_decide(
-    rng: np.random.Generator, accessed: np.ndarray, num_planes: int
+    draws: np.ndarray | np.random.Generator, accessed: np.ndarray, num_planes: int
 ) -> np.ndarray:
-    """Uniform draw over {0..K-1} per unaccessed terminal."""
-    draws = rng.integers(0, num_planes, size=accessed.shape[0])
+    """Uniform draw over {0..K-1} per unaccessed terminal.
+
+    ``draws`` holds the uniform actions, shaped like ``accessed``, or is a
+    generator that draws them now.
+    """
+    if isinstance(draws, np.random.Generator):
+        draws = draws.integers(0, num_planes, size=accessed.shape)
     return np.where(accessed, 0, draws)
 
 
 def dho_decide(
     params: net.PolicyParameters,
     observation: np.ndarray,
-    rng: np.random.Generator | None = None,
+    noise: np.ndarray | np.random.Generator | None = None,
     mode: str = "sample",
     accessed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Learned policy: per-terminal categorical heads over the planes.
 
-    Returns the chosen actions and the per-head log-probabilities under the
-    current policy.  Pinned (accessed) heads report action 0 with
-    log-probability 0.
+    ``observation`` is (..., obs_dim).  Sampling adds Gumbel ``noise``
+    (..., J, K) to the logits, or draws it now from a generator.  Returns
+    the chosen actions and the per-head log-probabilities under the current
+    policy.  Pinned (accessed) heads report action 0 with log-probability 0.
     """
     logits, _ = net.forward(params, observation)
     if mode == "greedy":
-        actions = logits.argmax(axis=1)
+        actions = logits.argmax(axis=-1)
     elif mode == "sample":
-        if rng is None:
-            raise ValueError("sampling mode needs a random generator")
-        gumbel = rng.gumbel(size=logits.shape)
-        actions = (logits + gumbel).argmax(axis=1)
+        if noise is None:
+            raise ValueError("sampling mode needs a random generator or Gumbel noise")
+        if isinstance(noise, np.random.Generator):
+            noise = noise.gumbel(size=logits.shape)
+        actions = (logits + noise).argmax(axis=-1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -79,6 +89,13 @@ def dho_decide(
         actions = np.where(accessed, 0, actions)
         log_probs = np.where(accessed, 0.0, log_probs)
     return actions, log_probs
+
+
+def _per_episode(rngs, draw) -> np.ndarray:
+    """``draw(rng)`` for one generator, or stacked over an iterable of them."""
+    if isinstance(rngs, np.random.Generator):
+        return draw(rngs)
+    return np.stack([draw(rng) for rng in rngs])
 
 
 class ConventionalAgent:
@@ -91,9 +108,9 @@ class ConventionalAgent:
         self.trigger_slots = trigger_slots
         self._streak: np.ndarray | None = None
 
-    def begin_episode(self, env: HandoverEnv, rng: np.random.Generator) -> None:
-        cfg = env.config
-        self._streak = np.zeros((cfg.num_ues, cfg.num_targets), dtype=np.int64)
+    def begin_episode(self, env: HandoverEnv, rngs) -> None:
+        shape = env.state.accessed.shape + (env.config.num_targets,)
+        self._streak = np.zeros(shape, dtype=np.int64)
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         actions, self._streak = conventional_decide(
@@ -106,13 +123,17 @@ class RandomAgent:
     name = "random"
 
     def __init__(self) -> None:
-        self._rng: np.random.Generator | None = None
+        self._draws: np.ndarray | None = None
 
-    def begin_episode(self, env: HandoverEnv, rng: np.random.Generator) -> None:
-        self._rng = rng
+    def begin_episode(self, env: HandoverEnv, rngs) -> None:
+        """``rngs``: the episode's generator, or an iterable of one per episode."""
+        cfg = env.config
+        shape = (cfg.horizon, cfg.num_ues)
+        self._draws = _per_episode(rngs, lambda rng: rng.integers(0, cfg.num_planes, size=shape))
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
-        return random_decide(self._rng, env.state.accessed, env.config.num_planes)
+        state = env.state
+        return random_decide(self._draws[..., state.slot, :], state.accessed, env.config.num_planes)
 
 
 class DhoAgent:
@@ -123,15 +144,20 @@ class DhoAgent:
     def __init__(self, params: net.PolicyParameters, mode: str = "greedy"):
         self.params = params
         self.mode = mode
-        self._rng: np.random.Generator | None = None
+        self._noise: np.ndarray | None = None
 
-    def begin_episode(self, env: HandoverEnv, rng: np.random.Generator) -> None:
-        self._rng = rng
+    def begin_episode(self, env: HandoverEnv, rngs) -> None:
+        """``rngs``: the episode's generator, or an iterable of one per episode."""
+        self._noise = None
+        if self.mode == "sample":
+            cfg = env.config
+            shape = (cfg.horizon, cfg.num_ues, cfg.num_planes)
+            self._noise = _per_episode(rngs, lambda rng: rng.gumbel(size=shape))
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
-        actions, _ = dho_decide(
-            self.params, observation, self._rng, self.mode, env.state.accessed
-        )
+        state = env.state
+        noise = None if self._noise is None else self._noise[..., state.slot, :, :]
+        actions, _ = dho_decide(self.params, observation, noise, self.mode, state.accessed)
         return actions
 
 

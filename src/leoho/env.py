@@ -1,10 +1,9 @@
-"""The handover MDP.
+"""The handover MDP, stepped for many episodes at once.
 
 One episode is ``horizon`` handover opportunities.  Each slot runs, in order:
 request derivation, admission against remaining resource blocks, two-step
 random access with preamble contention, completion bookkeeping, metrics, and
-reward.  The constellation then advances one slot and measurements fold new
-samples.
+reward.  Measurements fold new samples lazily, on their own random stream.
 
 Conventions, fixed across the whole package:
 
@@ -17,17 +16,30 @@ Conventions, fixed across the whole package:
   first opportunity scores a delay sum of 0.
 * The reward is ``-nu * D - C`` where ``C`` sums both collision rates.
   ``nu`` therefore sets how expensive waiting is relative to colliding.
+
+:class:`HandoverEnv` steps E independent episodes in lockstep, so its state
+arrays carry a leading episode axis.  Every episode draws its randomness at
+reset from generators seeded by its own key (see :meth:`HandoverEnv.reset`),
+so an episode plays out the same whichever episodes share its batch.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from leoho import link, orbital
+
+# Terminal-episodes stepped together by the evaluation loops: 64 episodes at
+# J = 10, enough to amortise the per-slot numpy calls.  Bounding E * J rather
+# than E keeps a chunk's random blocks and per-slot arrays the same size
+# whatever the number of terminals.
+BATCH_TERMINALS = 640
+
+MEASUREMENT_STREAM = 0x4D53  # appended to an episode's seed key
 
 
 class ConfigError(ValueError):
@@ -75,7 +87,7 @@ class ScenarioConfig:
     measurement_carrier_ghz: float = 0.0  # 0 = use the terminal profile's carrier
     a3_offset_db: float = 1.0
     a3_trigger_slots: int = 1
-    measurement_period_s: float = 0.15
+    measurement_period_s: float = 0.15  # must divide slot_s
     iir_order: float = 4.0
     sats_per_plane: int = 1
 
@@ -115,10 +127,25 @@ class ScenarioConfig:
             )
         if self.measurement_carrier_ghz < 0:
             raise ConfigError("measurement_carrier_ghz", "carrier must be non-negative")
+        if self.sats_per_plane < 1:
+            raise ConfigError("sats_per_plane", "need at least one satellite per plane")
+        if self.measurement_period_s <= 0:
+            raise ConfigError("measurement_period_s", "measurement period must be positive")
+        ratio = self.slot_s / self.measurement_period_s
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+            raise ConfigError(
+                "measurement_period_s",
+                f"slot_s / measurement_period_s must be a positive integer, got {ratio:g}",
+            )
 
     @property
     def num_targets(self) -> int:
         return self.num_planes - 1
+
+    @property
+    def samples_per_slot(self) -> int:
+        """Measurement samples folded per slot, M = slot_s / measurement_period_s."""
+        return round(self.slot_s / self.measurement_period_s)
 
     @property
     def beta_l3(self) -> float:
@@ -132,6 +159,11 @@ class ScenarioConfig:
     def carrier_ghz(self) -> float:
         """Downlink measurement carrier: explicit override or the profile's band."""
         return self.measurement_carrier_ghz or self.profile.carrier_ghz
+
+
+def batch_episodes(config: ScenarioConfig) -> int:
+    """Episodes an evaluation chunk steps together."""
+    return max(1, BATCH_TERMINALS // config.num_ues)
 
 
 def observation_size(config: ScenarioConfig, features: FeatureMask | None = None) -> int:
@@ -159,29 +191,32 @@ def one_hot(actions: np.ndarray, num_planes: int) -> np.ndarray:
 
 @dataclass
 class EnvState:
-    """Full mutable simulation state for one episode.
+    """Mutable state of the episodes stepped together.
 
-    ``measurements`` is maintained lazily from its own random stream (see
-    :meth:`HandoverEnv.measurements`): folding it early or late never
-    changes the admission/contention draws, and the folded values are
-    identical either way because sample geometry is the closed-form
-    position at each instant.
+    Arrays carry a leading episode axis ``...`` when a batch is stepped and
+    none for a single episode or the view of one (:meth:`episode`).
     """
 
     slot: int
-    accessed: np.ndarray  # (J,) bool, monotone within an episode
-    rb_remaining: np.ndarray  # (K-1,) int
-    prev_action: np.ndarray  # (J,) int in [0, K)
-    constellation: orbital.ConstellationState
-    measurements: link.MeasurementState | None
-    ue_positions: np.ndarray  # (J, 3) m
-    rng: np.random.Generator
-    seed_key: tuple[int, ...] = (0,)
+    accessed: np.ndarray  # (..., J) bool, monotone within an episode
+    rb_remaining: np.ndarray  # (..., K-1) int
+    prev_action: np.ndarray  # (..., J) int in [0, K)
+    ue_positions: np.ndarray  # (..., J, 3) m
+
+    def episode(self, e: int) -> "EnvState":
+        """Episode ``e`` of the batch, as views that share its arrays."""
+        return EnvState(
+            self.slot,
+            self.accessed[e],
+            self.rb_remaining[e],
+            self.prev_action[e],
+            self.ue_positions[e],
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepOutcome:
-    """Everything one slot produced, per terminal and aggregated."""
+    """Everything one slot produced for one episode, per terminal and aggregated."""
 
     slot: int  # 1-based opportunity index
     requested: np.ndarray  # (J,) target plane requested, 0 = none
@@ -216,324 +251,330 @@ def admission(
     requested: np.ndarray,
     rb_remaining: np.ndarray,
     num_ues: int,
-    rng: np.random.Generator,
+    keys: np.ndarray | np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grant handover requests against the remaining per-target blocks.
 
-    When a target has fewer blocks than requesters, the granted subset is
-    drawn uniformly at random.  Returns (command, rb_collision, c_r) where
-    ``command[j]`` is the granted target plane (0 if none), ``rb_collision``
-    flags refused requesters, and ``c_r`` is the per-target collision rate
-    (excess requesters over the whole population).
+    ``requested`` is (..., J) target planes (0 = none) and ``rb_remaining``
+    (..., K-1), over the same leading episode axes.  When a target has fewer
+    blocks than requesters, it grants the requesters with the smallest
+    ``keys`` (..., J), i.i.d. uniform draws, so the granted subset is uniform
+    at random.  ``keys`` may be a generator, which then draws one block
+    shaped like ``requested``.  Returns (command, rb_collision, c_r) where
+    ``command`` is the granted target plane (0 if none), ``rb_collision``
+    flags refused requesters, and ``c_r`` (..., K-1) is the per-target
+    collision rate (excess requesters over the whole population).
     """
     requested = np.asarray(requested)
-    num_targets = len(rb_remaining)
-    num_requesters = requested.shape[0]
-    command = np.zeros(num_requesters, dtype=np.int64)
-    rb_collision = np.zeros(num_requesters, dtype=bool)
-    c_r = np.zeros(num_targets)
-    buckets: list[list[int]] = [[] for _ in range(num_targets + 1)]
-    for j, target in enumerate(requested.tolist()):
-        if target:
-            buckets[target].append(j)
-    for k in range(1, num_targets + 1):
-        requesters = buckets[k]
-        n_req = len(requesters)
-        if n_req == 0:
-            continue
-        blocks = int(rb_remaining[k - 1])
-        if n_req <= blocks:
-            command[requesters] = k
-            continue
-        c_r[k - 1] = (n_req - blocks) / num_ues
-        if blocks > 0:
-            granted_pos = rng.choice(n_req, size=blocks, replace=False)
-            granted = {requesters[i] for i in granted_pos.tolist()}
-        else:
-            granted = set()
-        for j in requesters:
-            if j in granted:
-                command[j] = k
-            else:
-                rb_collision[j] = True
-    return command, rb_collision, c_r
+    rb_remaining = np.asarray(rb_remaining)
+    if isinstance(keys, np.random.Generator):
+        keys = keys.random(requested.shape)
+    wants = requested[..., None] == np.arange(1, rb_remaining.shape[-1] + 1)  # (..., J, K-1)
+    excess = wants.sum(axis=-2) - rb_remaining
+    oversubscribed = excess > 0
+    if not oversubscribed.any():  # every slot when R >= J: nothing to rank
+        return requested.copy(), np.zeros(requested.shape, dtype=bool), np.zeros(excess.shape)
+    # Rank each requester among its target's requesters, in key order; flat
+    # indices into the raveled batch keep the gathers cheap.
+    j = requested.shape[-1]
+    order = keys.argsort(axis=-1)
+    order += np.arange(0, requested.size, j).reshape(requested.shape[:-1] + (1,))
+    order = order.ravel()
+    wants_sorted = wants.reshape(-1, wants.shape[-1])[order].reshape(wants.shape)
+    rank = wants_sorted.cumsum(axis=-2)
+    granted = np.empty(requested.size, dtype=bool)
+    granted[order] = (wants_sorted & (rank <= rb_remaining[..., None, :])).any(axis=-1).ravel()
+    granted = granted.reshape(requested.shape)
+    command = np.where(granted, requested, 0)
+    rb_collision = (requested > 0) & (command == 0)
+    return command, rb_collision, np.maximum(excess, 0) / num_ues
 
 
 def rach(
     command: np.ndarray,
     num_preambles: int,
     num_ues: int,
-    rng: np.random.Generator,
+    preambles: np.ndarray | np.random.Generator,
     num_targets: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-step random access for every commanded terminal.
 
-    Each draws a signature uniformly from {1..P} on its target; terminals
-    sharing a (target, signature) pair collide and fail, the rest complete.
-    Returns (preamble, prach_collision, c_p).
+    ``command`` is (..., J) granted target planes.  Each commanded terminal
+    sends its signature from ``preambles`` (..., J), uniform on {1..P}; a
+    generator there draws one block shaped like ``command``.  Terminals
+    sharing an (episode, target, signature) collide and fail, the rest
+    complete.  ``num_targets`` bounds the planes in ``command`` (its
+    maximum if None).  Returns (preamble, prach_collision, c_p) with
+    ``c_p`` (...).
     """
     command = np.asarray(command)
-    preamble = np.zeros(command.shape[0], dtype=np.int64)
-    prach_collision = np.zeros(command.shape[0], dtype=bool)
+    if isinstance(preambles, np.random.Generator):
+        preambles = preambles.integers(1, num_preambles + 1, size=command.shape)
     if num_targets is None:
-        num_targets = int(command.max()) if command.shape[0] else 0
-    buckets: list[list[int]] = [[] for _ in range(num_targets + 1)]
-    for j, target in enumerate(command.tolist()):
-        if target:
-            buckets[target].append(j)
-    collided = 0
-    for k in range(1, num_targets + 1):
-        commanded = buckets[k]
-        if not commanded:
-            continue
-        draws = rng.integers(1, num_preambles + 1, size=len(commanded)).tolist()
-        seen: dict[int, int] = {}
-        for d in draws:
-            seen[d] = seen.get(d, 0) + 1
-        for j, d in zip(commanded, draws):
-            preamble[j] = d
-            if seen[d] > 1:
-                prach_collision[j] = True
-                collided += 1
-    c_p = collided / num_ues
-    return preamble, prach_collision, c_p
+        num_targets = int(command.max(initial=0))
+    commanded = command > 0
+    preamble = np.where(commanded, preambles, 0)
+    # One bin per (episode, target, signature); uncommanded terminals land in
+    # their episode's target-0 bins and are masked out.
+    stride = (num_targets + 1) * (num_preambles + 1)
+    codes = command * (num_preambles + 1) + preamble
+    codes += np.arange(0, command.size // command.shape[-1] * stride, stride).reshape(
+        command.shape[:-1] + (1,)
+    )
+    prach_collision = commanded & (np.bincount(codes.ravel())[codes] > 1)
+    return preamble, prach_collision, prach_collision.sum(axis=-1) / num_ues
+
+
+def _seed_key(seed) -> tuple[int, ...]:
+    if isinstance(seed, (int, np.integer)):
+        return (int(seed),)
+    return tuple(int(v) for v in seed)
 
 
 class HandoverEnv:
-    """One serving satellite's handover episode, stepped action-by-action.
+    """One serving satellite's handover episodes, stepped action-by-action.
 
     A single instance is owned by one caller at a time; independent
-    instances are safe to run in parallel.  All randomness flows through the
-    per-episode generator seeded at :meth:`reset`, and the draw order within
-    a slot is fixed, so traces are bit-reproducible from (config, seed,
-    actions).
+    instances are safe to run in parallel.  All randomness is drawn at
+    :meth:`reset` from each episode's own generators, in a fixed layout, so
+    traces are bit-reproducible from (config, seed, actions).
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.orbital_config = orbital.default_constellation(
-            altitude_m=config.altitude_m,
-            num_planes=config.num_planes,
-            slot_duration_s=config.slot_s,
-            horizon=config.horizon,
-            area_m=config.area_m,
-            sats_per_plane=config.sats_per_plane,
+        constellation = orbital.initial_state(
+            orbital.default_constellation(
+                altitude_m=config.altitude_m,
+                num_planes=config.num_planes,
+                slot_duration_s=config.slot_s,
+                horizon=config.horizon,
+                area_m=config.area_m,
+                sats_per_plane=config.sats_per_plane,
+            )
         )
-        self.state: EnvState | None = None
+        self._init_positions = constellation.positions  # (K, I, 3)
+        self._velocities = constellation.velocities
         # Downlink budget constant: everything except the distance term.
         self._rsrp_const = (
             config.dl_eirp_dbw + 30.0 - (20.0 * np.log10(config.carrier_ghz) + 92.45)
         )
-        # Shared per-episode invariants; never mutated after construction.
-        initial = orbital.initial_state(self.orbital_config)
-        self._initial_constellation = initial
-        self._init_positions = initial.positions
-        self._velocities = initial.velocities
         self._rb_initial = np.array(config.rb_per_target, dtype=np.int64)
-        self._head_offsets = np.arange(config.num_ues) * config.num_planes
-        self._meas_slot = -1  # slots folded into measurements; -1 = uninitialised
-        self._meas_rng: np.random.Generator | None = None
+        self._targets = np.arange(1, config.num_planes)
+        # Measurement instants of slot n: slot start + m * period, m = 1..M.
+        m = config.samples_per_slot
+        self._sample_times = (
+            np.arange(config.horizon)[:, None] * config.slot_s
+            + np.arange(1, m + 1) * config.measurement_period_s
+        )
+        self.state: EnvState | None = None
+        self._batched = False
+        self._seed_keys: list[tuple[int, ...]] = []
+        self._keys = self._preambles = None  # ([E,] N, J) per-slot draws
+        self._meas: link.MeasurementState | None = None
+        self._shadowing: np.ndarray | None = None
+        self._meas_slot = 0  # slots folded into measurements
 
     @property
     def done(self) -> bool:
         return self.state is None or self.state.slot >= self.config.horizon
 
-    def reset(self, seed=None) -> np.ndarray:
-        """Start a fresh episode; ``seed`` may be an int or a sequence of ints."""
-        cfg = self.config
-        raw = cfg.seed if seed is None else seed
-        if isinstance(raw, (int, np.integer)):
-            seed_key: tuple[int, ...] = (int(raw),)
-        else:
-            seed_key = tuple(int(v) for v in raw)
-        rng = np.random.default_rng(seed_key)
-        if cfg.ue_positions is not None:
-            ue_pos = np.asarray(cfg.ue_positions, dtype=float)
-            if ue_pos.shape[1] == 2:
-                ue_pos = np.hstack([ue_pos, np.zeros((cfg.num_ues, 1))])
-        else:
-            xy = rng.uniform(0.0, cfg.area_m, size=(cfg.num_ues, 2))
-            ue_pos = np.hstack([xy, np.zeros((cfg.num_ues, 1))])
+    def _squeeze(self, blocks: np.ndarray) -> np.ndarray:
+        """Per-episode blocks (E, ...), without the episode axis for one episode."""
+        return blocks if self._batched else blocks[0]
 
-        self._meas_slot = -1
-        self._meas_rng = None
+    def reset(self, seed=None, *, episodes: Sequence | None = None) -> np.ndarray:
+        """Start fresh episodes and return the first observation.
+
+        ``seed`` (an int or a sequence of ints; the config's seed if None)
+        starts one episode, and the state, observations, actions and
+        outcomes carry no episode axis.  ``episodes`` instead takes one such
+        key per episode, stepped together; everything then carries a
+        leading episode axis.
+
+        Each episode with key ``s`` draws, from ``default_rng(s)`` and in
+        this order: its terminal positions, (N, J) uniform admission keys
+        and (N, J) preamble signatures.  Measurement shadowing comes from
+        ``default_rng(s + (0x4D53,))`` when measurements are first read.
+        """
+        cfg = self.config
+        self._batched = episodes is not None
+        raw = episodes if self._batched else [cfg.seed if seed is None else seed]
+        self._seed_keys = [_seed_key(s) for s in raw]
+        e, j, n = len(self._seed_keys), cfg.num_ues, cfg.horizon
+        # Blocks are filled in place, so a chunk's working set is allocated once.
+        ue_pos = np.zeros((e, j, 3))
+        keys = np.empty((e, n, j))
+        preambles = np.empty((e, n, j), dtype=np.int64)
+        for i, key in enumerate(self._seed_keys):
+            rng = np.random.default_rng(key)
+            if cfg.ue_positions is None:
+                ue_pos[i, :, :2] = rng.uniform(0.0, cfg.area_m, size=(j, 2))
+            rng.random(out=keys[i])
+            preambles[i] = rng.integers(1, cfg.num_preambles + 1, size=(n, j))
+        if cfg.ue_positions is not None:
+            explicit = np.asarray(cfg.ue_positions, dtype=float)
+            ue_pos[..., : explicit.shape[1]] = explicit
+        ue_pos = self._squeeze(ue_pos)
+        self._keys = self._squeeze(keys)
+        self._preambles = self._squeeze(preambles)
+        lead = ue_pos.shape[:-2]
+        self._meas = None
+        self._shadowing = None
+        self._meas_slot = 0
         self.state = EnvState(
             slot=0,
-            accessed=np.zeros(cfg.num_ues, dtype=bool),
-            rb_remaining=self._rb_initial.copy(),
-            prev_action=np.zeros(cfg.num_ues, dtype=np.int64),
-            constellation=self._initial_constellation,
-            measurements=None,
+            accessed=np.zeros(lead + (j,), dtype=bool),
+            rb_remaining=np.tile(self._rb_initial, lead + (1,)),
+            prev_action=np.zeros(lead + (j,), dtype=np.int64),
             ue_positions=ue_pos,
-            rng=rng,
-            seed_key=seed_key,
         )
         return self.observe()
 
-    def _rsrp(self, positions: np.ndarray, ue_pos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Instantaneous downlink RSRP per (terminal, plane), dBm.
+    def _rsrp(self, positions: np.ndarray, rows: slice) -> np.ndarray:
+        """Instantaneous downlink RSRP (S, [E,] J, K) dBm at S sample instants.
 
-        ``positions`` may carry a leading axis of sample instants.
+        ``positions`` is (S, K, I, 3); ``rows`` picks the instants' rows of
+        the shadowing block.
         """
-        d_km = orbital.nearest_distances_km(positions, ue_pos)
+        d_km = orbital.nearest_distances_km(positions, self.state.ue_positions)
         base = self._rsrp_const - 20.0 * np.log10(d_km)
-        sigma = self.config.shadowing_sigma_db
-        if sigma > 0.0:
-            base += sigma * rng.standard_normal(base.shape)
+        if self._shadowing is not None:
+            base += np.moveaxis(self._shadowing[..., rows, :, :], -3, 0)
         return base
 
     def measurements(self) -> link.MeasurementState:
         """Measurement state folded up to the current slot.
 
         Measurement shadowing has its own random stream, so consumers that
-        never look at measurements leave the contention draws untouched,
-        and catching up late folds exactly the samples an eager per-slot
-        update would have.
+        never look at measurements draw nothing for it, and catching up late
+        folds exactly the samples an eager per-slot update would have.
         """
         state = self.state
         if state is None:
             raise RuntimeError("reset() must be called first")
         cfg = self.config
-        if self._meas_slot < 0:
-            self._meas_rng = np.random.default_rng(state.seed_key + (0x4D53,))
-            first_l1 = self._rsrp(self._init_positions, state.ue_positions, self._meas_rng)
-            state.measurements = link.MeasurementState.initialise(
-                first_l1,
+        m = cfg.samples_per_slot
+        if self._meas is None:
+            if cfg.shadowing_sigma_db > 0.0:
+                shadowing = np.empty(
+                    (len(self._seed_keys), m * cfg.horizon + 1, cfg.num_ues, cfg.num_planes)
+                )
+                for block, key in zip(shadowing, self._seed_keys):
+                    np.random.default_rng(key + (MEASUREMENT_STREAM,)).standard_normal(out=block)
+                shadowing *= cfg.shadowing_sigma_db
+                self._shadowing = self._squeeze(shadowing)
+            first = self._rsrp(self._init_positions[None], slice(0, 1))[0]
+            self._meas = link.MeasurementState.initialise(
+                first,
                 beta_l3=cfg.beta_l3,
                 iir_order=cfg.iir_order,
                 measurement_period_s=cfg.measurement_period_s,
                 a3_offset_db=cfg.a3_offset_db,
+                samples_per_slot=m,
             )
-            self._meas_slot = 0
         while self._meas_slot < state.slot:
-            samples = self._rsrp(
-                self._sample_positions(self._meas_slot), state.ue_positions, self._meas_rng
-            )
-            state.measurements.fold_sample(samples[0])
-            state.measurements.fold_sample(samples[1])
+            n = self._meas_slot
+            times = self._sample_times[n][:, None, None, None]
+            positions = self._init_positions + times * self._velocities
+            for sample in self._rsrp(positions, slice(1 + n * m, 1 + (n + 1) * m)):
+                self._meas.fold_sample(sample)
             self._meas_slot += 1
-        return state.measurements
+        return self._meas
 
-    def _sample_positions(self, slot: int) -> np.ndarray:
-        """The two measurement instants of a slot: mid-slot and slot end."""
-        dt = self.config.slot_s
-        out = np.empty((2,) + self._init_positions.shape)
-        out[0] = self._init_positions + ((slot + 0.5) * dt) * self._velocities
-        out[1] = self._init_positions + ((slot + 1.0) * dt) * self._velocities
-        return out
+    def step(self, actions: Sequence[int] | np.ndarray):
+        """Advance every episode one slot.
 
-    def step(self, actions: Sequence[int] | np.ndarray) -> tuple[np.ndarray, StepOutcome]:
+        Returns the next observation and the slot's :class:`StepOutcome`,
+        one per episode in a list when stepping a batch.
+        """
         cfg = self.config
         state = self.state
         if state is None:
             raise RuntimeError("reset() must be called before step()")
         if state.slot >= cfg.horizon:
             raise RuntimeError(f"episode finished after {cfg.horizon} opportunities")
-        actions = np.asarray(actions, dtype=np.int64)
-        if actions.shape != (cfg.num_ues,):
-            raise ValueError(f"actions must have shape ({cfg.num_ues},), got {actions.shape}")
+        actions = np.array(actions, dtype=np.int64)
+        if actions.shape != state.accessed.shape:
+            raise ValueError(f"actions must have shape {state.accessed.shape}, got {actions.shape}")
         if actions.min() < 0 or actions.max() >= cfg.num_planes:
             raise ValueError("actions must lie in [0, num_planes)")
+        n = state.slot
 
         # Request derivation: already-accessed terminals never request.
         requested = np.where(state.accessed, 0, actions)
-
         command, rb_collision, c_r = admission(
-            requested, state.rb_remaining, cfg.num_ues, state.rng
+            requested, state.rb_remaining, cfg.num_ues, self._keys[..., n, :]
         )
         preamble, prach_collision, c_p = rach(
-            command, cfg.num_preambles, cfg.num_ues, state.rng, cfg.num_targets
+            command, cfg.num_preambles, cfg.num_ues, self._preambles[..., n, :], cfg.num_targets
         )
 
-        newly = (command > 0) & ~prach_collision
+        newly = (command > 0) ^ prach_collision  # only commanded terminals collide
         if newly.any():
             # Completed terminals keep their block; contention losers return theirs.
-            completions = np.bincount(command[newly], minlength=cfg.num_planes)
-            state.rb_remaining -= completions[1 : cfg.num_planes]
+            completed = np.where(newly, command, 0)[..., None] == self._targets
+            state.rb_remaining -= completed.sum(axis=-2)
             state.accessed |= newly
 
-        d = float(cfg.num_ues - state.accessed.sum()) / cfg.num_ues
-        c_total = float(c_r.sum()) + c_p
+        d = (cfg.num_ues - state.accessed.sum(axis=-1)) / cfg.num_ues
+        c_total = c_r.sum(axis=-1) + c_p
         reward = -cfg.nu * d - c_total
 
-        state.constellation = orbital.propagate(state.constellation, self.orbital_config, 1)
-        state.prev_action = actions.copy()
+        state.prev_action = actions
         state.slot += 1
 
-        outcome = StepOutcome(
-            slot=state.slot,
-            requested=requested,
-            command=command,
-            preamble=preamble,
-            rb_collision=rb_collision,
-            prach_collision=prach_collision,
-            newly_accessed=newly,
-            c_r_per_target=c_r,
-            c_p=c_p,
-            c_total=c_total,
-            d=d,
-            reward=reward,
+        per_terminal = (requested, command, preamble, rb_collision, prach_collision, newly, c_r)
+        aggregates = (c_p, c_total, d, reward)
+        if not self._batched:
+            outcome = StepOutcome(state.slot, *per_terminal, *map(float, aggregates))
+            return self.observe(), outcome
+        outcomes = list(
+            map(StepOutcome, repeat(state.slot), *per_terminal, *(a.tolist() for a in aggregates))
         )
-        return self.observe(), outcome
+        return self.observe(), outcomes
 
     def observe(self, features: FeatureMask | None = None) -> np.ndarray:
         f = self.config.features if features is None else features
-        if f.a3_centralized:
-            self.measurements()
-        if features is None:
-            return _observe_fast(self)
-        return observe(self.state, self.config, features)
+        measurements = self.measurements() if f.a3_centralized else None
+        return observe(self.state, self.config, f, measurements)
 
     def metrics(self, outcomes: Sequence[StepOutcome]) -> MetricsRecord:
         return episode_metrics(outcomes, self.state)
 
 
 def observe(
-    state: EnvState, config: ScenarioConfig, features: FeatureMask | None = None
+    state: EnvState,
+    config: ScenarioConfig,
+    features: FeatureMask | None = None,
+    measurements: link.MeasurementState | None = None,
 ) -> np.ndarray:
-    """Observation vector: [n/N] + accessed + one-hot previous action (+ A3 flags).
+    """Observation vectors: [n/N] + accessed + one-hot previous action (+ A3 flags).
 
     Blocks appear in that fixed order; disabled blocks are dropped outright.
-    With ``a3_centralized`` the state's measurements must be current; go
-    through :meth:`HandoverEnv.observe` for the managed path.
+    The result has the state's leading episode axes.  The A3 block needs
+    ``measurements`` folded up to the state's slot; :meth:`HandoverEnv.observe`
+    supplies them.
     """
     f = config.features if features is None else features
     j, k = config.num_ues, config.num_planes
-    out = np.zeros(observation_size(config, f))
+    lead = state.accessed.shape[:-1]
+    out = np.zeros(lead + (observation_size(config, f),))
     pos = 0
     if f.time_index:
-        out[0] = state.slot / config.horizon
+        out[..., 0] = state.slot / config.horizon
         pos = 1
     if f.accessed_vector:
-        out[pos : pos + j] = state.accessed
+        out[..., pos : pos + j] = state.accessed
         pos += j
     if f.prev_action:
-        out[pos + np.arange(j) * k + state.prev_action] = 1.0
+        block = out[..., pos : pos + j * k].reshape(lead + (j, k))
+        block[...] = state.prev_action[..., None] == np.arange(k)
         pos += j * k
     if f.a3_centralized:
-        out[pos : pos + j * (k - 1)] = state.measurements.a3_flags(config.a3_offset_db).ravel()
-    return out
-
-
-def _observe_fast(env: "HandoverEnv") -> np.ndarray:
-    """Default-mask observation on the env's cached offsets (hot path)."""
-    state = env.state
-    cfg = env.config
-    f = cfg.features
-    j, k = cfg.num_ues, cfg.num_planes
-    out = np.zeros(observation_size(cfg, f))
-    pos = 0
-    if f.time_index:
-        out[0] = state.slot / cfg.horizon
-        pos = 1
-    if f.accessed_vector:
-        out[pos : pos + j] = state.accessed
-        pos += j
-    if f.prev_action:
-        out[pos + env._head_offsets + state.prev_action] = 1.0
-        pos += j * k
-    if f.a3_centralized:
-        out[pos : pos + j * (k - 1)] = state.measurements.a3_flags(cfg.a3_offset_db).ravel()
+        if measurements is None:
+            raise ValueError("the A3 observation block needs measurements")
+        flags = measurements.a3_flags(config.a3_offset_db)
+        out[..., pos : pos + j * (k - 1)] = flags.reshape(lead + (j * (k - 1),))
     return out
 
 
@@ -545,7 +586,7 @@ def episode_metrics(outcomes: Sequence[StepOutcome], final_state: EnvState) -> M
     num_ues = final_state.accessed.shape[0]
     return MetricsRecord(
         sum_delay=float(sum(o.d for o in outcomes)),
-        sum_collision_rb=float(sum(float(o.c_r_per_target.sum()) for o in outcomes)),
+        sum_collision_rb=float(np.sum([o.c_r_per_target for o in outcomes])),
         sum_collision_prach=float(sum(o.c_p for o in outcomes)),
         ho_success=float(final_state.accessed.sum()) / num_ues,
         episode_return=float(sum(o.reward for o in outcomes)),
@@ -565,14 +606,17 @@ def trace_header(num_targets: int) -> list[str]:
 def write_trace_csv(
     path, episodes: Iterable[tuple[int, Sequence[StepOutcome]]], num_ues: int, num_targets: int
 ) -> None:
-    """One row per slot: (episode, n, D, C_R_1.., C_P, reward, accessed_count)."""
+    """One row per slot: (episode, n, D, C_R_1.., C_P, reward, accessed_count).
+
+    The bytes are those ``csv.writer`` writes for the same rows: nothing
+    needs quoting, and lines end in CRLF.
+    """
+    row = "%d,%d,%.6f," + "%.6f," * num_targets + "%.6f,%.6f,%d\r\n"
+    lines = [",".join(trace_header(num_targets)) + "\r\n"]
+    for episode_idx, outcomes in episodes:
+        for o in outcomes:
+            accessed = round(num_ues * (1.0 - o.d))
+            rates = o.c_r_per_target.tolist()
+            lines.append(row % (episode_idx, o.slot, o.d, *rates, o.c_p, o.reward, accessed))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trace_header(num_targets))
-        for episode_idx, outcomes in episodes:
-            for o in outcomes:
-                accessed = round(num_ues * (1.0 - o.d))
-                row = [episode_idx, o.slot, f"{o.d:.6f}"]
-                row += [f"{v:.6f}" for v in o.c_r_per_target]
-                row += [f"{o.c_p:.6f}", f"{o.reward:.6f}", accessed]
-                writer.writerow(row)
+        fh.write("".join(lines))

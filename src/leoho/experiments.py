@@ -18,13 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from leoho import net
-from leoho.agents import dho_decide, make_agent
+from leoho.agents import DhoAgent, make_agent
 from leoho.env import (
     ConfigError,
     FeatureMask,
     HandoverEnv,
     MetricsRecord,
     ScenarioConfig,
+    batch_episodes,
     episode_metrics,
     write_trace_csv,
 )
@@ -88,8 +89,11 @@ def scenario_for_case(case: str, base: ScenarioConfig | None = None) -> Scenario
 # Learner schedule that converges at desk scale (tens of terminals, short
 # episodes): small batches so a few thousand episodes buy a few hundred
 # updates.  The VtraceConfig defaults keep the published batch size instead.
+# At 5e-4 the case2 policy was still near even odds between waiting and
+# requesting on several heads after 4000 episodes, so its greedy decode
+# left blocks unused; 2e-3 settles on a deterministic allocation.
 DESK_TRAINING = VtraceConfig(
-    batch_size=200, learning_rate=5e-4, entropy_coeff=0.005, gamma=0.97
+    batch_size=200, learning_rate=2e-3, entropy_coeff=0.005, gamma=0.97
 )
 
 
@@ -260,6 +264,13 @@ def parse_spec_file(path) -> ExperimentSpec:
     )
 
 
+def _episode_chunks(scenario: ScenarioConfig, master_seed: int, episodes: int):
+    """Seeds master_seed + i of the episodes, in chunks stepped together."""
+    size = batch_episodes(scenario)
+    for start in range(0, episodes, size):
+        yield [master_seed + i for i in range(start, min(start + size, episodes))]
+
+
 def evaluate(
     scenario: ScenarioConfig,
     agent_kind: str,
@@ -269,7 +280,10 @@ def evaluate(
     eval_mode: str = "greedy",
     collect_traces: bool = False,
 ) -> tuple[list[MetricsRecord], list]:
-    """Evaluate one agent over fresh episode seeds master_seed + i."""
+    """Evaluate one agent over fresh episode seeds master_seed + i.
+
+    Episode i's agent generator is seeded from [master_seed + i, 101].
+    """
     env = HandoverEnv(scenario)
     agent = make_agent(
         agent_kind,
@@ -280,17 +294,18 @@ def evaluate(
     )
     records: list[MetricsRecord] = []
     traces = []
-    for i in range(episodes):
-        seed = master_seed + i
-        obs = env.reset(seed)
-        agent.begin_episode(env, np.random.default_rng([seed, 101]))
-        outcomes = []
+    for seeds in _episode_chunks(scenario, master_seed, episodes):
+        obs = env.reset(episodes=seeds)
+        # Lazy: only stochastic agents create the generators.
+        agent.begin_episode(env, (np.random.default_rng([seed, 101]) for seed in seeds))
+        slots = []
         for _ in range(scenario.horizon):
-            obs, outcome = env.step(agent.act(env, obs))
-            outcomes.append(outcome)
-        records.append(episode_metrics(outcomes, env.state))
-        if collect_traces:
-            traces.append((i, outcomes))
+            obs, slot_outcomes = env.step(agent.act(env, obs))
+            slots.append(slot_outcomes)
+        for e, (seed, outcomes) in enumerate(zip(seeds, zip(*slots))):
+            records.append(episode_metrics(outcomes, env.state.episode(e)))
+            if collect_traces:
+                traces.append((seed - master_seed, outcomes))
     return records, traces
 
 
@@ -451,13 +466,19 @@ def apply_sweep_value(
 
 
 def sweep_experiment(spec: ExperimentSpec, parameter: str, values: Sequence[float], out_dir) -> dict:
-    """One summary row per sweep value for the spec's agent."""
+    """One summary row per sweep value for the spec's agent.
+
+    Every sweep point is built, and so validated, before any of them runs.
+    """
+    points = []
+    for value in values:
+        scenario, training = apply_sweep_value(spec.scenario, spec.training, parameter, value)
+        points.append((value, dataclasses.replace(spec, scenario=scenario, training=training)))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        scenario, training = apply_sweep_value(spec.scenario, spec.training, parameter, value)
-        point = dataclasses.replace(spec, scenario=scenario, training=training)
+    for value, point in points:
+        scenario = point.scenario
         params = None
         to_threshold = ""
         if spec.agent == "dho":
@@ -497,18 +518,19 @@ def behavior_stats(
     """Fractions of request vs. wait decisions among unaccessed terminals.
 
     Decisions are sampled from the policy (not greedy) so an untrained
-    uniform policy reports a request fraction near (K-1)/K.
+    uniform policy reports a request fraction near (K-1)/K.  Episode i
+    samples from the generator seeded [master_seed + i, 202].
     """
     env = HandoverEnv(scenario)
+    agent = DhoAgent(params, mode="sample")
     requests = 0
     waits = 0
-    for i in range(episodes):
-        obs = env.reset(master_seed + i)
-        rng = np.random.default_rng([master_seed + i, 202])
+    for seeds in _episode_chunks(scenario, master_seed, episodes):
+        obs = env.reset(episodes=seeds)
+        agent.begin_episode(env, [np.random.default_rng([seed, 202]) for seed in seeds])
         for _ in range(scenario.horizon):
-            accessed = env.state.accessed.copy()
-            actions, _ = dho_decide(params, obs, rng, "sample", accessed)
-            active = ~accessed
+            active = ~env.state.accessed
+            actions = agent.act(env, obs)
             requests += int((actions[active] > 0).sum())
             waits += int((actions[active] == 0).sum())
             obs, _ = env.step(actions)

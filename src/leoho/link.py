@@ -121,9 +121,10 @@ class MeasurementState:
     """Per (terminal, plane) L1/L3 measurement memory for one episode.
 
     ``l1_dbm`` holds the latest instantaneous sample and ``l3_dbm`` the
-    filtered value, both shaped (J, K) with plane 0 the serving plane.
-    The episode folds ``samples_per_slot`` L1 samples into the filter per
-    slot (measurement period vs. decision period).
+    filtered value, both shaped (..., J, K) with plane 0 the serving plane
+    and optional leading episode axes.  The episode folds
+    ``samples_per_slot`` L1 samples into the filter per slot (slot length
+    over measurement period).
     """
 
     l1_dbm: np.ndarray
@@ -164,7 +165,7 @@ class MeasurementState:
         self.l3_dbm = l3_filter(self.l3_dbm, self.l1_dbm, self.beta_l3)
 
     def a3_flags(self, offset_db: float | None = None) -> np.ndarray:
-        """Boolean (J, K-1) matrix of A3 conditions, target planes vs. serving."""
+        """Boolean (..., J, K-1) A3 conditions, target planes vs. serving."""
         offset = self.a3_offset_db if offset_db is None else offset_db
-        serving = self.l3_dbm[:, :1]
-        return self.l3_dbm[:, 1:] > serving + offset
+        serving = self.l3_dbm[..., :1]
+        return self.l3_dbm[..., 1:] > serving + offset

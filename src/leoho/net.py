@@ -146,10 +146,18 @@ def forward_batch(
     return logits, values, ForwardCache(inputs=obs, h1=h1, h2=h2)
 
 
-def forward(params: PolicyParameters, obs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Single-observation forward pass: ((J, K) logits, scalar value)."""
-    logits, values, _ = forward_batch(params, np.asarray(obs, dtype=float)[None, :])
-    return logits[0], float(values[0])
+def forward(params: PolicyParameters, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """Inference forward pass over (..., obs_dim) observations.
+
+    Returns (..., J, K) logits and (...) values; a single observation gives
+    (J, K) logits and a scalar value.
+    """
+    obs = np.asarray(obs, dtype=float)
+    lead = obs.shape[:-1]
+    logits, values, _ = forward_batch(params, obs.reshape(-1, obs.shape[-1]))
+    if not lead:
+        return logits[0], float(values[0])
+    return logits.reshape(lead + logits.shape[1:]), values.reshape(lead)
 
 
 def backward_trunk(

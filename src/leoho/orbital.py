@@ -168,19 +168,18 @@ def nearest_distances_km(positions: np.ndarray, ue_positions: np.ndarray) -> np.
     """Distance from each terminal to the nearest satellite of each plane.
 
     The field of view is assumed to hold one visible satellite per plane;
-    with several per plane we take the closest.  ``positions`` may carry a
-    leading batch axis for several sample instants at once.  Returns
-    (..., J, K) kilometres.
+    with several per plane we take the closest.  ``positions`` is (S..., K,
+    I, 3), with leading axes for several sample instants at once, and
+    ``ue_positions`` is (E..., J, 3), with leading axes for several
+    episodes.  Returns (S..., E..., J, K) kilometres.
     """
-    if positions.ndim == 3 and positions.shape[1] == 1:
+    ue_axes = ue_positions.ndim - 1
+    if positions.shape[-2] == 1:
         # Single satellite per plane: skip the per-plane minimum.
-        diff = positions[None, :, 0, :] - ue_positions[:, None, :]
-        dist = np.sqrt(np.einsum("jkx,jkx->jk", diff, diff))
-        return dist / 1e3
-    if positions.ndim == 4 and positions.shape[2] == 1:
-        diff = positions[:, None, :, 0, :] - ue_positions[None, :, None, :]
-        dist = np.sqrt(np.einsum("bjkx,bjkx->bjk", diff, diff))
-        return dist / 1e3
-    diff = positions[..., None, :, :, :] - ue_positions[:, None, None, :]
-    dist = np.sqrt(np.einsum("...jkix,...jkix->...jki", diff, diff))
-    return dist.min(axis=-1) / 1e3
+        sats = positions[..., 0, :]
+        sats = sats.reshape(sats.shape[:-2] + (1,) * ue_axes + sats.shape[-2:])
+        diff = sats - ue_positions[..., None, :]
+        return np.sqrt(np.einsum("...x,...x->...", diff, diff)) / 1e3
+    sats = positions.reshape(positions.shape[:-3] + (1,) * ue_axes + positions.shape[-3:])
+    diff = sats - ue_positions[..., None, None, :]
+    return np.sqrt(np.einsum("...x,...x->...", diff, diff)).min(axis=-1) / 1e3

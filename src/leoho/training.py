@@ -2,24 +2,27 @@
 
 Actors roll out whole episodes with a snapshot of the learner parameters as
 their behavior policy; the learner consumes batches of recorded segments and
-applies one adaptive-moment update per batch.  The serial loop emulates the
-asynchronous architecture's queue delay by publishing parameters to actors
-one update late, so importance ratios are genuinely off-policy.  With
-``vtrace_enabled=False`` actors always see the freshest parameters and the
-ratios are forced to one, which is the on-policy actor-critic variant.
+applies one adaptive-moment update per batch, from one forward pass over
+it.  The episodes of one batch share a snapshot and are stepped together.
+The serial loop emulates the asynchronous architecture's queue delay by
+publishing parameters to actors one update late, so importance ratios are
+genuinely off-policy.  With ``vtrace_enabled=False`` actors always see the
+freshest parameters and the ratios are forced to one, which is the
+on-policy actor-critic variant.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from leoho import net, vtrace
 from leoho.agents import dho_decide
-from leoho.env import HandoverEnv, ScenarioConfig, episode_metrics, observation_size
+from leoho.env import ConfigError, HandoverEnv, ScenarioConfig, episode_metrics, observation_size
 
 CHECKPOINT_VERSION = 1
 DEFAULT_HIDDEN = (128, 128)
@@ -42,15 +45,15 @@ class VtraceConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
+            raise ConfigError("gamma", "must lie in [0, 1)")
         if self.rho_bar < self.c_bar:
-            raise ValueError("truncation levels must satisfy rho_bar >= c_bar")
+            raise ConfigError("rho_bar", "truncation levels must satisfy rho_bar >= c_bar")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate", "must be positive")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least one transition")
+            raise ConfigError("batch_size", "must be at least one transition")
         if self.actors_count < 1:
-            raise ValueError("actors_count must be at least 1")
+            raise ConfigError("actors_count", "must be at least 1")
 
 
 @dataclass
@@ -61,28 +64,46 @@ class LossReport:
     total: float
 
 
+def _forward(params: net.PolicyParameters, segments: list[vtrace.TrajectorySegment]):
+    """One learner forward pass over every transition of the batch, in order."""
+    return net.forward_batch(params, np.concatenate([s.observations[:-1] for s in segments]))
+
+
 def compute_targets(
     params: net.PolicyParameters,
     segments: list[vtrace.TrajectorySegment],
     cfg: VtraceConfig,
+    forward=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """V-trace targets and advantages per transition, flat across the batch."""
-    total = sum(len(s) for s in segments)
-    targets = np.empty(total)
-    advantages = np.empty(total)
-    start = 0
-    for segment in segments:
-        rows = slice(start, start + len(segment))
-        targets[rows], advantages[rows] = vtrace.vtrace_targets(
-            params,
-            segment,
-            cfg.gamma,
-            cfg.rho_bar,
-            cfg.c_bar,
-            vtrace_enabled=cfg.vtrace_enabled,
-        )
-        start += len(segment)
-    return targets, advantages
+    """V-trace targets and advantages per transition, flat across the batch.
+
+    The segments must have equal length; they are stacked to (S, L) and the
+    recursion runs over all of them at once.  ``forward`` is the batch's
+    :func:`net.forward_batch` result when the caller already has it.
+    """
+    if len({len(s) for s in segments}) != 1:
+        raise ValueError("the segments of one batch must have equal length")
+    logits, values, _ = _forward(params, segments) if forward is None else forward
+    shape = (len(segments), len(segments[0]))
+    if cfg.vtrace_enabled:
+        log_ratios = vtrace.log_ratios(
+            logits,
+            np.concatenate([s.actions for s in segments]),
+            np.concatenate([s.behavior_logprobs for s in segments]),
+            np.concatenate([s.masks for s in segments]),
+        ).reshape(shape)
+    else:
+        log_ratios = np.zeros(shape)
+    targets, advantages, _ = vtrace.vtrace_from_values(
+        np.stack([s.rewards for s in segments]),
+        values.reshape(shape),
+        np.array([s.bootstrap_value for s in segments]),
+        log_ratios,
+        cfg.gamma,
+        cfg.rho_bar,
+        cfg.c_bar,
+    )
+    return targets.ravel(), advantages.ravel()
 
 
 def loss_and_gradient_with_targets(
@@ -91,18 +112,20 @@ def loss_and_gradient_with_targets(
     targets: np.ndarray,
     advantages: np.ndarray,
     cfg: VtraceConfig,
+    forward=None,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Three-term loss and its exact gradient, targets held constant.
 
     total = policy + baseline_coeff * baseline - entropy_coeff * entropy.
     The targets/advantages are stop-gradients: they are recomputed from the
     current parameters before every update but not differentiated through.
+    ``forward`` is the batch's :func:`net.forward_batch` result when the
+    caller already has it.
     """
-    obs = np.concatenate([s.observations[:-1] for s in segments], axis=0)
     actions = np.concatenate([s.actions for s in segments], axis=0)
     masks = np.concatenate([s.masks for s in segments], axis=0).astype(float)
 
-    logits, values, cache = net.forward_batch(params, obs)
+    logits, values, cache = _forward(params, segments) if forward is None else forward
     probs = net.softmax(logits)
     logp = net.log_softmax(logits)
     chosen_logp = np.take_along_axis(logp, actions[..., None], axis=-1)[..., 0]
@@ -138,8 +161,10 @@ def loss_and_gradient(
     segments: list[vtrace.TrajectorySegment],
     cfg: VtraceConfig,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
-    targets, advantages = compute_targets(params, segments, cfg)
-    return loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)
+    """The loss and its gradient, from one forward pass over the batch."""
+    forward = _forward(params, segments)
+    targets, advantages = compute_targets(params, segments, cfg, forward)
+    return loss_and_gradient_with_targets(params, segments, targets, advantages, cfg, forward)
 
 
 def total_loss_with_targets(
@@ -190,49 +215,59 @@ class EpisodeRecord:
 def rollout_segment(
     env: HandoverEnv,
     params: net.PolicyParameters,
-    rng: np.random.Generator,
-    env_seed,
-) -> tuple[vtrace.TrajectorySegment, "EpisodeRecord"]:
-    """One full sampled episode under ``params`` as the behavior policy."""
+    noise: np.ndarray,
+    env_seeds: list,
+) -> tuple[list[vtrace.TrajectorySegment], list["EpisodeRecord"]]:
+    """Sampled episodes under ``params`` as the behavior policy, stepped together.
+
+    Episode ``e`` starts from seed key ``env_seeds[e]`` and samples with the
+    Gumbel noise ``noise[e]`` (N, J, K).  Returns one segment and one record
+    per episode.
+    """
     cfg = env.config
-    length, j = cfg.horizon, cfg.num_ues
-    obs_dim = observation_size(cfg)
-    observations = np.empty((length + 1, obs_dim))
-    actions = np.empty((length, j), dtype=np.int64)
-    logprobs = np.empty((length, j))
-    rewards = np.empty(length)
-    masks = np.empty((length, j))
+    episodes, length, j = len(env_seeds), cfg.horizon, cfg.num_ues
+    observations = np.empty((episodes, length + 1, observation_size(cfg)))
+    actions = np.empty((episodes, length, j), dtype=np.int64)
+    logprobs = np.empty((episodes, length, j))
+    rewards = np.empty((episodes, length))
+    masks = np.empty((episodes, length, j))
 
-    obs = env.reset(env_seed)
-    outcomes = []
+    obs = env.reset(episodes=env_seeds)
+    slots = []
     for n in range(length):
-        observations[n] = obs
+        observations[:, n] = obs
         accessed = env.state.accessed
-        masks[n] = ~accessed
-        act, logp = dho_decide(params, obs, rng, "sample", accessed)
-        obs, outcome = env.step(act)
-        actions[n] = act
-        logprobs[n] = logp
-        rewards[n] = outcome.reward
-        outcomes.append(outcome)
-    observations[length] = obs
+        masks[:, n] = ~accessed
+        act, logp = dho_decide(params, obs, noise[:, n], "sample", accessed)
+        obs, slot_outcomes = env.step(act)
+        actions[:, n] = act
+        logprobs[:, n] = logp
+        rewards[:, n] = [o.reward for o in slot_outcomes]
+        slots.append(slot_outcomes)
+    observations[:, length] = obs
 
-    segment = vtrace.TrajectorySegment(
-        observations=observations,
-        actions=actions,
-        behavior_logprobs=logprobs,
-        rewards=rewards,
-        masks=masks,
-        bootstrap_value=0.0,  # episodes terminate at the horizon
-    )
-    metrics = episode_metrics(outcomes, env.state)
-    record = EpisodeRecord(
-        episode=-1,
-        episode_return=metrics.episode_return,
-        sum_delay=metrics.sum_delay,
-        sum_collision=metrics.sum_collision,
-    )
-    return segment, record
+    segments, records = [], []
+    for e, outcomes in enumerate(zip(*slots)):
+        segments.append(
+            vtrace.TrajectorySegment(
+                observations=observations[e],
+                actions=actions[e],
+                behavior_logprobs=logprobs[e],
+                rewards=rewards[e],
+                masks=masks[e],
+                bootstrap_value=0.0,  # episodes terminate at the horizon
+            )
+        )
+        metrics = episode_metrics(outcomes, env.state.episode(e))
+        records.append(
+            EpisodeRecord(
+                episode=-1,
+                episode_return=metrics.episode_return,
+                sum_delay=metrics.sum_delay,
+                sum_collision=metrics.sum_collision,
+            )
+        )
+    return segments, records
 
 
 def train(
@@ -245,9 +280,12 @@ def train(
 ) -> tuple[net.PolicyParameters, list[EpisodeRecord]]:
     """Run the actor-learner loop and return final parameters plus the curve.
 
-    Deterministic for a fixed (scenario, cfg, episodes, actors, seed): actors
-    are stepped round-robin, each owning one environment whose episodes are
-    seeded from (seed XOR actor index, episode counter).
+    Deterministic for a fixed (scenario, cfg, episodes, actors, seed):
+    episode ``d`` belongs to actor ``i = d % actors``, is seeded from
+    (seed XOR i, d // actors), and samples with Gumbel noise drawn from
+    actor ``i``'s generator in episode order.  The ``ceil(batch_size /
+    horizon)`` episodes between two learner updates all act under the same
+    published parameters, so they are rolled out together.
     """
     num_actors = cfg.actors_count if actors is None else actors
     obs_dim = observation_size(scenario)
@@ -263,38 +301,31 @@ def train(
         params = initial_params.copy()
 
     optimizer = Adam(params)
-    envs = [HandoverEnv(scenario) for _ in range(num_actors)]
+    env = HandoverEnv(scenario)
     actor_rngs = [np.random.default_rng([seed, i, 1]) for i in range(num_actors)]
+    noise_shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
     published = params.copy()  # what actors download
-    snapshots = [published] * num_actors
-    episode_counts = [0] * num_actors
+    rollout_episodes = math.ceil(cfg.batch_size / scenario.horizon)
 
     curve: list[EpisodeRecord] = []
-    pending: list[vtrace.TrajectorySegment] = []
-    pending_transitions = 0
     done = 0
     while done < episodes:
-        for i in range(num_actors):
-            if done >= episodes:
-                break
-            snapshots[i] = published
-            env_seed = (seed ^ i, episode_counts[i])
-            segment, record = rollout_segment(envs[i], snapshots[i], actor_rngs[i], env_seed)
-            episode_counts[i] += 1
-            record.episode = done
-            curve.append(record)
-            pending.append(segment)
-            pending_transitions += len(segment)
-            done += 1
+        batch = range(done, min(done + rollout_episodes, episodes))
+        actor_ids = [d % num_actors for d in batch]
+        seeds = [(seed ^ i, d // num_actors) for d, i in zip(batch, actor_ids)]
+        noise = np.stack([actor_rngs[i].gumbel(size=noise_shape) for i in actor_ids])
+        segments, records = rollout_segment(env, published, noise, seeds)
+        for d, record in zip(batch, records):
+            record.episode = d
+        curve += records
+        done = batch.stop
 
-            if pending_transitions >= cfg.batch_size:
-                previous = params.copy()
-                _, grads = loss_and_gradient(params, pending, cfg)
-                optimizer.step(params, grads, cfg.learning_rate)
-                # One update of publication lag models the actor-learner queue.
-                published = previous if cfg.vtrace_enabled else params.copy()
-                pending = []
-                pending_transitions = 0
+        if len(segments) * scenario.horizon >= cfg.batch_size:
+            previous = params.copy()
+            _, grads = loss_and_gradient(params, segments, cfg)
+            optimizer.step(params, grads, cfg.learning_rate)
+            # One update of publication lag models the actor-learner queue.
+            published = previous if cfg.vtrace_enabled else params.copy()
     return params, curve
 
 

@@ -1,9 +1,10 @@
 """V-trace targets: truncated-importance-sampling value corrections.
 
 ``vtrace_from_values`` is the pure recursion over already-computed values
-and log importance ratios; ``vtrace_targets`` evaluates the current network
-over a recorded segment first.  Both return the per-step targets and the
-policy-gradient advantages built from them.
+and log importance ratios, for one segment or many stacked;
+``vtrace_targets`` evaluates the current network over a recorded segment
+first.  Both return the per-step targets and the policy-gradient
+advantages built from them.
 """
 
 from __future__ import annotations
@@ -49,24 +50,27 @@ class TrajectorySegment:
 def vtrace_from_values(
     rewards: np.ndarray,
     values: np.ndarray,
-    bootstrap_value: float,
+    bootstrap_value: float | np.ndarray,
     log_ratios: np.ndarray,
     gamma: float,
     rho_bar: float = 1.0,
     c_bar: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward-recursion V-trace over one segment.
+    """Backward-recursion V-trace over segments stacked on leading axes.
 
-    ``log_ratios[n]`` is log pi(a_n|s_n) - log mu(a_n|s_n) for the joint
-    action.  Returns (targets, pg_advantages, rho) where
+    ``rewards``, ``values`` and ``log_ratios`` are (..., L) with time last;
+    ``bootstrap_value`` is a scalar or (...).  ``log_ratios[..., n]`` is
+    log pi(a_n|s_n) - log mu(a_n|s_n) for the joint action.  Returns
+    (targets, pg_advantages, rho) where
     ``pg_advantages[n] = rho_n * (r_n + gamma * v_{n+1} - V(s_n))`` with
-    ``v_L`` the bootstrap value.
+    ``v_L`` the bootstrap value.  The recursion runs once over L, on all
+    segments at a time.
     """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
     log_ratios = np.asarray(log_ratios, dtype=float)
-    length = rewards.shape[0]
-    if values.shape[0] != length or log_ratios.shape[0] != length:
+    length = rewards.shape[-1]
+    if values.shape != rewards.shape or log_ratios.shape != rewards.shape:
         raise ValueError("rewards, values and log_ratios must have equal length")
 
     with np.errstate(over="ignore"):
@@ -76,30 +80,42 @@ def vtrace_from_values(
     rho = np.minimum(rho_bar, ratios)
     c = np.minimum(c_bar, ratios)
 
-    values_ext = np.append(values, bootstrap_value)
-    deltas = rho * (rewards + gamma * values_ext[1:] - values_ext[:-1])
+    values_ext = np.empty(rewards.shape[:-1] + (length + 1,))
+    values_ext[..., :length] = values
+    values_ext[..., length] = bootstrap_value
+    deltas = rho * (rewards + gamma * values_ext[..., 1:] - values_ext[..., :-1])
 
-    targets = np.empty(length + 1)
-    targets[length] = bootstrap_value
-    correction = 0.0  # v_n - V(s_n), accumulated backwards
+    targets = np.empty_like(values_ext)
+    targets[..., length] = bootstrap_value
     for n in range(length - 1, -1, -1):
-        correction = deltas[n] + gamma * c[n] * (targets[n + 1] - values_ext[n + 1])
-        targets[n] = values_ext[n] + correction
+        # v_n - V(s_n), accumulated backwards.
+        ahead = targets[..., n + 1] - values_ext[..., n + 1]
+        correction = deltas[..., n] + gamma * c[..., n] * ahead
+        targets[..., n] = values_ext[..., n] + correction
 
-    q = rewards + gamma * targets[1:]
-    pg_advantages = rho * (q - values_ext[:-1])
-    return targets[:-1], pg_advantages, rho
+    q = rewards + gamma * targets[..., 1:]
+    pg_advantages = rho * (q - values_ext[..., :-1])
+    return targets[..., :-1], pg_advantages, rho
+
+
+def log_ratios(
+    logits: np.ndarray, actions: np.ndarray, behavior_logprobs: np.ndarray, masks: np.ndarray
+) -> np.ndarray:
+    """Joint log pi/mu ratio per step from (..., J, K) target-policy logits.
+
+    Sums over the J heads; masked heads contribute nothing.
+    """
+    target_logp = net.head_log_probs(logits, actions) * masks
+    return (target_logp - behavior_logprobs * masks).sum(axis=-1)
 
 
 def segment_log_ratios(
     params: net.PolicyParameters, segment: TrajectorySegment, logits: np.ndarray | None = None
 ) -> np.ndarray:
-    """Joint log pi/mu ratio per step; masked heads contribute nothing."""
+    """Joint log pi/mu ratio per step of one segment; masked heads contribute nothing."""
     if logits is None:
         logits, _, _ = net.forward_batch(params, segment.observations[:-1])
-    target_logp = net.head_log_probs(logits, segment.actions) * segment.masks
-    behavior_logp = segment.behavior_logprobs * segment.masks
-    return (target_logp - behavior_logp).sum(axis=1)
+    return log_ratios(logits, segment.actions, segment.behavior_logprobs, segment.masks)
 
 
 def vtrace_targets(
@@ -111,12 +127,12 @@ def vtrace_targets(
     vtrace_enabled: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Targets and advantages for a segment under the current parameters."""
-    _, values, _ = net.forward_batch(params, segment.observations[:-1])
+    logits, values, _ = net.forward_batch(params, segment.observations[:-1])
     if vtrace_enabled:
-        log_ratios = segment_log_ratios(params, segment)
+        ratios = segment_log_ratios(params, segment, logits)
     else:
-        log_ratios = np.zeros(len(segment))
+        ratios = np.zeros(len(segment))
     targets, pg_advantages, _ = vtrace_from_values(
-        segment.rewards, values, segment.bootstrap_value, log_ratios, gamma, rho_bar, c_bar
+        segment.rewards, values, segment.bootstrap_value, ratios, gamma, rho_bar, c_bar
     )
     return targets, pg_advantages

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from leoho import link, net, orbital
-from leoho.env import HandoverEnv, ScenarioConfig
+from leoho.env import HandoverEnv, ScenarioConfig, batch_episodes
 from leoho.env import rach as rach_op
 from leoho.experiments import (
     DESK_TRAINING,
@@ -172,6 +172,10 @@ INVARIANT_MIXES = [
 ]
 
 
+# Episodes per worker and mix stepped through the single-episode API.
+SINGLE_EPISODES = 150
+
+
 def _invariant_worker(args):
     worker_id, jobs = args
     violations = []
@@ -186,28 +190,47 @@ def _invariant_worker(args):
         env = HandoverEnv(cfg)
         rng = np.random.default_rng((worker_id, episodes, rb, preambles, planes))
         ceiling = min(1.0, sum(cfg.rb_per_target) / cfg.num_ues)
-        for e in range(episodes):
-            env.reset((worker_id, rb, preambles, planes, e))
-            actions = rng.integers(0, planes, size=(cfg.horizon, cfg.num_ues))
-            previous = env.state.accessed.copy()
+        # The first episodes go one at a time through reset(seed) and (J,)
+        # actions; the rest run in lockstep chunks, as evaluation runs them.
+        # Each keeps its seed key and its (N, J) actions, drawn in episode order.
+        single = min(SINGLE_EPISODES, episodes)
+        bounds = [*range(single), *range(single, episodes, batch_episodes(cfg)), episodes]
+        for start, stop in zip(bounds, bounds[1:]):
+            batch = np.arange(start, stop)
+            keys = [(worker_id, rb, preambles, planes, e) for e in batch]
+            one = start < single
+            if one:
+                env.reset(keys[0])
+            else:
+                env.reset(episodes=keys)
+            actions = np.stack(
+                [rng.integers(0, planes, size=(cfg.horizon, cfg.num_ues)) for _ in batch]
+            )
+            previous = np.atleast_2d(env.state.accessed).copy()
             for n in range(cfg.horizon):
-                _, out = env.step(actions[n])
-                accessed = env.state.accessed
-                if (previous & ~accessed).any():
-                    violations.append(("monotone access", e, n))
-                if (out.rb_collision & out.prach_collision).any():
-                    violations.append(("collision exclusivity", e, n))
-                if not 0.0 <= out.d <= 1.0:
-                    violations.append(("delay range", e, n))
-                if (out.c_r_per_target < 0).any() or (out.c_r_per_target > 1).any():
-                    violations.append(("admission rate range", e, n))
+                _, outcomes = env.step(actions[0, n] if one else actions[:, n])
+                outcomes = [outcomes] if one else outcomes
+                accessed = np.atleast_2d(env.state.accessed)
+                rb_collision = np.array([o.rb_collision for o in outcomes])
+                prach_collision = np.array([o.prach_collision for o in outcomes])
+                d = np.array([o.d for o in outcomes])
+                c_r = np.array([o.c_r_per_target for o in outcomes])
+                for name, bad in (
+                    ("monotone access", (previous & ~accessed).any(axis=1)),
+                    ("collision exclusivity", (rb_collision & prach_collision).any(axis=1)),
+                    ("delay range", ~((d >= 0.0) & (d <= 1.0))),
+                    ("admission rate range", ((c_r < 0) | (c_r > 1)).any(axis=1)),
+                ):
+                    violations += [(name, e, n) for e in batch[bad]]
                 previous = accessed.copy()
-            spent = np.array(cfg.rb_per_target) - env.state.rb_remaining
-            if (env.state.rb_remaining < 0).any() or spent.sum() != int(env.state.accessed.sum()):
-                violations.append(("block accounting", e, -1))
-            if env.state.accessed.sum() / cfg.num_ues > ceiling + 1e-12:
-                violations.append(("capacity ceiling", e, -1))
-            episodes_done += 1
+            rb_remaining = np.atleast_2d(env.state.rb_remaining)
+            completed = np.atleast_2d(env.state.accessed).sum(axis=1)
+            spent = np.array(cfg.rb_per_target) - rb_remaining
+            accounting = (rb_remaining < 0).any(axis=1) | (spent.sum(axis=1) != completed)
+            violations += [("block accounting", e, -1) for e in batch[accounting]]
+            over = completed / cfg.num_ues > ceiling + 1e-12
+            violations += [("capacity ceiling", e, -1) for e in batch[over]]
+            episodes_done += len(batch)
             if len(violations) > 5:
                 return episodes_done, violations
     return episodes_done, violations
@@ -229,7 +252,8 @@ def test_criterion_03_environment_invariant_suite():
     assert total == 100_000
     assert not violations, violations[:5]
     assert elapsed < 120.0
-    announce(3, f"100000 random episodes, zero invariant violations", elapsed)
+    single = sum(min(SINGLE_EPISODES, job[0]) for worker in jobs for job in worker)
+    announce(3, f"100000 random episodes ({single} one at a time), zero invariant violations", elapsed)
 
 
 # --------------------------------------------------------------------------

@@ -96,9 +96,11 @@ def test_eval_with_checkpoint(tmp_path):
 
 
 def test_bad_spec_exits_2(tmp_path, capsys):
-    spec = write_spec(tmp_path, "scenario.bogus = 1\n")
-    assert main(["run", "--spec", spec]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    for text in ("scenario.bogus = 1\n", "training.gamma = 1.5\n", "scenario.sats_per_plane = 0\n"):
+        spec = write_spec(tmp_path, text)
+        assert main(["run", "--spec", spec]) == 2, text
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
 
 
 def test_missing_spec_file_exits_3(tmp_path):
@@ -137,6 +139,17 @@ def test_sweep_unknown_parameter_exits_2(tmp_path):
         ["sweep", "--spec", spec, "--parameter", "bogus", "--values", "1", "--out", str(tmp_path / "x")]
     )
     assert code == 2
+
+
+def test_sweep_tau_checks_every_value_before_running(tmp_path):
+    spec = write_spec(tmp_path, FAST_RANDOM)
+    out = tmp_path / "tau"
+    args = ["sweep", "--spec", spec, "--parameter", "tau", "--out", str(out), "--values"]
+    # 0.2 s is not a whole number of 0.15 s measurement periods.
+    assert main(args + ["0.3,0.2"]) == 2
+    assert not out.exists()
+    assert main(args + ["0.15,0.45"]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
 
 def test_ablation_cli(tmp_path):

@@ -1,9 +1,11 @@
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leoho import link
+from leoho import link, orbital
 from leoho.env import (
     ConfigError,
     FeatureMask,
@@ -42,6 +44,13 @@ def test_config_errors_carry_field_names():
     with pytest.raises(ConfigError) as err:
         ScenarioConfig(nu=-0.5)
     assert err.value.field == "nu"
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(sats_per_plane=0)
+    assert err.value.field == "sats_per_plane"
+    for period in (0.2, 0.6, 0.0):  # slot_s = 0.3 is no positive multiple of these
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(measurement_period_s=period)
+        assert err.value.field == "measurement_period_s"
 
 
 # --- reset ----------------------------------------------------------------
@@ -202,6 +211,50 @@ def test_rach_collision_rate_matches_birthday_formula():
         expected = (m / 10) * (1 - (1 - 1 / p) ** (m - 1))
         sem = rates.std() / np.sqrt(trials)
         assert abs(rates.mean() - expected) < max(4 * sem, 1e-12)
+
+
+# --- batched kernels against a per-episode oracle ------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    episodes=st.integers(1, 5),
+    num_ues=st.integers(1, 12),
+    targets=st.integers(1, 3),
+    preambles=st.integers(1, 6),
+)
+def test_batched_kernels_match_per_episode_oracle(seed, episodes, num_ues, targets, preambles):
+    rng = np.random.default_rng(seed)
+    requested = rng.integers(0, targets + 1, size=(episodes, num_ues))
+    rb = rng.integers(0, num_ues + 1, size=(episodes, targets))
+    keys = rng.random((episodes, num_ues))
+    signatures = rng.integers(1, preambles + 1, size=(episodes, num_ues))
+    command, refused, c_r = admission(requested, rb, num_ues, keys)
+    preamble, collided, c_p = rach(command, preambles, num_ues, signatures, targets)
+
+    for e in range(episodes):
+        assert not command[e][requested[e] == 0].any() and not refused[e][requested[e] == 0].any()
+        for k in range(1, targets + 1):
+            requesters = np.flatnonzero(requested[e] == k)
+            granted = requesters[command[e, requesters] == k]
+            lost = requesters[refused[e, requesters]]
+            blocks = rb[e, k - 1]
+            assert len(granted) <= blocks
+            assert len(lost) == max(0, len(requesters) - blocks)
+            assert sorted(np.concatenate([granted, lost]).tolist()) == requesters.tolist()
+            lowest_keys = requesters[np.argsort(keys[e, requesters])][: min(blocks, len(requesters))]
+            assert set(granted.tolist()) == set(lowest_keys.tolist())
+            assert c_r[e, k - 1] == pytest.approx(len(lost) / num_ues)
+        for i in range(num_ues):
+            assert preamble[e, i] == (signatures[e, i] if command[e, i] else 0)
+            shares = command[e, i] > 0 and any(
+                command[e, m] == command[e, i] and signatures[e, m] == signatures[e, i]
+                for m in range(num_ues)
+                if m != i
+            )
+            assert collided[e, i] == shares
+        assert c_p[e] == pytest.approx(collided[e].sum() / num_ues)
 
 
 # --- step semantics ----------------------------------------------------------
@@ -378,6 +431,68 @@ def test_trace_csv_schema_and_determinism(tmp_path):
     assert content[0] == "episode,n,D,C_R_1,C_R_2,C_P,reward,accessed_count"
     assert len(content) == 1 + 2 * cfg.horizon
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_trace_writer_bytes_match_csv_writer(tmp_path):
+    cfg = small_config(rb_per_target=(3, 3), num_preambles=4)
+    env = HandoverEnv(cfg)
+    rng = np.random.default_rng(8)
+    episodes = []
+    for e in range(3):
+        env.reset(e)
+        episodes.append((e, [env.step(rng.integers(0, 3, 10))[1] for _ in range(cfg.horizon)]))
+    write_trace_csv(tmp_path / "trace.csv", episodes, cfg.num_ues, cfg.num_targets)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(trace_header(cfg.num_targets))
+        for e, outcomes in episodes:
+            for o in outcomes:
+                writer.writerow(
+                    [e, o.slot, f"{o.d:.6f}"]
+                    + [f"{v:.6f}" for v in o.c_r_per_target]
+                    + [f"{o.c_p:.6f}", f"{o.reward:.6f}", round(cfg.num_ues * (1.0 - o.d))]
+                )
+    written = (tmp_path / "trace.csv").read_bytes()
+    assert written.count(b"\r\n") == 1 + 3 * cfg.horizon
+    assert written == (tmp_path / "reference.csv").read_bytes()
+
+
+# --- measurements ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("period, samples", [(0.3, 1), (0.1, 3)])
+def test_measurements_fold_samples_per_slot(period, samples):
+    cfg = small_config(measurement_period_s=period, shadowing_sigma_db=0.0)
+    assert cfg.samples_per_slot == samples
+    env = HandoverEnv(cfg)
+    env.reset(2)
+    for _ in range(3):
+        env.step(np.zeros(10, dtype=int))
+    folded = env.measurements()
+
+    # Oracle: L1 samples at slot start + m * period, m = 1..M, folded in time order.
+    sats = orbital.initial_state(
+        orbital.default_constellation(
+            cfg.altitude_m, cfg.num_planes, cfg.slot_s, cfg.horizon, cfg.area_m
+        )
+    )
+    ues = env.state.ue_positions
+
+    def rsrp(t):
+        out = np.empty((cfg.num_ues, cfg.num_planes))
+        for j, ue in enumerate(ues):
+            for k in range(cfg.num_planes):
+                sat = sats.positions[k, 0] + t * sats.velocities[k, 0]
+                d_km = orbital.slant_distance(sat, ue) / 1e3
+                out[j, k] = link.rsrp_proxy(cfg.dl_eirp_dbw, d_km, cfg.carrier_ghz)
+        return out
+
+    l3 = rsrp(0.0)
+    for n in range(3):
+        for m in range(1, samples + 1):
+            l3 = link.l3_filter(l3, rsrp(n * cfg.slot_s + m * period), cfg.beta_l3)
+    assert folded.samples_per_slot == samples
+    assert np.allclose(folded.l3_dbm, l3, rtol=0.0, atol=1e-9)
 
 
 def test_terminal_profile_selects_measurement_carrier():

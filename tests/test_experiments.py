@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from leoho import net
-from leoho.env import ConfigError, FeatureMask, ScenarioConfig
+from leoho.env import ConfigError, FeatureMask, ScenarioConfig, batch_episodes
 from leoho.experiments import (
     ABLATION_MASKS,
     DESK_TRAINING,
@@ -143,6 +143,17 @@ def test_evaluate_deterministic_rows():
     assert [m.episode_return for m in r1] == [m.episode_return for m in r2]
     row1, row2 = summary_row(r1, "random"), summary_row(r2, "random")
     assert row1 == row2
+
+
+@pytest.mark.parametrize("agent", ["random", "conventional"])
+def test_evaluate_episodes_do_not_depend_on_their_chunk(agent):
+    # Record i of a multi-chunk run equals episode master_seed + i run alone.
+    scenario = scenario_for_case("scarce")
+    episodes = batch_episodes(scenario) + 3
+    records, _ = evaluate(scenario, agent, episodes, master_seed=7)
+    for i in range(episodes):
+        alone, _ = evaluate(scenario, agent, 1, master_seed=7 + i)
+        assert records[i] == alone[0], i
 
 
 def test_run_experiment_random_agent(tmp_path):

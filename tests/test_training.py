@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from leoho import net
-from leoho.env import ScenarioConfig, observation_size
+from leoho.env import ConfigError, ScenarioConfig, observation_size
 from leoho.training import (
     Adam,
     CheckpointError,
@@ -16,7 +16,7 @@ from leoho.training import (
     train,
     write_curve_csv,
 )
-from leoho.vtrace import TrajectorySegment
+from leoho.vtrace import TrajectorySegment, vtrace_targets
 
 
 def make_segments(rng, params, count=3, length=4):
@@ -106,12 +106,27 @@ def test_zero_advantages_zero_policy_gradient():
 
 
 def test_vtrace_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as err:
         VtraceConfig(gamma=1.0)
-    with pytest.raises(ValueError):
+    assert err.value.field == "gamma"
+    with pytest.raises(ConfigError):
         VtraceConfig(rho_bar=0.5, c_bar=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         VtraceConfig(batch_size=0)
+
+
+def test_stacked_targets_match_per_segment_vtrace():
+    rng = np.random.default_rng(4)
+    params = net.init_params(5, 2, 3, hidden=(8, 8), rng=rng)
+    segments = make_segments(rng, params, count=4, length=6)
+    for enabled in (True, False):
+        cfg = VtraceConfig(gamma=0.9, rho_bar=1.2, c_bar=0.8, vtrace_enabled=enabled, hidden=(8, 8))
+        targets, advantages = compute_targets(params, segments, cfg)
+        for s, segment in enumerate(segments):
+            expected = vtrace_targets(params, segment, 0.9, 1.2, 0.8, vtrace_enabled=enabled)
+            rows = slice(6 * s, 6 * (s + 1))
+            assert np.allclose(targets[rows], expected[0], rtol=0.0, atol=1e-12)
+            assert np.allclose(advantages[rows], expected[1], rtol=0.0, atol=1e-12)
 
 
 def test_adam_is_deterministic():
