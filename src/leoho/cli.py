@@ -69,7 +69,7 @@ def _load_spec(args) -> ExperimentSpec:
     if args.preamble_ratio is not None:
         scenario = experiments.scenario_with_ratios(scenario, preamble_ratio=args.preamble_ratio)
     if args.nu is not None:
-        scenario = dataclasses.replace(scenario, nu=experiments._parse_number(args.nu))
+        scenario = dataclasses.replace(scenario, nu=experiments._coerce("--nu", args.nu, 0.0))
     if args.command != "ablation" and args.mask:
         if args.mask not in experiments.ABLATION_MASKS:
             raise ConfigError("mask", f"unknown mask {args.mask!r}")
@@ -130,7 +130,7 @@ def _dispatch(args) -> int:
         if not parameter:
             raise ConfigError("sweep.parameter", "sweep needs --parameter or sweep.parameter")
         if args.values:
-            values = tuple(experiments._parse_number(v) for v in args.values.split(","))
+            values = tuple(experiments._coerce("--values", v, 0.0) for v in args.values.split(","))
         else:
             values = spec.sweep_values
         if not values:

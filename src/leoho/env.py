@@ -25,9 +25,10 @@ so an episode plays out the same whichever episodes share its batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterable, Sequence
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterable
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class ScenarioConfig:
     nu: float = 1.0  # delay weight in the reward
     area_m: float = 1000.0
     altitude_m: float = 550e3
-    ue_positions: tuple | None = None  # explicit (J, 3) metres, else uniform
+    ue_positions: tuple | None = None  # explicit (J, 2) or (J, 3) metres, else uniform
     seed: int = 0
     features: FeatureMask = field(default_factory=FeatureMask)
     shadowing_sigma_db: float = 2.0
@@ -119,8 +120,19 @@ class ScenarioConfig:
             raise ConfigError("shadowing_sigma_db", "sigma must be non-negative")
         if self.a3_trigger_slots < 1:
             raise ConfigError("a3_trigger_slots", "trigger count must be at least 1")
-        if self.ue_positions is not None and len(self.ue_positions) != self.num_ues:
-            raise ConfigError("ue_positions", f"expected {self.num_ues} positions")
+        if self.ue_positions is not None:
+            try:
+                positions = np.asarray(self.ue_positions, dtype=float)
+            except (TypeError, ValueError):
+                positions = None
+            if (
+                positions is None
+                or positions.shape not in ((self.num_ues, 2), (self.num_ues, 3))
+                or not np.isfinite(positions).all()
+            ):
+                raise ConfigError(
+                    "ue_positions", f"expected finite numbers shaped ({self.num_ues}, 2) or ({self.num_ues}, 3)"
+                )
         if self.terminal_profile not in link.PROFILES:
             raise ConfigError(
                 "terminal_profile", f"expected one of {sorted(link.PROFILES)}, got {self.terminal_profile!r}"
@@ -129,6 +141,8 @@ class ScenarioConfig:
             raise ConfigError("measurement_carrier_ghz", "carrier must be non-negative")
         if self.sats_per_plane < 1:
             raise ConfigError("sats_per_plane", "need at least one satellite per plane")
+        if not (math.isfinite(self.iir_order) and self.iir_order >= 0):
+            raise ConfigError("iir_order", f"filter order must be a non-negative number, got {self.iir_order}")
         if self.measurement_period_s <= 0:
             raise ConfigError("measurement_period_s", "measurement period must be positive")
         ratio = self.slot_s / self.measurement_period_s
@@ -216,7 +230,12 @@ class EnvState:
 
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
-    """Everything one slot produced for one episode, per terminal and aggregated."""
+    """Everything one slot produced, per terminal and aggregated.
+
+    A batched step's outcome carries a leading episode axis on every field
+    but ``slot``: (E, J) per-terminal arrays, (E, K-1) rates and (E,)
+    aggregates.  A single episode's has none, and its aggregates are floats.
+    """
 
     slot: int  # 1-based opportunity index
     requested: np.ndarray  # (J,) target plane requested, 0 = none
@@ -230,6 +249,65 @@ class StepOutcome:
     c_total: float
     d: float
     reward: float
+
+
+# The fields after ``slot``: per-terminal arrays and per-target rates, then
+# the aggregates, which are floats for a single episode.
+_ARRAY_FIELDS = tuple(f.name for f in fields(StepOutcome))[1:8]
+_FLOAT_FIELDS = tuple(f.name for f in fields(StepOutcome))[8:]
+
+
+def stack_outcomes(slots: Sequence[StepOutcome]) -> dict[str, np.ndarray]:
+    """Columns of consecutive slot outcomes, one per :class:`StepOutcome` field.
+
+    Each column is (E, N, ...), for N slots of E episodes; outcomes without
+    an episode axis stack as E = 1.  ``slot`` is (N,).  The columns are
+    views with the slot axis outermost in memory.
+    """
+    batched = np.ndim(slots[0].d) == 1
+    columns = {"slot": np.array([o.slot for o in slots])}
+    for name in _ARRAY_FIELDS + _FLOAT_FIELDS:
+        column = np.array([getattr(o, name) for o in slots])  # (N, [E,] ...)
+        columns[name] = column.swapaxes(0, 1) if batched else column[None]
+    return columns
+
+
+class EpisodeOutcomes(Sequence):
+    """One episode's step outcomes, read from the columns of its chunk.
+
+    Episode ``episode`` of :func:`stack_outcomes` columns.  Indexing or
+    iterating builds :class:`StepOutcome` records, one per slot, equal to
+    those stepping the episode alone gives; :func:`episode_metrics` and
+    :func:`write_trace_csv` read the columns and build none.
+    """
+
+    __slots__ = ("columns", "episode")
+
+    def __init__(self, columns: dict[str, np.ndarray], episode: int):
+        self.columns = columns
+        self.episode = episode
+
+    @classmethod
+    def of(cls, outcomes: Sequence[StepOutcome]) -> "EpisodeOutcomes":
+        """``outcomes`` itself if a view, else a view of the records stacked."""
+        return outcomes if isinstance(outcomes, cls) else cls(stack_outcomes(outcomes), 0)
+
+    def column(self, name: str) -> np.ndarray:
+        """This episode's (N, ...) block of one column."""
+        return self.columns[name][self.episode]
+
+    def __len__(self) -> int:
+        return len(self.columns["slot"])
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(len(self))[n]]
+        c, e = self.columns, self.episode
+        return StepOutcome(
+            int(c["slot"][n]),
+            *(c[name][e, n] for name in _ARRAY_FIELDS),
+            *(float(c[name][e, n]) for name in _FLOAT_FIELDS),
+        )
 
 
 @dataclass(frozen=True)
@@ -485,7 +563,7 @@ class HandoverEnv:
         """Advance every episode one slot.
 
         Returns the next observation and the slot's :class:`StepOutcome`,
-        one per episode in a list when stepping a batch.
+        whose fields carry the leading episode axis when stepping a batch.
         """
         cfg = self.config
         state = self.state
@@ -523,15 +601,14 @@ class HandoverEnv:
         state.prev_action = actions
         state.slot += 1
 
-        per_terminal = (requested, command, preamble, rb_collision, prach_collision, newly, c_r)
         aggregates = (c_p, c_total, d, reward)
         if not self._batched:
-            outcome = StepOutcome(state.slot, *per_terminal, *map(float, aggregates))
-            return self.observe(), outcome
-        outcomes = list(
-            map(StepOutcome, repeat(state.slot), *per_terminal, *(a.tolist() for a in aggregates))
+            aggregates = map(float, aggregates)
+        outcome = StepOutcome(
+            state.slot, requested, command, preamble, rb_collision, prach_collision, newly, c_r,
+            *aggregates,
         )
-        return self.observe(), outcomes
+        return self.observe(), outcome
 
     def observe(self, features: FeatureMask | None = None) -> np.ndarray:
         f = self.config.features if features is None else features
@@ -579,17 +656,23 @@ def observe(
 
 
 def episode_metrics(outcomes: Sequence[StepOutcome], final_state: EnvState) -> MetricsRecord:
+    """Episode aggregates of an :class:`EpisodeOutcomes` view or a list of records.
+
+    D, C_P and the reward are summed slot after slot, and C_R with one
+    ``sum`` over the episode's (N, K-1) block.
+    """
     if len(outcomes) != final_state.slot:
         raise ValueError(
             f"got {len(outcomes)} outcomes for {final_state.slot} completed slots"
         )
+    view = EpisodeOutcomes.of(outcomes)
     num_ues = final_state.accessed.shape[0]
     return MetricsRecord(
-        sum_delay=float(sum(o.d for o in outcomes)),
-        sum_collision_rb=float(np.sum([o.c_r_per_target for o in outcomes])),
-        sum_collision_prach=float(sum(o.c_p for o in outcomes)),
-        ho_success=float(final_state.accessed.sum()) / num_ues,
-        episode_return=float(sum(o.reward for o in outcomes)),
+        sum_delay=float(sum(view.column("d").tolist())),
+        sum_collision_rb=float(view.column("c_r_per_target").sum()),
+        sum_collision_prach=float(sum(view.column("c_p").tolist())),
+        ho_success=np.count_nonzero(final_state.accessed) / num_ues,
+        episode_return=float(sum(view.column("reward").tolist())),
     )
 
 
@@ -608,15 +691,25 @@ def write_trace_csv(
 ) -> None:
     """One row per slot: (episode, n, D, C_R_1.., C_P, reward, accessed_count).
 
-    The bytes are those ``csv.writer`` writes for the same rows: nothing
-    needs quoting, and lines end in CRLF.
+    ``episodes`` pairs an episode index with its outcomes, an
+    :class:`EpisodeOutcomes` view or a list of records.  The bytes are those
+    ``csv.writer`` writes for the same rows: nothing needs quoting, and
+    lines end in CRLF.
     """
     row = "%d,%d,%.6f," + "%.6f," * num_targets + "%.6f,%.6f,%d\r\n"
     lines = [",".join(trace_header(num_targets)) + "\r\n"]
     for episode_idx, outcomes in episodes:
-        for o in outcomes:
-            accessed = round(num_ues * (1.0 - o.d))
-            rates = o.c_r_per_target.tolist()
-            lines.append(row % (episode_idx, o.slot, o.d, *rates, o.c_p, o.reward, accessed))
+        view = EpisodeOutcomes.of(outcomes)
+        d = view.column("d")
+        columns = zip(
+            view.columns["slot"].tolist(),
+            d.tolist(),
+            view.column("c_r_per_target").tolist(),
+            view.column("c_p").tolist(),
+            view.column("reward").tolist(),
+            np.rint(num_ues * (1.0 - d)).astype(np.int64).tolist(),
+        )
+        for n, delay, rates, c_p, reward, accessed in columns:
+            lines.append(row % (episode_idx, n, delay, *rates, c_p, reward, accessed))
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))

@@ -18,15 +18,17 @@ from typing import Sequence
 import numpy as np
 
 from leoho import net
-from leoho.agents import DhoAgent, make_agent
+from leoho.agents import dho_decide, make_agent
 from leoho.env import (
     ConfigError,
+    EpisodeOutcomes,
     FeatureMask,
     HandoverEnv,
     MetricsRecord,
     ScenarioConfig,
     batch_episodes,
     episode_metrics,
+    stack_outcomes,
     write_trace_csv,
 )
 from leoho.training import (
@@ -121,6 +123,8 @@ class ExperimentSpec:
             raise ConfigError("eval_episodes", "need at least one evaluation episode")
         if self.train_episodes < 0:
             raise ConfigError("train_episodes", "must be non-negative")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed", "must be non-negative")
         if self.eval_mode not in ("greedy", "sample"):
             raise ConfigError("eval_mode", f"expected greedy or sample, got {self.eval_mode!r}")
 
@@ -165,19 +169,29 @@ def _parse_bool(text: str, key: str) -> bool:
     raise ConfigError(key, f"expected a boolean, got {text!r}")
 
 
-def _coerce(key: str, name: str, value: str, current):
+def _coerce(key: str, value: str, current):
+    """``value`` as the type of ``current``, the field's default.
+
+    Integer fields take only whole numbers, and every number, fractions
+    included, must parse; otherwise the key's :class:`ConfigError`.
+    """
     if isinstance(current, bool):
         return _parse_bool(value, key)
-    if isinstance(current, int):
-        number = _parse_number(value)
-        if number != int(number):
-            raise ConfigError(key, f"expected an integer, got {value!r}")
-        return int(number)
-    if isinstance(current, float):
-        return _parse_number(value)
     if isinstance(current, tuple):
-        return tuple(int(_parse_number(v)) for v in value.split(","))
-    return value
+        return tuple(_coerce(key, v, 0) for v in value.split(","))
+    if current is None or isinstance(current, str):
+        return value
+    if not isinstance(current, (int, float)):
+        raise ConfigError(key, "cannot be set from a spec file")
+    try:
+        number = _parse_number(value)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(key, f"expected a number, got {value!r}") from None
+    if isinstance(current, float):
+        return number
+    if not number.is_integer():
+        raise ConfigError(key, f"expected an integer, got {value!r}")
+    return int(number)
 
 
 def parse_spec_file(path) -> ExperimentSpec:
@@ -190,9 +204,10 @@ def parse_spec_file(path) -> ExperimentSpec:
     sweep_parameter = None
     sweep_values: tuple[float, ...] = ()
 
-    scenario_defaults = ScenarioConfig()
-    training_defaults = DESK_TRAINING
-    feature_defaults = FeatureMask()
+    spec_defaults = ExperimentSpec()
+    scenario_defaults = spec_defaults.scenario
+    training_defaults = spec_defaults.training
+    feature_defaults = scenario_defaults.features
 
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -206,15 +221,15 @@ def parse_spec_file(path) -> ExperimentSpec:
             name = key.split(".", 1)[1]
             name = _SCENARIO_ALIASES.get(name, name)
             if name in ("rb_ratio", "preamble_ratio"):
-                ratios[name] = _parse_number(value)
+                ratios[name] = _coerce(key, value, 0.0)
                 continue
             if name == "rb_per_target" and "," not in value:
                 # A single number means the same budget on every target.
-                ratios["rb_uniform"] = int(_parse_number(value))
+                ratios["rb_uniform"] = _coerce(key, value, 0)
                 continue
             if not hasattr(scenario_defaults, name):
                 raise ConfigError(key, "unknown scenario field")
-            scenario_kw[name] = _coerce(key, name, value, getattr(scenario_defaults, name))
+            scenario_kw[name] = _coerce(key, value, getattr(scenario_defaults, name))
         elif key.startswith("features."):
             name = key.split(".", 1)[1]
             if not hasattr(feature_defaults, name):
@@ -224,18 +239,13 @@ def parse_spec_file(path) -> ExperimentSpec:
             name = key.split(".", 1)[1]
             if not hasattr(training_defaults, name):
                 raise ConfigError(key, "unknown training field")
-            training_kw[name] = _coerce(key, name, value, getattr(training_defaults, name))
+            training_kw[name] = _coerce(key, value, getattr(training_defaults, name))
         elif key == "sweep.parameter":
             sweep_parameter = value
         elif key == "sweep.values":
-            sweep_values = tuple(_parse_number(v) for v in value.split(","))
+            sweep_values = tuple(_coerce(key, v, 0.0) for v in value.split(","))
         elif key in _SPEC_TOP_KEYS:
-            if key in ("eval_episodes", "train_episodes", "master_seed"):
-                top_kw[key] = int(_parse_number(value))
-            elif key == "threshold_return":
-                top_kw[key] = _parse_number(value)
-            else:
-                top_kw[key] = value
+            top_kw[key] = _coerce(key, value, getattr(spec_defaults, key))
         else:
             raise ConfigError(key, "unknown spec key")
 
@@ -254,7 +264,7 @@ def parse_spec_file(path) -> ExperimentSpec:
         scenario_kw["rb_per_target"] = tuple([num_ues] * (num_planes - 1))
 
     scenario = ScenarioConfig(**scenario_kw)
-    training = dataclasses.replace(DESK_TRAINING, **training_kw)
+    training = dataclasses.replace(training_defaults, **training_kw)
     return ExperimentSpec(
         scenario=scenario,
         training=training,
@@ -283,6 +293,7 @@ def evaluate(
     """Evaluate one agent over fresh episode seeds master_seed + i.
 
     Episode i's agent generator is seeded from [master_seed + i, 101].
+    Traces pair i with the episode's :class:`EpisodeOutcomes` view.
     """
     env = HandoverEnv(scenario)
     agent = make_agent(
@@ -300,9 +311,11 @@ def evaluate(
         agent.begin_episode(env, (np.random.default_rng([seed, 101]) for seed in seeds))
         slots = []
         for _ in range(scenario.horizon):
-            obs, slot_outcomes = env.step(agent.act(env, obs))
-            slots.append(slot_outcomes)
-        for e, (seed, outcomes) in enumerate(zip(seeds, zip(*slots))):
+            obs, outcome = env.step(agent.act(env, obs))
+            slots.append(outcome)
+        columns = stack_outcomes(slots)
+        for e, seed in enumerate(seeds):
+            outcomes = EpisodeOutcomes(columns, e)
             records.append(episode_metrics(outcomes, env.state.episode(e)))
             if collect_traces:
                 traces.append((seed - master_seed, outcomes))
@@ -522,17 +535,17 @@ def behavior_stats(
     samples from the generator seeded [master_seed + i, 202].
     """
     env = HandoverEnv(scenario)
-    agent = DhoAgent(params, mode="sample")
+    shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
     requests = 0
     waits = 0
     for seeds in _episode_chunks(scenario, master_seed, episodes):
         obs = env.reset(episodes=seeds)
-        agent.begin_episode(env, [np.random.default_rng([seed, 202]) for seed in seeds])
-        for _ in range(scenario.horizon):
-            active = ~env.state.accessed
-            actions = agent.act(env, obs)
-            requests += int((actions[active] > 0).sum())
-            waits += int((actions[active] == 0).sum())
+        noise = np.stack([np.random.default_rng([seed, 202]).gumbel(size=shape) for seed in seeds])
+        for n in range(scenario.horizon):
+            accessed = env.state.accessed
+            actions, _ = dho_decide(params, obs, noise[:, n], "sample", accessed)
+            requests += int((actions[~accessed] > 0).sum())
+            waits += int((actions[~accessed] == 0).sum())
             obs, _ = env.step(actions)
     total = requests + waits
     if total == 0:

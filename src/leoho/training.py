@@ -22,7 +22,15 @@ import numpy as np
 
 from leoho import net, vtrace
 from leoho.agents import dho_decide
-from leoho.env import ConfigError, HandoverEnv, ScenarioConfig, episode_metrics, observation_size
+from leoho.env import (
+    ConfigError,
+    EpisodeOutcomes,
+    HandoverEnv,
+    ScenarioConfig,
+    episode_metrics,
+    observation_size,
+    stack_outcomes,
+)
 
 CHECKPOINT_VERSION = 1
 DEFAULT_HIDDEN = (128, 128)
@@ -239,15 +247,16 @@ def rollout_segment(
         accessed = env.state.accessed
         masks[:, n] = ~accessed
         act, logp = dho_decide(params, obs, noise[:, n], "sample", accessed)
-        obs, slot_outcomes = env.step(act)
+        obs, outcome = env.step(act)
         actions[:, n] = act
         logprobs[:, n] = logp
-        rewards[:, n] = [o.reward for o in slot_outcomes]
-        slots.append(slot_outcomes)
+        rewards[:, n] = outcome.reward
+        slots.append(outcome)
     observations[:, length] = obs
+    columns = stack_outcomes(slots)
 
     segments, records = [], []
-    for e, outcomes in enumerate(zip(*slots)):
+    for e in range(episodes):
         segments.append(
             vtrace.TrajectorySegment(
                 observations=observations[e],
@@ -258,7 +267,7 @@ def rollout_segment(
                 bootstrap_value=0.0,  # episodes terminate at the horizon
             )
         )
-        metrics = episode_metrics(outcomes, env.state.episode(e))
+        metrics = episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e))
         records.append(
             EpisodeRecord(
                 episode=-1,

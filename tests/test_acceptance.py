@@ -208,13 +208,12 @@ def _invariant_worker(args):
             )
             previous = np.atleast_2d(env.state.accessed).copy()
             for n in range(cfg.horizon):
-                _, outcomes = env.step(actions[0, n] if one else actions[:, n])
-                outcomes = [outcomes] if one else outcomes
+                _, out = env.step(actions[0, n] if one else actions[:, n])
                 accessed = np.atleast_2d(env.state.accessed)
-                rb_collision = np.array([o.rb_collision for o in outcomes])
-                prach_collision = np.array([o.prach_collision for o in outcomes])
-                d = np.array([o.d for o in outcomes])
-                c_r = np.array([o.c_r_per_target for o in outcomes])
+                rb_collision = np.atleast_2d(out.rb_collision)
+                prach_collision = np.atleast_2d(out.prach_collision)
+                d = np.atleast_1d(out.d)
+                c_r = np.atleast_2d(out.c_r_per_target)
                 for name, bad in (
                     ("monotone access", (previous & ~accessed).any(axis=1)),
                     ("collision exclusivity", (rb_collision & prach_collision).any(axis=1)),

@@ -1,5 +1,6 @@
 
 from leoho.cli import main
+from leoho.experiments import AGENT_KINDS
 
 
 def write_spec(tmp_path, text, name="exp.spec"):
@@ -96,11 +97,37 @@ def test_eval_with_checkpoint(tmp_path):
 
 
 def test_bad_spec_exits_2(tmp_path, capsys):
-    for text in ("scenario.bogus = 1\n", "training.gamma = 1.5\n", "scenario.sats_per_plane = 0\n"):
+    out = tmp_path / "out"
+    bad = (
+        "scenario.bogus = 1\n",
+        "training.gamma = 1.5\n",
+        "scenario.sats_per_plane = 0\n",
+        *(f"agent = {agent}\nscenario.iir_order = -8\n" for agent in AGENT_KINDS),
+        "eval_episodes = 2.7\n",
+        "train_episodes = 1.5\n",
+        "master_seed = 0.5\n",
+        "master_seed = -1\n",
+        "eval_episodes = 1/0\n",
+        "scenario.R = 2.5,3\n",
+        "scenario.features = on\n",
+    )
+    for text in bad:
         spec = write_spec(tmp_path, text)
-        assert main(["run", "--spec", spec]) == 2, text
+        assert main(["run", "--spec", spec, "--out", str(out)]) == 2, text
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
+        assert not out.exists(), text
+
+
+def test_ue_positions_must_be_finite_numbers(tmp_path, capsys):
+    out = tmp_path / "out"
+    # Ten characters pass a length check against J = 10.
+    for value in ("abcdefghij", "1,2,3"):
+        spec = write_spec(tmp_path, f"agent = random\nscenario.ue_positions = {value}\n")
+        assert main(["run", "--spec", spec, "--out", str(out)]) == 2, value
+        err = capsys.readouterr().err
+        assert "ue_positions" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_spec_file_exits_3(tmp_path):

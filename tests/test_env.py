@@ -1,22 +1,29 @@
 
 import csv
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leoho import link, orbital
+from leoho import env as env_module, experiments, link, orbital, training
 from leoho.env import (
     ConfigError,
+    EpisodeOutcomes,
     FeatureMask,
     HandoverEnv,
+    MetricsRecord,
     ScenarioConfig,
+    StepOutcome,
     admission,
+    batch_episodes,
     episode_metrics,
     observation_size,
     observe,
     one_hot,
     rach,
+    stack_outcomes,
     trace_header,
     write_trace_csv,
 )
@@ -51,6 +58,14 @@ def test_config_errors_carry_field_names():
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(measurement_period_s=period)
         assert err.value.field == "measurement_period_s"
+    for order in (-8.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(iir_order=order)
+        assert err.value.field == "iir_order"
+    for positions in ("abcdefghij", [[0.0, 0.0]] * 9, [[0.0]] * 10, [[0.0, float("nan")]] * 10):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(ue_positions=positions)
+        assert err.value.field == "ue_positions"
 
 
 # --- reset ----------------------------------------------------------------
@@ -332,6 +347,82 @@ def test_step_rejects_bad_actions_and_finished_episode():
     env.step(np.zeros(10, dtype=int))
     with pytest.raises(RuntimeError):
         env.step(np.zeros(10, dtype=int))
+
+
+CASE1 = dict(num_ues=10, rb_per_target=(10, 10), num_preambles=50)
+J100_SCARCE = dict(num_ues=100, rb_per_target=(30, 30), num_preambles=80)
+
+
+@pytest.mark.parametrize("scenario", [CASE1, J100_SCARCE], ids=["case1", "J100-scarce"])
+def test_batched_views_equal_single_episode_records(scenario):
+    cfg = small_config(**scenario)
+    seeds = [0, 7, 123, 90_001]
+    rng = np.random.default_rng(31)
+    actions = rng.integers(0, cfg.num_planes, size=(len(seeds), cfg.horizon, cfg.num_ues))
+    env = HandoverEnv(cfg)
+    env.reset(episodes=seeds)
+    slots = []
+    for n in range(cfg.horizon):
+        _, outcome = env.step(actions[:, n])
+        assert outcome.command.shape == (len(seeds), cfg.num_ues)
+        assert outcome.c_r_per_target.shape == (len(seeds), cfg.num_targets)
+        assert outcome.reward.shape == (len(seeds),)
+        slots.append(outcome)
+    columns = stack_outcomes(slots)
+    for e, seed in enumerate(seeds):
+        alone = HandoverEnv(cfg)
+        alone.reset(seed)
+        records = [alone.step(actions[e, n])[1] for n in range(cfg.horizon)]
+        view = EpisodeOutcomes(columns, e)
+        assert len(view) == cfg.horizon
+        for got, want in zip(view, records):
+            for f in dataclasses.fields(StepOutcome):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert type(a) is type(b), f.name
+                assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, f.name
+        assert view[-1].slot == cfg.horizon and [o.slot for o in view[2:4]] == [3, 4]
+        # Slot order, as the per-record sums add them up.
+        oracle = MetricsRecord(
+            sum_delay=float(sum(o.d for o in records)),
+            sum_collision_rb=float(np.sum([o.c_r_per_target for o in records])),
+            sum_collision_prach=float(sum(o.c_p for o in records)),
+            ho_success=float(alone.state.accessed.sum()) / cfg.num_ues,
+            episode_return=float(sum(o.reward for o in records)),
+        )
+        assert episode_metrics(view, env.state.episode(e)) == oracle
+        assert alone.metrics(records) == oracle
+
+
+def _count_step_outcomes(monkeypatch) -> list:
+    built = []
+    original = env_module.StepOutcome
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(env_module, "StepOutcome", counted)
+    return built
+
+
+def test_evaluation_builds_one_outcome_per_slot_per_chunk(monkeypatch):
+    cfg = small_config(**CASE1)
+    episodes = 2 * batch_episodes(cfg) + 3
+    built = _count_step_outcomes(monkeypatch)
+    records, _ = experiments.evaluate(cfg, "random", episodes, master_seed=4, collect_traces=False)
+    assert len(records) == episodes
+    assert 0 < len(built) <= 3 * cfg.horizon
+
+
+def test_training_builds_one_outcome_per_slot_per_chunk(monkeypatch):
+    cfg = small_config(num_ues=4, rb_per_target=(4, 4), num_preambles=20, horizon=8)
+    vtrace_cfg = training.VtraceConfig(batch_size=40, hidden=(8, 8))
+    episodes = 23
+    chunks = math.ceil(episodes / math.ceil(vtrace_cfg.batch_size / cfg.horizon))
+    built = _count_step_outcomes(monkeypatch)
+    _, curve = training.train(cfg, vtrace_cfg, episodes=episodes, seed=1)
+    assert len(curve) == episodes
+    assert 0 < len(built) <= chunks * cfg.horizon
 
 
 def test_episode_metrics_length_mismatch():
