@@ -51,6 +51,20 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
+def reject_non_finite(config, unbounded: tuple[str, ...] = ()) -> None:
+    """ConfigError for the first ``float`` field of a config dataclass that is NaN or infinite.
+
+    Fields named in ``unbounded`` may also be ``+inf``.  The field types are
+    read as the strings postponed annotations leave.
+    """
+    for f in fields(config):
+        if f.type == "float":
+            value = getattr(config, f.name)
+            if math.isfinite(value) or (f.name in unbounded and value == math.inf):
+                continue
+            raise ConfigError(f.name, f"must be a finite number, got {value}")
+
+
 @dataclass(frozen=True)
 class FeatureMask:
     """Which blocks the observation vector carries.
@@ -93,6 +107,7 @@ class ScenarioConfig:
     sats_per_plane: int = 1
 
     def __post_init__(self) -> None:
+        reject_non_finite(self)
         if self.num_ues < 1:
             raise ConfigError("num_ues", "need at least one terminal")
         if self.num_planes < 2:
@@ -141,8 +156,8 @@ class ScenarioConfig:
             raise ConfigError("measurement_carrier_ghz", "carrier must be non-negative")
         if self.sats_per_plane < 1:
             raise ConfigError("sats_per_plane", "need at least one satellite per plane")
-        if not (math.isfinite(self.iir_order) and self.iir_order >= 0):
-            raise ConfigError("iir_order", f"filter order must be a non-negative number, got {self.iir_order}")
+        if self.iir_order < 0:
+            raise ConfigError("iir_order", f"filter order must be non-negative, got {self.iir_order}")
         if self.measurement_period_s <= 0:
             raise ConfigError("measurement_period_s", "measurement period must be positive")
         ratio = self.slot_s / self.measurement_period_s
@@ -694,22 +709,30 @@ def write_trace_csv(
     ``episodes`` pairs an episode index with its outcomes, an
     :class:`EpisodeOutcomes` view or a list of records.  The bytes are those
     ``csv.writer`` writes for the same rows: nothing needs quoting, and
-    lines end in CRLF.
+    lines end in CRLF.  A run repeats a few distinct (D, C_R, C_P, reward)
+    rows, so each is formatted once, keyed by its bits (which tells -0.0
+    from 0.0).
     """
-    row = "%d,%d,%.6f," + "%.6f," * num_targets + "%.6f,%.6f,%d\r\n"
+    width = num_targets + 3
+    tail_format = "%.6f," * width
+    row_bits = np.dtype((np.void, 8 * width))
+    tails: dict[bytes, str] = {}
     lines = [",".join(trace_header(num_targets)) + "\r\n"]
     for episode_idx, outcomes in episodes:
         view = EpisodeOutcomes.of(outcomes)
         d = view.column("d")
+        values = np.column_stack(
+            (d, view.column("c_r_per_target"), view.column("c_p"), view.column("reward"))
+        )
         columns = zip(
             view.columns["slot"].tolist(),
-            d.tolist(),
-            view.column("c_r_per_target").tolist(),
-            view.column("c_p").tolist(),
-            view.column("reward").tolist(),
+            values.view(row_bits).ravel().tolist(),
             np.rint(num_ues * (1.0 - d)).astype(np.int64).tolist(),
         )
-        for n, delay, rates, c_p, reward, accessed in columns:
-            lines.append(row % (episode_idx, n, delay, *rates, c_p, reward, accessed))
+        for n, key, accessed in columns:
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = tail_format % tuple(np.frombuffer(key).tolist())
+            lines.append(f"{episode_idx},{n},{tail}{accessed}\r\n")
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))

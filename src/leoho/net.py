@@ -137,11 +137,16 @@ def forward_batch(
     obs = np.asarray(obs, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != params.obs_dim:
         raise ValueError(f"observations must be (B, {params.obs_dim}), got {obs.shape}")
-    h1 = np.tanh(obs @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
-    logits = (h2 @ params.w_pi + params.b_pi).reshape(
-        obs.shape[0], params.num_ues, params.num_actions
-    )
+    # The bias adds and tanh run in place on each matmul's fresh result.
+    h1 = obs @ params.w1
+    h1 += params.b1
+    np.tanh(h1, out=h1)
+    h2 = h1 @ params.w2
+    h2 += params.b2
+    np.tanh(h2, out=h2)
+    logits = h2 @ params.w_pi
+    logits += params.b_pi
+    logits = logits.reshape(obs.shape[0], params.num_ues, params.num_actions)
     values = h2 @ params.w_v + params.b_v[0]
     return logits, values, ForwardCache(inputs=obs, h1=h1, h2=h2)
 
@@ -175,27 +180,72 @@ def backward_trunk(
     grads["w_v"] = cache.h2.T @ dvalues
     grads["b_v"] = np.array([dvalues.sum()])
 
-    dh2 = dlogits_flat @ params.w_pi.T + dvalues[:, None] * params.w_v[None, :]
-    dz2 = dh2 * (1.0 - cache.h2**2)
+    dz2 = dlogits_flat @ params.w_pi.T
+    dz2 += dvalues[:, None] * params.w_v[None, :]
+    dz2 *= _tanh_slope(cache.h2)
     grads["w2"] = cache.h1.T @ dz2
     grads["b2"] = dz2.sum(axis=0)
 
-    dh1 = dz2 @ params.w2.T
-    dz1 = dh1 * (1.0 - cache.h1**2)
+    dz1 = dz2 @ params.w2.T
+    dz1 *= _tanh_slope(cache.h1)
     grads["w1"] = cache.inputs.T @ dz1
     grads["b1"] = dz1.sum(axis=0)
     return grads
 
 
+def _tanh_slope(h: np.ndarray) -> np.ndarray:
+    """``1 - h**2``, the derivative of tanh at its output ``h``, in one buffer."""
+    slope = np.square(h)
+    return np.subtract(1.0, slope, out=slope)
+
+
+def _normalise(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logits less their per-head max, those shifted values' exps, and the exps' sum.
+
+    The sum keeps the last axis, with length one.  The K planes are reduced
+    one elementwise op at a time, which is cheaper than a reduction over a
+    short last axis.  numpy sums an axis shorter than eight left to right,
+    as the plane loop does, so for K < 8 the results are bit-identical to
+    ``.max`` and ``.sum`` over the last axis.
+    """
+    top = np.array(logits[..., 0:1])
+    for plane in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., plane : plane + 1], out=top)
+    shifted = logits - top
+    exps = np.exp(shifted)
+    total = np.array(exps[..., 0:1])
+    for plane in range(1, logits.shape[-1]):
+        total += exps[..., plane : plane + 1]
+    return shifted, exps, total
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Stable log-softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted, _, total = _normalise(logits)
+    shifted -= np.log(total)
+    return shifted
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    _, exps, total = _normalise(logits)
+    exps /= total
+    return exps
+
+
+def softmax_and_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`softmax` and :func:`log_softmax` of the same logits, from one pass."""
+    shifted, exps, total = _normalise(logits)
+    exps /= total
+    shifted -= np.log(total)
+    return exps, shifted
+
+
+def pick(values: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """``values[..., actions]`` per head: (..., J, K) and (..., J) give (..., J)."""
+    picked = np.array(values[..., 0])
+    for plane in range(1, values.shape[-1]):
+        np.copyto(picked, values[..., plane], where=actions == plane)
+    return picked
 
 
 def head_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -203,8 +253,10 @@ def head_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
 
     ``logits`` is (..., J, K), ``actions`` (..., J) integer; returns (..., J).
     """
-    logp = log_softmax(logits)
-    return np.take_along_axis(logp, actions[..., None], axis=-1)[..., 0]
+    shifted, _, total = _normalise(logits)
+    chosen = pick(shifted, actions)
+    chosen -= np.log(total[..., 0])
+    return chosen
 
 
 def head_entropy(logits: np.ndarray) -> np.ndarray:

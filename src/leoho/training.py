@@ -3,12 +3,17 @@
 Actors roll out whole episodes with a snapshot of the learner parameters as
 their behavior policy; the learner consumes batches of recorded segments and
 applies one adaptive-moment update per batch, from one forward pass over
-it.  The episodes of one batch share a snapshot and are stepped together.
-The serial loop emulates the asynchronous architecture's queue delay by
+it.  The serial loop emulates the asynchronous architecture's queue delay by
 publishing parameters to actors one update late, so importance ratios are
 genuinely off-policy.  With ``vtrace_enabled=False`` actors always see the
 freshest parameters and the ratios are forced to one, which is the
 on-policy actor-critic variant.
+
+Under that lag the learner's current parameters are already the behavior
+policy of the batch after the one being rolled out, so with V-trace two
+batches are stepped together in one lockstep pass, each under its own
+snapshot, and their updates follow in order.  Without V-trace each batch
+needs the update before it, so a pass holds one batch.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from leoho.env import (
     ScenarioConfig,
     episode_metrics,
     observation_size,
+    reject_non_finite,
     stack_outcomes,
 )
 
@@ -52,8 +58,12 @@ class VtraceConfig:
     hidden: tuple[int, int] = DEFAULT_HIDDEN
 
     def __post_init__(self) -> None:
+        # Untruncated importance weights (rho_bar = c_bar = inf) are valid V-trace.
+        reject_non_finite(self, unbounded=("rho_bar", "c_bar"))
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError("gamma", "must lie in [0, 1)")
+        if self.c_bar < 0:
+            raise ConfigError("c_bar", "truncation levels must be non-negative")
         if self.rho_bar < self.c_bar:
             raise ConfigError("rho_bar", "truncation levels must satisfy rho_bar >= c_bar")
         if self.learning_rate <= 0:
@@ -62,6 +72,13 @@ class VtraceConfig:
             raise ConfigError("batch_size", "must be at least one transition")
         if self.actors_count < 1:
             raise ConfigError("actors_count", "must be at least 1")
+        hidden = self.hidden
+        if not (
+            isinstance(hidden, tuple)
+            and len(hidden) == 2
+            and all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in hidden)
+        ):
+            raise ConfigError("hidden", f"must be two positive layer widths, got {hidden!r}")
 
 
 @dataclass
@@ -72,39 +89,67 @@ class LossReport:
     total: float
 
 
-def _forward(params: net.PolicyParameters, segments: list[vtrace.TrajectorySegment]):
-    """One learner forward pass over every transition of the batch, in order."""
-    return net.forward_batch(params, np.concatenate([s.observations[:-1] for s in segments]))
+@dataclass
+class _BatchPass:
+    """One learner forward pass over every transition of a batch, in order.
+
+    The loss builds its logit gradient in ``probs`` and ``logp``, so a pass
+    serves one update.
+    """
+
+    values: np.ndarray  # (B,)
+    cache: net.ForwardCache
+    actions: np.ndarray  # (B, J)
+    masks: np.ndarray  # (B, J) float
+    probs: np.ndarray  # (B, J, K)
+    logp: np.ndarray  # (B, J, K)
+    chosen_logp: np.ndarray  # (B, J) log pi of the actions taken
+
+
+def _forward(params: net.PolicyParameters, segments: list[vtrace.TrajectorySegment]) -> _BatchPass:
+    logits, values, cache = net.forward_batch(
+        params, np.concatenate([s.observations[:-1] for s in segments])
+    )
+    actions = np.concatenate([s.actions for s in segments])
+    probs, logp = net.softmax_and_log_softmax(logits)
+    return _BatchPass(
+        values=values,
+        cache=cache,
+        actions=actions,
+        masks=np.concatenate([s.masks for s in segments]).astype(float),
+        probs=probs,
+        logp=logp,
+        chosen_logp=net.pick(logp, actions),
+    )
 
 
 def compute_targets(
     params: net.PolicyParameters,
     segments: list[vtrace.TrajectorySegment],
     cfg: VtraceConfig,
-    forward=None,
+    forward: _BatchPass | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """V-trace targets and advantages per transition, flat across the batch.
 
     The segments must have equal length; they are stacked to (S, L) and the
     recursion runs over all of them at once.  ``forward`` is the batch's
-    :func:`net.forward_batch` result when the caller already has it.
+    learner pass when the caller already has it.
     """
     if len({len(s) for s in segments}) != 1:
         raise ValueError("the segments of one batch must have equal length")
-    logits, values, _ = _forward(params, segments) if forward is None else forward
+    batch = _forward(params, segments) if forward is None else forward
     shape = (len(segments), len(segments[0]))
     if cfg.vtrace_enabled:
         log_ratios = vtrace.log_ratios(
-            logits,
-            np.concatenate([s.actions for s in segments]),
+            batch.chosen_logp,
             np.concatenate([s.behavior_logprobs for s in segments]),
-            np.concatenate([s.masks for s in segments]),
+            batch.masks,
         ).reshape(shape)
     else:
         log_ratios = np.zeros(shape)
     targets, advantages, _ = vtrace.vtrace_from_values(
         np.stack([s.rewards for s in segments]),
-        values.reshape(shape),
+        batch.values.reshape(shape),
         np.array([s.bootstrap_value for s in segments]),
         log_ratios,
         cfg.gamma,
@@ -120,27 +165,22 @@ def loss_and_gradient_with_targets(
     targets: np.ndarray,
     advantages: np.ndarray,
     cfg: VtraceConfig,
-    forward=None,
+    forward: _BatchPass | None = None,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Three-term loss and its exact gradient, targets held constant.
 
     total = policy + baseline_coeff * baseline - entropy_coeff * entropy.
     The targets/advantages are stop-gradients: they are recomputed from the
     current parameters before every update but not differentiated through.
-    ``forward`` is the batch's :func:`net.forward_batch` result when the
-    caller already has it.
+    ``forward`` is the batch's learner pass when the caller already has it;
+    this call uses it up.
     """
-    actions = np.concatenate([s.actions for s in segments], axis=0)
-    masks = np.concatenate([s.masks for s in segments], axis=0).astype(float)
-
-    logits, values, cache = _forward(params, segments) if forward is None else forward
-    probs = net.softmax(logits)
-    logp = net.log_softmax(logits)
-    chosen_logp = np.take_along_axis(logp, actions[..., None], axis=-1)[..., 0]
+    batch = _forward(params, segments) if forward is None else forward
+    probs, logp, masks = batch.probs, batch.logp, batch.masks
     entropies = -(probs * logp).sum(axis=-1)  # (B, J)
 
-    policy_loss = -float((advantages * (chosen_logp * masks).sum(axis=1)).sum())
-    value_error = values - targets
+    policy_loss = -float((advantages * (batch.chosen_logp * masks).sum(axis=1)).sum())
+    value_error = batch.values - targets
     baseline_loss = 0.5 * float((value_error**2).sum())
     entropy_total = float((entropies * masks).sum())
     total = (
@@ -149,15 +189,18 @@ def loss_and_gradient_with_targets(
     if not np.isfinite(total):
         raise FloatingPointError("non-finite training loss")
 
-    # d(total)/dlogits; pinned heads contribute nothing to any term.
-    chosen_onehot = np.zeros_like(probs)
-    np.put_along_axis(chosen_onehot, actions[..., None], 1.0, axis=-1)
-    dlogits = -advantages[:, None, None] * (chosen_onehot - probs)
-    dlogits += cfg.entropy_coeff * probs * (logp + entropies[..., None])
+    # d(total)/dlogits = -A (onehot - p) + c p (log p + H), built in place
+    # in the pass's buffers; pinned heads contribute nothing to any term.
+    dlogits = (batch.actions[..., None] == np.arange(probs.shape[-1])) - probs
+    dlogits *= -advantages[:, None, None]
+    probs *= cfg.entropy_coeff
+    logp += entropies[..., None]
+    logp *= probs
+    dlogits += logp
     dlogits *= masks[..., None]
     dvalues = cfg.baseline_coeff * value_error
 
-    grads = net.backward_trunk(params, cache, dlogits, dvalues)
+    grads = net.backward_trunk(params, batch.cache, dlogits, dvalues)
     report = LossReport(
         policy=policy_loss, baseline=baseline_loss, entropy=entropy_total, total=total
     )
@@ -222,18 +265,27 @@ class EpisodeRecord:
 
 def rollout_segment(
     env: HandoverEnv,
-    params: net.PolicyParameters,
+    behaviors: list[tuple[net.PolicyParameters, int]],
     noise: np.ndarray,
     env_seeds: list,
 ) -> tuple[list[vtrace.TrajectorySegment], list["EpisodeRecord"]]:
-    """Sampled episodes under ``params`` as the behavior policy, stepped together.
+    """Sampled episodes, stepped together, each under its behavior policy.
 
-    Episode ``e`` starts from seed key ``env_seeds[e]`` and samples with the
-    Gumbel noise ``noise[e]`` (N, J, K).  Returns one segment and one record
-    per episode.
+    ``behaviors`` holds ``(params, count)`` groups that take the episodes in
+    order.  Episode ``e`` starts from seed key ``env_seeds[e]`` and samples
+    with the Gumbel noise ``noise[e]`` (N, J, K).  Every slot runs one
+    ``env.step`` for all episodes and one decision per group.  Returns one
+    segment and one record per episode.
     """
     cfg = env.config
     episodes, length, j = len(env_seeds), cfg.horizon, cfg.num_ues
+    groups, start = [], 0
+    for policy, count in behaviors:
+        groups.append((policy, slice(start, start + count)))
+        start += count
+    if start != episodes:
+        raise ValueError(f"the groups cover {start} episodes, not {episodes}")
+
     observations = np.empty((episodes, length + 1, observation_size(cfg)))
     actions = np.empty((episodes, length, j), dtype=np.int64)
     logprobs = np.empty((episodes, length, j))
@@ -246,10 +298,11 @@ def rollout_segment(
         observations[:, n] = obs
         accessed = env.state.accessed
         masks[:, n] = ~accessed
-        act, logp = dho_decide(params, obs, noise[:, n], "sample", accessed)
-        obs, outcome = env.step(act)
-        actions[:, n] = act
-        logprobs[:, n] = logp
+        for policy, rows in groups:
+            actions[rows, n], logprobs[rows, n] = dho_decide(
+                policy, obs[rows], noise[rows, n], "sample", accessed[rows]
+            )
+        obs, outcome = env.step(actions[:, n])
         rewards[:, n] = outcome.reward
         slots.append(outcome)
     observations[:, length] = obs
@@ -292,9 +345,17 @@ def train(
     Deterministic for a fixed (scenario, cfg, episodes, actors, seed):
     episode ``d`` belongs to actor ``i = d % actors``, is seeded from
     (seed XOR i, d // actors), and samples with Gumbel noise drawn from
-    actor ``i``'s generator in episode order.  The ``ceil(batch_size /
-    horizon)`` episodes between two learner updates all act under the same
-    published parameters, so they are rolled out together.
+    actor ``i``'s generator in episode order.  A learner batch is the
+    ``ceil(batch_size / horizon)`` episodes between two updates, and a
+    trailing partial batch is rolled out but not learned from.
+
+    Actors act ``lag`` updates behind the learner: one with V-trace, none
+    without.  While batch k is rolled out under the published parameters,
+    the learner's own parameters are therefore already batch k + lag's
+    behavior policy, so ``1 + lag`` batches are rolled out in one lockstep
+    pass, each group of episodes under its own snapshot, and their updates
+    follow in order.  The result is the same as rolling out one batch per
+    pass.
     """
     num_actors = cfg.actors_count if actors is None else actors
     obs_dim = observation_size(scenario)
@@ -314,27 +375,47 @@ def train(
     actor_rngs = [np.random.default_rng([seed, i, 1]) for i in range(num_actors)]
     noise_shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
     published = params.copy()  # what actors download
-    rollout_episodes = math.ceil(cfg.batch_size / scenario.horizon)
+    per_batch = math.ceil(cfg.batch_size / scenario.horizon)
+    lag = 1 if cfg.vtrace_enabled else 0
 
     curve: list[EpisodeRecord] = []
     done = 0
     while done < episodes:
-        batch = range(done, min(done + rollout_episodes, episodes))
-        actor_ids = [d % num_actors for d in batch]
-        seeds = [(seed ^ i, d // num_actors) for d, i in zip(batch, actor_ids)]
-        noise = np.stack([actor_rngs[i].gumbel(size=noise_shape) for i in actor_ids])
-        segments, records = rollout_segment(env, published, noise, seeds)
-        for d, record in zip(batch, records):
+        stop = min(done + (1 + lag) * per_batch, episodes)
+        batches = [range(d, min(d + per_batch, stop)) for d in range(done, stop, per_batch)]
+        # Adam.step updates params in place, so the later groups act under a copy.
+        snapshots = [params.copy() for _ in batches[1:]]
+        noise = np.empty((stop - done,) + noise_shape)
+        seeds = []
+        for d in range(done, stop):
+            i = d % num_actors
+            noise[d - done] = actor_rngs[i].gumbel(size=noise_shape)
+            seeds.append((seed ^ i, d // num_actors))
+        groups = [(b, len(batch)) for b, batch in zip([published, *snapshots], batches)]
+        segments, records = rollout_segment(env, groups, noise, seeds)
+        # Nothing past the rollout reads the noise, and the parameters the
+        # first group acted under can go once the learner replaces them.
+        del groups, noise
+        for d, record in enumerate(records, start=done):
             record.episode = d
         curve += records
-        done = batch.stop
+        done = stop
 
-        if len(segments) * scenario.horizon >= cfg.batch_size:
-            previous = params.copy()
-            _, grads = loss_and_gradient(params, segments, cfg)
+        for g, batch in enumerate(batches):
+            if len(batch) < per_batch:
+                break  # the trailing partial batch
+            _, grads = loss_and_gradient(params, segments[g * per_batch : (g + 1) * per_batch], cfg)
+            if lag:
+                # One update of publication lag models the actor-learner queue:
+                # actors download the parameters from before this update,
+                # which the pass's next group already acted under.
+                published = snapshots[g] if g < len(snapshots) else params.copy()
             optimizer.step(params, grads, cfg.learning_rate)
-            # One update of publication lag models the actor-learner queue.
-            published = previous if cfg.vtrace_enabled else params.copy()
+            if not lag:
+                published = params.copy()
+            # Free this update's arrays before the next one allocates its own.
+            del grads
+        del segments  # and this pass's, before the next pass allocates its own
     return params, curve
 
 

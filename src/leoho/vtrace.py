@@ -99,14 +99,13 @@ def vtrace_from_values(
 
 
 def log_ratios(
-    logits: np.ndarray, actions: np.ndarray, behavior_logprobs: np.ndarray, masks: np.ndarray
+    target_logp: np.ndarray, behavior_logprobs: np.ndarray, masks: np.ndarray
 ) -> np.ndarray:
-    """Joint log pi/mu ratio per step from (..., J, K) target-policy logits.
+    """Joint log pi/mu ratio per step from the (..., J) per-head log pi of the actions.
 
     Sums over the J heads; masked heads contribute nothing.
     """
-    target_logp = net.head_log_probs(logits, actions) * masks
-    return (target_logp - behavior_logprobs * masks).sum(axis=-1)
+    return (target_logp * masks - behavior_logprobs * masks).sum(axis=-1)
 
 
 def segment_log_ratios(
@@ -115,7 +114,8 @@ def segment_log_ratios(
     """Joint log pi/mu ratio per step of one segment; masked heads contribute nothing."""
     if logits is None:
         logits, _, _ = net.forward_batch(params, segment.observations[:-1])
-    return log_ratios(logits, segment.actions, segment.behavior_logprobs, segment.masks)
+    target_logp = net.head_log_probs(logits, segment.actions)
+    return log_ratios(target_logp, segment.behavior_logprobs, segment.masks)
 
 
 def vtrace_targets(

@@ -64,11 +64,14 @@ def test_evaluate_calls_episode_metrics_once_per_episode():
 
 def test_train_calls_episode_metrics_once_per_episode():
     scenario = ScenarioConfig(num_ues=4, rb_per_target=(2, 2), num_preambles=6, horizon=8)
-    cfg = training.VtraceConfig(batch_size=40, hidden=(8, 8))
-    episodes = 13  # two rollouts of five and one of three
-    with ExitStack() as stack:
-        checker, seen = _watch_episode_metrics(stack, training, scenario)
-        _, curve = training.train(scenario, cfg, episodes=episodes, seed=2)
-    assert len(curve) == len(seen) == checker.checked == episodes
-    assert checker.failed == 0
-    _assert_records(seen[0], scenario.horizon)
+    # Batches of five: with V-trace, one pass of two batches and one of three
+    # episodes; without, passes of five, five and three.
+    episodes = 13
+    for vtrace_enabled in (True, False):
+        cfg = training.VtraceConfig(batch_size=40, hidden=(8, 8), vtrace_enabled=vtrace_enabled)
+        with ExitStack() as stack:
+            checker, seen = _watch_episode_metrics(stack, training, scenario)
+            _, curve = training.train(scenario, cfg, episodes=episodes, seed=2)
+        assert len(curve) == len(seen) == checker.checked == episodes
+        assert checker.failed == 0
+        _assert_records(seen[0], scenario.horizon)

@@ -1,3 +1,5 @@
+import numpy as np
+
 
 from leoho.cli import main
 from leoho.experiments import AGENT_KINDS
@@ -110,6 +112,17 @@ def test_bad_spec_exits_2(tmp_path, capsys):
         "eval_episodes = 1/0\n",
         "scenario.R = 2.5,3\n",
         "scenario.features = on\n",
+        # Non-finite floats, negative truncation levels and malformed layer
+        # widths are configuration errors too, caught before any work.
+        "agent = dho\nscenario.nu = nan\n",
+        "agent = dho\ntraining.entropy_coeff = nan\n",
+        "scenario.slot_s = nan\n",
+        "agent = dho\ntraining.learning_rate = inf\n",
+        "agent = dho\ntraining.hidden = 8\n",
+        "agent = dho\ntraining.c_bar = -2\n",
+        "agent = dho\ntraining.hidden = 0,8\n",
+        "scenario.a3_offset_db = nan\n",
+        "scenario.shadowing_sigma_db = inf\n",
     )
     for text in bad:
         spec = write_spec(tmp_path, text)
@@ -117,6 +130,23 @@ def test_bad_spec_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert not out.exists(), text
+
+
+def test_runtime_floating_point_error_exits_3(tmp_path, capsys, monkeypatch):
+    from leoho import vtrace
+
+    vtrace_from_values = vtrace.vtrace_from_values
+
+    def diverged(*args, **kwargs):
+        targets, advantages, rho = vtrace_from_values(*args, **kwargs)
+        return np.full_like(targets, np.nan), advantages, rho
+
+    # The learner then meets the non-finite loss it guards against.
+    monkeypatch.setattr(vtrace, "vtrace_from_values", diverged)
+    spec = write_spec(tmp_path, FAST_DHO)
+    assert main(["run", "--spec", spec, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite training loss" in err and "Traceback" not in err
 
 
 def test_ue_positions_must_be_finite_numbers(tmp_path, capsys):

@@ -532,6 +532,9 @@ def test_trace_writer_bytes_match_csv_writer(tmp_path):
     for e in range(3):
         env.reset(e)
         episodes.append((e, [env.step(rng.integers(0, 3, 10))[1] for _ in range(cfg.horizon)]))
+    # Rows equal but for the sign of a zero are formatted apart.
+    for e, zero in ((3, 0.0), (4, -0.0)):
+        episodes.append((e, [dataclasses.replace(o, reward=zero) for o in episodes[0][1]]))
     write_trace_csv(tmp_path / "trace.csv", episodes, cfg.num_ues, cfg.num_targets)
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -544,7 +547,8 @@ def test_trace_writer_bytes_match_csv_writer(tmp_path):
                     + [f"{o.c_p:.6f}", f"{o.reward:.6f}", round(cfg.num_ues * (1.0 - o.d))]
                 )
     written = (tmp_path / "trace.csv").read_bytes()
-    assert written.count(b"\r\n") == 1 + 3 * cfg.horizon
+    assert written.count(b"\r\n") == 1 + 5 * cfg.horizon
+    assert b",-0.000000," in written
     assert written == (tmp_path / "reference.csv").read_bytes()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from leoho import net
 
@@ -70,3 +72,116 @@ def test_copy_is_deep():
     clone = params.copy()
     clone.w1[0, 0] += 1.0
     assert params.w1[0, 0] != clone.w1[0, 0]
+
+
+# --- the trimmed kernels against the reductions they replace ---------------------
+# The plane loops and in-place chains must give the bits the plain formulas give.
+
+
+def reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def reference_softmax(logits):
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+def reference_forward_batch(params, obs):
+    h1 = np.tanh(obs @ params.w1 + params.b1)
+    h2 = np.tanh(h1 @ params.w2 + params.b2)
+    logits = (h2 @ params.w_pi + params.b_pi).reshape(
+        obs.shape[0], params.num_ues, params.num_actions
+    )
+    values = h2 @ params.w_v + params.b_v[0]
+    return logits, values, h1, h2
+
+
+def reference_backward_trunk(params, cache, dlogits, dvalues):
+    b = cache.inputs.shape[0]
+    dlogits_flat = dlogits.reshape(b, -1)
+    grads = {
+        "w_pi": cache.h2.T @ dlogits_flat,
+        "b_pi": dlogits_flat.sum(axis=0),
+        "w_v": cache.h2.T @ dvalues,
+        "b_v": np.array([dvalues.sum()]),
+    }
+    dh2 = dlogits_flat @ params.w_pi.T + dvalues[:, None] * params.w_v[None, :]
+    dz2 = dh2 * (1.0 - cache.h2**2)
+    grads["w2"] = cache.h1.T @ dz2
+    grads["b2"] = dz2.sum(axis=0)
+    dh1 = dz2 @ params.w2.T
+    dz1 = dh1 * (1.0 - cache.h1**2)
+    grads["w1"] = cache.inputs.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    return grads
+
+
+@st.composite
+def heads(draw):
+    """(..., K) logits within +-1e3, K in 2..7, with a (...) action per head.
+
+    Half the cases round the logits to integers, so heads hold ties.
+    """
+    k = draw(st.integers(2, 7))
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.uniform(-1.0, 1.0, size=lead + (k,)) * draw(st.floats(1e-3, 1e3))
+    if draw(st.booleans()):
+        logits = np.round(logits)
+    actions = rng.integers(0, k, size=lead)
+    return logits, actions
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(heads())
+def test_head_kernels_match_reductions_bit_for_bit(case):
+    logits, actions = case
+    logp = reference_log_softmax(logits)
+    assert_same_bits(net.log_softmax(logits), logp)
+    assert_same_bits(net.softmax(logits), reference_softmax(logits))
+    probs, shared_logp = net.softmax_and_log_softmax(logits)
+    assert_same_bits(probs, reference_softmax(logits))
+    assert_same_bits(shared_logp, logp)
+    chosen = np.take_along_axis(logp, actions[..., None], axis=-1)[..., 0]
+    assert_same_bits(net.head_log_probs(logits, actions), chosen)
+    assert_same_bits(net.pick(logp, actions), chosen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    obs_dim=st.integers(1, 12),
+    hidden=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+    num_ues=st.integers(1, 5),
+    num_actions=st.integers(2, 7),
+    scale=st.floats(0.01, 30.0),
+)
+def test_trunk_passes_match_plain_formulas_bit_for_bit(
+    seed, rows, obs_dim, hidden, num_ues, num_actions, scale
+):
+    rng = np.random.default_rng(seed)
+    params = net.init_params(obs_dim, num_ues, num_actions, hidden=hidden, rng=rng, head_scale=scale)
+    for name in ("b1", "b2", "b_pi", "b_v"):
+        getattr(params, name)[...] = rng.normal(scale=scale, size=getattr(params, name).shape)
+    obs = rng.normal(scale=scale, size=(rows, obs_dim))
+    logits, values, cache = net.forward_batch(params, obs)
+    ref_logits, ref_values, ref_h1, ref_h2 = reference_forward_batch(params, obs)
+    for got, want in ((logits, ref_logits), (values, ref_values), (cache.h1, ref_h1), (cache.h2, ref_h2)):
+        assert_same_bits(got, want)
+
+    dlogits = rng.normal(scale=scale, size=logits.shape)
+    dvalues = rng.normal(scale=scale, size=values.shape)
+    grads = net.backward_trunk(params, cache, dlogits, dvalues)
+    reference = reference_backward_trunk(params, cache, dlogits, dvalues)
+    assert grads.keys() == reference.keys()
+    for name, grad in grads.items():
+        assert_same_bits(grad, reference[name])

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from leoho import net
-from leoho.env import ConfigError, ScenarioConfig, observation_size
+from leoho.env import ConfigError, HandoverEnv, ScenarioConfig, observation_size
 from leoho.training import (
     Adam,
     CheckpointError,
@@ -11,6 +13,7 @@ from leoho.training import (
     load_checkpoint,
     loss_and_gradient,
     loss_and_gradient_with_targets,
+    rollout_segment,
     save_checkpoint,
     total_loss_with_targets,
     train,
@@ -113,6 +116,26 @@ def test_vtrace_config_validation():
         VtraceConfig(rho_bar=0.5, c_bar=1.0)
     with pytest.raises(ConfigError):
         VtraceConfig(batch_size=0)
+    bad = [
+        dict(c_bar=-2.0),
+        dict(rho_bar=-1.0, c_bar=-2.0),
+        dict(entropy_coeff=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(rho_bar=float("nan")),
+        dict(c_bar=float("nan")),
+        dict(c_bar=-float("inf")),
+        dict(rho_bar=-float("inf"), c_bar=0.0),
+        dict(hidden=(8,)),
+        dict(hidden=(0, 8)),
+        dict(hidden=(8, 8.0)),
+        dict(hidden=[8, 8]),
+    ]
+    for kw in bad:
+        with pytest.raises(ConfigError):
+            VtraceConfig(**kw)
+    # Untruncated importance weights stay valid.
+    VtraceConfig(rho_bar=float("inf"))
+    VtraceConfig(rho_bar=float("inf"), c_bar=float("inf"))
 
 
 def test_stacked_targets_match_per_segment_vtrace():
@@ -181,6 +204,80 @@ def test_train_multi_actor_deterministic():
 def test_train_with_vtrace_disabled_runs():
     _, curve = train(tiny_scenario(), tiny_training(vtrace_enabled=False), episodes=8, seed=1)
     assert len(curve) == 8
+
+
+def serial_train(scenario, cfg, episodes, actors, seed):
+    """The reference loop: one learner batch per rollout, under the published parameters."""
+    params = net.init_params(
+        observation_size(scenario),
+        scenario.num_ues,
+        scenario.num_planes,
+        hidden=cfg.hidden,
+        rng=np.random.default_rng([seed, 2**16]),
+    )
+    optimizer = Adam(params)
+    env = HandoverEnv(scenario)
+    rngs = [np.random.default_rng([seed, i, 1]) for i in range(actors)]
+    shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
+    per_batch = math.ceil(cfg.batch_size / scenario.horizon)
+    published = params.copy()
+    curve = []
+    for start in range(0, episodes, per_batch):
+        batch = range(start, min(start + per_batch, episodes))
+        noise = np.stack([rngs[d % actors].gumbel(size=shape) for d in batch])
+        seeds = [(seed ^ (d % actors), d // actors) for d in batch]
+        segments, records = rollout_segment(env, [(published, len(batch))], noise, seeds)
+        curve += [(d, r.episode_return, r.sum_delay, r.sum_collision) for d, r in zip(batch, records)]
+        if len(batch) == per_batch:
+            previous = params.copy()
+            _, grads = loss_and_gradient(params, segments, cfg)
+            optimizer.step(params, grads, cfg.learning_rate)
+            published = previous if cfg.vtrace_enabled else params.copy()
+    return params, curve
+
+
+@pytest.mark.parametrize("vtrace_enabled", [True, False])
+@pytest.mark.parametrize("actors", [1, 3])
+@pytest.mark.parametrize(
+    "episodes",
+    [
+        0,
+        4,  # fewer than one batch of 6
+        30,  # five batches: the last pass holds one
+        32,  # a partial batch rolled out beside a full one
+        26,  # a partial batch alone in the last pass
+    ],
+)
+def test_pipelined_train_matches_serial_reference(vtrace_enabled, actors, episodes):
+    scenario = tiny_scenario()
+    cfg = tiny_training(vtrace_enabled=vtrace_enabled, actors_count=actors)
+    params, curve = train(scenario, cfg, episodes=episodes, seed=5)
+    ref_params, ref_curve = serial_train(scenario, cfg, episodes, actors, seed=5)
+    for name in net.TENSOR_NAMES:
+        assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
+    assert [(r.episode, r.episode_return, r.sum_delay, r.sum_collision) for r in curve] == ref_curve
+
+
+def test_rollout_groups_act_under_their_own_parameters():
+    scenario = tiny_scenario()
+    env = HandoverEnv(scenario)
+    shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
+    noise = np.random.default_rng(0).gumbel(size=(5,) + shape)
+    seeds = [(0, e) for e in range(5)]
+    a, b = (
+        net.init_params(observation_size(scenario), 3, 3, hidden=(8, 8), rng=np.random.default_rng(s))
+        for s in (1, 2)
+    )
+    grouped, _ = rollout_segment(env, [(a, 2), (b, 3)], noise, seeds)
+    alone = (
+        rollout_segment(env, [(a, 2)], noise[:2], seeds[:2])[0]
+        + rollout_segment(env, [(b, 3)], noise[2:], seeds[2:])[0]
+    )
+    for got, want in zip(grouped, alone):
+        for field in ("observations", "actions", "behavior_logprobs", "rewards", "masks"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    with pytest.raises(ValueError):
+        rollout_segment(env, [(a, 2), (b, 2)], noise, seeds)
 
 
 def test_curve_csv_schema(tmp_path):
