@@ -25,9 +25,12 @@ so an episode plays out the same whichever episodes share its batch.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from collections.abc import Sequence
+import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -424,6 +427,130 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(int(v) for v in seed)
 
 
+# numpy's SeedSequence, as ``default_rng(key)`` runs it, for many keys at
+# once.  Its hash constants do not depend on the data, so every mixing round
+# is a few ufuncs over a (4, E) pool of uint32 words, one column per key.
+_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """(calls, 1) xor and multiplier columns of ``calls`` successive hash calls."""
+    c = [init]
+    for _ in range(calls):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)  # initial value and multiplier of the pool's hash
+_POOL_XOR, _POOL_MUL = _hash_constants(*_POOL_HASH, 16)
+# Pool word s hashes into the other three in turn: calls 4 + 3s .. 6 + 3s,
+# with a dummy call for the word itself, which keeps its value.
+_CROSS_CALLS = [[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)]
+_CROSS_ROUNDS = [(_POOL_XOR[calls], _POOL_MUL[calls]) for calls in _CROSS_CALLS]
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    values = values ^ xor
+    values *= mul
+    values ^= values >> 16
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of ``y`` into ``x``; ``y`` is overwritten."""
+    y *= _MIX_MULT_R
+    out = _MIX_MULT_L * x
+    out -= y
+    out ^= out >> 16
+    return out
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """(E, 4) uint64 PCG64 seeding words of (W, E) uint32 entropy words, W >= 4.
+
+    The pool absorbs the first four words, mixes every word into the other
+    three, then absorbs the rest a word at a time; ``generate_state(4,
+    np.uint64)`` then hashes the pool, cycled twice, into eight words.
+    """
+    pool = _hashmix(entropy[:4], _POOL_XOR[:4], _POOL_MUL[:4])
+    for s, (xor, mul) in enumerate(_CROSS_ROUNDS):
+        mixed = _mix(pool, _hashmix(pool[s], xor, mul))
+        mixed[s] = pool[s]
+        pool = mixed
+    if len(entropy) > 4:
+        # Each word past the fourth hashes into the four pool words in turn.
+        xor, mul = (c[16:].reshape(-1, 4, 1) for c in _hash_constants(*_POOL_HASH, 4 * len(entropy)))
+        for word, word_xor, word_mul in zip(entropy[4:], xor, mul):
+            pool = _mix(pool, _hashmix(word, word_xor, word_mul))
+    state = _hashmix(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MUL)
+    # Word pairs read as little-endian uint64, whatever the host's byte order.
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+def _entropy_words(key: tuple[int, ...]) -> list[int]:
+    """The uint32 words SeedSequence reads from a key: each entry little-endian."""
+    words = []
+    for value in key:
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        while True:
+            words.append(value & _MASK32)
+            value >>= 32
+            if not value:
+                break
+    return words
+
+
+def _entropy_groups(keys: list[tuple[int, ...]]) -> list[tuple[list[int], np.ndarray]]:
+    """(rows, (W, E') uint32 entropy words) of the keys with each word count W >= 4.
+
+    Keys shorter than four words are padded with zeros, which SeedSequence
+    hashes the same as no words.
+    """
+    words = [_entropy_words(key) for key in keys]
+    by_count: dict[int, list[int]] = {}
+    for i, w in enumerate(words):
+        by_count.setdefault(max(4, len(w)), []).append(i)
+    return [
+        (rows, np.array([words[i] + [0] * (count - len(words[i])) for i in rows], dtype=np.uint32).T)
+        for count, rows in by_count.items()
+    ]
+
+
+class _PoolSeed(np.random.bit_generator.ISeedSequence):
+    """A key's PCG64 seeding words, hashed ahead with the rest of its chunk.
+
+    PCG64 asks its seed sequence for ``generate_state(4, np.uint64)``.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def episode_generators(keys: Iterable) -> Iterator[np.random.Generator]:
+    """One generator per key, bit-identical to ``np.random.default_rng(key)``.
+
+    A key is an int or a sequence of ints.  The first ``next`` hashes every
+    key's SeedSequence pool in one vectorised pass, grouping keys by their
+    number of 32-bit words; PCG64 then seeds each generator from its words,
+    one per ``next``.  Negative entries raise ``ValueError``, as in numpy.
+    """
+    keys = [_seed_key(key) for key in keys]
+    seeds = [None] * len(keys)
+    for rows, entropy in _entropy_groups(keys):
+        for i, words in zip(rows, _pcg64_seeds(entropy)):
+            seeds[i] = words
+    for words in seeds:
+        yield np.random.Generator(np.random.PCG64(_PoolSeed(words)))
+
+
 class HandoverEnv:
     """One serving satellite's handover episodes, stepped action-by-action.
 
@@ -488,6 +615,7 @@ class HandoverEnv:
         this order: its terminal positions, (N, J) uniform admission keys
         and (N, J) preamble signatures.  Measurement shadowing comes from
         ``default_rng(s + (0x4D53,))`` when measurements are first read.
+        :func:`episode_generators` builds a chunk's generators.
         """
         cfg = self.config
         self._batched = episodes is not None
@@ -498,8 +626,7 @@ class HandoverEnv:
         ue_pos = np.zeros((e, j, 3))
         keys = np.empty((e, n, j))
         preambles = np.empty((e, n, j), dtype=np.int64)
-        for i, key in enumerate(self._seed_keys):
-            rng = np.random.default_rng(key)
+        for i, rng in enumerate(episode_generators(self._seed_keys)):
             if cfg.ue_positions is None:
                 ue_pos[i, :, :2] = rng.uniform(0.0, cfg.area_m, size=(j, 2))
             rng.random(out=keys[i])
@@ -552,8 +679,9 @@ class HandoverEnv:
                 shadowing = np.empty(
                     (len(self._seed_keys), m * cfg.horizon + 1, cfg.num_ues, cfg.num_planes)
                 )
-                for block, key in zip(shadowing, self._seed_keys):
-                    np.random.default_rng(key + (MEASUREMENT_STREAM,)).standard_normal(out=block)
+                streams = [key + (MEASUREMENT_STREAM,) for key in self._seed_keys]
+                for block, rng in zip(shadowing, episode_generators(streams)):
+                    rng.standard_normal(out=block)
                 shadowing *= cfg.shadowing_sigma_db
                 self._shadowing = self._squeeze(shadowing)
             first = self._rsrp(self._init_positions[None], slice(0, 1))[0]
@@ -701,6 +829,48 @@ def trace_header(num_targets: int) -> list[str]:
     return cols
 
 
+@contextlib.contextmanager
+def replace_atomically(path, mode: str = "w", **open_kwargs):
+    """A file opened for writing whose contents replace ``path`` when the block ends.
+
+    It is written under a temporary name in the same directory and renamed
+    over ``path`` once the block completes, so ``path`` always holds a whole
+    file.  If the block raises, the temporary file goes and ``path`` stays
+    as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+class _TraceTails(dict):
+    """Formatted trace-row tails, keyed by the bits of the row's values.
+
+    A tail is everything after ``episode,n,``: the row's D, C_R, C_P and
+    reward, its accessed count (a function of D) and the line end.  A miss
+    formats the row; the bits tell -0.0 from 0.0.
+    """
+
+    def __init__(self, num_ues: int, width: int):
+        super().__init__()
+        self.num_ues = num_ues
+        self.template = "%.6f," * width + "%d\r\n"
+
+    def __missing__(self, key: bytes) -> str:
+        values = np.frombuffer(key).tolist()
+        # np.rint and round both round half to even.
+        accessed = round(self.num_ues * (1.0 - values[0]))
+        tail = self[key] = self.template % (*values, accessed)
+        return tail
+
+
 def write_trace_csv(
     path, episodes: Iterable[tuple[int, Sequence[StepOutcome]]], num_ues: int, num_targets: int
 ) -> None:
@@ -710,29 +880,29 @@ def write_trace_csv(
     :class:`EpisodeOutcomes` view or a list of records.  The bytes are those
     ``csv.writer`` writes for the same rows: nothing needs quoting, and
     lines end in CRLF.  A run repeats a few distinct (D, C_R, C_P, reward)
-    rows, so each is formatted once, keyed by its bits (which tells -0.0
-    from 0.0).
+    rows, so each row's tail is formatted once.
     """
     width = num_targets + 3
-    tail_format = "%.6f," * width
     row_bits = np.dtype((np.void, 8 * width))
-    tails: dict[bytes, str] = {}
+    tails = _TraceTails(num_ues, width)
     lines = [",".join(trace_header(num_targets)) + "\r\n"]
+    chunk = None
     for episode_idx, outcomes in episodes:
         view = EpisodeOutcomes.of(outcomes)
-        d = view.column("d")
-        values = np.column_stack(
-            (d, view.column("c_r_per_target"), view.column("c_p"), view.column("reward"))
-        )
-        columns = zip(
-            view.columns["slot"].tolist(),
-            values.view(row_bits).ravel().tolist(),
-            np.rint(num_ues * (1.0 - d)).astype(np.int64).tolist(),
-        )
-        for n, key, accessed in columns:
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = tail_format % tuple(np.frombuffer(key).tolist())
-            lines.append(f"{episode_idx},{n},{tail}{accessed}\r\n")
-    with open(path, "w", newline="") as fh:
+        if view.columns is not chunk:  # the views of one chunk share its columns
+            chunk = view.columns
+            values = np.concatenate(
+                (
+                    chunk["d"][..., None],
+                    chunk["c_r_per_target"],
+                    chunk["c_p"][..., None],
+                    chunk["reward"][..., None],
+                ),
+                axis=-1,
+            )
+            keys = values.view(row_bits)[..., 0]  # (E, N) row bits
+            slots = chunk["slot"].tolist()
+        prefix = f"{episode_idx},"
+        lines += [f"{prefix}{n},{tails[key]}" for n, key in zip(slots, keys[view.episode].tolist())]
+    with replace_atomically(path, newline="") as fh:
         fh.write("".join(lines))

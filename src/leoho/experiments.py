@@ -27,7 +27,9 @@ from leoho.env import (
     MetricsRecord,
     ScenarioConfig,
     batch_episodes,
+    episode_generators,
     episode_metrics,
+    replace_atomically,
     stack_outcomes,
     write_trace_csv,
 )
@@ -292,8 +294,9 @@ def evaluate(
 ) -> tuple[list[MetricsRecord], list]:
     """Evaluate one agent over fresh episode seeds master_seed + i.
 
-    Episode i's agent generator is seeded from [master_seed + i, 101].
-    Traces pair i with the episode's :class:`EpisodeOutcomes` view.
+    Episode i's agent generator is seeded from [master_seed + i, 101], and
+    only stochastic agents build them.  Traces pair i with the episode's
+    :class:`EpisodeOutcomes` view.
     """
     env = HandoverEnv(scenario)
     agent = make_agent(
@@ -307,8 +310,7 @@ def evaluate(
     traces = []
     for seeds in _episode_chunks(scenario, master_seed, episodes):
         obs = env.reset(episodes=seeds)
-        # Lazy: only stochastic agents create the generators.
-        agent.begin_episode(env, (np.random.default_rng([seed, 101]) for seed in seeds))
+        agent.begin_episode(env, episode_generators([seed, 101] for seed in seeds))
         slots = []
         for _ in range(scenario.horizon):
             obs, outcome = env.step(agent.act(env, obs))
@@ -376,7 +378,7 @@ def summary_row(
 
 
 def write_summary_csv(path, rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    with replace_atomically(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_HEADER)
         writer.writeheader()
         for row in rows:
@@ -540,7 +542,8 @@ def behavior_stats(
     waits = 0
     for seeds in _episode_chunks(scenario, master_seed, episodes):
         obs = env.reset(episodes=seeds)
-        noise = np.stack([np.random.default_rng([seed, 202]).gumbel(size=shape) for seed in seeds])
+        rngs = episode_generators([seed, 202] for seed in seeds)
+        noise = np.stack([rng.gumbel(size=shape) for rng in rngs])
         for n in range(scenario.horizon):
             accessed = env.state.accessed
             actions, _ = dho_decide(params, obs, noise[:, n], "sample", accessed)
@@ -576,7 +579,7 @@ def ablation(
         curves[name] = curve
 
     path = out_dir / "ablation_curves.csv"
-    with open(path, "w", newline="") as fh:
+    with replace_atomically(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ABLATION_HEADER)
         for name, curve in curves.items():

@@ -35,6 +35,7 @@ from leoho.env import (
     episode_metrics,
     observation_size,
     reject_non_finite,
+    replace_atomically,
     stack_outcomes,
 )
 
@@ -241,18 +242,37 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.tensors().items()}
 
     def step(self, params: net.PolicyParameters, grads: dict[str, np.ndarray], lr: float) -> None:
+        """``tensor -= lr * (m / bias1) / (sqrt(v / bias2) + eps)``, in two scratch buffers.
+
+        Every operation is the plain formula's, in its order, so the bits
+        are the same.
+        """
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for name, tensor in params.tensors().items():
+        tensors = params.tensors()
+        # Freed with the step, so they add nothing to the memory held between updates.
+        size = max(t.size for t in tensors.values())
+        scratch = np.empty(size), np.empty(size)
+        for name, tensor in tensors.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            step, denom = (buf[: g.size].reshape(g.shape) for buf in scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=step)
+            m += step
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            tensor -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=step)
+            step *= g
+            v += step
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, bias1, out=step)
+            step *= lr
+            step /= denom
+            tensor -= step
 
 
 @dataclass
@@ -423,7 +443,7 @@ CURVE_HEADER = ["episode", "mean_return", "sum_delay", "sum_collision"]
 
 
 def write_curve_csv(path, records: list[EpisodeRecord]) -> None:
-    with open(path, "w", newline="") as fh:
+    with replace_atomically(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_HEADER)
         for r in records:
@@ -433,7 +453,7 @@ def write_curve_csv(path, records: list[EpisodeRecord]) -> None:
 
 
 def save_checkpoint(params: net.PolicyParameters, path) -> None:
-    """Versioned, lossless parameter snapshot (.npz)."""
+    """Versioned, lossless parameter snapshot (.npz), written to ``path`` as named."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "obs_dim": params.obs_dim,
@@ -441,7 +461,10 @@ def save_checkpoint(params: net.PolicyParameters, path) -> None:
         "num_actions": params.num_actions,
         "hidden": list(params.hidden_sizes),
     }
-    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **params.tensors())
+    # An open file, so np.savez appends no ".npz" to the temporary name.
+    with replace_atomically(path, "wb") as fh:
+        meta_bytes = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(fh, meta=meta_bytes, **params.tensors())
 
 
 class CheckpointError(RuntimeError):

@@ -1,9 +1,18 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from leoho import net
-from leoho.env import ConfigError, FeatureMask, ScenarioConfig, batch_episodes
+from leoho import experiments, net
+from leoho.env import (
+    ConfigError,
+    FeatureMask,
+    HandoverEnv,
+    MetricsRecord,
+    ScenarioConfig,
+    batch_episodes,
+    write_trace_csv,
+)
 from leoho.experiments import (
     ABLATION_MASKS,
     DESK_TRAINING,
@@ -21,8 +30,9 @@ from leoho.experiments import (
     scenario_with_ratios,
     summary_row,
     sweep_experiment,
+    write_summary_csv,
 )
-from leoho.training import EpisodeRecord
+from leoho.training import EpisodeRecord, save_checkpoint, write_curve_csv
 
 
 def fast_spec(**kw) -> ExperimentSpec:
@@ -156,6 +166,30 @@ def test_evaluate_episodes_do_not_depend_on_their_chunk(agent):
         assert records[i] == alone[0], i
 
 
+@pytest.mark.parametrize(
+    "agent, mode, built",
+    [
+        ("conventional", "greedy", 0),
+        ("dho", "greedy", 0),
+        ("dho", "sample", 5),
+        ("random", "greedy", 5),
+    ],
+)
+def test_only_stochastic_agents_build_generators(monkeypatch, agent, mode, built):
+    yielded = []
+
+    def watched(keys, inner=experiments.episode_generators):
+        for rng in inner(keys):
+            yielded.append(rng)
+            yield rng
+
+    monkeypatch.setattr(experiments, "episode_generators", watched)
+    scenario = ScenarioConfig()
+    params = net.zero_params(41, 10, 3)
+    evaluate(scenario, agent, 5, master_seed=0, params=params, eval_mode=mode)
+    assert len(yielded) == built
+
+
 def test_run_experiment_random_agent(tmp_path):
     artifacts = run_experiment(fast_spec(), tmp_path / "a")
     summary = (tmp_path / "a" / "summary.csv").read_text().splitlines()
@@ -265,6 +299,69 @@ def test_episodes_to_threshold():
     # Window mean (-200 + 9m)/20 crosses -2 once m = 18 of the 20 are fresh.
     assert episodes_to_threshold(curve, -2.0, window=20) == 68
     assert episodes_to_threshold(curve, 5.0, window=20) is None
+
+
+# --- artifacts ------------------------------------------------------------------
+
+
+def _trace_episodes():
+    env = HandoverEnv(ScenarioConfig(horizon=3))
+    env.reset(0)
+    yield 0, [env.step(np.ones(10, dtype=int))[1] for _ in range(3)]
+
+
+def _broken(items, exc=RuntimeError("midway")):
+    yield from items
+    raise exc
+
+
+def _savez_midway(fh, **arrays):
+    fh.write(b"PK partial")
+    raise OSError("disk full")
+
+
+SUMMARY_ROW = summary_row([MetricsRecord(1.0, 0.5, 0.25, 1.0, -2.0)], "random")
+CURVE = [EpisodeRecord(0, -1.0, 0.5, 0.25), EpisodeRecord(1, -2.0, 0.5, 0.25)]
+PARAMS = net.zero_params(41, 10, 3)
+
+# name: (write the file, a write of other content that raises midway, what
+# it raises).  The checkpoint's midway failure is np.savez's, patched in by
+# the test.
+ARTIFACT_WRITERS = {
+    "summary.csv": (
+        lambda path: write_summary_csv(path, [SUMMARY_ROW]),
+        lambda path: write_summary_csv(path, [{**SUMMARY_ROW, "agent": "dho"}, {"bogus": 1}]),
+        ValueError,
+    ),
+    "trace.csv": (
+        lambda path: write_trace_csv(path, _trace_episodes(), 10, 2),
+        lambda path: write_trace_csv(path, _broken(_trace_episodes()), 10, 2),
+        RuntimeError,
+    ),
+    "curve.csv": (
+        lambda path: write_curve_csv(path, CURVE),
+        lambda path: write_curve_csv(path, [*CURVE, *CURVE, None]),
+        AttributeError,
+    ),
+    "checkpoint.npz": (
+        lambda path: save_checkpoint(PARAMS, path),
+        lambda path: save_checkpoint(PARAMS, path),
+        OSError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_WRITERS))
+def test_artifact_writers_replace_the_file_whole(tmp_path, monkeypatch, name):
+    write, write_midway, error = ARTIFACT_WRITERS[name]
+    path = tmp_path / name
+    write(path)
+    before = path.read_bytes()
+    monkeypatch.setattr(np, "savez", _savez_midway)
+    with pytest.raises(error):
+        write_midway(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 # --- behavior stats ---------------------------------------------------------------

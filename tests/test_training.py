@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leoho import net
 from leoho.env import ConfigError, HandoverEnv, ScenarioConfig, observation_size
@@ -162,6 +163,54 @@ def test_adam_is_deterministic():
         opt_b.step(params_b, grads, 1e-3)
     for name in net.TENSOR_NAMES:
         assert np.array_equal(getattr(params_a, name), getattr(params_b, name))
+
+
+def reference_adam_step(adam, params, grads, lr):
+    """Adam.step as the plain expression, on ``adam``'s moments."""
+    adam.t += 1
+    bias1 = 1.0 - adam.beta1**adam.t
+    bias2 = 1.0 - adam.beta2**adam.t
+    for name, tensor in params.tensors().items():
+        g = grads[name]
+        m = adam.m[name]
+        v = adam.v[name]
+        m *= adam.beta1
+        m += (1.0 - adam.beta1) * g
+        v *= adam.beta2
+        v += (1.0 - adam.beta2) * g * g
+        tensor -= lr * (m / bias1) / (np.sqrt(v / bias2) + adam.eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    obs_dim=st.integers(1, 12),
+    hidden=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+    num_ues=st.integers(1, 5),
+    num_actions=st.integers(2, 7),
+    scale=st.floats(1e-8, 1e3),
+    lr=st.floats(1e-6, 0.5),
+    steps=st.integers(1, 6),
+)
+def test_adam_step_matches_plain_formula_bit_for_bit(
+    seed, obs_dim, hidden, num_ues, num_actions, scale, lr, steps
+):
+    rng = np.random.default_rng(seed)
+    params = net.init_params(obs_dim, num_ues, num_actions, hidden=hidden, rng=rng)
+    reference = params.copy()
+    adam, oracle = Adam(params), Adam(reference)
+    for _ in range(steps):
+        grads = {}
+        for name, tensor in params.tensors().items():
+            g = rng.normal(scale=scale, size=tensor.shape)
+            g[rng.random(tensor.shape) < 0.2] = 0.0  # pinned heads give exact zeros
+            grads[name] = g
+        adam.step(params, grads, lr)
+        reference_adam_step(oracle, reference, grads, lr)
+        for name in net.TENSOR_NAMES:
+            assert getattr(params, name).tobytes() == getattr(reference, name).tobytes(), name
+            assert adam.m[name].tobytes() == oracle.m[name].tobytes(), name
+            assert adam.v[name].tobytes() == oracle.v[name].tobytes(), name
 
 
 def tiny_scenario():
