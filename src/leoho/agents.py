@@ -7,6 +7,10 @@ probability one).
 
 Every decision function takes arrays with any leading episode axes, so one
 call decides for all the episodes a :class:`HandoverEnv` steps together.
+The learned policy also decides under a :class:`net.StackedPolicy`, one
+parameter set per equal run of episodes.  It returns its logits rather than
+log-probabilities: evaluation needs only the actions, and training takes a
+whole rollout's log-probabilities in one :func:`dho_log_probs` call.
 Stochastic agents draw each episode's randomness at ``begin_episode``, in
 one block per episode from that episode's generator: (N, J) uniform actions
 for the random agent, (N, J, K) Gumbel noise for the sampling learned agent.
@@ -59,7 +63,7 @@ def random_decide(
 
 
 def dho_decide(
-    params: net.PolicyParameters,
+    params: net.PolicyParameters | net.StackedPolicy,
     observation: np.ndarray,
     noise: np.ndarray | np.random.Generator | None = None,
     mode: str = "sample",
@@ -67,12 +71,15 @@ def dho_decide(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Learned policy: per-terminal categorical heads over the planes.
 
-    ``observation`` is (..., obs_dim).  Sampling adds Gumbel ``noise``
-    (..., J, K) to the logits, or draws it now from a generator.  Returns
-    the chosen actions and the per-head log-probabilities under the current
-    policy.  Pinned (accessed) heads report action 0 with log-probability 0.
+    ``observation`` is (..., obs_dim).  A :class:`net.StackedPolicy` of G
+    parameter sets decides its rows as G equal runs in order, each under
+    its own set.  Sampling adds Gumbel ``noise`` (..., J, K) to the logits,
+    or draws it now from a generator.  Returns the chosen actions and the
+    (..., J, K) logits they were chosen from; pinned (accessed) heads report
+    action 0.  :func:`dho_log_probs` turns the two into behavior
+    log-probabilities.
     """
-    logits, _ = net.forward(params, observation)
+    logits = net.forward(params, observation)
     if mode == "greedy":
         actions = logits.argmax(axis=-1)
     elif mode == "sample":
@@ -83,12 +90,20 @@ def dho_decide(
         actions = (logits + noise).argmax(axis=-1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    log_probs = net.head_log_probs(logits, actions)
     if accessed is not None and accessed.any():
         actions = np.where(accessed, 0, actions)
-        log_probs = np.where(accessed, 0.0, log_probs)
-    return actions, log_probs
+    return actions, logits
+
+
+def dho_log_probs(logits: np.ndarray, actions: np.ndarray, accessed: np.ndarray) -> np.ndarray:
+    """Per-head log-probabilities of the actions :func:`dho_decide` chose from ``logits``.
+
+    Takes any leading axes, so one call serves a whole rollout.  A pinned
+    (accessed) head chose 0 with probability one and reports 0.
+    """
+    log_probs = net.head_log_probs(logits, actions)
+    log_probs[accessed] = 0.0
+    return log_probs
 
 
 def _per_episode(rngs, draw) -> np.ndarray:

@@ -686,12 +686,7 @@ class HandoverEnv:
                 self._shadowing = self._squeeze(shadowing)
             first = self._rsrp(self._init_positions[None], slice(0, 1))[0]
             self._meas = link.MeasurementState.initialise(
-                first,
-                beta_l3=cfg.beta_l3,
-                iir_order=cfg.iir_order,
-                measurement_period_s=cfg.measurement_period_s,
-                a3_offset_db=cfg.a3_offset_db,
-                samples_per_slot=m,
+                first, beta_l3=cfg.beta_l3, a3_offset_db=cfg.a3_offset_db
             )
         while self._meas_slot < state.slot:
             n = self._meas_slot

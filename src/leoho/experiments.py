@@ -66,11 +66,25 @@ def scenario_with_ratios(
     """Scale per-target blocks and preambles as multiples of the UE count."""
     changes: dict = {}
     if rb_ratio is not None:
-        blocks = max(0, round(rb_ratio * base.num_ues))
+        blocks = _scaled_count("rb_ratio", rb_ratio, base.num_ues, least=0)
         changes["rb_per_target"] = tuple([blocks] * base.num_targets)
     if preamble_ratio is not None:
-        changes["num_preambles"] = max(1, round(preamble_ratio * base.num_ues))
+        changes["num_preambles"] = _scaled_count(
+            "preamble_ratio", preamble_ratio, base.num_ues, least=1
+        )
     return dataclasses.replace(base, **changes) if changes else base
+
+
+def _scaled_count(key: str, ratio: float, num_ues: int, least: int) -> int:
+    """``ratio`` per terminal as a whole count, at least ``least``.
+
+    A ratio that is negative or not finite, or whose count is not, is the
+    key's :class:`ConfigError`.
+    """
+    count = ratio * num_ues
+    if ratio < 0 or not math.isfinite(count):
+        raise ConfigError(key, f"must be a finite non-negative ratio, got {ratio}")
+    return max(least, round(count))
 
 
 def scenario_for_case(case: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
@@ -171,8 +185,8 @@ def _parse_bool(text: str, key: str) -> bool:
     raise ConfigError(key, f"expected a boolean, got {text!r}")
 
 
-def _coerce(key: str, value: str, current):
-    """``value`` as the type of ``current``, the field's default.
+def _coerce(key: str, value, current):
+    """``value``, spec text or a parsed number, as the type of ``current``, the field's default.
 
     Integer fields take only whole numbers, and every number, fractions
     included, must parse; otherwise the key's :class:`ConfigError`.
@@ -185,10 +199,13 @@ def _coerce(key: str, value: str, current):
         return value
     if not isinstance(current, (int, float)):
         raise ConfigError(key, "cannot be set from a spec file")
-    try:
-        number = _parse_number(value)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(key, f"expected a number, got {value!r}") from None
+    if not isinstance(value, str):
+        number = float(value)
+    else:
+        try:
+            number = _parse_number(value)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(key, f"expected a number, got {value!r}") from None
     if isinstance(current, float):
         return number
     if not number.is_integer():
@@ -258,10 +275,12 @@ def parse_spec_file(path) -> ExperimentSpec:
     if "rb_uniform" in ratios:
         scenario_kw["rb_per_target"] = tuple([ratios["rb_uniform"]] * (num_planes - 1))
     if "rb_ratio" in ratios:
-        blocks = max(0, round(ratios["rb_ratio"] * num_ues))
+        blocks = _scaled_count("scenario.rb_ratio", ratios["rb_ratio"], num_ues, least=0)
         scenario_kw["rb_per_target"] = tuple([blocks] * (num_planes - 1))
     if "preamble_ratio" in ratios:
-        scenario_kw["num_preambles"] = max(1, round(ratios["preamble_ratio"] * num_ues))
+        scenario_kw["num_preambles"] = _scaled_count(
+            "scenario.preamble_ratio", ratios["preamble_ratio"], num_ues, least=1
+        )
     if "rb_per_target" not in scenario_kw and num_planes != scenario_defaults.num_planes:
         scenario_kw["rb_per_target"] = tuple([num_ues] * (num_planes - 1))
 
@@ -453,13 +472,17 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
 def apply_sweep_value(
     scenario: ScenarioConfig, training: VtraceConfig, parameter: str, value: float
 ) -> tuple[ScenarioConfig, VtraceConfig]:
+    """The scenario and training with the sweep's ``parameter`` set to ``value``.
+
+    Numbers are coerced as spec values are, typed by the field's default.
+    """
     if parameter == "rb_ratio":
         return scenario_with_ratios(scenario, rb_ratio=value), training
     if parameter == "preamble_ratio":
         return scenario_with_ratios(scenario, preamble_ratio=value), training
     name = _SCENARIO_ALIASES.get(parameter, parameter)
     if name == "num_ues":
-        j = int(value)
+        j = _coerce("sweep.values", value, scenario.num_ues)
         # Resource ratios follow the UE count so the regime stays comparable.
         rb_ratio = scenario.rb_per_target[0] / scenario.num_ues
         pre_ratio = scenario.num_preambles / scenario.num_ues
@@ -468,14 +491,14 @@ def apply_sweep_value(
     if hasattr(scenario, name):
         current = getattr(scenario, name)
         if isinstance(current, (int, float)) and not isinstance(current, bool):
-            cast = type(current)
-            return dataclasses.replace(scenario, **{name: cast(value)}), training
+            number = _coerce("sweep.values", value, current)
+            return dataclasses.replace(scenario, **{name: number}), training
         raise ConfigError("sweep.parameter", f"{parameter} is not a numeric scenario field")
     if hasattr(training, name):
         current = getattr(training, name)
         if isinstance(current, (int, float)) and not isinstance(current, bool):
-            cast = type(current)
-            return scenario, dataclasses.replace(training, **{name: cast(value)})
+            number = _coerce("sweep.values", value, current)
+            return scenario, dataclasses.replace(training, **{name: number})
         raise ConfigError("sweep.parameter", f"{parameter} is not a numeric training field")
     raise ConfigError("sweep.parameter", f"unknown parameter {parameter!r}")
 

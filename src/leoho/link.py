@@ -111,53 +111,28 @@ def beta_from_iir_order(k_iir: float) -> float:
     return 1.0 / 2.0 ** (k_iir / 4.0)
 
 
-def a3_event(m_l3_serving: float, m_l3_target: float, offset_db: float) -> bool:
-    """A3 entering condition: target exceeds serving by strictly more than the offset."""
-    return m_l3_target > m_l3_serving + offset_db
-
-
 @dataclass
 class MeasurementState:
     """Per (terminal, plane) L1/L3 measurement memory for one episode.
 
     ``l1_dbm`` holds the latest instantaneous sample and ``l3_dbm`` the
     filtered value, both shaped (..., J, K) with plane 0 the serving plane
-    and optional leading episode axes.  The episode folds
-    ``samples_per_slot`` L1 samples into the filter per slot (slot length
-    over measurement period).
+    and optional leading episode axes.  The episode folds each L1 sample
+    into the filter as it is taken.
     """
 
     l1_dbm: np.ndarray
     l3_dbm: np.ndarray
     beta_l3: float = 0.5
-    iir_order: float = 4.0
-    measurement_period_s: float = 0.15
     a3_offset_db: float = 1.0
-    samples_per_slot: int = 2
-
-    @property
-    def update_period_s(self) -> float:
-        return self.measurement_period_s / self.beta_l3
 
     @classmethod
     def initialise(
-        cls,
-        first_l1_dbm: np.ndarray,
-        beta_l3: float = 0.5,
-        iir_order: float = 4.0,
-        measurement_period_s: float = 0.15,
-        a3_offset_db: float = 1.0,
-        samples_per_slot: int = 2,
+        cls, first_l1_dbm: np.ndarray, beta_l3: float = 0.5, a3_offset_db: float = 1.0
     ) -> "MeasurementState":
         first = np.asarray(first_l1_dbm, dtype=float)
         return cls(
-            l1_dbm=first.copy(),
-            l3_dbm=first.copy(),
-            beta_l3=beta_l3,
-            iir_order=iir_order,
-            measurement_period_s=measurement_period_s,
-            a3_offset_db=a3_offset_db,
-            samples_per_slot=samples_per_slot,
+            l1_dbm=first.copy(), l3_dbm=first.copy(), beta_l3=beta_l3, a3_offset_db=a3_offset_db
         )
 
     def fold_sample(self, l1_dbm: np.ndarray) -> None:

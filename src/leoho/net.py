@@ -4,12 +4,14 @@ Implemented directly on numpy arrays so gradients are exact, inspectable,
 and cheap at desk scale (observation dims in the tens, batch in the
 thousands).  The trunk is shared; each terminal gets one head of
 ``num_actions`` logits and a single linear value head estimates the state
-value.
+value.  Several parameter sets stacked into a :class:`StackedPolicy` run
+their decision forward as one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -130,13 +132,69 @@ class ForwardCache:
     h2: np.ndarray  # (B, hidden2) post-tanh
 
 
+@dataclass(frozen=True)
+class StackedPolicy:
+    """G parameter sets stacked on a leading axis.
+
+    Weights are (G, fan_in, fan_out) and biases (G, 1, fan_out), so
+    :func:`forward_batch` runs its layer chain once over (G, B, obs_dim)
+    observations, each group under its own parameters.  The stack serves
+    decisions only and never runs its value head, which it keeps so that
+    :meth:`group` can give each set back as :class:`PolicyParameters`.
+    """
+
+    obs_dim: int
+    num_ues: int
+    num_actions: int
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    w_pi: np.ndarray
+    b_pi: np.ndarray
+    w_v: np.ndarray  # (G, hidden2)
+    b_v: np.ndarray  # (G, 1)
+
+    def __len__(self) -> int:
+        return self.w1.shape[0]
+
+    def group(self, g: int) -> PolicyParameters:
+        """Parameter set ``g``, as views of the stacked arrays."""
+        tensors = {name: getattr(self, name)[g] for name in TENSOR_NAMES}
+        tensors.update({name: tensors[name][0] for name in _ROW_BIASES})
+        return PolicyParameters(self.obs_dim, self.num_ues, self.num_actions, **tensors)
+
+
+# The layer biases, which gain a row axis in a stack.
+_ROW_BIASES = ("b1", "b2", "b_pi")
+
+
+def stack_params(params: Sequence[PolicyParameters]) -> StackedPolicy:
+    """One :class:`StackedPolicy` of parameter sets that share their shapes."""
+    first = params[0]
+    tensors = {name: np.stack([getattr(p, name) for p in params]) for name in TENSOR_NAMES}
+    # (G, 1, fan_out) biases broadcast over each group's rows.
+    tensors.update({name: tensors[name][:, None] for name in _ROW_BIASES})
+    return StackedPolicy(first.obs_dim, first.num_ues, first.num_actions, **tensors)
+
+
 def forward_batch(
-    params: PolicyParameters, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, ForwardCache]:
-    """Logits (B, J, K), values (B,), and the cache for backprop."""
+    params: PolicyParameters | StackedPolicy, obs: np.ndarray, value_head: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, ForwardCache]:
+    """Logits (B, J, K), values (B,), and the cache for backprop.
+
+    A :class:`StackedPolicy` takes (G, B, obs_dim) observations and gives
+    (G, B, J, K) logits; it runs only with ``value_head=False``, which
+    skips the value head and gives None for the values.
+    """
+    if value_head and isinstance(params, StackedPolicy):
+        raise ValueError("a stacked policy runs without its value head")
     obs = np.asarray(obs, dtype=float)
-    if obs.ndim != 2 or obs.shape[1] != params.obs_dim:
-        raise ValueError(f"observations must be (B, {params.obs_dim}), got {obs.shape}")
+    if obs.ndim != params.w1.ndim or obs.shape[-1] != params.obs_dim:
+        raise ValueError(
+            f"observations must have {params.w1.ndim} axes, the last of length "
+            f"{params.obs_dim}, got {obs.shape}"
+        )
     # The bias adds and tanh run in place on each matmul's fresh result.
     h1 = obs @ params.w1
     h1 += params.b1
@@ -146,23 +204,25 @@ def forward_batch(
     np.tanh(h2, out=h2)
     logits = h2 @ params.w_pi
     logits += params.b_pi
-    logits = logits.reshape(obs.shape[0], params.num_ues, params.num_actions)
-    values = h2 @ params.w_v + params.b_v[0]
+    logits = logits.reshape(obs.shape[:-1] + (params.num_ues, params.num_actions))
+    values = h2 @ params.w_v + params.b_v[0] if value_head else None
     return logits, values, ForwardCache(inputs=obs, h1=h1, h2=h2)
 
 
-def forward(params: PolicyParameters, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-    """Inference forward pass over (..., obs_dim) observations.
+def forward(params: PolicyParameters | StackedPolicy, obs: np.ndarray) -> np.ndarray:
+    """Inference forward pass: (..., J, K) logits of (..., obs_dim) observations.
 
-    Returns (..., J, K) logits and (...) values; a single observation gives
-    (J, K) logits and a scalar value.
+    A single observation gives (J, K) logits.  A :class:`StackedPolicy` of
+    G sets splits the rows into G equal runs in order and gives each run
+    its own set's logits.  The pass serves decisions and skips the value
+    head; :func:`forward_batch` gives the values.
     """
     obs = np.asarray(obs, dtype=float)
     lead = obs.shape[:-1]
-    logits, values, _ = forward_batch(params, obs.reshape(-1, obs.shape[-1]))
-    if not lead:
-        return logits[0], float(values[0])
-    return logits.reshape(lead + logits.shape[1:]), values.reshape(lead)
+    groups = (len(params),) if isinstance(params, StackedPolicy) else ()
+    rows = obs.reshape(groups + (-1, obs.shape[-1]))
+    logits, _, _ = forward_batch(params, rows, value_head=False)
+    return logits.reshape(lead + logits.shape[-2:])
 
 
 def backward_trunk(
@@ -199,24 +259,34 @@ def _tanh_slope(h: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, slope, out=slope)
 
 
-def _normalise(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Logits less their per-head max, those shifted values' exps, and the exps' sum.
+def _shift(logits: np.ndarray) -> np.ndarray:
+    """Logits less their per-head max.
 
-    The sum keeps the last axis, with length one.  The K planes are reduced
-    one elementwise op at a time, which is cheaper than a reduction over a
-    short last axis.  numpy sums an axis shorter than eight left to right,
-    as the plane loop does, so for K < 8 the results are bit-identical to
-    ``.max`` and ``.sum`` over the last axis.
+    The K planes are reduced one elementwise op at a time, here and in
+    :func:`_plane_sum`, which is cheaper than a reduction over a short last
+    axis.  numpy sums an axis shorter than eight left to right, as the plane
+    loop does, so for K < 8 the results are bit-identical to ``.max`` and
+    ``.sum`` over the last axis.
     """
     top = np.array(logits[..., 0:1])
     for plane in range(1, logits.shape[-1]):
         np.maximum(top, logits[..., plane : plane + 1], out=top)
-    shifted = logits - top
+    return logits - top
+
+
+def _plane_sum(values: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, kept with length one."""
+    total = np.array(values[..., 0:1])
+    for plane in range(1, values.shape[-1]):
+        total += values[..., plane : plane + 1]
+    return total
+
+
+def _normalise(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logits less their per-head max, those shifted values' exps, and the exps' sum."""
+    shifted = _shift(logits)
     exps = np.exp(shifted)
-    total = np.array(exps[..., 0:1])
-    for plane in range(1, logits.shape[-1]):
-        total += exps[..., plane : plane + 1]
-    return shifted, exps, total
+    return shifted, exps, _plane_sum(exps)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -253,9 +323,10 @@ def head_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
 
     ``logits`` is (..., J, K), ``actions`` (..., J) integer; returns (..., J).
     """
-    shifted, _, total = _normalise(logits)
+    shifted = _shift(logits)
     chosen = pick(shifted, actions)
-    chosen -= np.log(total[..., 0])
+    # The exps overwrite the shifted logits, which are no longer needed.
+    chosen -= np.log(_plane_sum(np.exp(shifted, out=shifted))[..., 0])
     return chosen
 
 

@@ -14,6 +14,12 @@ policy of the batch after the one being rolled out, so with V-trace two
 batches are stepped together in one lockstep pass, each under its own
 snapshot, and their updates follow in order.  Without V-trace each batch
 needs the update before it, so a pass holds one batch.
+
+A pass decides each slot with one call: equal batches act under one
+:class:`net.StackedPolicy` per pass, whose groups are also the pass's
+snapshots, so the forward runs as one matmul over (G, rows, ...).  The
+pass keeps each slot's logits and takes the behavior log-probabilities of
+the whole rollout in one pass after its last slot.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from leoho import net, vtrace
-from leoho.agents import dho_decide
+from leoho.agents import dho_decide, dho_log_probs
 from leoho.env import (
     ConfigError,
     EpisodeOutcomes,
@@ -292,41 +298,49 @@ def rollout_segment(
     """Sampled episodes, stepped together, each under its behavior policy.
 
     ``behaviors`` holds ``(params, count)`` groups that take the episodes in
-    order.  Episode ``e`` starts from seed key ``env_seeds[e]`` and samples
-    with the Gumbel noise ``noise[e]`` (N, J, K).  Every slot runs one
-    ``env.step`` for all episodes and one decision per group.  Returns one
-    segment and one record per episode.
+    order; a :class:`net.StackedPolicy` of G sets splits its ``count``
+    episodes into G equal runs.  Episode ``e`` starts from seed key
+    ``env_seeds[e]`` and samples with the Gumbel noise ``noise[e]``
+    (N, J, K).  Every slot runs one ``env.step`` for all episodes and one
+    decision per group.  The behavior log-probabilities come from one pass
+    over the whole rollout's logits.  Returns one segment and one record per
+    episode.
     """
     cfg = env.config
     episodes, length, j = len(env_seeds), cfg.horizon, cfg.num_ues
-    groups, start = [], 0
+    deciders, start = [], 0
     for policy, count in behaviors:
-        groups.append((policy, slice(start, start + count)))
+        deciders.append((policy, slice(start, start + count)))
         start += count
     if start != episodes:
         raise ValueError(f"the groups cover {start} episodes, not {episodes}")
 
     observations = np.empty((episodes, length + 1, observation_size(cfg)))
     actions = np.empty((episodes, length, j), dtype=np.int64)
-    logprobs = np.empty((episodes, length, j))
+    logits = np.empty((episodes, length, j, cfg.num_planes))
+    pinned = np.empty((episodes, length, j), dtype=bool)
     rewards = np.empty((episodes, length))
-    masks = np.empty((episodes, length, j))
 
     obs = env.reset(episodes=env_seeds)
     slots = []
     for n in range(length):
         observations[:, n] = obs
         accessed = env.state.accessed
-        masks[:, n] = ~accessed
-        for policy, rows in groups:
-            actions[rows, n], logprobs[rows, n] = dho_decide(
+        pinned[:, n] = accessed
+        for policy, rows in deciders:
+            actions[rows, n], logits[rows, n] = dho_decide(
                 policy, obs[rows], noise[rows, n], "sample", accessed[rows]
             )
         obs, outcome = env.step(actions[:, n])
         rewards[:, n] = outcome.reward
         slots.append(outcome)
     observations[:, length] = obs
+    # The logits go as soon as they are used, so the outcome columns do not
+    # add to the peak.
+    logprobs = dho_log_probs(logits, actions, pinned)
+    del logits
     columns = stack_outcomes(slots)
+    masks = (~pinned).astype(float)
 
     segments, records = [], []
     for e in range(episodes):
@@ -403,15 +417,22 @@ def train(
     while done < episodes:
         stop = min(done + (1 + lag) * per_batch, episodes)
         batches = [range(d, min(d + per_batch, stop)) for d in range(done, stop, per_batch)]
-        # Adam.step updates params in place, so the later groups act under a copy.
-        snapshots = [params.copy() for _ in batches[1:]]
+        if len(batches) > 1 and len(batches[-1]) == per_batch:
+            # Equal batches decide under one stack, and the published
+            # parameters and the snapshots are views of it.
+            stack = net.stack_params([published] + [params] * (len(batches) - 1))
+            published, *snapshots = map(stack.group, range(len(batches)))
+            groups = [(stack, stop - done)]
+        else:
+            # Adam.step updates params in place, so the later groups act under a copy.
+            snapshots = [params.copy() for _ in batches[1:]]
+            groups = [(b, len(batch)) for b, batch in zip([published, *snapshots], batches)]
         noise = np.empty((stop - done,) + noise_shape)
         seeds = []
         for d in range(done, stop):
             i = d % num_actors
             noise[d - done] = actor_rngs[i].gumbel(size=noise_shape)
             seeds.append((seed ^ i, d // num_actors))
-        groups = [(b, len(batch)) for b, batch in zip([published, *snapshots], batches)]
         segments, records = rollout_segment(env, groups, noise, seeds)
         # Nothing past the rollout reads the noise, and the parameters the
         # first group acted under can go once the learner replaces them.

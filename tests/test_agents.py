@@ -5,6 +5,7 @@ from leoho import link, net
 from leoho.agents import (
     conventional_decide,
     dho_decide,
+    dho_log_probs,
     make_agent,
     random_decide,
 )
@@ -114,16 +115,17 @@ def test_dho_zero_net_samples_uniformly():
 def test_dho_greedy_is_deterministic():
     params = net.init_params(5, 2, 3, hidden=(8, 8), rng=np.random.default_rng(0))
     obs = np.linspace(0, 1, 5)
-    a1, lp1 = dho_decide(params, obs, mode="greedy")
-    a2, lp2 = dho_decide(params, obs, mode="greedy")
-    assert np.array_equal(a1, a2) and np.array_equal(lp1, lp2)
+    a1, logits1 = dho_decide(params, obs, mode="greedy")
+    a2, logits2 = dho_decide(params, obs, mode="greedy")
+    assert np.array_equal(a1, a2) and np.array_equal(logits1, logits2)
+    assert np.array_equal(a1, logits1.argmax(axis=-1))
 
 
 def test_dho_joint_log_prob_enumeration():
     # With 2 heads of 3 actions the 9 joint probabilities must sum to one.
     params = net.init_params(5, 2, 3, hidden=(8, 8), rng=np.random.default_rng(4))
     obs = np.array([0.1, 0.9, 0.4, 0.2, 0.7])
-    logits, _ = net.forward(params, obs)
+    logits = net.forward(params, obs)
     total = 0.0
     for a0 in range(3):
         for a1 in range(3):
@@ -134,7 +136,7 @@ def test_dho_joint_log_prob_enumeration():
 
 def test_dho_per_head_probabilities_normalise():
     params = net.init_params(5, 2, 3, hidden=(8, 8), rng=np.random.default_rng(4))
-    logits, _ = net.forward(params, np.zeros(5))
+    logits = net.forward(params, np.zeros(5))
     probs = net.softmax(logits)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -142,10 +144,12 @@ def test_dho_per_head_probabilities_normalise():
 def test_dho_masks_accessed_and_zeroes_their_logprob():
     params = net.init_params(5, 3, 3, hidden=(8, 8), rng=np.random.default_rng(2))
     accessed = np.array([True, False, True])
-    actions, lp = dho_decide(params, np.zeros(5), np.random.default_rng(0), accessed=accessed)
+    actions, logits = dho_decide(params, np.zeros(5), np.random.default_rng(0), accessed=accessed)
     assert actions[0] == 0 and actions[2] == 0
+    lp = dho_log_probs(logits, actions, accessed)
     assert lp[0] == 0.0 and lp[2] == 0.0
     assert lp[1] < 0.0
+    assert lp[1] == net.head_log_probs(logits, actions)[1]
 
 
 def test_dho_requires_rng_for_sampling():

@@ -1,5 +1,10 @@
-import numpy as np
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from leoho.cli import main
 from leoho.experiments import AGENT_KINDS
@@ -290,3 +295,106 @@ def test_case_flag(tmp_path):
     header = (out / "summary.csv").read_text().splitlines()[0].split(",")
     h_mean = float(row[header.index("ho_success_mean")])
     assert h_mean <= 0.6 + 1e-9
+
+
+def exit_code(argv) -> tuple[int, str]:
+    """``main``'s exit code, argparse's included, and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def test_ratio_and_sweep_inputs_exit_2_before_any_work(tmp_path):
+    out = tmp_path / "out"
+    cases = []
+    for ratio in ("rb_ratio", "preamble_ratio"):
+        for value in ("inf", "1e400", "nan", "-1"):
+            text = FAST_RANDOM + f"scenario.{ratio} = {value}\n"
+            spec = write_spec(tmp_path, text, f"{ratio}{value}.spec")
+            cases.append(["run", "--spec", spec])
+            cases.append(["sweep", "--parameter", ratio, "--values", f"1,{value}"])
+            cases.append(["run", f"--{ratio.replace('_', '-')}", value])
+    for parameter in ("J", "N", "horizon", "batch_size"):
+        for value in ("2.5", "nan", "inf"):
+            cases.append(["sweep", "--parameter", parameter, "--values", f"3,{value}"])
+    spec = write_spec(tmp_path, FAST_RANDOM)
+    for argv in cases:
+        if "--spec" not in argv:
+            argv = argv + ["--spec", spec]
+        code, err = exit_code(argv + ["--out", str(out)])
+        assert code == 2, argv
+        assert "configuration error" in err and "Traceback" not in err, argv
+        assert not out.exists(), argv
+
+
+# Spec keys and flags of the exit-code fuzz, with values that are valid,
+# malformed, non-finite, negative or fractional.  Valid sizes stay small so
+# every run is quick.
+FUZZ_KEYS = (
+    "scenario.J",
+    "scenario.N",
+    "scenario.P",
+    "scenario.R",
+    "scenario.nu",
+    "scenario.tau",
+    "scenario.rb_ratio",
+    "scenario.preamble_ratio",
+    "scenario.a3_offset_db",
+    "training.batch_size",
+    "training.gamma",
+    "training.rho_bar",
+    "eval_episodes",
+    "train_episodes",
+    "master_seed",
+)
+FUZZ_NUMBERS = ("nan", "inf", "-inf", "1e400", "-1", "0", "0.5", "2.5", "1/20", "1/0", "3", "abc", "")
+FUZZ_PARAMETERS = (
+    "J", "N", "horizon", "batch_size", "rb_ratio", "preamble_ratio", "nu", "tau", "gamma", "bogus"
+)
+FUZZ_BASE = """
+eval_episodes = 2
+train_episodes = 2
+training.hidden = 8,8
+"""
+
+numbers = st.sampled_from(FUZZ_NUMBERS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    agent=st.sampled_from(AGENT_KINDS),
+    lines=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), numbers), max_size=3),
+    sweep=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(FUZZ_PARAMETERS), st.lists(numbers, min_size=1, max_size=2)),
+    ),
+    nu=st.one_of(st.none(), numbers),
+    episodes=st.one_of(st.none(), numbers),
+)
+@example(agent="random", lines=[("scenario.rb_ratio", "1e400")], sweep=None, nu=None, episodes=None)
+@example(agent="random", lines=[("scenario.preamble_ratio", "nan")], sweep=None, nu=None, episodes=None)
+@example(agent="random", lines=[("scenario.rb_ratio", "-1")], sweep=None, nu=None, episodes=None)
+@example(agent="random", lines=[], sweep=("preamble_ratio", ["inf"]), nu=None, episodes=None)
+@example(agent="random", lines=[], sweep=("J", ["2.5"]), nu=None, episodes=None)
+@example(agent="dho", lines=[], sweep=("batch_size", ["nan"]), nu=None, episodes=None)
+def test_every_input_exits_0_or_2_without_a_traceback(agent, lines, sweep, nu, episodes):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "fuzz.spec"
+        text = FUZZ_BASE + f"agent = {agent}\n" + "".join(f"{k} = {v}\n" for k, v in lines)
+        spec.write_text(text)
+        argv = ["run", "--spec", str(spec), "--out", str(Path(tmp) / "out")]
+        if sweep is not None:
+            parameter, values = sweep
+            argv[0] = "sweep"
+            argv += ["--parameter", parameter, "--values", ",".join(values)]
+        if nu is not None:
+            argv.append(f"--nu={nu}")
+        if episodes is not None:
+            argv.append(f"--episodes={episodes}")
+        code, err = exit_code(argv)
+    assert code in (0, 2), (argv, err)
+    assert "Traceback" not in err

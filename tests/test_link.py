@@ -117,15 +117,19 @@ def test_l3_filter_stays_within_input_bounds(samples, beta):
 
 def test_beta_from_iir_order():
     assert link.beta_from_iir_order(4) == pytest.approx(0.5)
-    ms = link.MeasurementState.initialise(np.zeros((2, 3)), beta_l3=0.5, measurement_period_s=0.15)
-    assert ms.update_period_s == pytest.approx(0.3)
+
+
+def a3_flag(serving: float, target: float, offset_db: float) -> bool:
+    """The A3 condition one measurement state reports for one target."""
+    ms = link.MeasurementState.initialise(np.array([[serving, target]]), a3_offset_db=offset_db)
+    return bool(ms.a3_flags()[0, 0])
 
 
 def test_a3_event_boundary_and_offset():
     # Exactly offset above the serving signal does not trigger (strict).
-    assert link.a3_event(-100.0, -99.0, 1.0) is False
-    assert link.a3_event(-100.0, -98.0, 1.0) is True
-    assert link.a3_event(-100.0, -100.0, 1.0) is False
+    assert a3_flag(-100.0, -99.0, 1.0) is False
+    assert a3_flag(-100.0, -98.0, 1.0) is True
+    assert a3_flag(-100.0, -100.0, 1.0) is False
 
 
 @given(
@@ -135,9 +139,7 @@ def test_a3_event_boundary_and_offset():
     st.floats(min_value=-50, max_value=50),
 )
 def test_a3_event_invariant_to_common_shift(serving, target, offset, shift):
-    assert link.a3_event(serving, target, offset) == link.a3_event(
-        serving + shift, target + shift, offset
-    )
+    assert a3_flag(serving, target, offset) == a3_flag(serving + shift, target + shift, offset)
 
 
 def test_measurement_state_fold_and_flags():

@@ -8,9 +8,9 @@ from leoho import net
 
 def test_zero_params_give_uniform_logits_and_zero_value():
     params = net.zero_params(6, 2, 3, hidden=(8, 8))
-    logits, value = net.forward(params, np.ones(6))
-    assert np.array_equal(logits, np.zeros((2, 3)))
-    assert value == 0.0
+    assert np.array_equal(net.forward(params, np.ones(6)), np.zeros((2, 3)))
+    logits, values, _ = net.forward_batch(params, np.ones((1, 6)))
+    assert np.array_equal(logits, np.zeros((1, 2, 3))) and np.array_equal(values, [0.0])
 
 
 def test_softmax_shift_invariance():
@@ -185,3 +185,26 @@ def test_trunk_passes_match_plain_formulas_bit_for_bit(
     assert grads.keys() == reference.keys()
     for name, grad in grads.items():
         assert_same_bits(grad, reference[name])
+
+
+@pytest.mark.parametrize("num_ues", [10, 100])
+@pytest.mark.parametrize("rows", [1, 10])
+def test_stacked_forward_matches_per_group_forward_bit_for_bit(rows, num_ues):
+    obs_dim = 1 + num_ues + 3 * num_ues
+    groups = [
+        net.init_params(obs_dim, num_ues, 3, rng=np.random.default_rng(seed)) for seed in (1, 2)
+    ]
+    for params in groups:
+        params.b1[...] = np.random.default_rng(3).normal(size=params.b1.shape)
+    obs = np.random.default_rng(4).uniform(0, 1, size=(2 * rows, obs_dim))
+    stack = net.stack_params(groups)
+    logits = net.forward(stack, obs)
+    want = np.concatenate(
+        [net.forward(params, obs[g * rows : (g + 1) * rows]) for g, params in enumerate(groups)]
+    )
+    assert_same_bits(logits, want)
+    for g, params in enumerate(groups):
+        for name in net.TENSOR_NAMES:
+            assert_same_bits(getattr(stack.group(g), name), getattr(params, name))
+    with pytest.raises(ValueError):
+        net.forward_batch(stack, obs.reshape(2, rows, obs_dim))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leoho import net
+from leoho import net, training
+from leoho.agents import dho_decide
 from leoho.env import ConfigError, HandoverEnv, ScenarioConfig, observation_size
 from leoho.training import (
     Adam,
@@ -299,12 +300,37 @@ def serial_train(scenario, cfg, episodes, actors, seed):
 )
 def test_pipelined_train_matches_serial_reference(vtrace_enabled, actors, episodes):
     scenario = tiny_scenario()
-    cfg = tiny_training(vtrace_enabled=vtrace_enabled, actors_count=actors)
-    params, curve = train(scenario, cfg, episodes=episodes, seed=5)
-    ref_params, ref_curve = serial_train(scenario, cfg, episodes, actors, seed=5)
-    for name in net.TENSOR_NAMES:
-        assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
-    assert [(r.episode, r.episode_return, r.sum_delay, r.sum_collision) for r in curve] == ref_curve
+    # Batches of six episodes, and of one (batch_size <= horizon), so the
+    # stacked decision also runs one row per group.
+    for batch_size in (30, 5):
+        cfg = tiny_training(
+            vtrace_enabled=vtrace_enabled, actors_count=actors, batch_size=batch_size
+        )
+        params, curve = train(scenario, cfg, episodes=episodes, seed=5)
+        ref_params, ref_curve = serial_train(scenario, cfg, episodes, actors, seed=5)
+        for name in net.TENSOR_NAMES:
+            assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
+        curve = [(r.episode, r.episode_return, r.sum_delay, r.sum_collision) for r in curve]
+        assert curve == ref_curve
+
+
+@pytest.mark.parametrize("vtrace_enabled", [True, False])
+def test_rollout_decides_once_per_slot(vtrace_enabled, monkeypatch):
+    scenario = tiny_scenario()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return dho_decide(*args, **kwargs)
+
+    monkeypatch.setattr(training, "dho_decide", counted)
+    # 30 episodes in batches of six: passes of two batches with V-trace (the
+    # last holds one), and of one without.
+    train(scenario, tiny_training(vtrace_enabled=vtrace_enabled), episodes=30, seed=1)
+    passes = 3 if vtrace_enabled else 5
+    assert len(calls) == passes * scenario.horizon
+    if vtrace_enabled:
+        assert all(isinstance(policy, net.StackedPolicy) for policy in calls[:10])
 
 
 def test_rollout_groups_act_under_their_own_parameters():
@@ -327,6 +353,36 @@ def test_rollout_groups_act_under_their_own_parameters():
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
     with pytest.raises(ValueError):
         rollout_segment(env, [(a, 2), (b, 2)], noise, seeds)
+    # A stack of equal groups decides in one call, with the same bits.
+    stacked, _ = rollout_segment(env, [(net.stack_params([a, b]), 4)], noise[1:], seeds[1:])
+    apart = (
+        rollout_segment(env, [(a, 2)], noise[1:3], seeds[1:3])[0]
+        + rollout_segment(env, [(b, 2)], noise[3:], seeds[3:])[0]
+    )
+    for got, want in zip(stacked, apart):
+        for field in ("observations", "actions", "behavior_logprobs", "rewards", "masks"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+def test_rollout_pinned_heads_report_action_zero_with_log_prob_zero():
+    scenario = tiny_scenario()
+    env = HandoverEnv(scenario)
+    shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
+    noise = np.random.default_rng(6).gumbel(size=(8,) + shape)
+    policies = [
+        net.init_params(observation_size(scenario), 3, 3, hidden=(8, 8), rng=np.random.default_rng(s))
+        for s in (3, 4)
+    ]
+    segments, _ = rollout_segment(env, [(p, 4) for p in policies], noise, [(2, e) for e in range(8)])
+    for g, policy in enumerate(policies):
+        for segment in segments[4 * g : 4 * (g + 1)]:
+            pinned = segment.masks == 0.0
+            assert pinned.any() and not pinned.all()
+            assert not segment.actions[pinned].any()
+            assert not segment.behavior_logprobs[pinned].any()
+            logits = net.forward(policy, segment.observations[:-1])
+            free = net.head_log_probs(logits, segment.actions)[~pinned]
+            assert np.allclose(segment.behavior_logprobs[~pinned], free, rtol=0.0, atol=1e-12)
 
 
 def test_curve_csv_schema(tmp_path):
@@ -343,10 +399,10 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "ck.npz"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
-    obs = np.random.default_rng(1).uniform(0, 1, 41)
-    logits_a, value_a = net.forward(params, obs)
-    logits_b, value_b = net.forward(loaded, obs)
-    assert np.array_equal(logits_a, logits_b) and value_a == value_b
+    obs = np.random.default_rng(1).uniform(0, 1, (1, 41))
+    logits_a, values_a, _ = net.forward_batch(params, obs)
+    logits_b, values_b, _ = net.forward_batch(loaded, obs)
+    assert np.array_equal(logits_a, logits_b) and np.array_equal(values_a, values_b)
     for name in net.TENSOR_NAMES:
         assert np.array_equal(getattr(params, name), getattr(loaded, name))
 
@@ -375,8 +431,6 @@ def test_zero_checkpoint_reproduces_uniform_frequencies(tmp_path):
     loaded = load_checkpoint(path)
     rng = np.random.default_rng(0)
     counts = np.zeros(3)
-    from leoho.agents import dho_decide
-
     for _ in range(9000):
         a, _ = dho_decide(loaded, np.zeros(5), rng)
         counts[a[0]] += 1
