@@ -178,6 +178,11 @@ def main(argv=None) -> int:
     except (CheckpointError, OSError, ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except (MemoryError, OverflowError) as exc:
+        # Scenario counts are bounded up front; this covers what still
+        # outgrows the machine, such as a vast training batch.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

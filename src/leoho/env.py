@@ -26,6 +26,7 @@ so an episode plays out the same whichever episodes share its batch.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from collections.abc import Iterator, Sequence
@@ -37,11 +38,21 @@ import numpy as np
 
 from leoho import link, orbital
 
-# Terminal-episodes stepped together by the evaluation loops: 64 episodes at
-# J = 10, enough to amortise the per-slot numpy calls.  Bounding E * J rather
-# than E keeps a chunk's random blocks and per-slot arrays the same size
-# whatever the number of terminals.
-BATCH_TERMINALS = 640
+# Terminal-episodes stepped together by the evaluation loops: 256 episodes at
+# J = 10 and 25 at J = 100, enough to amortise the per-slot numpy calls.
+# Bounding E * J rather than E keeps a chunk's random blocks and per-slot
+# arrays the same size whatever the number of terminals.  Evaluation keeps
+# one chunk's outcome columns at a time, so memory does not grow with it.
+BATCH_TERMINALS = 2560
+
+# Bounds on a scenario's counts, so that a run asks for no integer int64
+# cannot hold and no array the machine cannot: the policy's input and output
+# widths grow with J * K, and an evaluation chunk's largest block
+# (ScenarioConfig.chunk_cells) with the horizon, the measurement samples and
+# the satellites per plane as well.
+INT64_MAX = int(np.iinfo(np.int64).max)
+MAX_TERMINAL_PLANES = 2**16
+MAX_CHUNK_CELLS = 2**25  # 256 MiB of float64
 
 MEASUREMENT_STREAM = 0x4D53  # appended to an episode's seed key
 
@@ -164,10 +175,23 @@ class ScenarioConfig:
         if self.measurement_period_s <= 0:
             raise ConfigError("measurement_period_s", "measurement period must be positive")
         ratio = self.slot_s / self.measurement_period_s
-        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
+        if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError(
                 "measurement_period_s",
                 f"slot_s / measurement_period_s must be a positive integer, got {ratio:g}",
+            )
+        if any(r > INT64_MAX for r in self.rb_per_target):
+            raise ConfigError("rb_per_target", f"at most {INT64_MAX} blocks per target")
+        if self.num_planes * (self.num_preambles + 1) > INT64_MAX:
+            raise ConfigError("num_preambles", f"the RACH codes K * (P + 1) must stay within {INT64_MAX}")
+        if self.num_ues * self.num_planes > MAX_TERMINAL_PLANES:
+            raise ConfigError("num_ues", f"J * K must be at most {MAX_TERMINAL_PLANES}")
+        if self.chunk_cells > MAX_CHUNK_CELLS:
+            raise ConfigError(
+                "scenario",
+                f"an evaluation chunk's largest block must hold at most {MAX_CHUNK_CELLS} cells; "
+                "lower the horizon, the terminals, the planes, the measurement samples per slot "
+                "or the satellites per plane",
             )
 
     @property
@@ -178,6 +202,17 @@ class ScenarioConfig:
     def samples_per_slot(self) -> int:
         """Measurement samples folded per slot, M = slot_s / measurement_period_s."""
         return round(self.slot_s / self.measurement_period_s)
+
+    @property
+    def chunk_cells(self) -> int:
+        """Cells of the largest block an evaluation chunk of E episodes allocates.
+
+        Per (episode, terminal, plane): the M*N + 1 shadowing draws, or one
+        slot's M x I x 3 terminal-to-satellite coordinate differences.
+        """
+        m = self.samples_per_slot
+        per_cell = max(m * self.horizon + 1, 3 * m * self.sats_per_plane)
+        return batch_episodes(self) * self.num_ues * self.num_planes * per_cell
 
     @property
     def beta_l3(self) -> float:
@@ -275,27 +310,72 @@ _ARRAY_FIELDS = tuple(f.name for f in fields(StepOutcome))[1:8]
 _FLOAT_FIELDS = tuple(f.name for f in fields(StepOutcome))[8:]
 
 
-def stack_outcomes(slots: Sequence[StepOutcome]) -> dict[str, np.ndarray]:
-    """Columns of consecutive slot outcomes, one per :class:`StepOutcome` field.
+class OutcomeColumns(dict):
+    """Columns of N consecutive slot outcomes, one per :class:`StepOutcome` field.
 
-    Each column is (E, N, ...), for N slots of E episodes; outcomes without
-    an episode axis stack as E = 1.  ``slot`` is (N,).  The columns are
-    views with the slot axis outermost in memory.
+    :meth:`append` copies each slot's outcome into (N, E, ...) buffers
+    allocated at the first slot, so no slot outlives its step.  Each column
+    is an (E, N, ...) view of its buffer, for E episodes, with the slot axis
+    outermost in memory; outcomes without an episode axis fill E = 1.
+    ``slot`` is (N,).  The columns are complete once N slots are appended.
     """
-    batched = np.ndim(slots[0].d) == 1
-    columns = {"slot": np.array([o.slot for o in slots])}
-    for name in _ARRAY_FIELDS + _FLOAT_FIELDS:
-        column = np.array([getattr(o, name) for o in slots])  # (N, [E,] ...)
-        columns[name] = column.swapaxes(0, 1) if batched else column[None]
+
+    def __init__(self, slots: int):
+        super().__init__()
+        self._slots = slots
+        self._buffers: list[tuple[str, np.ndarray]] = []
+        self._filled = 0
+
+    def append(self, outcome: StepOutcome) -> None:
+        n = self._filled
+        if n == 0:
+            lead = (self._slots,) if np.ndim(outcome.d) else (self._slots, 1)
+            self._buffers = [("slot", np.empty(self._slots, dtype=int))]
+            for name in _ARRAY_FIELDS + _FLOAT_FIELDS:
+                value = np.asarray(getattr(outcome, name))
+                self._buffers.append((name, np.empty(lead + value.shape, value.dtype)))
+            for name, buffer in self._buffers:
+                self[name] = buffer if name == "slot" else buffer.swapaxes(0, 1)
+        for name, buffer in self._buffers:
+            buffer[n] = getattr(outcome, name)
+        self._filled = n + 1
+
+    @functools.cached_property
+    def episode_sums(self) -> list[tuple[float, float, float, float]]:
+        """Each episode's (D, C_R, C_P, reward) sums over its slots.
+
+        D, C_P and the reward add slot after slot from 0.0, as Python's
+        ``sum`` of the episode's floats does.  C_R is numpy's ``sum`` of the
+        episode's (N, K-1) block laid out as one contiguous row, as for an
+        episode stepped alone, so it does not depend on the chunk.
+        """
+        totals = []
+        for name in ("d", "c_p", "reward"):
+            total = np.zeros(len(self[name]))
+            for column in self[name].swapaxes(0, 1):  # (E,) per slot, in order
+                total += column
+            totals.append(total.tolist())
+        blocks = self["c_r_per_target"]
+        c_r = np.ascontiguousarray(blocks).reshape(len(blocks), -1).sum(axis=1).tolist()
+        d, c_p, reward = totals
+        return list(zip(d, c_r, c_p, reward))
+
+
+def stack_outcomes(slots: Sequence[StepOutcome]) -> OutcomeColumns:
+    """The :class:`OutcomeColumns` of consecutive slot outcomes."""
+    columns = OutcomeColumns(len(slots))
+    for outcome in slots:
+        columns.append(outcome)
     return columns
 
 
 class EpisodeOutcomes(Sequence):
     """One episode's step outcomes, read from the columns of its chunk.
 
-    Episode ``episode`` of :func:`stack_outcomes` columns.  Indexing or
-    iterating builds :class:`StepOutcome` records, one per slot, equal to
-    those stepping the episode alone gives; :func:`episode_metrics` and
+    Episode ``episode`` of :class:`OutcomeColumns`, or of a dict holding
+    some of them.  Indexing or iterating builds :class:`StepOutcome`
+    records, one per slot, equal to those stepping the episode alone gives,
+    and needs every column; :func:`episode_metrics` and
     :func:`write_trace_csv` read the columns and build none.
     """
 
@@ -410,15 +490,38 @@ def rach(
         num_targets = int(command.max(initial=0))
     commanded = command > 0
     preamble = np.where(commanded, preambles, 0)
-    # One bin per (episode, target, signature); uncommanded terminals land in
-    # their episode's target-0 bins and are masked out.
-    stride = (num_targets + 1) * (num_preambles + 1)
+    # One code per (target, signature) within an episode; uncommanded
+    # terminals share their episode's code 0 and are masked out.
     codes = command * (num_preambles + 1) + preamble
-    codes += np.arange(0, command.size // command.shape[-1] * stride, stride).reshape(
-        command.shape[:-1] + (1,)
-    )
-    prach_collision = commanded & (np.bincount(codes.ravel())[codes] > 1)
+    stride = (num_targets + 1) * (num_preambles + 1)
+    bins = command.size // command.shape[-1] * stride
+    if bins <= _DENSE_RACH_BINS:
+        # One bin per (episode, target, signature).
+        codes += np.arange(0, bins, stride).reshape(command.shape[:-1] + (1,))
+        shared = np.bincount(codes.ravel())[codes] > 1
+    else:
+        shared = _repeated_in_row(codes)
+    prach_collision = commanded & shared
     return preamble, prach_collision, prach_collision.sum(axis=-1) / num_ues
+
+
+# RACH bins counted in one bincount; past this (a vast signature space) the
+# shared signatures are found by sorting each episode's codes instead, so
+# memory stays O(E * J) whatever P.
+_DENSE_RACH_BINS = 1 << 20
+
+
+def _repeated_in_row(codes: np.ndarray) -> np.ndarray:
+    """Whether each entry equals another entry of its row (last axis)."""
+    order = codes.argsort(axis=-1, kind="stable")
+    ranked = np.take_along_axis(codes, order, axis=-1)
+    same = ranked[..., 1:] == ranked[..., :-1]
+    repeated = np.zeros(codes.shape, dtype=bool)
+    repeated[..., 1:] = same
+    repeated[..., :-1] |= same
+    out = np.empty_like(repeated)
+    np.put_along_axis(out, order, repeated, axis=-1)
+    return out
 
 
 def _seed_key(seed) -> tuple[int, ...]:
@@ -796,21 +899,21 @@ def observe(
 def episode_metrics(outcomes: Sequence[StepOutcome], final_state: EnvState) -> MetricsRecord:
     """Episode aggregates of an :class:`EpisodeOutcomes` view or a list of records.
 
-    D, C_P and the reward are summed slot after slot, and C_R with one
-    ``sum`` over the episode's (N, K-1) block.
+    The sums are the episode's row of :attr:`OutcomeColumns.episode_sums`,
+    which the first call for a chunk computes for every episode in it.
     """
     if len(outcomes) != final_state.slot:
         raise ValueError(
             f"got {len(outcomes)} outcomes for {final_state.slot} completed slots"
         )
     view = EpisodeOutcomes.of(outcomes)
-    num_ues = final_state.accessed.shape[0]
+    d, c_r, c_p, reward = view.columns.episode_sums[view.episode]
     return MetricsRecord(
-        sum_delay=float(sum(view.column("d").tolist())),
-        sum_collision_rb=float(view.column("c_r_per_target").sum()),
-        sum_collision_prach=float(sum(view.column("c_p").tolist())),
-        ho_success=np.count_nonzero(final_state.accessed) / num_ues,
-        episode_return=float(sum(view.column("reward").tolist())),
+        sum_delay=d,
+        sum_collision_rb=c_r,
+        sum_collision_prach=c_p,
+        ho_success=np.count_nonzero(final_state.accessed) / final_state.accessed.shape[0],
+        episode_return=reward,
     )
 
 
@@ -866,38 +969,46 @@ class _TraceTails(dict):
         return tail
 
 
+# The columns the trace reads; a chunk's trace views need no others.
+TRACE_COLUMNS = ("slot", "d", "c_r_per_target", "c_p", "reward")
+
+
 def write_trace_csv(
     path, episodes: Iterable[tuple[int, Sequence[StepOutcome]]], num_ues: int, num_targets: int
 ) -> None:
     """One row per slot: (episode, n, D, C_R_1.., C_P, reward, accessed_count).
 
     ``episodes`` pairs an episode index with its outcomes, an
-    :class:`EpisodeOutcomes` view or a list of records.  The bytes are those
-    ``csv.writer`` writes for the same rows: nothing needs quoting, and
-    lines end in CRLF.  A run repeats a few distinct (D, C_R, C_P, reward)
-    rows, so each row's tail is formatted once.
+    :class:`EpisodeOutcomes` view (of the :data:`TRACE_COLUMNS` at least) or
+    a list of records.  It is read lazily, and each chunk's rows are written
+    once its views are done, so a generator's chunks can go one at a time.
+    The bytes are those ``csv.writer`` writes for the same rows: nothing
+    needs quoting, and lines end in CRLF.  A run repeats a few distinct (D,
+    C_R, C_P, reward) rows, so each row's tail is formatted once.
     """
     width = num_targets + 3
     row_bits = np.dtype((np.void, 8 * width))
     tails = _TraceTails(num_ues, width)
-    lines = [",".join(trace_header(num_targets)) + "\r\n"]
-    chunk = None
-    for episode_idx, outcomes in episodes:
-        view = EpisodeOutcomes.of(outcomes)
-        if view.columns is not chunk:  # the views of one chunk share its columns
-            chunk = view.columns
-            values = np.concatenate(
-                (
-                    chunk["d"][..., None],
-                    chunk["c_r_per_target"],
-                    chunk["c_p"][..., None],
-                    chunk["reward"][..., None],
-                ),
-                axis=-1,
-            )
-            keys = values.view(row_bits)[..., 0]  # (E, N) row bits
-            slots = chunk["slot"].tolist()
-        prefix = f"{episode_idx},"
-        lines += [f"{prefix}{n},{tails[key]}" for n, key in zip(slots, keys[view.episode].tolist())]
     with replace_atomically(path, newline="") as fh:
+        lines = [",".join(trace_header(num_targets)) + "\r\n"]
+        chunk = None
+        for episode_idx, outcomes in episodes:
+            view = EpisodeOutcomes.of(outcomes)
+            if view.columns is not chunk:  # the views of one chunk share its columns
+                fh.write("".join(lines))
+                lines.clear()
+                chunk = view.columns
+                values = np.concatenate(
+                    (
+                        chunk["d"][..., None],
+                        chunk["c_r_per_target"],
+                        chunk["c_p"][..., None],
+                        chunk["reward"][..., None],
+                    ),
+                    axis=-1,
+                )
+                keys = values.view(row_bits)[..., 0]  # (E, N) row bits
+                slots = chunk["slot"].tolist()
+            prefix = f"{episode_idx},"
+            lines += [f"{prefix}{n},{tails[key]}" for n, key in zip(slots, keys[view.episode].tolist())]
         fh.write("".join(lines))

@@ -20,17 +20,19 @@ import numpy as np
 from leoho import net
 from leoho.agents import dho_decide, make_agent
 from leoho.env import (
+    MAX_TERMINAL_PLANES,
+    TRACE_COLUMNS,
     ConfigError,
     EpisodeOutcomes,
     FeatureMask,
     HandoverEnv,
     MetricsRecord,
+    OutcomeColumns,
     ScenarioConfig,
     batch_episodes,
     episode_generators,
     episode_metrics,
     replace_atomically,
-    stack_outcomes,
     write_trace_csv,
 )
 from leoho.training import (
@@ -272,6 +274,8 @@ def parse_spec_file(path) -> ExperimentSpec:
         scenario_kw["features"] = FeatureMask(**feature_kw)
     num_ues = scenario_kw.get("num_ues", scenario_defaults.num_ues)
     num_planes = scenario_kw.get("num_planes", scenario_defaults.num_planes)
+    if num_planes > MAX_TERMINAL_PLANES:  # before a per-target tuple is built
+        raise ConfigError("num_planes", f"J * K must be at most {MAX_TERMINAL_PLANES}")
     if "rb_uniform" in ratios:
         scenario_kw["rb_per_target"] = tuple([ratios["rb_uniform"]] * (num_planes - 1))
     if "rb_ratio" in ratios:
@@ -302,6 +306,45 @@ def _episode_chunks(scenario: ScenarioConfig, master_seed: int, episodes: int):
         yield [master_seed + i for i in range(start, min(start + size, episodes))]
 
 
+def _evaluated_chunks(
+    scenario: ScenarioConfig,
+    agent_kind: str,
+    episodes: int,
+    master_seed: int,
+    params: net.PolicyParameters | None,
+    eval_mode: str,
+    keep: Sequence[str] | None = None,
+):
+    """Evaluate episodes master_seed + i chunk by chunk.
+
+    Yields each chunk's first episode index, its episodes' metrics and its
+    outcome columns, only those named in ``keep`` if given.  Episode i's
+    agent generator is seeded from [master_seed + i, 101], and only
+    stochastic agents build them.
+    """
+    env = HandoverEnv(scenario)
+    agent = make_agent(
+        agent_kind,
+        params=params,
+        offset_db=scenario.a3_offset_db,
+        trigger_slots=scenario.a3_trigger_slots,
+        mode=eval_mode,
+    )
+    for seeds in _episode_chunks(scenario, master_seed, episodes):
+        obs = env.reset(episodes=seeds)
+        agent.begin_episode(env, episode_generators([seed, 101] for seed in seeds))
+        columns = OutcomeColumns(scenario.horizon)
+        for _ in range(scenario.horizon):
+            obs, outcome = env.step(agent.act(env, obs))
+            columns.append(outcome)
+        metrics = [
+            episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e)) for e in range(len(seeds))
+        ]
+        if keep is not None:
+            columns = {name: columns[name] for name in keep}
+        yield seeds[0] - master_seed, metrics, columns
+
+
 def evaluate(
     scenario: ScenarioConfig,
     agent_kind: str,
@@ -313,33 +356,16 @@ def evaluate(
 ) -> tuple[list[MetricsRecord], list]:
     """Evaluate one agent over fresh episode seeds master_seed + i.
 
-    Episode i's agent generator is seeded from [master_seed + i, 101], and
-    only stochastic agents build them.  Traces pair i with the episode's
-    :class:`EpisodeOutcomes` view.
+    Traces pair i with the episode's :class:`EpisodeOutcomes` view.
     """
-    env = HandoverEnv(scenario)
-    agent = make_agent(
-        agent_kind,
-        params=params,
-        offset_db=scenario.a3_offset_db,
-        trigger_slots=scenario.a3_trigger_slots,
-        mode=eval_mode,
-    )
     records: list[MetricsRecord] = []
     traces = []
-    for seeds in _episode_chunks(scenario, master_seed, episodes):
-        obs = env.reset(episodes=seeds)
-        agent.begin_episode(env, episode_generators([seed, 101] for seed in seeds))
-        slots = []
-        for _ in range(scenario.horizon):
-            obs, outcome = env.step(agent.act(env, obs))
-            slots.append(outcome)
-        columns = stack_outcomes(slots)
-        for e, seed in enumerate(seeds):
-            outcomes = EpisodeOutcomes(columns, e)
-            records.append(episode_metrics(outcomes, env.state.episode(e)))
-            if collect_traces:
-                traces.append((seed - master_seed, outcomes))
+    for first, metrics, columns in _evaluated_chunks(
+        scenario, agent_kind, episodes, master_seed, params, eval_mode
+    ):
+        records += metrics
+        if collect_traces:
+            traces += [(first + e, EpisodeOutcomes(columns, e)) for e in range(len(metrics))]
     return records, traces
 
 
@@ -445,18 +471,22 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     if spec.agent == "dho":
         params, curve = _trained_params(spec, scenario, out_dir)
 
-    records, traces = evaluate(
-        scenario,
-        spec.agent,
-        spec.eval_episodes,
-        spec.master_seed,
-        params=params,
-        eval_mode=spec.eval_mode,
-        collect_traces=True,
-    )
+    records: list[MetricsRecord] = []
+
+    def traces():
+        # The trace is written chunk by chunk, and each chunk keeps only the
+        # columns it reads, so memory does not grow with the episode count.
+        for first, metrics, columns in _evaluated_chunks(
+            scenario, spec.agent, spec.eval_episodes, spec.master_seed, params, spec.eval_mode,
+            keep=TRACE_COLUMNS,
+        ):
+            records.extend(metrics)
+            for e in range(len(metrics)):
+                yield first + e, EpisodeOutcomes(columns, e)
+
+    write_trace_csv(out_dir / "trace.csv", traces(), scenario.num_ues, scenario.num_targets)
     row = summary_row(records, spec.agent, label=label_for_nu(scenario.nu))
     write_summary_csv(out_dir / "summary.csv", [row])
-    write_trace_csv(out_dir / "trace.csv", traces, scenario.num_ues, scenario.num_targets)
 
     artifacts = {
         "summary": out_dir / "summary.csv",

@@ -37,12 +37,12 @@ from leoho.env import (
     ConfigError,
     EpisodeOutcomes,
     HandoverEnv,
+    OutcomeColumns,
     ScenarioConfig,
     episode_metrics,
     observation_size,
     reject_non_finite,
     replace_atomically,
-    stack_outcomes,
 )
 
 CHECKPOINT_VERSION = 1
@@ -322,7 +322,7 @@ def rollout_segment(
     rewards = np.empty((episodes, length))
 
     obs = env.reset(episodes=env_seeds)
-    slots = []
+    columns = OutcomeColumns(length)
     for n in range(length):
         observations[:, n] = obs
         accessed = env.state.accessed
@@ -333,13 +333,11 @@ def rollout_segment(
             )
         obs, outcome = env.step(actions[:, n])
         rewards[:, n] = outcome.reward
-        slots.append(outcome)
+        columns.append(outcome)
     observations[:, length] = obs
-    # The logits go as soon as they are used, so the outcome columns do not
-    # add to the peak.
+    # The logits go as soon as they are used.
     logprobs = dho_log_probs(logits, actions, pinned)
     del logits
-    columns = stack_outcomes(slots)
     masks = (~pinned).astype(float)
 
     segments, records = [], []

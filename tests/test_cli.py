@@ -4,8 +4,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from leoho import experiments
 from leoho.cli import main
 from leoho.experiments import AGENT_KINDS
 
@@ -331,9 +333,54 @@ def test_ratio_and_sweep_inputs_exit_2_before_any_work(tmp_path):
         assert not out.exists(), argv
 
 
+def test_huge_counts_exit_2_before_any_work(tmp_path):
+    out = tmp_path / "out"
+    cases = []
+    for line in (
+        "scenario.J = 1e9",
+        "scenario.K = 1e9",
+        "scenario.N = 1e9",
+        "scenario.R = 1e30",
+        "scenario.P = 1e30",
+        "scenario.tau = 1e30",
+        "scenario.sats_per_plane = 1e9",
+        "scenario.rb_ratio = 1e30",
+        "scenario.preamble_ratio = 1e30",
+    ):
+        spec = write_spec(tmp_path, FAST_RANDOM + line + "\n", f"huge{len(cases)}.spec")
+        cases.append(["run", "--spec", spec])
+    spec = write_spec(tmp_path, FAST_RANDOM)
+    for parameter in ("J", "N", "rb_ratio", "preamble_ratio", "tau"):
+        cases.append(["sweep", "--spec", spec, "--parameter", parameter, "--values", "3,1e30"])
+    cases.append(["run", "--spec", spec, "--rb-ratio", "1e30"])
+    for argv in cases:
+        code, err = exit_code(argv + ["--out", str(out)])
+        assert code == 2, argv
+        assert "configuration error" in err and "Traceback" not in err, argv
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        MemoryError("Unable to allocate 22.4 GiB for an array with shape (1, 1000000000, 3)"),
+        OverflowError("Python int too large to convert to C long"),
+    ],
+)
+def test_memory_and_overflow_errors_exit_3_with_one_line(tmp_path, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(experiments, "run_experiment", fail)
+    code, err = exit_code(["run", "--spec", write_spec(tmp_path, FAST_RANDOM), "--out", str(tmp_path)])
+    assert code == 3
+    assert err == f"error: {type(error).__name__}: {error}\n"
+
+
 # Spec keys and flags of the exit-code fuzz, with values that are valid,
 # malformed, non-finite, negative or fractional.  Valid sizes stay small so
-# every run is quick.
+# every run is quick; huge values go only to the keys whose runs they cannot
+# lengthen, the counts that are bounded before any work and the seed.
 FUZZ_KEYS = (
     "scenario.J",
     "scenario.N",
@@ -352,6 +399,21 @@ FUZZ_KEYS = (
     "master_seed",
 )
 FUZZ_NUMBERS = ("nan", "inf", "-inf", "1e400", "-1", "0", "0.5", "2.5", "1/20", "1/0", "3", "abc", "")
+HUGE_KEYS = (
+    "scenario.J",
+    "scenario.K",
+    "scenario.N",
+    "scenario.P",
+    "scenario.R",
+    "scenario.tau",
+    "scenario.sats_per_plane",
+    "scenario.rb_ratio",
+    "scenario.preamble_ratio",
+    "scenario.nu",
+    "training.batch_size",
+    "master_seed",
+)
+HUGE_NUMBERS = ("1e9", "1e18", "1e30", "9223372036854775807", "9223372036854775808")
 FUZZ_PARAMETERS = (
     "J", "N", "horizon", "batch_size", "rb_ratio", "preamble_ratio", "nu", "tau", "gamma", "bogus"
 )
@@ -362,15 +424,19 @@ training.hidden = 8,8
 """
 
 numbers = st.sampled_from(FUZZ_NUMBERS)
+huge = st.sampled_from(HUGE_NUMBERS)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     agent=st.sampled_from(AGENT_KINDS),
-    lines=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), numbers), max_size=3),
+    lines=st.lists(
+        st.one_of(st.tuples(st.sampled_from(FUZZ_KEYS), numbers), st.tuples(st.sampled_from(HUGE_KEYS), huge)),
+        max_size=3,
+    ),
     sweep=st.one_of(
         st.none(),
-        st.tuples(st.sampled_from(FUZZ_PARAMETERS), st.lists(numbers, min_size=1, max_size=2)),
+        st.tuples(st.sampled_from(FUZZ_PARAMETERS), st.lists(numbers | huge, min_size=1, max_size=2)),
     ),
     nu=st.one_of(st.none(), numbers),
     episodes=st.one_of(st.none(), numbers),
@@ -381,6 +447,12 @@ numbers = st.sampled_from(FUZZ_NUMBERS)
 @example(agent="random", lines=[], sweep=("preamble_ratio", ["inf"]), nu=None, episodes=None)
 @example(agent="random", lines=[], sweep=("J", ["2.5"]), nu=None, episodes=None)
 @example(agent="dho", lines=[], sweep=("batch_size", ["nan"]), nu=None, episodes=None)
+@example(agent="random", lines=[("scenario.J", "1e9")], sweep=None, nu=None, episodes=None)
+@example(agent="random", lines=[("scenario.R", "1e30")], sweep=None, nu=None, episodes=None)
+@example(agent="random", lines=[("scenario.P", "1e30")], sweep=None, nu=None, episodes=None)
+@example(agent="conventional", lines=[("scenario.P", "1e18")], sweep=None, nu=None, episodes=None)
+@example(agent="random", lines=[("scenario.K", "1e9")], sweep=None, nu=None, episodes=None)
+@example(agent="dho", lines=[], sweep=("preamble_ratio", ["1e9"]), nu=None, episodes=None)
 def test_every_input_exits_0_or_2_without_a_traceback(agent, lines, sweep, nu, episodes):
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "fuzz.spec"

@@ -2,18 +2,24 @@
 import csv
 import dataclasses
 import math
+import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from leoho import env as env_module, experiments, link, orbital, training
 from leoho.env import (
+    INT64_MAX,
     ConfigError,
     EpisodeOutcomes,
     FeatureMask,
     HandoverEnv,
     MetricsRecord,
+    OutcomeColumns,
     ScenarioConfig,
     StepOutcome,
     admission,
@@ -67,6 +73,32 @@ def test_config_errors_carry_field_names():
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(ue_positions=positions)
         assert err.value.field == "ue_positions"
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        (dict(num_ues=10**9), "num_ues"),
+        (dict(num_planes=10**9, rb_per_target=(1,)), "rb_per_target"),
+        (dict(num_ues=300, num_planes=300, rb_per_target=(1,) * 299), "num_ues"),
+        (dict(rb_per_target=(10, 10**30)), "rb_per_target"),
+        (dict(num_preambles=10**30), "num_preambles"),
+        (dict(num_preambles=INT64_MAX // 3), "num_preambles"),
+        (dict(horizon=10**9), "scenario"),
+        (dict(slot_s=1e30), "scenario"),
+        (dict(sats_per_plane=10**9), "scenario"),
+        (dict(slot_s=1e300, measurement_period_s=1e-300), "measurement_period_s"),
+    ],
+)
+def test_counts_the_engine_cannot_hold_are_config_errors(changes, field):
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(**changes)
+    assert err.value.field == field
+
+
+def test_largest_counts_the_engine_holds_are_valid():
+    ScenarioConfig(rb_per_target=(INT64_MAX, 0), num_preambles=INT64_MAX // 3 - 1)
+    ScenarioConfig(num_ues=2**15, num_planes=2, rb_per_target=(1,), horizon=60)
 
 
 # --- reset ----------------------------------------------------------------
@@ -303,6 +335,32 @@ def test_rach_collision_rate_matches_birthday_formula():
         assert abs(rates.mean() - expected) < max(4 * sem, 1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    episodes=st.integers(1, 6),
+    num_ues=st.integers(1, 12),
+    targets=st.integers(1, 3),
+    preambles=st.sampled_from([1, 2, 5, 50, 10**6, 10**12]),
+)
+def test_rach_sorted_contention_matches_binned(seed, episodes, num_ues, targets, preambles):
+    rng = np.random.default_rng(seed)
+    command = rng.integers(0, targets + 1, size=(episodes, num_ues))
+    # Few distinct signatures, so that a vast signature space still collides;
+    # contention depends only on which are equal, so their ranks bin densely.
+    drawn = rng.choice(rng.integers(1, preambles + 1, size=3), size=(episodes, num_ues))
+    ranks = np.unique(drawn, return_inverse=True)[1].reshape(drawn.shape) + 1
+    _, collided, c_p = rach(command, 3, num_ues, ranks, targets)
+    with mock.patch.object(env_module, "_DENSE_RACH_BINS", 0):
+        sorted_out = [rach(command, preambles, num_ues, drawn, targets)]
+        # One episode at a time, without the episode axis.
+        sorted_out += [rach(command[e], preambles, num_ues, drawn[e], targets) for e in range(episodes)]
+    for rows, (preamble, got_collided, got_c_p) in zip([slice(None), *range(episodes)], sorted_out):
+        assert np.array_equal(preamble, np.where(command > 0, drawn, 0)[rows])
+        assert np.array_equal(got_collided, collided[rows])
+        assert np.array_equal(got_c_p, c_p[rows])
+
+
 # --- batched kernels against a per-episode oracle ------------------------------
 
 
@@ -466,6 +524,105 @@ def test_batched_views_equal_single_episode_records(scenario):
         )
         assert episode_metrics(view, env.state.episode(e)) == oracle
         assert alone.metrics(records) == oracle
+
+
+def _left_to_right(values) -> float:
+    """Python's ``sum`` of floats up to 3.11, which the per-episode metrics took.
+
+    From 3.12 ``sum`` compensates its rounding; these sums add in order.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    if sys.version_info < (3, 12):
+        assert total.hex() == float(sum(values)).hex()
+    return total
+
+
+def _per_episode_sums(d, c_r_block, c_p, reward) -> list[str]:
+    """The D, C_R, C_P and return sums one episode's own columns give, as bits."""
+    sums = (_left_to_right(d), float(c_r_block.sum()), _left_to_right(c_p), _left_to_right(reward))
+    return [v.hex() for v in sums]
+
+
+def _chunk_of(c_r: np.ndarray, rates: np.ndarray) -> OutcomeColumns:
+    """Columns of a chunk with (N, E, K-1) block rates and (N, E, 3) D, C_P, reward."""
+    slots, episodes = rates.shape[:2]
+    columns = OutcomeColumns(slots)
+    flags = np.zeros((episodes, 1), dtype=bool)
+    plane = np.zeros((episodes, 1), dtype=np.int64)
+    for n in range(slots):
+        d, c_p, reward = rates[n].T
+        columns.append(
+            StepOutcome(n + 1, plane, plane, plane, flags, flags, flags, c_r[n], c_p, c_p, d, reward)
+        )
+    return columns
+
+
+def _metric_bits(record: MetricsRecord) -> list[str]:
+    sums = (record.sum_delay, record.sum_collision_rb, record.sum_collision_prach, record.episode_return)
+    return [float(v).hex() for v in sums]
+
+
+rate_floats = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(0, 100).map(lambda k: k / 100),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 20), st.integers(1, 5), st.integers(1, 3)),
+    data=st.data(),
+)
+@example(shape=(3, 2, 1), data=None)
+def test_chunk_sums_match_per_episode_sums(shape, data):
+    slots, episodes, targets = shape
+    if data is None:  # every rate -0.0
+        c_r, other = np.full((slots, episodes, targets), -0.0), np.full((slots, episodes, 3), -0.0)
+    else:
+        c_r = data.draw(hnp.arrays(np.float64, (slots, episodes, targets), elements=rate_floats))
+        other = data.draw(hnp.arrays(np.float64, (slots, episodes, 3), elements=rate_floats))
+    columns = _chunk_of(c_r, other)
+    for e in range(episodes):
+        view = EpisodeOutcomes(columns, e)
+        final = SimpleNamespace(slot=slots, accessed=np.array([e % 2 == 0]))
+        want = _per_episode_sums(
+            view.column("d").tolist(),
+            view.column("c_r_per_target"),
+            view.column("c_p").tolist(),
+            view.column("reward").tolist(),
+        )
+        record = episode_metrics(view, final)
+        assert _metric_bits(record) == want
+        assert record.ho_success == float(e % 2 == 0)
+        # A list of records is stacked as its own one-episode chunk.
+        records = list(view)
+        listed = _per_episode_sums(
+            [o.d for o in records],
+            np.array([o.c_r_per_target for o in records]),
+            [o.c_p for o in records],
+            [o.reward for o in records],
+        )
+        assert _metric_bits(episode_metrics(records, final)) == listed
+
+
+@pytest.mark.parametrize("targets", [1, 2, 3])
+def test_chunk_sums_past_numpy_buffer_match_the_episode_alone(targets):
+    # numpy sums a strided block of more than np.getbufsize() cells in
+    # buffer-sized pieces, so a chunk's C_R sums its blocks as contiguous
+    # rows, which is what the episode's own records give.
+    slots = np.getbufsize() // targets + 5
+    rng = np.random.default_rng(targets)
+    c_r = rng.standard_normal((slots, 3, targets)) * 10.0 ** rng.integers(-4, 4, (slots, 3, targets))
+    columns = _chunk_of(c_r, rng.standard_normal((slots, 3, 3)))
+    final = SimpleNamespace(slot=slots, accessed=np.ones(1, dtype=bool))
+    for e in range(3):
+        view = EpisodeOutcomes(columns, e)
+        alone = np.array([o.c_r_per_target for o in view]).sum()
+        assert episode_metrics(view, final).sum_collision_rb.hex() == float(alone).hex()
+        assert episode_metrics(list(view), final).sum_collision_rb.hex() == float(alone).hex()
 
 
 def _count_step_outcomes(monkeypatch) -> list:

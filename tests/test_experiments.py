@@ -1,16 +1,19 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from leoho import experiments, net
+from leoho import env as env_module, experiments, net
 from leoho.env import (
+    BATCH_TERMINALS,
     ConfigError,
     FeatureMask,
     HandoverEnv,
     MetricsRecord,
     ScenarioConfig,
     batch_episodes,
+    observation_size,
     write_trace_csv,
 )
 from leoho.experiments import (
@@ -166,6 +169,19 @@ def test_evaluate_episodes_do_not_depend_on_their_chunk(agent):
         assert records[i] == alone[0], i
 
 
+def test_long_episodes_do_not_depend_on_their_chunk():
+    # Each episode's (N, K-1) block rates outgrow numpy's reduction buffer,
+    # which sums a strided block differently from a contiguous one.
+    scenario = ScenarioConfig(
+        num_ues=3, rb_per_target=(1, 1), num_preambles=5, horizon=4200, measurement_period_s=0.3
+    )
+    records, _ = evaluate(scenario, "random", 3, master_seed=0)
+    for i in range(3):
+        alone, _ = evaluate(scenario, "random", 1, master_seed=i)
+        assert records[i].sum_collision_rb.hex() == alone[0].sum_collision_rb.hex(), i
+        assert records[i] == alone[0], i
+
+
 @pytest.mark.parametrize(
     "agent, mode, built",
     [
@@ -188,6 +204,58 @@ def test_only_stochastic_agents_build_generators(monkeypatch, agent, mode, built
     params = net.zero_params(41, 10, 3)
     evaluate(scenario, agent, 5, master_seed=0, params=params, eval_mode=mode)
     assert len(yielded) == built
+
+
+J100_SCARCE = ScenarioConfig(num_ues=100, rb_per_target=(30, 30), num_preambles=80, horizon=10)
+
+
+def _artifacts_at_chunk_size(out, terminals, monkeypatch, checkpoint) -> dict[str, bytes]:
+    """Every report file of the evaluation runs, at ``terminals`` per chunk."""
+    monkeypatch.setattr(env_module, "BATCH_TERMINALS", terminals)
+    base = ExperimentSpec(scenario=J100_SCARCE, eval_episodes=60, master_seed=9, checkpoint=str(checkpoint))
+    runs = {
+        "random": base,
+        "conventional": dataclasses.replace(base, agent="conventional"),
+        "dho": dataclasses.replace(base, agent="dho"),
+        "dho-sample": dataclasses.replace(base, agent="dho", eval_mode="sample"),
+    }
+    for name, spec in runs.items():
+        run_experiment(spec, out / name)
+    sweep_experiment(base, "rb_ratio", (0.3, 1.0), out / "sweep")
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*.csv"))}
+
+
+def test_artifacts_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    j = J100_SCARCE.num_ues
+    params = net.init_params(
+        observation_size(J100_SCARCE), j, J100_SCARCE.num_planes, hidden=(8, 8),
+        rng=np.random.default_rng(4), head_scale=1.0,
+    )
+    checkpoint = tmp_path / "policy.npz"
+    save_checkpoint(params, checkpoint)
+    # One episode per chunk, chunks of 25 (the default), and one chunk.
+    sizes = (j, BATCH_TERMINALS, 60 * j)
+    found = [
+        _artifacts_at_chunk_size(tmp_path / str(size), size, monkeypatch, checkpoint) for size in sizes
+    ]
+    assert len(found[0]) == 4 * 2 + 1
+    assert found[0] == found[1] == found[2]
+
+
+def test_run_experiment_memory_does_not_grow_with_episodes(tmp_path):
+    scenario = dataclasses.replace(J100_SCARCE, horizon=20)
+    per_chunk = batch_episodes(scenario)
+    peaks = []
+    for chunks in (1, 2, 8):  # the first run warms up
+        spec = ExperimentSpec(scenario=scenario, eval_episodes=chunks * per_chunk, master_seed=1)
+        tracemalloc.start()
+        try:
+            run_experiment(spec, tmp_path / str(chunks))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # The records and the trace's distinct row tails still grow, slightly.
+    assert peaks[2] < 1.15 * peaks[1], peaks
 
 
 def test_run_experiment_random_agent(tmp_path):
