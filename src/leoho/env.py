@@ -45,14 +45,12 @@ from leoho import link, orbital
 # one chunk's outcome columns at a time, so memory does not grow with it.
 BATCH_TERMINALS = 2560
 
-# Bounds on a scenario's counts, so that a run asks for no integer int64
-# cannot hold and no array the machine cannot: the policy's input and output
-# widths grow with J * K, and an evaluation chunk's largest block
-# (ScenarioConfig.chunk_cells) with the horizon, the measurement samples and
-# the satellites per plane as well.
-INT64_MAX = int(np.iinfo(np.int64).max)
-MAX_TERMINAL_PLANES = 2**16
+# Cells of the largest block an evaluation chunk allocates.  A chunk takes
+# fewer than BATCH_TERMINALS // J episodes when theirs would pass it, and a
+# scenario whose one episode passes it (ScenarioConfig.episode_cells) is a
+# ConfigError, so no count asks for an array the machine cannot hold.
 MAX_CHUNK_CELLS = 2**25  # 256 MiB of float64
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 MEASUREMENT_STREAM = 0x4D53  # appended to an episode's seed key
 
@@ -100,7 +98,7 @@ class ScenarioConfig:
 
     num_ues: int = 10
     num_planes: int = 3  # plane 0 serves; planes 1..K-1 are handover targets
-    rb_per_target: tuple[int, ...] = (10, 10)  # episode-total budget per target
+    rb_per_target: tuple[int, ...] = (10, 10)  # episode-total budget per target; one int for all
     num_preambles: int = 50
     horizon: int = 20  # handover opportunities per episode
     slot_s: float = 0.3
@@ -126,13 +124,6 @@ class ScenarioConfig:
             raise ConfigError("num_ues", "need at least one terminal")
         if self.num_planes < 2:
             raise ConfigError("num_planes", "need a serving plane and at least one target")
-        if len(self.rb_per_target) != self.num_planes - 1:
-            raise ConfigError(
-                "rb_per_target",
-                f"expected {self.num_planes - 1} entries, got {len(self.rb_per_target)}",
-            )
-        if any(r < 0 for r in self.rb_per_target):
-            raise ConfigError("rb_per_target", "resource blocks must be non-negative")
         if self.num_preambles < 1:
             raise ConfigError("num_preambles", "need at least one preamble signature")
         if self.horizon < 1:
@@ -180,19 +171,24 @@ class ScenarioConfig:
                 "measurement_period_s",
                 f"slot_s / measurement_period_s must be a positive integer, got {ratio:g}",
             )
-        if any(r > INT64_MAX for r in self.rb_per_target):
-            raise ConfigError("rb_per_target", f"at most {INT64_MAX} blocks per target")
-        if self.num_planes * (self.num_preambles + 1) > INT64_MAX:
-            raise ConfigError("num_preambles", f"the RACH codes K * (P + 1) must stay within {INT64_MAX}")
-        if self.num_ues * self.num_planes > MAX_TERMINAL_PLANES:
-            raise ConfigError("num_ues", f"J * K must be at most {MAX_TERMINAL_PLANES}")
-        if self.chunk_cells > MAX_CHUNK_CELLS:
+        if self.episode_cells > MAX_CHUNK_CELLS:
             raise ConfigError(
                 "scenario",
-                f"an evaluation chunk's largest block must hold at most {MAX_CHUNK_CELLS} cells; "
-                "lower the horizon, the terminals, the planes, the measurement samples per slot "
-                "or the satellites per plane",
+                f"one episode's largest block must hold at most {MAX_CHUNK_CELLS} cells; "
+                "lower the horizon, the terminals, the planes, the preambles, the measurement "
+                "samples per slot or the satellites per plane",
             )
+        if isinstance(self.rb_per_target, int):  # one budget for every target
+            object.__setattr__(self, "rb_per_target", (self.rb_per_target,) * self.num_targets)
+        if len(self.rb_per_target) != self.num_planes - 1:
+            raise ConfigError(
+                "rb_per_target",
+                f"expected {self.num_planes - 1} entries, got {len(self.rb_per_target)}",
+            )
+        if any(r < 0 for r in self.rb_per_target):
+            raise ConfigError("rb_per_target", "resource blocks must be non-negative")
+        if any(r > INT64_MAX for r in self.rb_per_target):
+            raise ConfigError("rb_per_target", f"at most {INT64_MAX} blocks per target")
 
     @property
     def num_targets(self) -> int:
@@ -204,15 +200,16 @@ class ScenarioConfig:
         return round(self.slot_s / self.measurement_period_s)
 
     @property
-    def chunk_cells(self) -> int:
-        """Cells of the largest block an evaluation chunk of E episodes allocates.
+    def episode_cells(self) -> int:
+        """Cells of the largest block one episode of an evaluation chunk adds.
 
-        Per (episode, terminal, plane): the M*N + 1 shadowing draws, or one
-        slot's M x I x 3 terminal-to-satellite coordinate differences.
+        Per (terminal, plane): the M*N + 1 shadowing draws, or one slot's
+        M x I x 3 terminal-to-satellite coordinate differences; or the
+        episode's K * (P + 1) RACH contention bins.
         """
         m = self.samples_per_slot
         per_cell = max(m * self.horizon + 1, 3 * m * self.sats_per_plane)
-        return batch_episodes(self) * self.num_ues * self.num_planes * per_cell
+        return max(self.num_ues * self.num_planes * per_cell, self.num_planes * (self.num_preambles + 1))
 
     @property
     def beta_l3(self) -> float:
@@ -229,8 +226,12 @@ class ScenarioConfig:
 
 
 def batch_episodes(config: ScenarioConfig) -> int:
-    """Episodes an evaluation chunk steps together."""
-    return max(1, BATCH_TERMINALS // config.num_ues)
+    """Episodes an evaluation chunk steps together.
+
+    ``BATCH_TERMINALS // J``, fewer where their blocks would pass
+    :data:`MAX_CHUNK_CELLS`, and at least one.
+    """
+    return max(1, min(BATCH_TERMINALS // config.num_ues, MAX_CHUNK_CELLS // config.episode_cells))
 
 
 def observation_size(config: ScenarioConfig, features: FeatureMask | None = None) -> int:
@@ -344,20 +345,16 @@ class OutcomeColumns(dict):
     def episode_sums(self) -> list[tuple[float, float, float, float]]:
         """Each episode's (D, C_R, C_P, reward) sums over its slots.
 
-        D, C_P and the reward add slot after slot from 0.0, as Python's
-        ``sum`` of the episode's floats does.  C_R is numpy's ``sum`` of the
-        episode's (N, K-1) block laid out as one contiguous row, as for an
-        episode stepped alone, so it does not depend on the chunk.
+        D, C_P and the reward are Python's ``sum`` of the episode's floats,
+        as its own records give.  C_R is numpy's ``sum`` of the episode's
+        (N, K-1) block laid out as one contiguous row, as for an episode
+        stepped alone, so it does not depend on the chunk.
         """
-        totals = []
-        for name in ("d", "c_p", "reward"):
-            total = np.zeros(len(self[name]))
-            for column in self[name].swapaxes(0, 1):  # (E,) per slot, in order
-                total += column
-            totals.append(total.tolist())
+        d, c_p, reward = (
+            [float(sum(row)) for row in self[name].tolist()] for name in ("d", "c_p", "reward")
+        )
         blocks = self["c_r_per_target"]
         c_r = np.ascontiguousarray(blocks).reshape(len(blocks), -1).sum(axis=1).tolist()
-        d, c_p, reward = totals
         return list(zip(d, c_r, c_p, reward))
 
 
@@ -490,38 +487,15 @@ def rach(
         num_targets = int(command.max(initial=0))
     commanded = command > 0
     preamble = np.where(commanded, preambles, 0)
-    # One code per (target, signature) within an episode; uncommanded
-    # terminals share their episode's code 0 and are masked out.
-    codes = command * (num_preambles + 1) + preamble
+    # One bin per (episode, target, signature); uncommanded terminals land in
+    # their episode's target-0 bins and are masked out.
     stride = (num_targets + 1) * (num_preambles + 1)
-    bins = command.size // command.shape[-1] * stride
-    if bins <= _DENSE_RACH_BINS:
-        # One bin per (episode, target, signature).
-        codes += np.arange(0, bins, stride).reshape(command.shape[:-1] + (1,))
-        shared = np.bincount(codes.ravel())[codes] > 1
-    else:
-        shared = _repeated_in_row(codes)
-    prach_collision = commanded & shared
+    codes = command * (num_preambles + 1) + preamble
+    codes += np.arange(0, command.size // command.shape[-1] * stride, stride).reshape(
+        command.shape[:-1] + (1,)
+    )
+    prach_collision = commanded & (np.bincount(codes.ravel())[codes] > 1)
     return preamble, prach_collision, prach_collision.sum(axis=-1) / num_ues
-
-
-# RACH bins counted in one bincount; past this (a vast signature space) the
-# shared signatures are found by sorting each episode's codes instead, so
-# memory stays O(E * J) whatever P.
-_DENSE_RACH_BINS = 1 << 20
-
-
-def _repeated_in_row(codes: np.ndarray) -> np.ndarray:
-    """Whether each entry equals another entry of its row (last axis)."""
-    order = codes.argsort(axis=-1, kind="stable")
-    ranked = np.take_along_axis(codes, order, axis=-1)
-    same = ranked[..., 1:] == ranked[..., :-1]
-    repeated = np.zeros(codes.shape, dtype=bool)
-    repeated[..., 1:] = same
-    repeated[..., :-1] |= same
-    out = np.empty_like(repeated)
-    np.put_along_axis(out, order, repeated, axis=-1)
-    return out
 
 
 def _seed_key(seed) -> tuple[int, ...]:

@@ -20,7 +20,6 @@ import numpy as np
 from leoho import net
 from leoho.agents import dho_decide, make_agent
 from leoho.env import (
-    MAX_TERMINAL_PLANES,
     TRACE_COLUMNS,
     ConfigError,
     EpisodeOutcomes,
@@ -37,6 +36,7 @@ from leoho.env import (
 )
 from leoho.training import (
     VtraceConfig,
+    check_policy_heads,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -68,8 +68,7 @@ def scenario_with_ratios(
     """Scale per-target blocks and preambles as multiples of the UE count."""
     changes: dict = {}
     if rb_ratio is not None:
-        blocks = _scaled_count("rb_ratio", rb_ratio, base.num_ues, least=0)
-        changes["rb_per_target"] = tuple([blocks] * base.num_targets)
+        changes["rb_per_target"] = _scaled_count("rb_ratio", rb_ratio, base.num_ues, least=0)
     if preamble_ratio is not None:
         changes["num_preambles"] = _scaled_count(
             "preamble_ratio", preamble_ratio, base.num_ues, least=1
@@ -145,6 +144,8 @@ class ExperimentSpec:
             raise ConfigError("master_seed", "must be non-negative")
         if self.eval_mode not in ("greedy", "sample"):
             raise ConfigError("eval_mode", f"expected greedy or sample, got {self.eval_mode!r}")
+        if self.agent == "dho" and not self.checkpoint:
+            check_policy_heads(self.scenario)
 
 
 # Spec-file aliases to dataclass fields.
@@ -274,19 +275,18 @@ def parse_spec_file(path) -> ExperimentSpec:
         scenario_kw["features"] = FeatureMask(**feature_kw)
     num_ues = scenario_kw.get("num_ues", scenario_defaults.num_ues)
     num_planes = scenario_kw.get("num_planes", scenario_defaults.num_planes)
-    if num_planes > MAX_TERMINAL_PLANES:  # before a per-target tuple is built
-        raise ConfigError("num_planes", f"J * K must be at most {MAX_TERMINAL_PLANES}")
     if "rb_uniform" in ratios:
-        scenario_kw["rb_per_target"] = tuple([ratios["rb_uniform"]] * (num_planes - 1))
+        scenario_kw["rb_per_target"] = ratios["rb_uniform"]
     if "rb_ratio" in ratios:
-        blocks = _scaled_count("scenario.rb_ratio", ratios["rb_ratio"], num_ues, least=0)
-        scenario_kw["rb_per_target"] = tuple([blocks] * (num_planes - 1))
+        scenario_kw["rb_per_target"] = _scaled_count(
+            "scenario.rb_ratio", ratios["rb_ratio"], num_ues, least=0
+        )
     if "preamble_ratio" in ratios:
         scenario_kw["num_preambles"] = _scaled_count(
             "scenario.preamble_ratio", ratios["preamble_ratio"], num_ues, least=1
         )
     if "rb_per_target" not in scenario_kw and num_planes != scenario_defaults.num_planes:
-        scenario_kw["rb_per_target"] = tuple([num_ues] * (num_planes - 1))
+        scenario_kw["rb_per_target"] = num_ues
 
     scenario = ScenarioConfig(**scenario_kw)
     training = dataclasses.replace(training_defaults, **training_kw)
@@ -516,7 +516,7 @@ def apply_sweep_value(
         # Resource ratios follow the UE count so the regime stays comparable.
         rb_ratio = scenario.rb_per_target[0] / scenario.num_ues
         pre_ratio = scenario.num_preambles / scenario.num_ues
-        scaled = dataclasses.replace(scenario, num_ues=j, rb_per_target=tuple([j] * scenario.num_targets))
+        scaled = dataclasses.replace(scenario, num_ues=j, rb_per_target=j)
         return scenario_with_ratios(scaled, rb_ratio=rb_ratio, preamble_ratio=pre_ratio), training
     if hasattr(scenario, name):
         current = getattr(scenario, name)

@@ -48,6 +48,20 @@ from leoho.env import (
 CHECKPOINT_VERSION = 1
 DEFAULT_HIDDEN = (128, 128)
 
+# The learned policy has one head per (terminal, plane), and its input and
+# output layers grow with J * K; wider, it and its optimiser state would not
+# fit in memory.  The baseline agents build no policy and have no such bound.
+MAX_POLICY_HEADS = 2**16
+
+
+def check_policy_heads(scenario: ScenarioConfig) -> None:
+    """ConfigError if a policy for the scenario would pass :data:`MAX_POLICY_HEADS`."""
+    heads = scenario.num_ues * scenario.num_planes
+    if heads > MAX_POLICY_HEADS:
+        raise ConfigError(
+            "num_ues", f"the learned policy needs J * K at most {MAX_POLICY_HEADS}, got {heads}"
+        )
+
 
 @dataclass(frozen=True)
 class VtraceConfig:
@@ -389,6 +403,7 @@ def train(
     follow in order.  The result is the same as rolling out one batch per
     pass.
     """
+    check_policy_heads(scenario)
     num_actors = cfg.actors_count if actors is None else actors
     obs_dim = observation_size(scenario)
     if initial_params is None:

@@ -353,11 +353,22 @@ def test_huge_counts_exit_2_before_any_work(tmp_path):
     for parameter in ("J", "N", "rb_ratio", "preamble_ratio", "tau"):
         cases.append(["sweep", "--spec", spec, "--parameter", parameter, "--values", "3,1e30"])
     cases.append(["run", "--spec", spec, "--rb-ratio", "1e30"])
+    # J * K past the learned policy's bound, for training only.
+    cases.append(["run", "--spec", write_spec(tmp_path, FAST_DHO + "scenario.J = 30000\n", "wide.spec")])
+    dho = write_spec(tmp_path, FAST_DHO, "dho.spec")
+    cases.append(["sweep", "--spec", dho, "--parameter", "J", "--values", "3,30000"])
     for argv in cases:
         code, err = exit_code(argv + ["--out", str(out)])
         assert code == 2, argv
         assert "configuration error" in err and "Traceback" not in err, argv
         assert not out.exists(), argv
+
+
+def test_long_horizon_at_default_terminals_exits_0(tmp_path):
+    # Its chunks shrink to fit their blocks rather than refusing the run.
+    spec = write_spec(tmp_path, "agent = random\neval_episodes = 2\nscenario.N = 3000\n")
+    code, err = exit_code(["run", "--spec", spec, "--out", str(tmp_path / "out")])
+    assert code == 0, err
 
 
 @pytest.mark.parametrize(

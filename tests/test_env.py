@@ -2,9 +2,7 @@
 import csv
 import dataclasses
 import math
-import sys
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from leoho import env as env_module, experiments, link, orbital, training
 from leoho.env import (
     INT64_MAX,
+    MAX_CHUNK_CELLS,
     ConfigError,
     EpisodeOutcomes,
     FeatureMask,
@@ -78,12 +77,13 @@ def test_config_errors_carry_field_names():
 @pytest.mark.parametrize(
     "changes, field",
     [
-        (dict(num_ues=10**9), "num_ues"),
-        (dict(num_planes=10**9, rb_per_target=(1,)), "rb_per_target"),
-        (dict(num_ues=300, num_planes=300, rb_per_target=(1,) * 299), "num_ues"),
+        (dict(num_ues=10**9), "scenario"),
+        (dict(num_planes=10**9, rb_per_target=(1,)), "scenario"),
+        (dict(num_planes=10**9, rb_per_target=1), "scenario"),
         (dict(rb_per_target=(10, 10**30)), "rb_per_target"),
-        (dict(num_preambles=10**30), "num_preambles"),
-        (dict(num_preambles=INT64_MAX // 3), "num_preambles"),
+        (dict(rb_per_target=10**30), "rb_per_target"),
+        (dict(num_preambles=10**30), "scenario"),
+        (dict(num_preambles=MAX_CHUNK_CELLS // 3), "scenario"),
         (dict(horizon=10**9), "scenario"),
         (dict(slot_s=1e30), "scenario"),
         (dict(sats_per_plane=10**9), "scenario"),
@@ -97,8 +97,26 @@ def test_counts_the_engine_cannot_hold_are_config_errors(changes, field):
 
 
 def test_largest_counts_the_engine_holds_are_valid():
-    ScenarioConfig(rb_per_target=(INT64_MAX, 0), num_preambles=INT64_MAX // 3 - 1)
-    ScenarioConfig(num_ues=2**15, num_planes=2, rb_per_target=(1,), horizon=60)
+    ScenarioConfig(rb_per_target=(INT64_MAX, 0), num_preambles=MAX_CHUNK_CELLS // 3 - 1)
+    # J * K past the learned policy's bound: the baseline agents need no policy.
+    ScenarioConfig(num_ues=2**15, num_planes=3, rb_per_target=(1, 1), horizon=60)
+
+
+def test_one_budget_means_every_target():
+    assert ScenarioConfig(num_planes=4, rb_per_target=7).rb_per_target == (7, 7, 7)
+    assert ScenarioConfig(num_planes=4, rb_per_target=7) == ScenarioConfig(
+        num_planes=4, rb_per_target=(7, 7, 7)
+    )
+
+
+def test_chunks_shrink_to_fit_their_largest_block():
+    # The workload scales keep whole chunks of BATCH_TERMINALS // J.
+    for j in (10, 100):
+        assert batch_episodes(ScenarioConfig(num_ues=j)) == env_module.BATCH_TERMINALS // j
+    # 30 * 6001 shadowing cells an episode, and 3 * (10^7 + 1) RACH bins.
+    assert batch_episodes(ScenarioConfig(horizon=3000)) == MAX_CHUNK_CELLS // (30 * 6001)
+    assert batch_episodes(ScenarioConfig(num_preambles=10**7)) == 1
+    assert batch_episodes(ScenarioConfig(num_ues=2**15, horizon=60)) == 1
 
 
 # --- reset ----------------------------------------------------------------
@@ -335,32 +353,6 @@ def test_rach_collision_rate_matches_birthday_formula():
         assert abs(rates.mean() - expected) < max(4 * sem, 1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    episodes=st.integers(1, 6),
-    num_ues=st.integers(1, 12),
-    targets=st.integers(1, 3),
-    preambles=st.sampled_from([1, 2, 5, 50, 10**6, 10**12]),
-)
-def test_rach_sorted_contention_matches_binned(seed, episodes, num_ues, targets, preambles):
-    rng = np.random.default_rng(seed)
-    command = rng.integers(0, targets + 1, size=(episodes, num_ues))
-    # Few distinct signatures, so that a vast signature space still collides;
-    # contention depends only on which are equal, so their ranks bin densely.
-    drawn = rng.choice(rng.integers(1, preambles + 1, size=3), size=(episodes, num_ues))
-    ranks = np.unique(drawn, return_inverse=True)[1].reshape(drawn.shape) + 1
-    _, collided, c_p = rach(command, 3, num_ues, ranks, targets)
-    with mock.patch.object(env_module, "_DENSE_RACH_BINS", 0):
-        sorted_out = [rach(command, preambles, num_ues, drawn, targets)]
-        # One episode at a time, without the episode axis.
-        sorted_out += [rach(command[e], preambles, num_ues, drawn[e], targets) for e in range(episodes)]
-    for rows, (preamble, got_collided, got_c_p) in zip([slice(None), *range(episodes)], sorted_out):
-        assert np.array_equal(preamble, np.where(command > 0, drawn, 0)[rows])
-        assert np.array_equal(got_collided, collided[rows])
-        assert np.array_equal(got_c_p, c_p[rows])
-
-
 # --- batched kernels against a per-episode oracle ------------------------------
 
 
@@ -526,22 +518,14 @@ def test_batched_views_equal_single_episode_records(scenario):
         assert alone.metrics(records) == oracle
 
 
-def _left_to_right(values) -> float:
-    """Python's ``sum`` of floats up to 3.11, which the per-episode metrics took.
-
-    From 3.12 ``sum`` compensates its rounding; these sums add in order.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    if sys.version_info < (3, 12):
-        assert total.hex() == float(sum(values)).hex()
-    return total
-
-
 def _per_episode_sums(d, c_r_block, c_p, reward) -> list[str]:
-    """The D, C_R, C_P and return sums one episode's own columns give, as bits."""
-    sums = (_left_to_right(d), float(c_r_block.sum()), _left_to_right(c_p), _left_to_right(reward))
+    """The D, C_R, C_P and return sums one episode's own columns give, as bits.
+
+    These are the per-episode sums ``episode_metrics`` took before a chunk
+    summed its episodes at once: Python's ``sum`` of the floats, which
+    compensates its rounding from Python 3.12 on, and numpy's of the block.
+    """
+    sums = (float(sum(d)), float(c_r_block.sum()), float(sum(c_p)), float(sum(reward)))
     return [v.hex() for v in sums]
 
 

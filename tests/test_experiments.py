@@ -182,6 +182,14 @@ def test_long_episodes_do_not_depend_on_their_chunk():
         assert records[i] == alone[0], i
 
 
+@pytest.mark.parametrize("agent", ["random", "conventional"])
+def test_baseline_agents_run_past_the_policy_bound(agent):
+    # J * K = 2^16 + 2 heads is too wide for the learned policy only.
+    wide = ScenarioConfig(num_ues=2**15 + 1, num_planes=2, rb_per_target=1, num_preambles=5, horizon=1)
+    records, _ = evaluate(wide, agent, 1, master_seed=0)
+    assert len(records) == 1
+
+
 @pytest.mark.parametrize(
     "agent, mode, built",
     [

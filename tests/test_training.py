@@ -140,6 +140,14 @@ def test_vtrace_config_validation():
     VtraceConfig(rho_bar=float("inf"), c_bar=float("inf"))
 
 
+def test_policy_heads_are_bounded_before_training():
+    wide = ScenarioConfig(num_ues=2**15 + 1, num_planes=2, rb_per_target=1, horizon=1)
+    with pytest.raises(ConfigError) as err:
+        train(wide, VtraceConfig(hidden=(8, 8)), episodes=1)
+    assert err.value.field == "num_ues"
+    training.check_policy_heads(ScenarioConfig(num_ues=2**15, num_planes=2, rb_per_target=1, horizon=1))
+
+
 def test_stacked_targets_match_per_segment_vtrace():
     rng = np.random.default_rng(4)
     params = net.init_params(5, 2, 3, hidden=(8, 8), rng=rng)
