@@ -126,10 +126,13 @@ class ConventionalAgent:
     def begin_episode(self, env: HandoverEnv, rngs) -> None:
         shape = env.state.accessed.shape + (env.config.num_targets,)
         self._streak = np.zeros(shape, dtype=np.int64)
+        # A streak never passes the horizon, so any longer trigger acts as
+        # horizon + 1, which int64 holds on every numpy.
+        self._trigger = min(self.trigger_slots, env.config.horizon + 1)
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         actions, self._streak = conventional_decide(
-            env.measurements(), env.state.accessed, self.offset_db, self._streak, self.trigger_slots
+            env.measurements(), env.state.accessed, self.offset_db, self._streak, self._trigger
         )
         return actions
 

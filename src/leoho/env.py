@@ -651,10 +651,6 @@ class HandoverEnv:
         )
         self._init_positions = constellation.positions  # (K, I, 3)
         self._velocities = constellation.velocities
-        # Downlink budget constant: everything except the distance term.
-        self._rsrp_const = (
-            config.dl_eirp_dbw + 30.0 - (20.0 * np.log10(config.carrier_ghz) + 92.45)
-        )
         self._rb_initial = np.array(config.rb_per_target, dtype=np.int64)
         self._targets = np.arange(1, config.num_planes)
         # Measurement instants of slot n: slot start + m * period, m = 1..M.
@@ -733,11 +729,12 @@ class HandoverEnv:
         ``positions`` is (S, K, I, 3); ``rows`` picks the instants' rows of
         the shadowing block.
         """
+        cfg = self.config
         d_km = orbital.nearest_distances_km(positions, self.state.ue_positions)
-        base = self._rsrp_const - 20.0 * np.log10(d_km)
+        rsrp = link.rsrp_dbm(d_km, cfg.dl_eirp_dbw, cfg.carrier_ghz)
         if self._shadowing is not None:
-            base += np.moveaxis(self._shadowing[..., rows, :, :], -3, 0)
-        return base
+            rsrp += np.moveaxis(self._shadowing[..., rows, :, :], -3, 0)
+        return rsrp
 
     def measurements(self) -> link.MeasurementState:
         """Measurement state folded up to the current slot.

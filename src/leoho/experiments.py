@@ -36,7 +36,7 @@ from leoho.env import (
 )
 from leoho.training import (
     VtraceConfig,
-    check_policy_heads,
+    check_training,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -145,7 +145,7 @@ class ExperimentSpec:
         if self.eval_mode not in ("greedy", "sample"):
             raise ConfigError("eval_mode", f"expected greedy or sample, got {self.eval_mode!r}")
         if self.agent == "dho" and not self.checkpoint:
-            check_policy_heads(self.scenario)
+            check_training(self.scenario, self.training, self.train_episodes)
 
 
 # Spec-file aliases to dataclass fields.
@@ -621,14 +621,17 @@ def ablation(
     out_dir,
 ) -> dict:
     """Train one policy per feature mask and emit the overlaid curves."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curves = {}
+    masked = {}
     for name in mask_names:
         if name not in ABLATION_MASKS:
             raise ConfigError("mask", f"unknown mask {name!r}, expected one of {sorted(ABLATION_MASKS)}")
-        masked = dataclasses.replace(scenario, features=ABLATION_MASKS[name])
-        _, curve = train(masked, training, episodes=episodes, seed=master_seed)
+        masked[name] = dataclasses.replace(scenario, features=ABLATION_MASKS[name])
+        check_training(masked[name], training, episodes)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    curves = {}
+    for name, masked_scenario in masked.items():
+        _, curve = train(masked_scenario, training, episodes=episodes, seed=master_seed)
         curves[name] = curve
 
     path = out_dir / "ablation_curves.csv"

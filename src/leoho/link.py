@@ -1,8 +1,9 @@
 """Link-budget arithmetic and measurement filtering.
 
 Free-space path loss, uplink carrier-to-noise ratio for the two 3GPP NTN
-terminal classes, a downlink RSRP proxy for event evaluation, the L3 IIR
-measurement filter, and the A3 entering condition.
+terminal classes, downlink RSRP for event evaluation (the scalar proxy and
+the vectorised form the environment folds), the L3 IIR measurement filter,
+and the A3 entering condition.
 """
 
 from __future__ import annotations
@@ -97,6 +98,23 @@ def rsrp_proxy(dl_eirp_dbw: float, d_km: float, f_ghz: float, shadowing_db: floa
     absolute calibration of ``dl_eirp_dbw`` is irrelevant.
     """
     return dl_eirp_dbw + 30.0 - fspl(f_ghz, d_km) + shadowing_db
+
+
+def rsrp_dbm(
+    d_km: np.ndarray, dl_eirp_dbw: float, f_ghz: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Downlink received power in dBm, without shadowing, at every distance.
+
+    The vectorised :func:`rsrp_proxy`, associated as ``(eirp + 30 - (20
+    log10 f + 92.45)) - 20 log10 d``.  The result is written to ``out``,
+    or to a new C-ordered array of ``d_km``'s shape.
+    """
+    const = dl_eirp_dbw + 30.0 - (20.0 * np.log10(f_ghz) + 92.45)
+    if out is None:
+        out = np.empty(np.shape(d_km))
+    np.log10(d_km, out=out)
+    out *= 20.0
+    return np.subtract(const, out, out=out)
 
 
 def l3_filter(m_l3_prev, m_l1, beta_l3: float):

@@ -171,15 +171,27 @@ def nearest_distances_km(positions: np.ndarray, ue_positions: np.ndarray) -> np.
     with several per plane we take the closest.  ``positions`` is (S..., K,
     I, 3), with leading axes for several sample instants at once, and
     ``ue_positions`` is (E..., J, 3), with leading axes for several
-    episodes.  Returns (S..., E..., J, K) kilometres.
+    episodes.  Returns (S..., E..., J, K) kilometres, a view of a
+    (S..., K, E..., J) block.
+
+    The work runs one coordinate at a time over whole (S..., K, I, E...,
+    J) planes, and the squares are summed in the fixed order (x^2 + z^2) +
+    y^2, so every distance is ``sqrt((dx*dx + dz*dz) + dy*dy) / 1e3``
+    whatever the shapes.
     """
-    ue_axes = ue_positions.ndim - 1
-    if positions.shape[-2] == 1:
-        # Single satellite per plane: skip the per-plane minimum.
-        sats = positions[..., 0, :]
-        sats = sats.reshape(sats.shape[:-2] + (1,) * ue_axes + sats.shape[-2:])
-        diff = sats - ue_positions[..., None, :]
-        return np.sqrt(np.einsum("...x,...x->...", diff, diff)) / 1e3
-    sats = positions.reshape(positions.shape[:-3] + (1,) * ue_axes + positions.shape[-3:])
-    diff = sats - ue_positions[..., None, None, :]
-    return np.sqrt(np.einsum("...x,...x->...", diff, diff)).min(axis=-1) / 1e3
+    lead = positions.shape[:-3]
+    sats_per_plane = positions.shape[-2]
+    sat_shape = positions.shape[:-1] + (1,) * (ue_positions.ndim - 1)
+    total = diff = None
+    for axis in (0, 2, 1):
+        diff = np.subtract(positions[..., axis].reshape(sat_shape), ue_positions[..., axis], out=diff)
+        np.multiply(diff, diff, out=diff)
+        if total is None:
+            total, diff = diff, None
+        else:
+            total += diff
+    np.sqrt(total, out=total)
+    i_axis = len(lead) + 1
+    nearest = total.min(axis=i_axis) if sats_per_plane > 1 else total.squeeze(i_axis)
+    nearest /= 1e3
+    return np.moveaxis(nearest, len(lead), -1)

@@ -34,6 +34,7 @@ import numpy as np
 from leoho import net, vtrace
 from leoho.agents import dho_decide, dho_log_probs
 from leoho.env import (
+    MAX_CHUNK_CELLS,
     ConfigError,
     EpisodeOutcomes,
     HandoverEnv,
@@ -60,6 +61,39 @@ def check_policy_heads(scenario: ScenarioConfig) -> None:
     if heads > MAX_POLICY_HEADS:
         raise ConfigError(
             "num_ues", f"the learned policy needs J * K at most {MAX_POLICY_HEADS}, got {heads}"
+        )
+
+
+def check_training(scenario: ScenarioConfig, cfg: VtraceConfig, episodes: int) -> None:
+    """ConfigError if training would allocate a block the engine cannot hold.
+
+    Checked before any allocation: the policy's heads, each of its weight
+    matrices, a rollout pass's blocks (its episodes times
+    ``scenario.episode_cells``) and a learner batch's widest activations
+    must each stay within :data:`MAX_CHUNK_CELLS` cells.
+    """
+    check_policy_heads(scenario)
+    h1, h2 = cfg.hidden
+    heads = scenario.num_ues * scenario.num_planes
+    matrix = max(observation_size(scenario) * h1, h1 * h2, h2 * heads)
+    if matrix > MAX_CHUNK_CELLS:
+        raise ConfigError(
+            "hidden", f"each weight matrix must hold at most {MAX_CHUNK_CELLS} cells, got {matrix}"
+        )
+    per_batch = cfg.batch_episodes(scenario.horizon)
+    cells = min((1 + cfg.lag) * per_batch, episodes) * scenario.episode_cells
+    if cells > MAX_CHUNK_CELLS:
+        raise ConfigError(
+            "batch_size",
+            f"a rollout pass's blocks must hold at most {MAX_CHUNK_CELLS} cells, got {cells}; "
+            "lower the batch size or the scenario's counts",
+        )
+    cells = min(per_batch, episodes) * scenario.horizon * max(h1, h2, heads)
+    if cells > MAX_CHUNK_CELLS:
+        raise ConfigError(
+            "batch_size",
+            f"a learner batch's widest layer must hold at most {MAX_CHUNK_CELLS} cells, got {cells}; "
+            "lower the batch size or the hidden widths",
         )
 
 
@@ -100,6 +134,15 @@ class VtraceConfig:
             and all(isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in hidden)
         ):
             raise ConfigError("hidden", f"must be two positive layer widths, got {hidden!r}")
+
+    @property
+    def lag(self) -> int:
+        """Updates the actors act behind the learner: one with V-trace, none without."""
+        return 1 if self.vtrace_enabled else 0
+
+    def batch_episodes(self, horizon: int) -> int:
+        """Episodes of one learner batch, ``ceil(batch_size / horizon)``."""
+        return math.ceil(self.batch_size / horizon)
 
 
 @dataclass
@@ -403,7 +446,7 @@ def train(
     follow in order.  The result is the same as rolling out one batch per
     pass.
     """
-    check_policy_heads(scenario)
+    check_training(scenario, cfg, episodes)
     num_actors = cfg.actors_count if actors is None else actors
     obs_dim = observation_size(scenario)
     if initial_params is None:
@@ -422,8 +465,8 @@ def train(
     actor_rngs = [np.random.default_rng([seed, i, 1]) for i in range(num_actors)]
     noise_shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
     published = params.copy()  # what actors download
-    per_batch = math.ceil(cfg.batch_size / scenario.horizon)
-    lag = 1 if cfg.vtrace_enabled else 0
+    per_batch = cfg.batch_episodes(scenario.horizon)
+    lag = cfg.lag
 
     curve: list[EpisodeRecord] = []
     done = 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leoho import link, net
+from leoho import agents as agents_module, link, net
 from leoho.agents import (
     conventional_decide,
     dho_decide,
@@ -67,6 +67,25 @@ def test_conventional_invariant_to_common_measurement_shift():
         ms = measurements_from(base + shift)
         actions, _ = conventional_decide(ms, np.zeros(2, bool), 1.0, fresh_streak(2))
         assert actions.tolist() == [1, 2]
+
+
+def test_conventional_compares_streaks_within_int64(monkeypatch):
+    # A streak never passes the horizon, so a longer trigger is compared as
+    # horizon + 1, a count int64 holds on every numpy.
+    seen = []
+
+    def record(measurements, accessed, offset_db, streak, trigger_slots):
+        seen.append(trigger_slots)
+        return conventional_decide(measurements, accessed, offset_db, streak, trigger_slots)
+
+    monkeypatch.setattr(agents_module, "conventional_decide", record)
+    env = HandoverEnv(ScenarioConfig(num_ues=3, horizon=5))
+    for trigger, expected in ((10**30, 6), (2**63, 6), (6, 6), (5, 5), (1, 1)):
+        agent = make_agent("conventional", trigger_slots=trigger)
+        obs = env.reset(episodes=[1, 2])
+        agent.begin_episode(env, None)
+        agent.act(env, obs)
+        assert seen.pop() == expected
 
 
 # --- random -----------------------------------------------------------------

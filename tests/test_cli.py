@@ -357,11 +357,36 @@ def test_huge_counts_exit_2_before_any_work(tmp_path):
     cases.append(["run", "--spec", write_spec(tmp_path, FAST_DHO + "scenario.J = 30000\n", "wide.spec")])
     dho = write_spec(tmp_path, FAST_DHO, "dho.spec")
     cases.append(["sweep", "--spec", dho, "--parameter", "J", "--values", "3,30000"])
+    # A vast network or rollout pass, for training only.
+    for i, lines in enumerate(
+        (
+            "training.hidden = 1e9,8\n",
+            "training.hidden = 8,9223372036854775808\n",
+            "training.hidden = 8,2000000\n",
+            "training.batch_size = 1e18\ntrain_episodes = 1e12\n",
+        )
+    ):
+        vast = write_spec(tmp_path, FAST_DHO + lines, f"vast{i}.spec")
+        cases += [["run", "--spec", vast], ["ablation", "--spec", vast]]
+    long_dho = write_spec(tmp_path, FAST_DHO + "train_episodes = 1e12\n", "long.spec")
+    cases.append(["sweep", "--spec", long_dho, "--parameter", "batch_size", "--values", "24,1e18"])
     for argv in cases:
         code, err = exit_code(argv + ["--out", str(out)])
         assert code == 2, argv
         assert "configuration error" in err and "Traceback" not in err, argv
         assert not out.exists(), argv
+
+
+def test_a3_trigger_past_int64_acts_as_horizon_plus_one(tmp_path):
+    base = "agent = conventional\neval_episodes = 20\nscenario.J = 4\nscenario.N = 8\n"
+    traces = []
+    for trigger in (10**30, 9):
+        spec = write_spec(tmp_path, base + f"scenario.a3_trigger_slots = {trigger}\n", f"t{trigger}.spec")
+        out = tmp_path / f"out{trigger}"
+        code, err = exit_code(["run", "--spec", spec, "--out", str(out)])
+        assert code == 0, err
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_long_horizon_at_default_terminals_exits_0(tmp_path):
@@ -436,13 +461,20 @@ training.hidden = 8,8
 
 numbers = st.sampled_from(FUZZ_NUMBERS)
 huge = st.sampled_from(HUGE_NUMBERS)
+# Widths of one hidden layer: valid, malformed, or vast enough that a weight
+# matrix or a learner batch's activations pass the bound.
+widths = st.sampled_from(("8", "0", "2.5", "4194304") + HUGE_NUMBERS)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     agent=st.sampled_from(AGENT_KINDS),
     lines=st.lists(
-        st.one_of(st.tuples(st.sampled_from(FUZZ_KEYS), numbers), st.tuples(st.sampled_from(HUGE_KEYS), huge)),
+        st.one_of(
+            st.tuples(st.sampled_from(FUZZ_KEYS), numbers),
+            st.tuples(st.sampled_from(HUGE_KEYS), huge),
+            st.tuples(st.just("training.hidden"), st.lists(widths, min_size=2, max_size=2).map(",".join)),
+        ),
         max_size=3,
     ),
     sweep=st.one_of(
@@ -464,6 +496,10 @@ huge = st.sampled_from(HUGE_NUMBERS)
 @example(agent="conventional", lines=[("scenario.P", "1e18")], sweep=None, nu=None, episodes=None)
 @example(agent="random", lines=[("scenario.K", "1e9")], sweep=None, nu=None, episodes=None)
 @example(agent="dho", lines=[], sweep=("preamble_ratio", ["1e9"]), nu=None, episodes=None)
+@example(agent="dho", lines=[("training.hidden", "8,1e9")], sweep=None, nu=None, episodes=None)
+@example(agent="dho", lines=[("training.hidden", "4194304,8")], sweep=None, nu=None, episodes=None)
+@example(agent="dho", lines=[("training.batch_size", "1e18")], sweep=None, nu=None, episodes=None)
+@example(agent="dho", lines=[], sweep=("batch_size", ["1e18"]), nu=None, episodes=None)
 def test_every_input_exits_0_or_2_without_a_traceback(agent, lines, sweep, nu, episodes):
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "fuzz.spec"

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from leoho import link
+from leoho import link, orbital
+from leoho.env import HandoverEnv, ScenarioConfig
 
 
 def test_fspl_reference_point():
@@ -78,6 +79,48 @@ def test_rsrp_proxy_values():
     # Halving the distance buys the distance law back.
     gain = link.rsrp_proxy(10.0, 300.0, 2.0) - link.rsrp_proxy(10.0, 600.0, 2.0)
     assert gain == pytest.approx(20 * math.log10(2), rel=1e-9)
+
+
+@settings(deadline=None)
+@given(
+    d_km=st.floats(1.0, 5e4),
+    eirp=st.floats(-20.0, 60.0),
+    f_ghz=st.floats(0.5, 40.0),
+)
+def test_rsrp_dbm_matches_the_scalar_proxy(d_km, eirp, f_ghz):
+    got = link.rsrp_dbm(np.array([d_km, 2 * d_km]), eirp, f_ghz)
+    want = [link.rsrp_proxy(eirp, d, f_ghz) for d in (d_km, 2 * d_km)]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+def test_rsrp_dbm_is_bit_equal_to_the_samples_the_env_folds():
+    # One sample per slot and a filter that keeps only the latest sample, so
+    # the filtered state holds each folded sample as it is.
+    cfg = ScenarioConfig(
+        num_ues=5, horizon=4, shadowing_sigma_db=0.0, measurement_period_s=0.3, iir_order=0.0
+    )
+    env = HandoverEnv(cfg)
+    env.reset(episodes=[1, 2, 3])
+    constellation = orbital.initial_state(
+        orbital.default_constellation(
+            cfg.altitude_m, cfg.num_planes, cfg.slot_s, cfg.horizon, cfg.area_m
+        )
+    )
+    for slot in range(cfg.horizon):
+        # The initial sample, then each slot's one sample at its end.
+        time = 0.0 if slot == 0 else (slot - 1) * cfg.slot_s + cfg.measurement_period_s
+        positions = constellation.positions + time * constellation.velocities
+        d_km = orbital.nearest_distances_km(positions, env.state.ue_positions)
+        # The env's association before the link budget moved into link.
+        const = cfg.dl_eirp_dbw + 30.0 - (20.0 * np.log10(cfg.carrier_ghz) + 92.45)
+        want = const - 20.0 * np.log10(d_km)
+        folded = env.measurements()
+        assert np.array_equal(link.rsrp_dbm(d_km, cfg.dl_eirp_dbw, cfg.carrier_ghz), want)
+        assert np.array_equal(folded.l1_dbm, want) and np.array_equal(folded.l3_dbm, want)
+        out = np.empty(d_km.shape)
+        assert link.rsrp_dbm(d_km, cfg.dl_eirp_dbw, cfg.carrier_ghz, out=out) is out
+        assert np.array_equal(out, want)
+        env.step(np.zeros(env.state.accessed.shape, dtype=np.int64))
 
 
 def test_l3_filter_midpoint():

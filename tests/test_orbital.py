@@ -143,6 +143,39 @@ def test_nearest_distances_picks_closest_satellite_per_plane():
     assert d[0, 0] == pytest.approx(550.0)
 
 
+def python_float_distances_km(positions, ues):
+    # Per-element oracle in Python floats: (x^2 + z^2) + y^2, the nearest
+    # satellite of each plane, then kilometres.
+    lead_s, lead_e = positions.shape[:-3], ues.shape[:-2]
+    out = np.empty(lead_s + lead_e + ues.shape[-2:-1] + positions.shape[-3:-2])
+    for s in np.ndindex(lead_s):
+        for e in np.ndindex(lead_e):
+            for j, ue in enumerate(ues[e]):
+                for k, plane in enumerate(positions[s]):
+                    nearest = math.inf
+                    for sat in plane:
+                        dx, dy, dz = (float(sat[c]) - float(ue[c]) for c in range(3))
+                        nearest = min(nearest, math.sqrt((dx * dx + dz * dz) + dy * dy))
+                    out[s + e + (j, k)] = nearest / 1e3
+    return out
+
+
+@pytest.mark.parametrize("sats_per_plane", [1, 3])
+@pytest.mark.parametrize("sample_axes, episode_axes", [((), ()), ((2,), ()), ((), (3,)), ((2,), (2, 3))])
+def test_nearest_distances_match_the_python_float_oracle_bit_for_bit(
+    sats_per_plane, sample_axes, episode_axes
+):
+    rng = np.random.default_rng(sats_per_plane)
+    positions = rng.uniform(-2e6, 2e6, size=sample_axes + (3, sats_per_plane, 3))
+    positions[..., 2] += 550e3
+    # Explicit 3-D terminal positions, heights included.
+    ues = rng.uniform(0.0, 1e4, size=episode_axes + (4, 3))
+    got = orbital.nearest_distances_km(positions, ues)
+    want = python_float_distances_km(positions, ues)
+    assert got.shape == sample_axes + episode_axes + (4, 3)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_invalid_configs_rejected():
     good = orbital.default_constellation(550e3, 3, 0.3, 20, 1000.0)
     with pytest.raises(ValueError):

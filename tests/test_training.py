@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from leoho import net, training
 from leoho.agents import dho_decide
-from leoho.env import ConfigError, HandoverEnv, ScenarioConfig, observation_size
+from leoho.env import MAX_CHUNK_CELLS, ConfigError, HandoverEnv, ScenarioConfig, observation_size
 from leoho.training import (
     Adam,
     CheckpointError,
@@ -146,6 +146,35 @@ def test_policy_heads_are_bounded_before_training():
         train(wide, VtraceConfig(hidden=(8, 8)), episodes=1)
     assert err.value.field == "num_ues"
     training.check_policy_heads(ScenarioConfig(num_ues=2**15, num_planes=2, rb_per_target=1, horizon=1))
+
+
+def test_training_sizes_are_bounded_before_training():
+    def field(scenario, cfg, episodes):
+        with pytest.raises(ConfigError) as err:
+            training.check_training(scenario, cfg, episodes)
+        return err.value.field
+
+    one = ScenarioConfig(num_ues=1, num_planes=2, rb_per_target=1, horizon=1)
+    # Each weight matrix, here the first layer's, holds at most MAX_CHUNK_CELLS.
+    width = MAX_CHUNK_CELLS // observation_size(one)
+    training.check_training(one, VtraceConfig(hidden=(width, 1), batch_size=1), episodes=1)
+    assert field(one, VtraceConfig(hidden=(width + 1, 1), batch_size=1), 1) == "hidden"
+    assert field(one, VtraceConfig(hidden=(8, 10**30)), 1) == "hidden"
+    with pytest.raises(ConfigError):
+        train(one, VtraceConfig(hidden=(width + 1, 1), batch_size=1), episodes=1)
+    # A learner batch's widest layer: 32 transitions at 2^20 wide fit, 33 do not.
+    wide = VtraceConfig(hidden=(8, 2**20), batch_size=33)
+    training.check_training(one, wide, episodes=32)
+    assert field(one, wide, 33) == "batch_size"
+    # A rollout pass holds 1 + lag learner batches, but never more episodes
+    # than the run trains.
+    cfg = VtraceConfig(hidden=(8, 8), batch_size=10**18)
+    fit = MAX_CHUNK_CELLS // one.episode_cells
+    training.check_training(one, cfg, episodes=fit)
+    assert field(one, cfg, fit + 1) == "batch_size"
+    big = VtraceConfig(hidden=(8, 8), batch_size=fit // 2 + 1)
+    assert field(one, big, 10**6) == "batch_size"
+    training.check_training(one, VtraceConfig(hidden=(8, 8), batch_size=fit // 2), episodes=10**6)
 
 
 def test_stacked_targets_match_per_segment_vtrace():
