@@ -36,6 +36,7 @@ from leoho.env import (
 )
 from leoho.training import (
     VtraceConfig,
+    check_evaluation,
     check_training,
     load_checkpoint,
     save_checkpoint,
@@ -146,6 +147,7 @@ class ExperimentSpec:
             raise ConfigError("eval_mode", f"expected greedy or sample, got {self.eval_mode!r}")
         if self.agent == "dho" and not self.checkpoint:
             check_training(self.scenario, self.training, self.train_episodes)
+            check_evaluation(self.scenario, self.training.hidden)
 
 
 # Spec-file aliases to dataclass fields.
@@ -447,7 +449,9 @@ def _trained_params(
 ):
     """Load or train the learned policy for a scenario; returns (params, curve)."""
     if spec.checkpoint:
-        return load_checkpoint(spec.checkpoint, scenario), None
+        params = load_checkpoint(spec.checkpoint, scenario)
+        check_evaluation(scenario, params.hidden_sizes)
+        return params, None
     params, curve = train(
         scenario,
         spec.training,

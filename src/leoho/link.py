@@ -100,19 +100,15 @@ def rsrp_proxy(dl_eirp_dbw: float, d_km: float, f_ghz: float, shadowing_db: floa
     return dl_eirp_dbw + 30.0 - fspl(f_ghz, d_km) + shadowing_db
 
 
-def rsrp_dbm(
-    d_km: np.ndarray, dl_eirp_dbw: float, f_ghz: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def rsrp_dbm(d_km: np.ndarray, dl_eirp_dbw: float, f_ghz: float) -> np.ndarray:
     """Downlink received power in dBm, without shadowing, at every distance.
 
     The vectorised :func:`rsrp_proxy`, associated as ``(eirp + 30 - (20
-    log10 f + 92.45)) - 20 log10 d``.  The result is written to ``out``,
-    or to a new C-ordered array of ``d_km``'s shape.
+    log10 f + 92.45)) - 20 log10 d``, in a new C-ordered array of
+    ``d_km``'s shape.
     """
     const = dl_eirp_dbw + 30.0 - (20.0 * np.log10(f_ghz) + 92.45)
-    if out is None:
-        out = np.empty(np.shape(d_km))
-    np.log10(d_km, out=out)
+    out = np.log10(d_km, out=np.empty(np.shape(d_km)))
     out *= 20.0
     return np.subtract(const, out, out=out)
 

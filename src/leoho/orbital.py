@@ -182,14 +182,14 @@ def nearest_distances_km(positions: np.ndarray, ue_positions: np.ndarray) -> np.
     lead = positions.shape[:-3]
     sats_per_plane = positions.shape[-2]
     sat_shape = positions.shape[:-1] + (1,) * (ue_positions.ndim - 1)
-    total = diff = None
-    for axis in (0, 2, 1):
-        diff = np.subtract(positions[..., axis].reshape(sat_shape), ue_positions[..., axis], out=diff)
-        np.multiply(diff, diff, out=diff)
-        if total is None:
-            total, diff = diff, None
-        else:
-            total += diff
+
+    def square(axis: int) -> np.ndarray:
+        d = positions[..., axis].reshape(sat_shape) - ue_positions[..., axis]
+        return np.multiply(d, d, out=d)
+
+    total = square(0)
+    total += square(2)
+    total += square(1)
     np.sqrt(total, out=total)
     i_axis = len(lead) + 1
     nearest = total.min(axis=i_axis) if sats_per_plane > 1 else total.squeeze(i_axis)

@@ -40,6 +40,7 @@ from leoho.env import (
     HandoverEnv,
     OutcomeColumns,
     ScenarioConfig,
+    batch_episodes,
     episode_metrics,
     observation_size,
     reject_non_finite,
@@ -64,36 +65,55 @@ def check_policy_heads(scenario: ScenarioConfig) -> None:
         )
 
 
+def _layer_widths(scenario: ScenarioConfig, hidden: tuple[int, int]) -> tuple[int, int, int, int]:
+    """The policy's layer widths: observation, the two hidden layers, heads."""
+    return (observation_size(scenario), *hidden, scenario.num_ues * scenario.num_planes)
+
+
 def check_training(scenario: ScenarioConfig, cfg: VtraceConfig, episodes: int) -> None:
     """ConfigError if training would allocate a block the engine cannot hold.
 
     Checked before any allocation: the policy's heads, each of its weight
-    matrices, a rollout pass's blocks (its episodes times
-    ``scenario.episode_cells``) and a learner batch's widest activations
-    must each stay within :data:`MAX_CHUNK_CELLS` cells.
+    matrices, a rollout pass's blocks (its episodes times the larger of
+    ``scenario.episode_cells``, an episode's observations and the widest
+    layer) and a learner batch's widest activations (its transitions times
+    the widest layer) must each stay within :data:`MAX_CHUNK_CELLS` cells.
     """
     check_policy_heads(scenario)
-    h1, h2 = cfg.hidden
-    heads = scenario.num_ues * scenario.num_planes
-    matrix = max(observation_size(scenario) * h1, h1 * h2, h2 * heads)
+    widths = _layer_widths(scenario, cfg.hidden)
+    matrix = max(a * b for a, b in zip(widths, widths[1:]))
     if matrix > MAX_CHUNK_CELLS:
         raise ConfigError(
             "hidden", f"each weight matrix must hold at most {MAX_CHUNK_CELLS} cells, got {matrix}"
         )
     per_batch = cfg.batch_episodes(scenario.horizon)
-    cells = min((1 + cfg.lag) * per_batch, episodes) * scenario.episode_cells
+    per_episode = max(scenario.episode_cells, (scenario.horizon + 1) * widths[0], max(widths))
+    cells = min((1 + cfg.lag) * per_batch, episodes) * per_episode
     if cells > MAX_CHUNK_CELLS:
         raise ConfigError(
             "batch_size",
             f"a rollout pass's blocks must hold at most {MAX_CHUNK_CELLS} cells, got {cells}; "
             "lower the batch size or the scenario's counts",
         )
-    cells = min(per_batch, episodes) * scenario.horizon * max(h1, h2, heads)
+    cells = min(per_batch, episodes) * scenario.horizon * max(widths)
     if cells > MAX_CHUNK_CELLS:
         raise ConfigError(
             "batch_size",
             f"a learner batch's widest layer must hold at most {MAX_CHUNK_CELLS} cells, got {cells}; "
             "lower the batch size or the hidden widths",
+        )
+
+
+def check_evaluation(scenario: ScenarioConfig, hidden: tuple[int, int]) -> None:
+    """ConfigError if a dho evaluation chunk's forward pass would pass :data:`MAX_CHUNK_CELLS`.
+
+    The chunk's episodes (:func:`env.batch_episodes`) times the widest layer.
+    """
+    cells = batch_episodes(scenario) * max(_layer_widths(scenario, hidden))
+    if cells > MAX_CHUNK_CELLS:
+        raise ConfigError(
+            "hidden",
+            f"an evaluation chunk's widest layer must hold at most {MAX_CHUNK_CELLS} cells, got {cells}",
         )
 
 

@@ -368,6 +368,8 @@ def test_huge_counts_exit_2_before_any_work(tmp_path):
     ):
         vast = write_spec(tmp_path, FAST_DHO + lines, f"vast{i}.spec")
         cases += [["run", "--spec", vast], ["ablation", "--spec", vast]]
+    # Trains within its bounds, but a 640-episode evaluation chunk is 52429 wide.
+    cases.append(["run", "--spec", write_spec(tmp_path, FAST_DHO + "training.hidden = 52429,1\n", "ev.spec")])
     long_dho = write_spec(tmp_path, FAST_DHO + "train_episodes = 1e12\n", "long.spec")
     cases.append(["sweep", "--spec", long_dho, "--parameter", "batch_size", "--values", "24,1e18"])
     for argv in cases:

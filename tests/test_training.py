@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from leoho import net, training
 from leoho.agents import dho_decide
-from leoho.env import MAX_CHUNK_CELLS, ConfigError, HandoverEnv, ScenarioConfig, observation_size
+from leoho.env import (
+    MAX_CHUNK_CELLS,
+    ConfigError,
+    FeatureMask,
+    HandoverEnv,
+    ScenarioConfig,
+    batch_episodes,
+    observation_size,
+)
 from leoho.training import (
     Adam,
     CheckpointError,
@@ -175,6 +183,29 @@ def test_training_sizes_are_bounded_before_training():
     big = VtraceConfig(hidden=(8, 8), batch_size=fit // 2 + 1)
     assert field(one, big, 10**6) == "batch_size"
     training.check_training(one, VtraceConfig(hidden=(8, 8), batch_size=fit // 2), episodes=10**6)
+    # An episode's observations can outgrow its blocks: here 11 x 61 against 330.
+    a3 = ScenarioConfig(
+        num_ues=10,
+        rb_per_target=10,
+        horizon=10,
+        measurement_period_s=0.3,
+        features=FeatureMask(a3_centralized=True),
+    )
+    assert a3.episode_cells == 330 and observation_size(a3) == 61
+    fit = MAX_CHUNK_CELLS // (11 * 61)
+    training.check_training(a3, cfg, episodes=fit)
+    assert field(a3, cfg, fit + 1) == "batch_size"
+
+
+def test_evaluation_chunk_width_is_bounded():
+    one = ScenarioConfig(num_ues=1, num_planes=2, rb_per_target=1, horizon=1)
+    width = MAX_CHUNK_CELLS // batch_episodes(one)
+    training.check_evaluation(one, (width, 1))
+    training.check_evaluation(one, (8, width))
+    for hidden in ((width + 1, 1), (8, width + 1)):
+        with pytest.raises(ConfigError) as err:
+            training.check_evaluation(one, hidden)
+        assert err.value.field == "hidden"
 
 
 def test_stacked_targets_match_per_segment_vtrace():
