@@ -468,7 +468,7 @@ def rach(
     num_preambles: int,
     num_ues: int,
     preambles: np.ndarray | np.random.Generator,
-    num_targets: int | None = None,
+    num_targets: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-step random access for every commanded terminal.
 
@@ -476,15 +476,12 @@ def rach(
     sends its signature from ``preambles`` (..., J), uniform on {1..P}; a
     generator there draws one block shaped like ``command``.  Terminals
     sharing an (episode, target, signature) collide and fail, the rest
-    complete.  ``num_targets`` bounds the planes in ``command`` (its
-    maximum if None).  Returns (preamble, prach_collision, c_p) with
-    ``c_p`` (...).
+    complete.  ``num_targets`` bounds the planes in ``command``.  Returns
+    (preamble, prach_collision, c_p) with ``c_p`` (...).
     """
     command = np.asarray(command)
     if isinstance(preambles, np.random.Generator):
         preambles = preambles.integers(1, num_preambles + 1, size=command.shape)
-    if num_targets is None:
-        num_targets = int(command.max(initial=0))
     commanded = command > 0
     preamble = np.where(commanded, preambles, 0)
     # One bin per (episode, target, signature); uncommanded terminals land in
@@ -666,10 +663,6 @@ class HandoverEnv:
         self._meas: link.MeasurementState | None = None
         self._shadowing: np.ndarray | None = None
         self._meas_slot = 0  # slots folded into measurements
-
-    @property
-    def done(self) -> bool:
-        return self.state is None or self.state.slot >= self.config.horizon
 
     def _squeeze(self, blocks: np.ndarray) -> np.ndarray:
         """Per-episode blocks (E, ...), without the episode axis for one episode."""

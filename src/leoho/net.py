@@ -35,6 +35,10 @@ class PolicyParameters:
     b_v: np.ndarray  # (1,)
 
     def __post_init__(self) -> None:
+        if self.w1.ndim != 2 or self.w2.ndim != 2:
+            raise ValueError(
+                f"w1 and w2 must be matrices, got shapes {self.w1.shape} and {self.w2.shape}"
+            )
         h1 = self.w1.shape[1]
         h2 = self.w2.shape[1]
         heads = self.num_ues * self.num_actions

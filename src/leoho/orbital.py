@@ -24,12 +24,6 @@ def orbital_speed(altitude_m: float) -> float:
     return math.sqrt(GM_EARTH / (R_EARTH + altitude_m))
 
 
-def orbital_period(altitude_m: float) -> float:
-    """Circular-orbit period at the given altitude, seconds."""
-    r = R_EARTH + altitude_m
-    return 2.0 * math.pi * r / orbital_speed(altitude_m)
-
-
 def slant_distance(sat_pos: np.ndarray, ue_pos: np.ndarray) -> float:
     """Euclidean distance between a satellite and a terminal, metres."""
     return float(np.linalg.norm(np.asarray(sat_pos, dtype=float) - np.asarray(ue_pos, dtype=float)))
@@ -84,10 +78,6 @@ class OrbitalConfig:
     @property
     def speed(self) -> float:
         return orbital_speed(self.altitude_m)
-
-    @property
-    def orbital_period_s(self) -> float:
-        return orbital_period(self.altitude_m)
 
 
 @dataclass(frozen=True)

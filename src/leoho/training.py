@@ -13,13 +13,16 @@ Under that lag the learner's current parameters are already the behavior
 policy of the batch after the one being rolled out, so with V-trace two
 batches are stepped together in one lockstep pass, each under its own
 snapshot, and their updates follow in order.  Without V-trace each batch
-needs the update before it, so a pass holds one batch.
+needs the update before it, so a pass holds one batch.  A pass holds only
+equal batches, so a trailing partial batch beside a full one gets a pass
+of its own.
 
-A pass decides each slot with one call: equal batches act under one
-:class:`net.StackedPolicy` per pass, whose groups are also the pass's
-snapshots, so the forward runs as one matmul over (G, rows, ...).  The
-pass keeps each slot's logits and takes the behavior log-probabilities of
-the whole rollout in one pass after its last slot.
+Each pass decides under one :class:`net.StackedPolicy` of its batches'
+snapshots, so a slot's decision is one forward pass, a matmul over
+(G, rows, ...).  The pass keeps each slot's logits, takes the behavior
+log-probabilities of the whole rollout in one pass after its last slot,
+and gives the learner one stacked segment, which each update slices into
+its batch and reads through ``reshape``.
 """
 
 from __future__ import annotations
@@ -190,17 +193,19 @@ class _BatchPass:
     chosen_logp: np.ndarray  # (B, J) log pi of the actions taken
 
 
-def _forward(params: net.PolicyParameters, segments: list[vtrace.TrajectorySegment]) -> _BatchPass:
+def _forward(params: net.PolicyParameters, segments: vtrace.TrajectorySegment) -> _BatchPass:
+    """The pass over a stack of segments, its (S, L, ...) arrays read as (S * L, ...) rows."""
+    observations = segments.observations[:, :-1]
     logits, values, cache = net.forward_batch(
-        params, np.concatenate([s.observations[:-1] for s in segments])
+        params, observations.reshape(-1, observations.shape[-1])
     )
-    actions = np.concatenate([s.actions for s in segments])
+    actions = segments.actions.reshape(-1, params.num_ues)
     probs, logp = net.softmax_and_log_softmax(logits)
     return _BatchPass(
         values=values,
         cache=cache,
         actions=actions,
-        masks=np.concatenate([s.masks for s in segments]).astype(float),
+        masks=segments.masks.reshape(actions.shape),
         probs=probs,
         logp=logp,
         chosen_logp=net.pick(logp, actions),
@@ -209,32 +214,30 @@ def _forward(params: net.PolicyParameters, segments: list[vtrace.TrajectorySegme
 
 def compute_targets(
     params: net.PolicyParameters,
-    segments: list[vtrace.TrajectorySegment],
+    segments: vtrace.TrajectorySegment,
     cfg: VtraceConfig,
     forward: _BatchPass | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """V-trace targets and advantages per transition, flat across the batch.
 
-    The segments must have equal length; they are stacked to (S, L) and the
-    recursion runs over all of them at once.  ``forward`` is the batch's
-    learner pass when the caller already has it.
+    ``segments`` is a stack of S episodes of length L; the recursion runs
+    over all of them at once.  ``forward`` is the batch's learner pass when
+    the caller already has it.
     """
-    if len({len(s) for s in segments}) != 1:
-        raise ValueError("the segments of one batch must have equal length")
     batch = _forward(params, segments) if forward is None else forward
-    shape = (len(segments), len(segments[0]))
+    shape = segments.rewards.shape
     if cfg.vtrace_enabled:
         log_ratios = vtrace.log_ratios(
             batch.chosen_logp,
-            np.concatenate([s.behavior_logprobs for s in segments]),
+            segments.behavior_logprobs.reshape(batch.masks.shape),
             batch.masks,
         ).reshape(shape)
     else:
         log_ratios = np.zeros(shape)
     targets, advantages, _ = vtrace.vtrace_from_values(
-        np.stack([s.rewards for s in segments]),
+        segments.rewards,
         batch.values.reshape(shape),
-        np.array([s.bootstrap_value for s in segments]),
+        segments.bootstrap_value,
         log_ratios,
         cfg.gamma,
         cfg.rho_bar,
@@ -245,7 +248,7 @@ def compute_targets(
 
 def loss_and_gradient_with_targets(
     params: net.PolicyParameters,
-    segments: list[vtrace.TrajectorySegment],
+    segments: vtrace.TrajectorySegment,
     targets: np.ndarray,
     advantages: np.ndarray,
     cfg: VtraceConfig,
@@ -293,24 +296,13 @@ def loss_and_gradient_with_targets(
 
 def loss_and_gradient(
     params: net.PolicyParameters,
-    segments: list[vtrace.TrajectorySegment],
+    segments: vtrace.TrajectorySegment,
     cfg: VtraceConfig,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """The loss and its gradient, from one forward pass over the batch."""
     forward = _forward(params, segments)
     targets, advantages = compute_targets(params, segments, cfg, forward)
     return loss_and_gradient_with_targets(params, segments, targets, advantages, cfg, forward)
-
-
-def total_loss_with_targets(
-    params: net.PolicyParameters,
-    segments: list[vtrace.TrajectorySegment],
-    targets: np.ndarray,
-    advantages: np.ndarray,
-    cfg: VtraceConfig,
-) -> float:
-    report, _ = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)
-    return report.total
 
 
 class Adam:
@@ -368,30 +360,22 @@ class EpisodeRecord:
 
 def rollout_segment(
     env: HandoverEnv,
-    behaviors: list[tuple[net.PolicyParameters, int]],
+    policy: net.PolicyParameters | net.StackedPolicy,
     noise: np.ndarray,
     env_seeds: list,
-) -> tuple[list[vtrace.TrajectorySegment], list["EpisodeRecord"]]:
-    """Sampled episodes, stepped together, each under its behavior policy.
+) -> tuple[vtrace.TrajectorySegment, list["EpisodeRecord"]]:
+    """Sampled episodes, stepped together under one behavior policy.
 
-    ``behaviors`` holds ``(params, count)`` groups that take the episodes in
-    order; a :class:`net.StackedPolicy` of G sets splits its ``count``
-    episodes into G equal runs.  Episode ``e`` starts from seed key
-    ``env_seeds[e]`` and samples with the Gumbel noise ``noise[e]``
-    (N, J, K).  Every slot runs one ``env.step`` for all episodes and one
-    decision per group.  The behavior log-probabilities come from one pass
-    over the whole rollout's logits.  Returns one segment and one record per
-    episode.
+    A :class:`net.StackedPolicy` of G parameter sets splits the episodes
+    into G equal runs in order, each under its own set.  Episode ``e``
+    starts from seed key ``env_seeds[e]`` and samples with the Gumbel noise
+    ``noise[e]`` (N, J, K).  Every slot runs one ``env.step`` and one
+    decision for all episodes.  The behavior log-probabilities come from
+    one pass over the whole rollout's logits.  Returns one stacked segment,
+    built on the rollout's own buffers, and one record per episode.
     """
     cfg = env.config
     episodes, length, j = len(env_seeds), cfg.horizon, cfg.num_ues
-    deciders, start = [], 0
-    for policy, count in behaviors:
-        deciders.append((policy, slice(start, start + count)))
-        start += count
-    if start != episodes:
-        raise ValueError(f"the groups cover {start} episodes, not {episodes}")
-
     observations = np.empty((episodes, length + 1, observation_size(cfg)))
     actions = np.empty((episodes, length, j), dtype=np.int64)
     logits = np.empty((episodes, length, j, cfg.num_planes))
@@ -404,10 +388,7 @@ def rollout_segment(
         observations[:, n] = obs
         accessed = env.state.accessed
         pinned[:, n] = accessed
-        for policy, rows in deciders:
-            actions[rows, n], logits[rows, n] = dho_decide(
-                policy, obs[rows], noise[rows, n], "sample", accessed[rows]
-            )
+        actions[:, n], logits[:, n] = dho_decide(policy, obs, noise[:, n], "sample", accessed)
         obs, outcome = env.step(actions[:, n])
         rewards[:, n] = outcome.reward
         columns.append(outcome)
@@ -415,20 +396,16 @@ def rollout_segment(
     # The logits go as soon as they are used.
     logprobs = dho_log_probs(logits, actions, pinned)
     del logits
-    masks = (~pinned).astype(float)
-
-    segments, records = [], []
+    segment = vtrace.TrajectorySegment(
+        observations=observations,
+        actions=actions,
+        behavior_logprobs=logprobs,
+        rewards=rewards,
+        masks=(~pinned).astype(float),
+        bootstrap_value=0.0,  # episodes terminate at the horizon
+    )
+    records = []
     for e in range(episodes):
-        segments.append(
-            vtrace.TrajectorySegment(
-                observations=observations[e],
-                actions=actions[e],
-                behavior_logprobs=logprobs[e],
-                rewards=rewards[e],
-                masks=masks[e],
-                bootstrap_value=0.0,  # episodes terminate at the horizon
-            )
-        )
         metrics = episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e))
         records.append(
             EpisodeRecord(
@@ -438,7 +415,7 @@ def rollout_segment(
                 sum_collision=metrics.sum_collision,
             )
         )
-    return segments, records
+    return segment, records
 
 
 def train(
@@ -461,10 +438,11 @@ def train(
     Actors act ``lag`` updates behind the learner: one with V-trace, none
     without.  While batch k is rolled out under the published parameters,
     the learner's own parameters are therefore already batch k + lag's
-    behavior policy, so ``1 + lag`` batches are rolled out in one lockstep
-    pass, each group of episodes under its own snapshot, and their updates
-    follow in order.  The result is the same as rolling out one batch per
-    pass.
+    behavior policy, so up to ``1 + lag`` batches are rolled out in one
+    lockstep pass under one stack of their snapshots, and their updates
+    follow in order.  A pass holds only equal batches, so a trailing
+    partial batch beside full ones gets a pass of its own.  The result is
+    the same as rolling out one batch per pass.
     """
     check_training(scenario, cfg, episodes)
     num_actors = cfg.actors_count if actors is None else actors
@@ -491,41 +469,35 @@ def train(
     curve: list[EpisodeRecord] = []
     done = 0
     while done < episodes:
-        stop = min(done + (1 + lag) * per_batch, episodes)
-        batches = [range(d, min(d + per_batch, stop)) for d in range(done, stop, per_batch)]
-        if len(batches) > 1 and len(batches[-1]) == per_batch:
-            # Equal batches decide under one stack, and the published
-            # parameters and the snapshots are views of it.
-            stack = net.stack_params([published] + [params] * (len(batches) - 1))
-            published, *snapshots = map(stack.group, range(len(batches)))
-            groups = [(stack, stop - done)]
-        else:
-            # Adam.step updates params in place, so the later groups act under a copy.
-            snapshots = [params.copy() for _ in batches[1:]]
-            groups = [(b, len(batch)) for b, batch in zip([published, *snapshots], batches)]
-        noise = np.empty((stop - done,) + noise_shape)
+        count = min((1 + lag) * per_batch, episodes - done)
+        if count > per_batch:
+            count -= count % per_batch  # only equal batches share a pass
+        # The published parameters decide the first batch and the learner's
+        # the rest; Adam.step updates params in place, so the stack holds
+        # copies, and the snapshots are views of it.
+        stack = net.stack_params([published] + [params] * (math.ceil(count / per_batch) - 1))
+        published, *snapshots = map(stack.group, range(len(stack)))
+        noise = np.empty((count,) + noise_shape)
         seeds = []
-        for d in range(done, stop):
+        for d in range(done, done + count):
             i = d % num_actors
             noise[d - done] = actor_rngs[i].gumbel(size=noise_shape)
             seeds.append((seed ^ i, d // num_actors))
-        segments, records = rollout_segment(env, groups, noise, seeds)
+        segments, records = rollout_segment(env, stack, noise, seeds)
         # Nothing past the rollout reads the noise, and the parameters the
-        # first group acted under can go once the learner replaces them.
-        del groups, noise
+        # first batch acted under can go once the learner replaces them.
+        del stack, noise
         for d, record in enumerate(records, start=done):
             record.episode = d
         curve += records
-        done = stop
+        done += count
 
-        for g, batch in enumerate(batches):
-            if len(batch) < per_batch:
-                break  # the trailing partial batch
+        for g in range(count // per_batch):  # none for a partial batch
             _, grads = loss_and_gradient(params, segments[g * per_batch : (g + 1) * per_batch], cfg)
             if lag:
                 # One update of publication lag models the actor-learner queue:
                 # actors download the parameters from before this update,
-                # which the pass's next group already acted under.
+                # which the pass's next batch already acted under.
                 published = snapshots[g] if g < len(snapshots) else params.copy()
             optimizer.step(params, grads, cfg.learning_rate)
             if not lag:
@@ -571,13 +543,17 @@ class CheckpointError(RuntimeError):
 def load_checkpoint(path, scenario: ScenarioConfig | None = None) -> net.PolicyParameters:
     """Load a checkpoint, optionally validating it against a scenario."""
     with np.load(path) as data:
-        if "meta" not in data:
+        meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data else None
+        if not isinstance(meta, dict):
             raise CheckpointError(f"{path} is not a policy checkpoint")
-        meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {meta.get('version')} unsupported (want {CHECKPOINT_VERSION})"
             )
+        missing = [k for k in ("obs_dim", "num_ues", "num_actions") if k not in meta]
+        missing += [name for name in net.TENSOR_NAMES if name not in data]
+        if missing:
+            raise CheckpointError(f"{path} lacks {', '.join(missing)}")
         params = net.PolicyParameters(
             obs_dim=meta["obs_dim"],
             num_ues=meta["num_ues"],

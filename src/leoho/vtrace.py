@@ -9,7 +9,8 @@ advantages built from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,33 +19,45 @@ from leoho import net
 
 @dataclass
 class TrajectorySegment:
-    """One recorded episode from a behavior policy.
+    """Recorded episodes from a behavior policy: one, or a stack of them.
 
-    ``observations`` has one extra row (the state after the last step);
-    ``bootstrap_value`` stands in for the value of that state and is 0 for
-    terminal episodes.  ``masks`` flags which heads actually chose (already
-    accessed terminals are pinned to action 0 with log-probability 0).
+    The arrays take an optional leading episode axis, so a stack of S
+    episodes is (S, L, ...); ``segment[e]`` is episode ``e`` and
+    ``segment[a:b]`` a stack of a run of them, both views, and a stack
+    iterates as its episodes.  ``observations`` has one extra row (the
+    state after the last step); ``bootstrap_value`` stands in for the value
+    of that state, in every episode of a stack, and is 0 for terminal
+    episodes.  ``masks`` flags which heads actually chose (already accessed
+    terminals are pinned to action 0 with log-probability 0).
     """
 
-    observations: np.ndarray  # (L + 1, obs_dim)
-    actions: np.ndarray  # (L, J) int
-    behavior_logprobs: np.ndarray  # (L, J) per-head log mu
-    rewards: np.ndarray  # (L,)
-    masks: np.ndarray  # (L, J) 1.0 = head active
+    observations: np.ndarray  # ([S,] L + 1, obs_dim)
+    actions: np.ndarray  # ([S,] L, J) int
+    behavior_logprobs: np.ndarray  # ([S,] L, J) per-head log mu
+    rewards: np.ndarray  # ([S,] L)
+    masks: np.ndarray  # ([S,] L, J) 1.0 = head active
     bootstrap_value: float = 0.0
 
     def __post_init__(self) -> None:
-        length = self.rewards.shape[0]
-        if self.observations.shape[0] != length + 1:
+        *lead, length = self.rewards.shape
+        if self.observations.shape[:-1] != (*lead, length + 1):
             raise ValueError("observations must hold one row per step plus the final state")
         for name in ("actions", "behavior_logprobs", "masks"):
-            if getattr(self, name).shape[0] != length:
-                raise ValueError(f"{name} must have {length} rows")
+            if getattr(self, name).shape[:-1] != (*lead, length):
+                raise ValueError(f"{name} must be shaped {(*lead, length)} before its last axis")
         if not np.all(np.isfinite(self.behavior_logprobs)):
             raise ValueError("behavior log-probabilities must be finite")
 
     def __len__(self) -> int:
+        """Steps of one episode, or episodes of a stack."""
         return self.rewards.shape[0]
+
+    def __getitem__(self, key: int | slice) -> TrajectorySegment:
+        arrays = ("observations", "actions", "behavior_logprobs", "rewards", "masks")
+        return replace(self, **{name: getattr(self, name)[key] for name in arrays})
+
+    def __iter__(self) -> Iterator[TrajectorySegment]:
+        return (self[e] for e in range(len(self)))
 
 
 def vtrace_from_values(

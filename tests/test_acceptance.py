@@ -28,7 +28,6 @@ from leoho.training import (
     compute_targets,
     loss_and_gradient_with_targets,
     save_checkpoint,
-    total_loss_with_targets,
     train,
 )
 from leoho.vtrace import TrajectorySegment, vtrace_from_values, vtrace_targets
@@ -50,23 +49,16 @@ def test_criterion_01_gradient_correctness():
     rng = np.random.default_rng(0)
     params = net.init_params(5, 2, 3, hidden=(8, 8), rng=rng)
     behavior = net.init_params(5, 2, 3, hidden=(8, 8), rng=rng)
-    segments = []
+    episodes = []
     for _ in range(3):
         length = 4
         observations = rng.uniform(0, 1, size=(length + 1, 5))
         actions = rng.integers(0, 3, size=(length, 2))
         masks = (rng.uniform(size=(length, 2)) > 0.25).astype(float)
         logits, _, _ = net.forward_batch(behavior, observations[:-1])
-        segments.append(
-            TrajectorySegment(
-                observations=observations,
-                actions=actions,
-                behavior_logprobs=net.head_log_probs(logits, actions) * masks,
-                rewards=rng.normal(size=length),
-                masks=masks,
-                bootstrap_value=0.0,
-            )
-        )
+        logprobs = net.head_log_probs(logits, actions) * masks
+        episodes.append((observations, actions, logprobs, rng.normal(size=length), masks))
+    segments = TrajectorySegment(*map(np.stack, zip(*episodes)), bootstrap_value=0.0)
     cfg = VtraceConfig(gamma=0.95, entropy_coeff=0.011, baseline_coeff=0.55, hidden=(8, 8))
     targets, advantages = compute_targets(params, segments, cfg)
     _, grads = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)
@@ -79,9 +71,9 @@ def test_criterion_01_gradient_correctness():
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + h
-            up = total_loss_with_targets(params, segments, targets, advantages, cfg)
+            up = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)[0].total
             flat[idx] = keep - h
-            down = total_loss_with_targets(params, segments, targets, advantages, cfg)
+            down = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)[0].total
             flat[idx] = keep
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(grad_flat[idx]), 1e-6)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from leoho import experiments
+from leoho import experiments, net
 from leoho.cli import main
 from leoho.experiments import AGENT_KINDS
 
@@ -103,6 +104,22 @@ def test_eval_with_checkpoint(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "eval" / "summary.csv").exists()
+
+
+def test_malformed_checkpoint_exits_3_with_one_line(tmp_path, capsys):
+    spec = write_spec(tmp_path, FAST_DHO)
+    shapes = {"version": 1, "obs_dim": 3, "num_ues": 1, "num_actions": 2}
+    tensors = {name: np.zeros((1, 1)) for name in net.TENSOR_NAMES}
+    malformed = [
+        ({"version": 1}, {}),  # no shapes, no tensors
+        (shapes, {**tensors, "w1": np.zeros(3)}),  # a flat weight matrix
+    ]
+    for g, (meta, arrays) in enumerate(malformed):
+        path = tmp_path / f"malformed{g}.npz"
+        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8), **arrays)
+        code = main(["eval", "--spec", spec, "--checkpoint", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3, meta
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_bad_spec_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from leoho.training import (
     loss_and_gradient_with_targets,
     rollout_segment,
     save_checkpoint,
-    total_loss_with_targets,
     train,
     write_curve_csv,
 )
@@ -33,7 +33,8 @@ from leoho.vtrace import TrajectorySegment, vtrace_targets
 
 
 def make_segments(rng, params, count=3, length=4):
-    segments = []
+    """A stack of ``count`` random episodes, drawn one episode at a time."""
+    episodes = []
     behavior = net.init_params(
         params.obs_dim, params.num_ues, params.num_actions, hidden=(8, 8), rng=rng
     )
@@ -43,17 +44,8 @@ def make_segments(rng, params, count=3, length=4):
         masks = (rng.uniform(size=(length, params.num_ues)) > 0.25).astype(float)
         logits, _, _ = net.forward_batch(behavior, observations[:-1])
         logprobs = net.head_log_probs(logits, actions) * masks
-        segments.append(
-            TrajectorySegment(
-                observations=observations,
-                actions=actions,
-                behavior_logprobs=logprobs,
-                rewards=rng.normal(size=length),
-                masks=masks,
-                bootstrap_value=0.0,
-            )
-        )
-    return segments
+        episodes.append((observations, actions, logprobs, rng.normal(size=length), masks))
+    return TrajectorySegment(*map(np.stack, zip(*episodes)), bootstrap_value=0.0)
 
 
 def finite_difference_check(params, segments, cfg, h=1e-5, tolerance=1e-4):
@@ -67,9 +59,9 @@ def finite_difference_check(params, segments, cfg, h=1e-5, tolerance=1e-4):
         for idx in range(flat.size):
             original = flat[idx]
             flat[idx] = original + h
-            up = total_loss_with_targets(params, segments, targets, advantages, cfg)
+            up = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)[0].total
             flat[idx] = original - h
-            down = total_loss_with_targets(params, segments, targets, advantages, cfg)
+            down = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)[0].total
             flat[idx] = original
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(grad_flat[idx]), 1e-6)
@@ -344,7 +336,7 @@ def serial_train(scenario, cfg, episodes, actors, seed):
         batch = range(start, min(start + per_batch, episodes))
         noise = np.stack([rngs[d % actors].gumbel(size=shape) for d in batch])
         seeds = [(seed ^ (d % actors), d // actors) for d in batch]
-        segments, records = rollout_segment(env, [(published, len(batch))], noise, seeds)
+        segments, records = rollout_segment(env, published, noise, seeds)
         curve += [(d, r.episode_return, r.sum_delay, r.sum_collision) for d, r in zip(batch, records)]
         if len(batch) == per_batch:
             previous = params.copy()
@@ -411,25 +403,15 @@ def test_rollout_groups_act_under_their_own_parameters():
         net.init_params(observation_size(scenario), 3, 3, hidden=(8, 8), rng=np.random.default_rng(s))
         for s in (1, 2)
     )
-    grouped, _ = rollout_segment(env, [(a, 2), (b, 3)], noise, seeds)
-    alone = (
-        rollout_segment(env, [(a, 2)], noise[:2], seeds[:2])[0]
-        + rollout_segment(env, [(b, 3)], noise[2:], seeds[2:])[0]
-    )
-    for got, want in zip(grouped, alone):
-        for field in ("observations", "actions", "behavior_logprobs", "rewards", "masks"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    with pytest.raises(ValueError):
-        rollout_segment(env, [(a, 2), (b, 2)], noise, seeds)
-    # A stack of equal groups decides in one call, with the same bits.
-    stacked, _ = rollout_segment(env, [(net.stack_params([a, b]), 4)], noise[1:], seeds[1:])
-    apart = (
-        rollout_segment(env, [(a, 2)], noise[1:3], seeds[1:3])[0]
-        + rollout_segment(env, [(b, 2)], noise[3:], seeds[3:])[0]
-    )
-    for got, want in zip(stacked, apart):
-        for field in ("observations", "actions", "behavior_logprobs", "rewards", "masks"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    # A stack of equal groups decides in one call, with each set's bits.
+    stacked, _ = rollout_segment(env, net.stack_params([a, b]), noise[1:], seeds[1:])
+    apart = [
+        rollout_segment(env, a, noise[1:3], seeds[1:3])[0],
+        rollout_segment(env, b, noise[3:], seeds[3:])[0],
+    ]
+    for field in ("observations", "actions", "behavior_logprobs", "rewards", "masks"):
+        want = np.concatenate([getattr(segment, field) for segment in apart])
+        assert getattr(stacked, field).tobytes() == want.tobytes(), field
 
 
 def test_rollout_pinned_heads_report_action_zero_with_log_prob_zero():
@@ -441,7 +423,7 @@ def test_rollout_pinned_heads_report_action_zero_with_log_prob_zero():
         net.init_params(observation_size(scenario), 3, 3, hidden=(8, 8), rng=np.random.default_rng(s))
         for s in (3, 4)
     ]
-    segments, _ = rollout_segment(env, [(p, 4) for p in policies], noise, [(2, e) for e in range(8)])
+    segments, _ = rollout_segment(env, net.stack_params(policies), noise, [(2, e) for e in range(8)])
     for g, policy in enumerate(policies):
         for segment in segments[4 * g : 4 * (g + 1)]:
             pinned = segment.masks == 0.0
@@ -486,10 +468,21 @@ def test_checkpoint_scenario_mismatch(tmp_path):
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
-    path = tmp_path / "junk.npz"
-    np.savez(path, stuff=np.arange(3))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    def meta(value):
+        return np.frombuffer(json.dumps(value).encode(), dtype=np.uint8)
+
+    keys = {"version": 1, "obs_dim": 5, "num_ues": 2, "num_actions": 3, "hidden": [4, 4]}
+    foreign = [
+        dict(stuff=np.arange(3)),
+        dict(meta=meta([1])),
+        dict(meta=meta({"version": 1})),  # no shapes
+        dict(meta=meta(keys), w1=np.zeros((5, 4))),  # one tensor of eight
+    ]
+    for g, arrays in enumerate(foreign):
+        path = tmp_path / f"junk{g}.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def test_zero_checkpoint_reproduces_uniform_frequencies(tmp_path):

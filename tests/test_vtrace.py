@@ -146,6 +146,30 @@ def test_segment_validation():
         )
 
 
+def test_segment_stack_on_a_leading_episode_axis():
+    episodes, length = 3, 5
+
+    def stack(observation_rows=length + 1, action_episodes=episodes):
+        return TrajectorySegment(
+            observations=np.zeros((episodes, observation_rows, 4)),
+            actions=np.zeros((action_episodes, length, 2), int),
+            behavior_logprobs=np.zeros((episodes, length, 2)),
+            rewards=np.zeros((episodes, length)),
+            masks=np.ones((episodes, length, 2)),
+        )
+
+    with pytest.raises(ValueError):
+        stack(observation_rows=length)  # no final state
+    with pytest.raises(ValueError):
+        stack(action_episodes=episodes - 1)
+    segments = stack()
+    segments[1].rewards[2] = 7.0
+    segments[1:][0].masks[0, 1] = 0.0
+    assert segments.rewards[1, 2] == 7.0 and segments.masks[1, 0, 1] == 0.0
+    assert [len(segment) for segment in segments] == [length] * episodes
+    assert len(segments[:2]) == 2
+
+
 def test_vtrace_targets_composes_network_and_recursion():
     rng = np.random.default_rng(5)
     params = net.init_params(4, 2, 3, hidden=(8, 8), rng=rng)
