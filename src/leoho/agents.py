@@ -49,23 +49,18 @@ def conventional_decide(
     return actions, streak
 
 
-def random_decide(
-    draws: np.ndarray | np.random.Generator, accessed: np.ndarray, num_planes: int
-) -> np.ndarray:
+def random_decide(draws: np.ndarray, accessed: np.ndarray) -> np.ndarray:
     """Uniform draw over {0..K-1} per unaccessed terminal.
 
-    ``draws`` holds the uniform actions, shaped like ``accessed``, or is a
-    generator that draws them now.
+    ``draws`` holds the uniform actions, shaped like ``accessed``.
     """
-    if isinstance(draws, np.random.Generator):
-        draws = draws.integers(0, num_planes, size=accessed.shape)
     return np.where(accessed, 0, draws)
 
 
 def dho_decide(
     params: net.PolicyParameters | net.StackedPolicy,
     observation: np.ndarray,
-    noise: np.ndarray | np.random.Generator | None = None,
+    noise: np.ndarray | None = None,
     mode: str = "sample",
     accessed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,20 +68,17 @@ def dho_decide(
 
     ``observation`` is (..., obs_dim).  A :class:`net.StackedPolicy` of G
     parameter sets decides its rows as G equal runs in order, each under
-    its own set.  Sampling adds Gumbel ``noise`` (..., J, K) to the logits,
-    or draws it now from a generator.  Returns the chosen actions and the
-    (..., J, K) logits they were chosen from; pinned (accessed) heads report
-    action 0.  :func:`dho_log_probs` turns the two into behavior
-    log-probabilities.
+    its own set.  Sampling adds Gumbel ``noise`` (..., J, K) to the logits.
+    Returns the chosen actions and the (..., J, K) logits they were chosen
+    from; pinned (accessed) heads report action 0.  :func:`dho_log_probs`
+    turns the two into behavior log-probabilities.
     """
     logits = net.forward(params, observation)
     if mode == "greedy":
         actions = logits.argmax(axis=-1)
     elif mode == "sample":
         if noise is None:
-            raise ValueError("sampling mode needs a random generator or Gumbel noise")
-        if isinstance(noise, np.random.Generator):
-            noise = noise.gumbel(size=logits.shape)
+            raise ValueError("sampling mode needs Gumbel noise")
         actions = (logits + noise).argmax(axis=-1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -151,7 +143,7 @@ class RandomAgent:
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         state = env.state
-        return random_decide(self._draws[..., state.slot, :], state.accessed, env.config.num_planes)
+        return random_decide(self._draws[..., state.slot, :], state.accessed)
 
 
 class DhoAgent:

@@ -234,8 +234,8 @@ def batch_episodes(config: ScenarioConfig) -> int:
     return max(1, min(BATCH_TERMINALS // config.num_ues, MAX_CHUNK_CELLS // config.episode_cells))
 
 
-def observation_size(config: ScenarioConfig, features: FeatureMask | None = None) -> int:
-    f = config.features if features is None else features
+def observation_size(config: ScenarioConfig) -> int:
+    f = config.features
     j, k = config.num_ues, config.num_planes
     size = 0
     if f.time_index:
@@ -247,14 +247,6 @@ def observation_size(config: ScenarioConfig, features: FeatureMask | None = None
     if f.a3_centralized:
         size += j * (k - 1)
     return size
-
-
-def one_hot(actions: np.ndarray, num_planes: int) -> np.ndarray:
-    """(J,) integer actions to a (J, K) one-hot matrix."""
-    actions = np.asarray(actions)
-    out = np.zeros((actions.shape[0], num_planes))
-    out[np.arange(actions.shape[0]), actions] = 1.0
-    return out
 
 
 @dataclass
@@ -424,7 +416,7 @@ def admission(
     requested: np.ndarray,
     rb_remaining: np.ndarray,
     num_ues: int,
-    keys: np.ndarray | np.random.Generator,
+    keys: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grant handover requests against the remaining per-target blocks.
 
@@ -432,16 +424,13 @@ def admission(
     (..., K-1), over the same leading episode axes.  When a target has fewer
     blocks than requesters, it grants the requesters with the smallest
     ``keys`` (..., J), i.i.d. uniform draws, so the granted subset is uniform
-    at random.  ``keys`` may be a generator, which then draws one block
-    shaped like ``requested``.  Returns (command, rb_collision, c_r) where
-    ``command`` is the granted target plane (0 if none), ``rb_collision``
-    flags refused requesters, and ``c_r`` (..., K-1) is the per-target
-    collision rate (excess requesters over the whole population).
+    at random.  Returns (command, rb_collision, c_r) where ``command`` is
+    the granted target plane (0 if none), ``rb_collision`` flags refused
+    requesters, and ``c_r`` (..., K-1) is the per-target collision rate
+    (excess requesters over the whole population).
     """
     requested = np.asarray(requested)
     rb_remaining = np.asarray(rb_remaining)
-    if isinstance(keys, np.random.Generator):
-        keys = keys.random(requested.shape)
     wants = requested[..., None] == np.arange(1, rb_remaining.shape[-1] + 1)  # (..., J, K-1)
     excess = wants.sum(axis=-2) - rb_remaining
     oversubscribed = excess > 0
@@ -467,21 +456,18 @@ def rach(
     command: np.ndarray,
     num_preambles: int,
     num_ues: int,
-    preambles: np.ndarray | np.random.Generator,
+    preambles: np.ndarray,
     num_targets: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-step random access for every commanded terminal.
 
     ``command`` is (..., J) granted target planes.  Each commanded terminal
-    sends its signature from ``preambles`` (..., J), uniform on {1..P}; a
-    generator there draws one block shaped like ``command``.  Terminals
-    sharing an (episode, target, signature) collide and fail, the rest
-    complete.  ``num_targets`` bounds the planes in ``command``.  Returns
-    (preamble, prach_collision, c_p) with ``c_p`` (...).
+    sends its signature from ``preambles`` (..., J), uniform on {1..P}.
+    Terminals sharing an (episode, target, signature) collide and fail, the
+    rest complete.  ``num_targets`` bounds the planes in ``command``.
+    Returns (preamble, prach_collision, c_p) with ``c_p`` (...).
     """
     command = np.asarray(command)
-    if isinstance(preambles, np.random.Generator):
-        preambles = preambles.integers(1, num_preambles + 1, size=command.shape)
     commanded = command > 0
     preamble = np.where(commanded, preambles, 0)
     # One bin per (episode, target, signature); uncommanded terminals land in
@@ -636,18 +622,15 @@ class HandoverEnv:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        constellation = orbital.initial_state(
-            orbital.default_constellation(
-                altitude_m=config.altitude_m,
-                num_planes=config.num_planes,
-                slot_duration_s=config.slot_s,
-                horizon=config.horizon,
-                area_m=config.area_m,
-                sats_per_plane=config.sats_per_plane,
-            )
+        # (K, I, 3) positions at slot 0 and velocities.
+        self._init_positions, self._velocities = orbital.default_constellation(
+            altitude_m=config.altitude_m,
+            num_planes=config.num_planes,
+            slot_duration_s=config.slot_s,
+            horizon=config.horizon,
+            area_m=config.area_m,
+            sats_per_plane=config.sats_per_plane,
         )
-        self._init_positions = constellation.positions  # (K, I, 3)
-        self._velocities = constellation.velocities
         self._rb_initial = np.array(config.rb_per_target, dtype=np.int64)
         self._targets = np.arange(1, config.num_planes)
         # Measurement instants of slot n: slot start + m * period, m = 1..M.
@@ -758,7 +741,7 @@ class HandoverEnv:
         while self._meas_slot < state.slot:
             n = self._meas_slot
             times = self._sample_times[n][:, None, None, None]
-            positions = self._init_positions + times * self._velocities
+            positions = orbital.propagate(self._init_positions, self._velocities, times)
             for sample in self._rsrp(positions, slice(1 + n * m, 1 + (n + 1) * m)):
                 self._meas.fold_sample(sample)
             self._meas_slot += 1
@@ -815,10 +798,9 @@ class HandoverEnv:
         )
         return self.observe(), outcome
 
-    def observe(self, features: FeatureMask | None = None) -> np.ndarray:
-        f = self.config.features if features is None else features
-        measurements = self.measurements() if f.a3_centralized else None
-        return observe(self.state, self.config, f, measurements)
+    def observe(self) -> np.ndarray:
+        measurements = self.measurements() if self.config.features.a3_centralized else None
+        return observe(self.state, self.config, measurements)
 
     def metrics(self, outcomes: Sequence[StepOutcome]) -> MetricsRecord:
         return episode_metrics(outcomes, self.state)
@@ -827,7 +809,6 @@ class HandoverEnv:
 def observe(
     state: EnvState,
     config: ScenarioConfig,
-    features: FeatureMask | None = None,
     measurements: link.MeasurementState | None = None,
 ) -> np.ndarray:
     """Observation vectors: [n/N] + accessed + one-hot previous action (+ A3 flags).
@@ -837,10 +818,10 @@ def observe(
     ``measurements`` folded up to the state's slot; :meth:`HandoverEnv.observe`
     supplies them.
     """
-    f = config.features if features is None else features
+    f = config.features
     j, k = config.num_ues, config.num_planes
     lead = state.accessed.shape[:-1]
-    out = np.zeros(lead + (observation_size(config, f),))
+    out = np.zeros(lead + (observation_size(config),))
     pos = 0
     if f.time_index:
         out[..., 0] = state.slot / config.horizon

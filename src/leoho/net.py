@@ -286,29 +286,11 @@ def _plane_sum(values: np.ndarray) -> np.ndarray:
     return total
 
 
-def _normalise(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Logits less their per-head max, those shifted values' exps, and the exps' sum."""
+def softmax_and_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable softmax and log-softmax over the last axis, from one pass."""
     shifted = _shift(logits)
     exps = np.exp(shifted)
-    return shifted, exps, _plane_sum(exps)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable log-softmax over the last axis."""
-    shifted, _, total = _normalise(logits)
-    shifted -= np.log(total)
-    return shifted
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    _, exps, total = _normalise(logits)
-    exps /= total
-    return exps
-
-
-def softmax_and_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`softmax` and :func:`log_softmax` of the same logits, from one pass."""
-    shifted, exps, total = _normalise(logits)
+    total = _plane_sum(exps)
     exps /= total
     shifted -= np.log(total)
     return exps, shifted
@@ -332,9 +314,3 @@ def head_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
     # The exps overwrite the shifted logits, which are no longer needed.
     chosen -= np.log(_plane_sum(np.exp(shifted, out=shifted))[..., 0])
     return chosen
-
-
-def head_entropy(logits: np.ndarray) -> np.ndarray:
-    """Entropy of each categorical head, shape (..., J)."""
-    logp = log_softmax(logits)
-    return -(np.exp(logp) * logp).sum(axis=-1)

@@ -8,7 +8,6 @@ simulator consumes.  All positions are metres, velocities metres per second.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,81 +35,13 @@ def propagation_delay(distance_m: float) -> float:
     return distance_m / SPEED_OF_LIGHT
 
 
-@dataclass(frozen=True)
-class OrbitalConfig:
-    """Static constellation geometry.
+def propagate(positions: np.ndarray, velocities: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
+    """Satellite positions ``dt`` seconds on, by straight-line motion.
 
-    ``plane_velocity_dirs`` holds one unit vector per plane; every satellite
-    on a plane shares it.  ``initial_positions`` is (num_planes,
-    sats_per_plane, 3) at slot 0.  Plane 0 is the serving plane.
+    ``positions`` and ``velocities`` are (K, I, 3); ``dt`` is a scalar or an
+    array that broadcasts against them, e.g. (S, 1, 1, 1) for S instants.
     """
-
-    altitude_m: float
-    num_planes: int
-    sats_per_plane: int
-    plane_velocity_dirs: np.ndarray  # (K, 3) unit vectors
-    initial_positions: np.ndarray  # (K, I, 3) m
-    slot_duration_s: float
-
-    def __post_init__(self) -> None:
-        dirs = np.asarray(self.plane_velocity_dirs, dtype=float)
-        pos = np.asarray(self.initial_positions, dtype=float)
-        object.__setattr__(self, "plane_velocity_dirs", dirs)
-        object.__setattr__(self, "initial_positions", pos)
-        if self.altitude_m <= 0:
-            raise ValueError("altitude_m must be positive")
-        if self.num_planes < 2:
-            raise ValueError("need at least a serving plane and one target plane")
-        if self.sats_per_plane < 1:
-            raise ValueError("sats_per_plane must be >= 1")
-        if dirs.shape != (self.num_planes, 3):
-            raise ValueError(f"plane_velocity_dirs must be ({self.num_planes}, 3)")
-        if pos.shape != (self.num_planes, self.sats_per_plane, 3):
-            raise ValueError(
-                f"initial_positions must be ({self.num_planes}, {self.sats_per_plane}, 3)"
-            )
-        norms = np.linalg.norm(dirs, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-9):
-            raise ValueError("velocity directions must be unit vectors")
-        if self.slot_duration_s <= 0:
-            raise ValueError("slot_duration_s must be positive")
-
-    @property
-    def speed(self) -> float:
-        return orbital_speed(self.altitude_m)
-
-
-@dataclass(frozen=True)
-class ConstellationState:
-    """Satellite positions/velocities at one slot."""
-
-    positions: np.ndarray  # (K, I, 3) m
-    velocities: np.ndarray  # (K, I, 3) m/s
-    slot_index: int = 0
-
-
-def initial_state(config: OrbitalConfig) -> ConstellationState:
-    velocities = config.speed * config.plane_velocity_dirs[:, None, :]
-    velocities = np.broadcast_to(velocities, config.initial_positions.shape).copy()
-    return ConstellationState(
-        positions=config.initial_positions.copy(),
-        velocities=velocities,
-        slot_index=0,
-    )
-
-
-def propagate(state: ConstellationState, config: OrbitalConfig, steps: int) -> ConstellationState:
-    """Advance every satellite by ``steps`` slots of straight-line motion."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if steps == 0:
-        return state
-    dt = steps * config.slot_duration_s
-    return ConstellationState(
-        positions=state.positions + dt * state.velocities,
-        velocities=state.velocities,
-        slot_index=state.slot_index + steps,
-    )
+    return positions + dt * velocities
 
 
 def default_constellation(
@@ -120,13 +51,15 @@ def default_constellation(
     horizon: int,
     area_m: float,
     sats_per_plane: int = 1,
-) -> OrbitalConfig:
+) -> tuple[np.ndarray, np.ndarray]:
     """Canonical episode geometry over a square ground area.
 
-    Each plane's satellite is placed half an episode's travel behind the
-    point directly above the area centre, so it passes overhead mid-episode.
-    The serving plane heads along +y; target planes approach on diagonal
-    tracks crossing the same overhead point.
+    Returns the (K, I, 3) satellite positions at slot 0 and their
+    velocities; plane 0 is the serving plane.  Each plane's satellite is
+    placed half an episode's travel behind the point directly above the
+    area centre, so it passes overhead mid-episode.  The serving plane heads
+    along +y; target planes approach on diagonal tracks crossing the same
+    overhead point.
     """
     speed = orbital_speed(altitude_m)
     dirs = [np.array([0.0, 1.0, 0.0])]
@@ -144,14 +77,8 @@ def default_constellation(
     for k in range(num_planes):
         for i in range(sats_per_plane):
             positions[k, i] = overhead - (back_off + i * arc) * dirs_arr[k]
-    return OrbitalConfig(
-        altitude_m=altitude_m,
-        num_planes=num_planes,
-        sats_per_plane=sats_per_plane,
-        plane_velocity_dirs=dirs_arr,
-        initial_positions=positions,
-        slot_duration_s=slot_duration_s,
-    )
+    velocities = np.broadcast_to(speed * dirs_arr[:, None, :], positions.shape).copy()
+    return positions, velocities
 
 
 def nearest_distances_km(positions: np.ndarray, ue_positions: np.ndarray) -> np.ndarray:

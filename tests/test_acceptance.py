@@ -258,11 +258,9 @@ def test_criterion_04_rach_closed_form():
     trials = 100_000
     reports = []
     for m, preambles in ((2, 1), (5, 8), (10, 50)):
-        command = np.array([1] * m + [0] * (10 - m))
-        rates = np.empty(trials)
-        for t in range(trials):
-            _, _, c_p = rach_op(command, preambles, 10, rng, 1)
-            rates[t] = c_p
+        command = np.tile([1] * m + [0] * (10 - m), (trials, 1))
+        signatures = rng.integers(1, preambles + 1, size=command.shape)
+        _, _, rates = rach_op(command, preambles, 10, signatures, 1)
         expected = (m / 10) * (1 - (1 - 1 / preambles) ** (m - 1))
         sem = rates.std() / math.sqrt(trials)
         gap = abs(rates.mean() - expected)

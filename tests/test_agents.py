@@ -93,11 +93,10 @@ def test_conventional_compares_streaks_within_int64(monkeypatch):
 
 def test_random_uniform_frequencies():
     rng = np.random.default_rng(3)
-    counts = np.zeros(3)
     draws = 100_000
-    accessed = np.zeros(1, bool)
-    for _ in range(draws):
-        counts[random_decide(rng, accessed, 3)[0]] += 1
+    accessed = np.zeros((draws, 1), bool)
+    actions = random_decide(rng.integers(0, 3, size=accessed.shape), accessed)
+    counts = np.bincount(actions[:, 0], minlength=3)
     p_hat = counts / draws
     sigma = np.sqrt((1 / 3) * (2 / 3) / draws)
     assert np.all(np.abs(p_hat - 1 / 3) < 4 * sigma)
@@ -105,13 +104,13 @@ def test_random_uniform_frequencies():
 
 def test_random_masks_accessed():
     rng = np.random.default_rng(0)
-    actions = random_decide(rng, np.ones(10, bool), 3)
+    actions = random_decide(rng.integers(0, 3, size=10), np.ones(10, bool))
     assert not actions.any()
 
 
 def test_random_deterministic_under_seed():
-    a = random_decide(np.random.default_rng(42), np.zeros(10, bool), 3)
-    b = random_decide(np.random.default_rng(42), np.zeros(10, bool), 3)
+    a = random_decide(np.random.default_rng(42).integers(0, 3, size=10), np.zeros(10, bool))
+    b = random_decide(np.random.default_rng(42).integers(0, 3, size=10), np.zeros(10, bool))
     assert np.array_equal(a, b)
 
 
@@ -121,12 +120,10 @@ def test_random_deterministic_under_seed():
 def test_dho_zero_net_samples_uniformly():
     params = net.zero_params(obs_dim=4, num_ues=1, num_actions=3, hidden=(8, 8))
     rng = np.random.default_rng(1)
-    obs = np.zeros(4)
-    counts = np.zeros(3)
     draws = 30_000
-    for _ in range(draws):
-        a, _ = dho_decide(params, obs, rng)
-        counts[a[0]] += 1
+    obs = np.zeros((draws, 4))
+    a, _ = dho_decide(params, obs, rng.gumbel(size=(draws, 1, 3)))
+    counts = np.bincount(a[:, 0], minlength=3)
     sigma = np.sqrt((1 / 3) * (2 / 3) / draws)
     assert np.all(np.abs(counts / draws - 1 / 3) < 4 * sigma)
 
@@ -156,14 +153,15 @@ def test_dho_joint_log_prob_enumeration():
 def test_dho_per_head_probabilities_normalise():
     params = net.init_params(5, 2, 3, hidden=(8, 8), rng=np.random.default_rng(4))
     logits = net.forward(params, np.zeros(5))
-    probs = net.softmax(logits)
+    probs = net.softmax_and_log_softmax(logits)[0]
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_dho_masks_accessed_and_zeroes_their_logprob():
     params = net.init_params(5, 3, 3, hidden=(8, 8), rng=np.random.default_rng(2))
     accessed = np.array([True, False, True])
-    actions, logits = dho_decide(params, np.zeros(5), np.random.default_rng(0), accessed=accessed)
+    noise = np.random.default_rng(0).gumbel(size=(3, 3))
+    actions, logits = dho_decide(params, np.zeros(5), noise, accessed=accessed)
     assert actions[0] == 0 and actions[2] == 0
     lp = dho_log_probs(logits, actions, accessed)
     assert lp[0] == 0.0 and lp[2] == 0.0

@@ -12,7 +12,7 @@ import sys
 from contextlib import ExitStack
 from pathlib import Path
 
-from leoho import experiments, training
+from leoho import experiments, orbital, training
 from leoho.env import ScenarioConfig, StepOutcome, batch_episodes
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -25,6 +25,25 @@ from workloads import patched  # noqa: E402
 def test_every_trace_target_resolves():
     missing = [name for owner, attr, name in tracing.TARGETS if not hasattr(owner, attr)]
     assert not missing
+
+
+def test_measurement_fold_propagates_through_the_traced_name():
+    # The tracer counts ``orbital.propagate`` by patching the module
+    # attribute, so the env must look it up there once per folded slot.
+    # The conventional agent reads the fold before each of the N decisions,
+    # by which time slots 0..N-2 have ended; the random agent never reads it.
+    scenario = ScenarioConfig()
+    inner = orbital.propagate
+    for kind, expected in (("conventional", scenario.horizon - 1), ("random", 0)):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        with patched(orbital, "propagate", counted):
+            experiments.evaluate(scenario, kind, batch_episodes(scenario), master_seed=3)
+        assert len(calls) == expected, kind
 
 
 def _watch_episode_metrics(stack: ExitStack, module, scenario) -> tuple[EpisodeChecker, list]:

@@ -27,7 +27,6 @@ from leoho.env import (
     episode_metrics,
     observation_size,
     observe,
-    one_hot,
     rach,
     stack_outcomes,
     trace_header,
@@ -60,6 +59,11 @@ def test_config_errors_carry_field_names():
     with pytest.raises(ConfigError) as err:
         ScenarioConfig(sats_per_plane=0)
     assert err.value.field == "sats_per_plane"
+    for name in ("altitude_m", "area_m", "slot_s"):
+        for value in (0.0, -1.0):
+            with pytest.raises(ConfigError) as err:
+                ScenarioConfig(**{name: value})
+            assert err.value.field == name
     for period in (0.2, 0.6, 0.0):  # slot_s = 0.3 is no positive multiple of these
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(measurement_period_s=period)
@@ -233,10 +237,10 @@ def test_reset_streams_are_default_rng_streams():
 def test_observation_size_accounting():
     cfg = small_config()
     assert observation_size(cfg) == 1 + 10 + 10 * 3
-    no_prev = FeatureMask(prev_action=False)
-    assert observation_size(cfg, no_prev) == observation_size(cfg) - 10 * 3
-    central = FeatureMask(a3_centralized=True)
-    assert observation_size(cfg, central) == observation_size(cfg) + 10 * 2
+    no_prev = dataclasses.replace(cfg, features=FeatureMask(prev_action=False))
+    assert observation_size(no_prev) == observation_size(cfg) - 10 * 3
+    central = dataclasses.replace(cfg, features=FeatureMask(a3_centralized=True))
+    assert observation_size(central) == observation_size(cfg) + 10 * 2
 
 
 def a3_event(m_l3_serving: float, m_l3_target: float, offset_db: float) -> bool:
@@ -264,31 +268,27 @@ def test_centralized_observation_matches_a3_evaluation():
     assert np.array_equal(flags, expected)
 
 
-def test_one_hot_rows_sum_to_one():
-    m = one_hot(np.array([0, 2, 1]), 3)
-    assert m.shape == (3, 3)
-    assert np.array_equal(m.sum(axis=1), np.ones(3))
-    assert m[1, 2] == 1.0
-
-
 # --- admission oracle -------------------------------------------------------
 
 
 def test_admission_no_requesters():
-    command, coll, c_r = admission(np.zeros(10, int), np.array([5, 5]), 10, np.random.default_rng(0))
+    keys = np.random.default_rng(0).random(10)
+    command, coll, c_r = admission(np.zeros(10, int), np.array([5, 5]), 10, keys)
     assert not command.any() and not coll.any() and not c_r.any()
 
 
 def test_admission_boundary_all_granted():
     requested = np.array([1] * 5 + [0] * 5)
-    command, coll, c_r = admission(requested, np.array([5, 5]), 10, np.random.default_rng(0))
+    keys = np.random.default_rng(0).random(requested.shape)
+    command, coll, c_r = admission(requested, np.array([5, 5]), 10, keys)
     assert (command[:5] == 1).all() and not coll.any()
     assert c_r.tolist() == [0.0, 0.0]
 
 
 def test_admission_oversubscribed_rate_and_count():
     requested = np.array([1] * 7 + [0] * 3)
-    command, coll, c_r = admission(requested, np.array([4, 4]), 10, np.random.default_rng(1))
+    keys = np.random.default_rng(1).random(requested.shape)
+    command, coll, c_r = admission(requested, np.array([4, 4]), 10, keys)
     assert (command == 1).sum() == 4
     assert coll.sum() == 3
     assert c_r[0] == pytest.approx(0.3)
@@ -298,11 +298,10 @@ def test_admission_uniform_selection_frequency():
     # 7 requesters, 4 blocks: every requester is granted with chance 4/7.
     trials = 100_000
     rng = np.random.default_rng(7)
-    requested = np.array([1] * 7 + [0] * 3)
-    grants = np.zeros(10)
-    for _ in range(trials):
-        command, _, _ = admission(requested, np.array([4, 4]), 10, rng)
-        grants += command == 1
+    requested = np.tile([1] * 7 + [0] * 3, (trials, 1))
+    blocks = np.tile([4, 4], (trials, 1))
+    command, _, _ = admission(requested, blocks, 10, rng.random(requested.shape))
+    grants = (command == 1).sum(axis=0)
     p_hat = grants[:7] / trials
     sigma = np.sqrt((4 / 7) * (3 / 7) / trials)
     assert np.all(np.abs(p_hat - 4 / 7) < 4 * sigma)
@@ -310,7 +309,8 @@ def test_admission_uniform_selection_frequency():
 
 def test_admission_zero_blocks_refuses_everyone():
     requested = np.array([2] * 6 + [0] * 4)
-    command, coll, c_r = admission(requested, np.array([3, 0]), 10, np.random.default_rng(0))
+    keys = np.random.default_rng(0).random(requested.shape)
+    command, coll, c_r = admission(requested, np.array([3, 0]), 10, keys)
     assert not command.any()
     assert coll[:6].all()
     assert c_r[1] == pytest.approx(0.6)
@@ -321,20 +321,20 @@ def test_admission_zero_blocks_refuses_everyone():
 
 def test_rach_single_ue_never_collides():
     command = np.array([1] + [0] * 9)
-    preamble, coll, c_p = rach(command, 1, 10, np.random.default_rng(0), 2)
+    preamble, coll, c_p = rach(command, 1, 10, np.random.default_rng(0).integers(1, 2, size=10), 2)
     assert preamble[0] == 1 and not coll.any() and c_p == 0.0
 
 
 def test_rach_pigeonhole_collision():
     command = np.array([1, 1] + [0] * 8)
-    preamble, coll, c_p = rach(command, 1, 10, np.random.default_rng(0), 2)
+    preamble, coll, c_p = rach(command, 1, 10, np.random.default_rng(0).integers(1, 2, size=10), 2)
     assert coll[:2].all()
     assert c_p == pytest.approx(0.2)
 
 
 def test_rach_different_targets_do_not_collide():
     command = np.array([1, 2] + [0] * 8)
-    _, coll, c_p = rach(command, 1, 10, np.random.default_rng(0), 2)
+    _, coll, c_p = rach(command, 1, 10, np.random.default_rng(0).integers(1, 2, size=10), 2)
     assert not coll.any() and c_p == 0.0
 
 
@@ -343,11 +343,8 @@ def test_rach_collision_rate_matches_birthday_formula():
     rng = np.random.default_rng(11)
     trials = 20_000
     for m, p in ((2, 1), (5, 8), (10, 50)):
-        command = np.array([1] * m + [0] * (10 - m))
-        rates = np.empty(trials)
-        for t in range(trials):
-            _, _, c_p = rach(command, p, 10, rng, 2)
-            rates[t] = c_p
+        command = np.tile([1] * m + [0] * (10 - m), (trials, 1))
+        _, _, rates = rach(command, p, 10, rng.integers(1, p + 1, size=command.shape), 2)
         expected = (m / 10) * (1 - (1 - 1 / p) ** (m - 1))
         sem = rates.std() / np.sqrt(trials)
         assert abs(rates.mean() - expected) < max(4 * sem, 1e-12)
@@ -782,10 +779,8 @@ def test_measurements_fold_samples_per_slot(period, samples):
     folded = env.measurements()
 
     # Oracle: L1 samples at slot start + m * period, m = 1..M, folded in time order.
-    sats = orbital.initial_state(
-        orbital.default_constellation(
-            cfg.altitude_m, cfg.num_planes, cfg.slot_s, cfg.horizon, cfg.area_m
-        )
+    positions, velocities = orbital.default_constellation(
+        cfg.altitude_m, cfg.num_planes, cfg.slot_s, cfg.horizon, cfg.area_m
     )
     ues = env.state.ue_positions
 
@@ -793,7 +788,7 @@ def test_measurements_fold_samples_per_slot(period, samples):
         out = np.empty((cfg.num_ues, cfg.num_planes))
         for j, ue in enumerate(ues):
             for k in range(cfg.num_planes):
-                sat = sats.positions[k, 0] + t * sats.velocities[k, 0]
+                sat = positions[k, 0] + t * velocities[k, 0]
                 d_km = orbital.slant_distance(sat, ue) / 1e3
                 out[j, k] = link.rsrp_proxy(cfg.dl_eirp_dbw, d_km, cfg.carrier_ghz)
         return out

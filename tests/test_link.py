@@ -101,15 +101,13 @@ def test_rsrp_dbm_is_bit_equal_to_the_samples_the_env_folds():
     )
     env = HandoverEnv(cfg)
     env.reset(episodes=[1, 2, 3])
-    constellation = orbital.initial_state(
-        orbital.default_constellation(
-            cfg.altitude_m, cfg.num_planes, cfg.slot_s, cfg.horizon, cfg.area_m
-        )
+    sat_positions, velocities = orbital.default_constellation(
+        cfg.altitude_m, cfg.num_planes, cfg.slot_s, cfg.horizon, cfg.area_m
     )
     for slot in range(cfg.horizon):
         # The initial sample, then each slot's one sample at its end.
         time = 0.0 if slot == 0 else (slot - 1) * cfg.slot_s + cfg.measurement_period_s
-        positions = constellation.positions + time * constellation.velocities
+        positions = sat_positions + time * velocities
         d_km = orbital.nearest_distances_km(positions, env.state.ue_positions)
         # The env's association before the link budget moved into link.
         const = cfg.dl_eirp_dbw + 30.0 - (20.0 * np.log10(cfg.carrier_ghz) + 92.45)

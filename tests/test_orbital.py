@@ -40,50 +40,51 @@ def test_orbital_speed_strictly_decreasing(altitude, bump):
     assert orbital.orbital_speed(altitude + bump) < orbital.orbital_speed(altitude)
 
 
+SLOT_S = 0.3
+
+
 @pytest.fixture
-def config():
+def tracks():
     return orbital.default_constellation(
-        altitude_m=550e3, num_planes=3, slot_duration_s=0.3, horizon=20, area_m=1000.0
+        altitude_m=550e3, num_planes=3, slot_duration_s=SLOT_S, horizon=20, area_m=1000.0
     )
 
 
-def test_propagate_zero_steps_is_identity(config):
-    state = orbital.initial_state(config)
-    after = orbital.propagate(state, config, 0)
-    assert after is state
+def test_propagate_zero_steps_is_identity(tracks):
+    positions, velocities = tracks
+    assert np.array_equal(orbital.propagate(positions, velocities, 0.0), positions)
 
 
-def test_propagate_single_step_displacement(config):
-    state = orbital.initial_state(config)
-    after = orbital.propagate(state, config, 1)
-    moved = np.linalg.norm(after.positions - state.positions, axis=-1)
-    expected = 0.3 * orbital.orbital_speed(550e3)
+def test_propagate_single_step_displacement(tracks):
+    positions, velocities = tracks
+    after = orbital.propagate(positions, velocities, SLOT_S)
+    moved = np.linalg.norm(after - positions, axis=-1)
+    expected = SLOT_S * orbital.orbital_speed(550e3)
     assert np.allclose(moved, expected)
     assert expected == pytest.approx(2277.0, abs=1.0)
-    assert after.slot_index == 1
 
 
-def test_propagate_semigroup(config):
-    state = orbital.initial_state(config)
-    twice = orbital.propagate(orbital.propagate(state, config, 1), config, 1)
-    direct = orbital.propagate(state, config, 2)
-    assert np.allclose(twice.positions, direct.positions, atol=1e-3)
-    assert twice.slot_index == direct.slot_index == 2
+def test_propagate_semigroup(tracks):
+    positions, velocities = tracks
+    once = orbital.propagate(positions, velocities, SLOT_S)
+    twice = orbital.propagate(once, velocities, SLOT_S)
+    direct = orbital.propagate(positions, velocities, 2 * SLOT_S)
+    assert np.allclose(twice, direct, atol=1e-3)
+    # A (S, 1, 1, 1) dt gives S instants at once, each as its own call does.
+    times = np.array([0.0, SLOT_S, 2 * SLOT_S])
+    stacked = orbital.propagate(positions, velocities, times[:, None, None, None])
+    for t, block in zip(times, stacked):
+        assert np.array_equal(block, orbital.propagate(positions, velocities, t))
 
 
-def test_propagate_linear_in_steps_after_many_steps(config):
-    state = orbital.initial_state(config)
-    stepped = state
+def test_propagate_linear_in_steps_after_many_steps(tracks):
+    positions, velocities = tracks
+    stepped = positions
     for _ in range(10_000):
-        stepped = orbital.propagate(stepped, config, 1)
-    closed = state.positions + 10_000 * config.slot_duration_s * state.velocities
+        stepped = orbital.propagate(stepped, velocities, SLOT_S)
+    closed = positions + 10_000 * SLOT_S * velocities
     scale = np.abs(closed).max()
-    assert np.abs(stepped.positions - closed).max() / scale < 1e-6
-
-
-def test_propagate_rejects_negative_steps(config):
-    with pytest.raises(ValueError):
-        orbital.propagate(orbital.initial_state(config), config, -1)
+    assert np.abs(stepped - closed).max() / scale < 1e-6
 
 
 def test_slant_distance_cases():
@@ -106,20 +107,20 @@ def test_propagation_delay_cases():
         orbital.propagation_delay(-5.0)
 
 
-def test_default_constellation_geometry(config):
-    # Unit velocity directions, one satellite per plane by default.
-    assert np.allclose(np.linalg.norm(config.plane_velocity_dirs, axis=1), 1.0)
-    assert config.initial_positions.shape == (3, 1, 3)
-    # Every plane passes directly over the area centre at mid-episode.
-    state = orbital.propagate(orbital.initial_state(config), config, 10)
+def test_default_constellation_geometry(tracks):
+    positions, velocities = tracks
+    # One satellite per plane by default, and every plane's track passes
+    # directly over the area centre at mid-episode.
+    assert positions.shape == velocities.shape == (3, 1, 3)
+    mid = orbital.propagate(positions, velocities, 10 * SLOT_S)
     overhead = np.array([500.0, 500.0, 550e3])
     for k in range(3):
-        assert np.linalg.norm(state.positions[k, 0] - overhead) < 1.0
+        assert np.linalg.norm(mid[k, 0] - overhead) < 1.0
 
 
-def test_constellation_speed_uniform(config):
-    state = orbital.initial_state(config)
-    speeds = np.linalg.norm(state.velocities, axis=-1)
+def test_constellation_speed_uniform(tracks):
+    _, velocities = tracks
+    speeds = np.linalg.norm(velocities, axis=-1)
     assert np.allclose(speeds, orbital.orbital_speed(550e3))
 
 
@@ -174,25 +175,3 @@ def test_nearest_distances_match_the_python_float_oracle_bit_for_bit(
     want = python_float_distances_km(positions, ues)
     assert got.shape == sample_axes + episode_axes + (4, 3)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_invalid_configs_rejected():
-    good = orbital.default_constellation(550e3, 3, 0.3, 20, 1000.0)
-    with pytest.raises(ValueError):
-        orbital.OrbitalConfig(
-            altitude_m=550e3,
-            num_planes=3,
-            sats_per_plane=1,
-            plane_velocity_dirs=good.plane_velocity_dirs * 2.0,  # not unit
-            initial_positions=good.initial_positions,
-            slot_duration_s=0.3,
-        )
-    with pytest.raises(ValueError):
-        orbital.OrbitalConfig(
-            altitude_m=-1.0,
-            num_planes=3,
-            sats_per_plane=1,
-            plane_velocity_dirs=good.plane_velocity_dirs,
-            initial_positions=good.initial_positions,
-            slot_duration_s=0.3,
-        )

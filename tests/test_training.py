@@ -493,6 +493,6 @@ def test_zero_checkpoint_reproduces_uniform_frequencies(tmp_path):
     rng = np.random.default_rng(0)
     counts = np.zeros(3)
     for _ in range(9000):
-        a, _ = dho_decide(loaded, np.zeros(5), rng)
+        a, _ = dho_decide(loaded, np.zeros(5), rng.gumbel(size=(1, 3)))
         counts[a[0]] += 1
     assert np.all(np.abs(counts / 9000 - 1 / 3) < 0.02)
