@@ -106,7 +106,6 @@ class ScenarioConfig:
     area_m: float = 1000.0
     altitude_m: float = 550e3
     ue_positions: tuple | None = None  # explicit (J, 2) or (J, 3) metres, else uniform
-    seed: int = 0
     features: FeatureMask = field(default_factory=FeatureMask)
     shadowing_sigma_db: float = 2.0
     dl_eirp_dbw: float = 10.0
@@ -651,14 +650,13 @@ class HandoverEnv:
         """Per-episode blocks (E, ...), without the episode axis for one episode."""
         return blocks if self._batched else blocks[0]
 
-    def reset(self, seed=None, *, episodes: Sequence | None = None) -> np.ndarray:
+    def reset(self, seed=0, *, episodes: Sequence | None = None) -> np.ndarray:
         """Start fresh episodes and return the first observation.
 
-        ``seed`` (an int or a sequence of ints; the config's seed if None)
-        starts one episode, and the state, observations, actions and
-        outcomes carry no episode axis.  ``episodes`` instead takes one such
-        key per episode, stepped together; everything then carries a
-        leading episode axis.
+        ``seed`` (an int or a sequence of ints) starts one episode, and the
+        state, observations, actions and outcomes carry no episode axis.
+        ``episodes`` instead takes one such key per episode, stepped
+        together; everything then carries a leading episode axis.
 
         Each episode with key ``s`` draws, from ``default_rng(s)`` and in
         this order: its terminal positions, (N, J) uniform admission keys
@@ -668,7 +666,7 @@ class HandoverEnv:
         """
         cfg = self.config
         self._batched = episodes is not None
-        raw = episodes if self._batched else [cfg.seed if seed is None else seed]
+        raw = episodes if self._batched else [seed]
         self._seed_keys = [_seed_key(s) for s in raw]
         e, j, n = len(self._seed_keys), cfg.num_ues, cfg.horizon
         # Blocks are filled in place, so a chunk's working set is allocated once.
@@ -799,46 +797,34 @@ class HandoverEnv:
         return self.observe(), outcome
 
     def observe(self) -> np.ndarray:
-        measurements = self.measurements() if self.config.features.a3_centralized else None
-        return observe(self.state, self.config, measurements)
+        """Observation vectors: [n/N] + accessed + one-hot previous action (+ A3 flags).
+
+        Blocks appear in that fixed order; disabled blocks are dropped
+        outright.  The result has the state's leading episode axes.
+        """
+        state, config = self.state, self.config
+        f = config.features
+        j, k = config.num_ues, config.num_planes
+        lead = state.accessed.shape[:-1]
+        out = np.zeros(lead + (observation_size(config),))
+        pos = 0
+        if f.time_index:
+            out[..., 0] = state.slot / config.horizon
+            pos = 1
+        if f.accessed_vector:
+            out[..., pos : pos + j] = state.accessed
+            pos += j
+        if f.prev_action:
+            block = out[..., pos : pos + j * k].reshape(lead + (j, k))
+            block[...] = state.prev_action[..., None] == np.arange(k)
+            pos += j * k
+        if f.a3_centralized:
+            flags = self.measurements().a3_flags(config.a3_offset_db)
+            out[..., pos : pos + j * (k - 1)] = flags.reshape(lead + (j * (k - 1),))
+        return out
 
     def metrics(self, outcomes: Sequence[StepOutcome]) -> MetricsRecord:
         return episode_metrics(outcomes, self.state)
-
-
-def observe(
-    state: EnvState,
-    config: ScenarioConfig,
-    measurements: link.MeasurementState | None = None,
-) -> np.ndarray:
-    """Observation vectors: [n/N] + accessed + one-hot previous action (+ A3 flags).
-
-    Blocks appear in that fixed order; disabled blocks are dropped outright.
-    The result has the state's leading episode axes.  The A3 block needs
-    ``measurements`` folded up to the state's slot; :meth:`HandoverEnv.observe`
-    supplies them.
-    """
-    f = config.features
-    j, k = config.num_ues, config.num_planes
-    lead = state.accessed.shape[:-1]
-    out = np.zeros(lead + (observation_size(config),))
-    pos = 0
-    if f.time_index:
-        out[..., 0] = state.slot / config.horizon
-        pos = 1
-    if f.accessed_vector:
-        out[..., pos : pos + j] = state.accessed
-        pos += j
-    if f.prev_action:
-        block = out[..., pos : pos + j * k].reshape(lead + (j, k))
-        block[...] = state.prev_action[..., None] == np.arange(k)
-        pos += j * k
-    if f.a3_centralized:
-        if measurements is None:
-            raise ValueError("the A3 observation block needs measurements")
-        flags = measurements.a3_flags(config.a3_offset_db)
-        out[..., pos : pos + j * (k - 1)] = flags.reshape(lead + (j * (k - 1),))
-    return out
 
 
 def episode_metrics(outcomes: Sequence[StepOutcome], final_state: EnvState) -> MetricsRecord:

@@ -212,40 +212,6 @@ def _forward(params: net.PolicyParameters, segments: vtrace.TrajectorySegment) -
     )
 
 
-def compute_targets(
-    params: net.PolicyParameters,
-    segments: vtrace.TrajectorySegment,
-    cfg: VtraceConfig,
-    forward: _BatchPass | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """V-trace targets and advantages per transition, flat across the batch.
-
-    ``segments`` is a stack of S episodes of length L; the recursion runs
-    over all of them at once.  ``forward`` is the batch's learner pass when
-    the caller already has it.
-    """
-    batch = _forward(params, segments) if forward is None else forward
-    shape = segments.rewards.shape
-    if cfg.vtrace_enabled:
-        log_ratios = vtrace.log_ratios(
-            batch.chosen_logp,
-            segments.behavior_logprobs.reshape(batch.masks.shape),
-            batch.masks,
-        ).reshape(shape)
-    else:
-        log_ratios = np.zeros(shape)
-    targets, advantages, _ = vtrace.vtrace_from_values(
-        segments.rewards,
-        batch.values.reshape(shape),
-        segments.bootstrap_value,
-        log_ratios,
-        cfg.gamma,
-        cfg.rho_bar,
-        cfg.c_bar,
-    )
-    return targets.ravel(), advantages.ravel()
-
-
 def loss_and_gradient_with_targets(
     params: net.PolicyParameters,
     segments: vtrace.TrajectorySegment,
@@ -299,10 +265,25 @@ def loss_and_gradient(
     segments: vtrace.TrajectorySegment,
     cfg: VtraceConfig,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
-    """The loss and its gradient, from one forward pass over the batch."""
+    """The loss and its gradient, from one forward pass over the batch.
+
+    The pass's values and log pi of the recorded actions feed
+    :func:`vtrace.vtrace_targets`, looked up on the module, where the
+    benchmark's tracer patches it.
+    """
     forward = _forward(params, segments)
-    targets, advantages = compute_targets(params, segments, cfg, forward)
-    return loss_and_gradient_with_targets(params, segments, targets, advantages, cfg, forward)
+    targets, advantages = vtrace.vtrace_targets(
+        segments,
+        forward.values.reshape(segments.rewards.shape),
+        forward.chosen_logp.reshape(segments.actions.shape),
+        cfg.gamma,
+        cfg.rho_bar,
+        cfg.c_bar,
+        cfg.vtrace_enabled,
+    )
+    return loss_and_gradient_with_targets(
+        params, segments, targets.ravel(), advantages.ravel(), cfg, forward
+    )
 
 
 class Adam:
@@ -422,18 +403,18 @@ def train(
     scenario: ScenarioConfig,
     cfg: VtraceConfig,
     episodes: int,
-    actors: int | None = None,
     seed: int = 0,
     initial_params: net.PolicyParameters | None = None,
 ) -> tuple[net.PolicyParameters, list[EpisodeRecord]]:
     """Run the actor-learner loop and return final parameters plus the curve.
 
-    Deterministic for a fixed (scenario, cfg, episodes, actors, seed):
-    episode ``d`` belongs to actor ``i = d % actors``, is seeded from
-    (seed XOR i, d // actors), and samples with Gumbel noise drawn from
-    actor ``i``'s generator in episode order.  A learner batch is the
-    ``ceil(batch_size / horizon)`` episodes between two updates, and a
-    trailing partial batch is rolled out but not learned from.
+    Deterministic for a fixed (scenario, cfg, episodes, seed): with
+    ``actors = cfg.actors_count``, episode ``d`` belongs to actor
+    ``i = d % actors``, is seeded from (seed XOR i, d // actors), and
+    samples with Gumbel noise drawn from actor ``i``'s generator in episode
+    order.  A learner batch is the ``ceil(batch_size / horizon)`` episodes
+    between two updates, and a trailing partial batch is rolled out but not
+    learned from.
 
     Actors act ``lag`` updates behind the learner: one with V-trace, none
     without.  While batch k is rolled out under the published parameters,
@@ -445,7 +426,6 @@ def train(
     the same as rolling out one batch per pass.
     """
     check_training(scenario, cfg, episodes)
-    num_actors = cfg.actors_count if actors is None else actors
     obs_dim = observation_size(scenario)
     if initial_params is None:
         params = net.init_params(
@@ -460,7 +440,7 @@ def train(
 
     optimizer = Adam(params)
     env = HandoverEnv(scenario)
-    actor_rngs = [np.random.default_rng([seed, i, 1]) for i in range(num_actors)]
+    actor_rngs = [np.random.default_rng([seed, i, 1]) for i in range(cfg.actors_count)]
     noise_shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
     published = params.copy()  # what actors download
     per_batch = cfg.batch_episodes(scenario.horizon)
@@ -480,9 +460,9 @@ def train(
         noise = np.empty((count,) + noise_shape)
         seeds = []
         for d in range(done, done + count):
-            i = d % num_actors
+            i = d % cfg.actors_count
             noise[d - done] = actor_rngs[i].gumbel(size=noise_shape)
-            seeds.append((seed ^ i, d // num_actors))
+            seeds.append((seed ^ i, d // cfg.actors_count))
         segments, records = rollout_segment(env, stack, noise, seeds)
         # Nothing past the rollout reads the noise, and the parameters the
         # first batch acted under can go once the learner replaces them.

@@ -1,10 +1,12 @@
 """V-trace targets: truncated-importance-sampling value corrections.
 
 ``vtrace_from_values`` is the pure recursion over already-computed values
-and log importance ratios, for one segment or many stacked;
-``vtrace_targets`` evaluates the current network over a recorded segment
-first.  Both return the per-step targets and the policy-gradient
-advantages built from them.
+and log importance ratios, for one segment or many stacked.
+``vtrace_targets`` turns the current policy's pass over recorded segments
+(its values and the log-probabilities of the recorded actions) into the
+joint log-ratios and runs the recursion; it is the learner's one targets
+path.  Both return the per-step targets and the policy-gradient advantages
+built from them.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from leoho import net
 
 
 @dataclass
@@ -111,41 +111,29 @@ def vtrace_from_values(
     return targets[..., :-1], pg_advantages, rho
 
 
-def log_ratios(
-    target_logp: np.ndarray, behavior_logprobs: np.ndarray, masks: np.ndarray
-) -> np.ndarray:
-    """Joint log pi/mu ratio per step from the (..., J) per-head log pi of the actions.
-
-    Sums over the J heads; masked heads contribute nothing.
-    """
-    return (target_logp * masks - behavior_logprobs * masks).sum(axis=-1)
-
-
-def segment_log_ratios(
-    params: net.PolicyParameters, segment: TrajectorySegment, logits: np.ndarray | None = None
-) -> np.ndarray:
-    """Joint log pi/mu ratio per step of one segment; masked heads contribute nothing."""
-    if logits is None:
-        logits, _, _ = net.forward_batch(params, segment.observations[:-1])
-    target_logp = net.head_log_probs(logits, segment.actions)
-    return log_ratios(target_logp, segment.behavior_logprobs, segment.masks)
-
-
 def vtrace_targets(
-    params: net.PolicyParameters,
-    segment: TrajectorySegment,
+    segments: TrajectorySegment,
+    values: np.ndarray,
+    target_logp: np.ndarray,
     gamma: float,
     rho_bar: float = 1.0,
     c_bar: float = 1.0,
     vtrace_enabled: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Targets and advantages for a segment under the current parameters."""
-    logits, values, _ = net.forward_batch(params, segment.observations[:-1])
+    """Targets and advantages, shaped like ``segments.rewards``, under the current policy.
+
+    ``values`` ([S,] L) and ``target_logp`` ([S,] L, J), the per-head log pi
+    of the recorded actions, come from the current policy's pass over the
+    segments.  The joint log pi/mu ratio of a step sums over its heads, and
+    masked heads contribute nothing; with ``vtrace_enabled=False`` every
+    ratio is one.
+    """
     if vtrace_enabled:
-        ratios = segment_log_ratios(params, segment, logits)
+        masks = segments.masks
+        log_ratios = (target_logp * masks - segments.behavior_logprobs * masks).sum(axis=-1)
     else:
-        ratios = np.zeros(len(segment))
+        log_ratios = np.zeros(segments.rewards.shape)
     targets, pg_advantages, _ = vtrace_from_values(
-        segment.rewards, values, segment.bootstrap_value, ratios, gamma, rho_bar, c_bar
+        segments.rewards, values, segments.bootstrap_value, log_ratios, gamma, rho_bar, c_bar
     )
     return targets, pg_advantages

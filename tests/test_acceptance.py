@@ -25,7 +25,6 @@ from leoho.experiments import (
 )
 from leoho.training import (
     VtraceConfig,
-    compute_targets,
     loss_and_gradient_with_targets,
     save_checkpoint,
     train,
@@ -60,7 +59,17 @@ def test_criterion_01_gradient_correctness():
         episodes.append((observations, actions, logprobs, rng.normal(size=length), masks))
     segments = TrajectorySegment(*map(np.stack, zip(*episodes)), bootstrap_value=0.0)
     cfg = VtraceConfig(gamma=0.95, entropy_coeff=0.011, baseline_coeff=0.55, hidden=(8, 8))
-    targets, advantages = compute_targets(params, segments, cfg)
+    observations = segments.observations[:, :-1].reshape(-1, 5)
+    logits, values, _ = net.forward_batch(params, observations)
+    targets, advantages = vtrace_targets(
+        segments,
+        values.reshape(segments.rewards.shape),
+        net.head_log_probs(logits.reshape(segments.actions.shape + (3,)), segments.actions),
+        cfg.gamma,
+        cfg.rho_bar,
+        cfg.c_bar,
+    )
+    targets, advantages = targets.ravel(), advantages.ravel()
     _, grads = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)
 
     h = 1e-5
@@ -140,7 +149,8 @@ def test_criterion_02_vtrace_oracle():
             bootstrap_value=float(rng.normal()),
         )
         gamma = 0.95
-        targets, _ = vtrace_targets(params, segment, gamma, 1.0, 1.0)
+        target_logp = net.head_log_probs(logits, actions)
+        targets, _ = vtrace_targets(segment, values_net, target_logp, gamma, 1.0, 1.0)
         for n in range(length):
             n_step = sum(gamma ** (m - n) * segment.rewards[m] for m in range(n, length))
             n_step += gamma ** (length - n) * segment.bootstrap_value

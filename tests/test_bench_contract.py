@@ -2,20 +2,25 @@
 
 The benchmark wraps ``episode_metrics`` where evaluation and training look it
 up, to sample the machine's speed and to check every episode, and its traced
-run patches the attributes listed in ``bench/tracing.TARGETS``.  A refactor
-that renames one of them, or stops calling ``episode_metrics`` once per
-episode, silently breaks the checked or traced benchmark run.
+run patches the attributes listed in ``bench/tracing.TARGETS``.  Its set-up
+probe calls ``parse_spec_file``, ``HandoverEnv.reset(seed)``,
+``make_agent(kind, params=...)`` and ``init_params``.  A refactor that
+renames one of them, changes their signatures, or stops calling
+``episode_metrics`` once per episode, silently breaks the checked or traced
+benchmark run.
 """
 
 import dataclasses
+import subprocess
 import sys
 from contextlib import ExitStack
 from pathlib import Path
 
-from leoho import experiments, orbital, training
+from leoho import experiments, orbital, training, vtrace
 from leoho.env import ScenarioConfig, StepOutcome, batch_episodes
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
 
 import tracing  # noqa: E402
 from checks import EpisodeChecker  # noqa: E402
@@ -44,6 +49,40 @@ def test_measurement_fold_propagates_through_the_traced_name():
         with patched(orbital, "propagate", counted):
             experiments.evaluate(scenario, kind, batch_episodes(scenario), master_seed=3)
         assert len(calls) == expected, kind
+
+
+def test_learner_targets_go_through_the_traced_name():
+    # The tracer times ``vtrace.vtrace_targets`` by patching the module
+    # attribute, so every learner update must look it up there.
+    scenario = ScenarioConfig(num_ues=4, rb_per_target=(2, 2), num_preambles=6, horizon=8)
+    inner = vtrace.vtrace_targets
+    # Batches of five: 13 episodes make two updates, and a trailing partial
+    # batch of three that is rolled out but not learned from.
+    for vtrace_enabled in (True, False):
+        cfg = training.VtraceConfig(batch_size=40, hidden=(8, 8), vtrace_enabled=vtrace_enabled)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        with patched(vtrace, "vtrace_targets", counted):
+            training.train(scenario, cfg, episodes=13, seed=2)
+        assert [len(segments) for segments in calls] == [5, 5], vtrace_enabled
+
+
+def test_setup_probe_runs():
+    # ``bench/run.py`` times set-up by building an env, the agents and a
+    # policy from a spec in a fresh interpreter, and prints the seconds.
+    spec = ROOT / "scripts" / "case1.spec"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--setup-probe", str(spec), "--seed", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    float(proc.stdout.splitlines()[-1])
 
 
 def _watch_episode_metrics(stack: ExitStack, module, scenario) -> tuple[EpisodeChecker, list]:

@@ -126,6 +126,7 @@ def test_bad_spec_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     bad = (
         "scenario.bogus = 1\n",
+        "scenario.seed = 7\n",
         "training.gamma = 1.5\n",
         "scenario.sats_per_plane = 0\n",
         *(f"agent = {agent}\nscenario.iir_order = -8\n" for agent in AGENT_KINDS),
@@ -214,12 +215,13 @@ def test_sweep_without_parameter_exits_2(tmp_path):
     assert main(["sweep", "--spec", spec, "--out", str(tmp_path / "x")]) == 2
 
 
-def test_sweep_unknown_parameter_exits_2(tmp_path):
+def test_sweep_unknown_parameter_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, FAST_RANDOM)
-    code = main(
-        ["sweep", "--spec", spec, "--parameter", "bogus", "--values", "1", "--out", str(tmp_path / "x")]
-    )
-    assert code == 2
+    # The scenario has no seed: every episode's key comes from master_seed.
+    for parameter in ("bogus", "seed"):
+        args = ["--parameter", parameter, "--values", "1,2,3", "--out", str(tmp_path / "x")]
+        assert main(["sweep", "--spec", spec, *args]) == 2, parameter
+        assert repr(parameter) in capsys.readouterr().err
 
 
 def test_sweep_tau_checks_every_value_before_running(tmp_path):

@@ -26,7 +26,6 @@ from leoho.env import (
     episode_generators,
     episode_metrics,
     observation_size,
-    observe,
     rach,
     stack_outcomes,
     trace_header,
@@ -35,7 +34,7 @@ from leoho.env import (
 
 
 def small_config(**kw) -> ScenarioConfig:
-    defaults = dict(num_ues=10, num_planes=3, rb_per_target=(10, 10), num_preambles=50, seed=0)
+    defaults = dict(num_ues=10, num_planes=3, rb_per_target=(10, 10), num_preambles=50)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
 
@@ -134,6 +133,10 @@ def test_reset_is_deterministic():
     assert np.array_equal(env_a.state.rb_remaining, env_b.state.rb_remaining)
     ma, mb = env_a.measurements(), env_b.measurements()
     assert np.array_equal(ma.l3_dbm, mb.l3_dbm)
+    # With no key, an episode starts from key 0.
+    env_a.reset()
+    env_b.reset(0)
+    assert np.array_equal(env_a.state.ue_positions, env_b.state.ue_positions)
 
 
 def test_reset_places_ues_inside_area():
@@ -809,11 +812,3 @@ def test_terminal_profile_selects_measurement_carrier():
     with pytest.raises(ConfigError) as err:
         small_config(terminal_profile="laser")
     assert err.value.field == "terminal_profile"
-
-
-def test_module_level_observe_matches_env_observe():
-    cfg = small_config()
-    env = HandoverEnv(cfg)
-    env.reset(4)
-    env.step(np.ones(10, dtype=int))
-    assert np.array_equal(env.observe(), observe(env.state, cfg))

@@ -94,6 +94,10 @@ def test_parse_spec_file_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_spec_file(path)
     assert "bogus" in str(err.value)
+    path.write_text("scenario.seed = 7\n")  # episode keys come from master_seed
+    with pytest.raises(ConfigError) as err:
+        parse_spec_file(path)
+    assert err.value.field == "scenario.seed"
     path.write_text("unknown_toplevel = 1\n")
     with pytest.raises(ConfigError):
         parse_spec_file(path)

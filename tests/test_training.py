@@ -20,7 +20,6 @@ from leoho.training import (
     Adam,
     CheckpointError,
     VtraceConfig,
-    compute_targets,
     load_checkpoint,
     loss_and_gradient,
     loss_and_gradient_with_targets,
@@ -48,9 +47,25 @@ def make_segments(rng, params, count=3, length=4):
     return TrajectorySegment(*map(np.stack, zip(*episodes)), bootstrap_value=0.0)
 
 
+def policy_pass(params, segments):
+    """The current policy's values ([S,] L) and log pi ([S,] L, J) of the recorded actions."""
+    observations = segments.observations[..., :-1, :]
+    logits, values, _ = net.forward_batch(params, observations.reshape(-1, params.obs_dim))
+    logits = logits.reshape(segments.actions.shape + (params.num_actions,))
+    return values.reshape(segments.rewards.shape), net.head_log_probs(logits, segments.actions)
+
+
+def flat_targets(params, segments, cfg):
+    """The batch's V-trace targets and advantages, one per transition, as the learner reads them."""
+    targets, advantages = vtrace_targets(
+        segments, *policy_pass(params, segments), cfg.gamma, cfg.rho_bar, cfg.c_bar, cfg.vtrace_enabled
+    )
+    return targets.ravel(), advantages.ravel()
+
+
 def finite_difference_check(params, segments, cfg, h=1e-5, tolerance=1e-4):
     """Central differences of the fixed-target loss against analytic grads."""
-    targets, advantages = compute_targets(params, segments, cfg)
+    targets, advantages = flat_targets(params, segments, cfg)
     _, grads = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)
     worst = 0.0
     for name, tensor in params.tensors().items():
@@ -100,7 +115,7 @@ def test_zero_advantages_zero_policy_gradient():
     params = net.zero_params(5, 2, 3, hidden=(8, 8))
     rng = np.random.default_rng(3)
     segments = make_segments(rng, params, count=1)
-    targets, _ = compute_targets(params, segments, VtraceConfig(hidden=(8, 8)))
+    targets, _ = flat_targets(params, segments, VtraceConfig(hidden=(8, 8)))
     cfg = VtraceConfig(entropy_coeff=0.0, baseline_coeff=0.0, hidden=(8, 8))
     report, grads = loss_and_gradient_with_targets(
         params, segments, targets, np.zeros_like(targets), cfg
@@ -206,12 +221,30 @@ def test_stacked_targets_match_per_segment_vtrace():
     segments = make_segments(rng, params, count=4, length=6)
     for enabled in (True, False):
         cfg = VtraceConfig(gamma=0.9, rho_bar=1.2, c_bar=0.8, vtrace_enabled=enabled, hidden=(8, 8))
-        targets, advantages = compute_targets(params, segments, cfg)
+        targets, advantages = flat_targets(params, segments, cfg)
         for s, segment in enumerate(segments):
-            expected = vtrace_targets(params, segment, 0.9, 1.2, 0.8, vtrace_enabled=enabled)
+            expected = vtrace_targets(
+                segment, *policy_pass(params, segment), 0.9, 1.2, 0.8, vtrace_enabled=enabled
+            )
             rows = slice(6 * s, 6 * (s + 1))
             assert np.allclose(targets[rows], expected[0], rtol=0.0, atol=1e-12)
             assert np.allclose(advantages[rows], expected[1], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("vtrace_enabled", [True, False])
+def test_learner_update_uses_vtrace_targets(vtrace_enabled):
+    # The learner's own pass feeds vtrace_targets: its loss and gradient are
+    # the fixed-target ones at the targets of that function, bit for bit.
+    rng = np.random.default_rng(8)
+    params = net.init_params(5, 2, 3, hidden=(8, 8), rng=rng)
+    segments = make_segments(rng, params, count=3, length=5)
+    cfg = VtraceConfig(gamma=0.9, rho_bar=1.2, c_bar=0.8, vtrace_enabled=vtrace_enabled, hidden=(8, 8))
+    report, grads = loss_and_gradient(params, segments, cfg)
+    targets, advantages = flat_targets(params, segments, cfg)
+    want_report, want = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)
+    assert report == want_report
+    for name in net.TENSOR_NAMES:
+        assert grads[name].tobytes() == want[name].tobytes(), name
 
 
 def test_adam_is_deterministic():
@@ -276,7 +309,7 @@ def test_adam_step_matches_plain_formula_bit_for_bit(
 
 def tiny_scenario():
     return ScenarioConfig(
-        num_ues=3, num_planes=3, rb_per_target=(3, 3), num_preambles=15, horizon=5, seed=0
+        num_ues=3, num_planes=3, rb_per_target=(3, 3), num_preambles=15, horizon=5
     )
 
 

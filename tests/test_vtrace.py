@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from leoho import net
-from leoho.vtrace import TrajectorySegment, segment_log_ratios, vtrace_from_values, vtrace_targets
+from leoho.vtrace import TrajectorySegment, vtrace_from_values, vtrace_targets
 
 
 def direct_double_sum(rewards, values, bootstrap, log_ratios, gamma, rho_bar, c_bar):
@@ -170,13 +170,22 @@ def test_segment_stack_on_a_leading_episode_axis():
     assert len(segments[:2]) == 2
 
 
+def policy_pass(params, segment):
+    """The current policy's values and per-head log pi of the recorded actions."""
+    logits, values, _ = net.forward_batch(params, segment.observations[:-1])
+    return values, net.head_log_probs(logits, segment.actions)
+
+
 def test_vtrace_targets_composes_network_and_recursion():
     rng = np.random.default_rng(5)
     params = net.init_params(4, 2, 3, hidden=(8, 8), rng=rng)
     segment = make_segment(rng, params)
-    targets, pg_adv = vtrace_targets(params, segment, gamma=0.9)
-    _, values, _ = net.forward_batch(params, segment.observations[:-1])
-    log_ratios = segment_log_ratios(params, segment)
+    values, target_logp = policy_pass(params, segment)
+    targets, pg_adv = vtrace_targets(segment, values, target_logp, gamma=0.9)
+    # The joint log-ratio, head by head, over the heads that chose.
+    log_ratios = np.zeros(len(segment))
+    for n, j in zip(*np.nonzero(segment.masks)):
+        log_ratios[n] += target_logp[n, j] - segment.behavior_logprobs[n, j]
     expected, expected_adv, _ = vtrace_from_values(
         segment.rewards, values, segment.bootstrap_value, log_ratios, 0.9, 1.0, 1.0
     )
@@ -188,8 +197,8 @@ def test_vtrace_disabled_forces_unit_ratios():
     rng = np.random.default_rng(6)
     params = net.init_params(4, 2, 3, hidden=(8, 8), rng=rng)
     segment = make_segment(rng, params)
-    targets, _ = vtrace_targets(params, segment, gamma=0.9, vtrace_enabled=False)
-    _, values, _ = net.forward_batch(params, segment.observations[:-1])
+    values, target_logp = policy_pass(params, segment)
+    targets, _ = vtrace_targets(segment, values, target_logp, gamma=0.9, vtrace_enabled=False)
     expected, _, _ = vtrace_from_values(
         segment.rewards, values, segment.bootstrap_value, np.zeros(5), 0.9, 1.0, 1.0
     )
@@ -201,7 +210,7 @@ def test_masked_heads_do_not_contribute_to_ratios():
     params = net.init_params(4, 3, 3, hidden=(8, 8), rng=rng)
     segment = make_segment(rng, params, length=4)
     segment.masks[:, 1] = 0.0
-    ratios = segment_log_ratios(params, segment)
+    values, target_logp = policy_pass(params, segment)
     bumped = segment.behavior_logprobs.copy()
     bumped[:, 1] += 100.0  # garbage on a masked head must be ignored
     other = TrajectorySegment(
@@ -212,4 +221,6 @@ def test_masked_heads_do_not_contribute_to_ratios():
         masks=segment.masks,
         bootstrap_value=segment.bootstrap_value,
     )
-    assert np.array_equal(ratios, segment_log_ratios(params, other))
+    got = vtrace_targets(other, values, target_logp, gamma=0.9)
+    for a, b in zip(vtrace_targets(segment, values, target_logp, gamma=0.9), got):
+        assert np.array_equal(a, b)
