@@ -98,13 +98,6 @@ def dho_log_probs(logits: np.ndarray, actions: np.ndarray, accessed: np.ndarray)
     return log_probs
 
 
-def _per_episode(rngs, draw) -> np.ndarray:
-    """``draw(rng)`` for one generator, or stacked over an iterable of them."""
-    if isinstance(rngs, np.random.Generator):
-        return draw(rngs)
-    return np.stack([draw(rng) for rng in rngs])
-
-
 class ConventionalAgent:
     """Stateful wrapper carrying the A3 streak counters across a slot loop."""
 
@@ -136,10 +129,10 @@ class RandomAgent:
         self._draws: np.ndarray | None = None
 
     def begin_episode(self, env: HandoverEnv, rngs) -> None:
-        """``rngs``: the episode's generator, or an iterable of one per episode."""
+        """``rngs``: an iterable of one generator per episode."""
         cfg = env.config
         shape = (cfg.horizon, cfg.num_ues)
-        self._draws = _per_episode(rngs, lambda rng: rng.integers(0, cfg.num_planes, size=shape))
+        self._draws = np.stack([rng.integers(0, cfg.num_planes, size=shape) for rng in rngs])
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         state = env.state
@@ -157,12 +150,12 @@ class DhoAgent:
         self._noise: np.ndarray | None = None
 
     def begin_episode(self, env: HandoverEnv, rngs) -> None:
-        """``rngs``: the episode's generator, or an iterable of one per episode."""
+        """``rngs``: an iterable of one generator per episode."""
         self._noise = None
         if self.mode == "sample":
             cfg = env.config
             shape = (cfg.horizon, cfg.num_ues, cfg.num_planes)
-            self._noise = _per_episode(rngs, lambda rng: rng.gumbel(size=shape))
+            self._noise = np.stack([rng.gumbel(size=shape) for rng in rngs])
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         state = env.state

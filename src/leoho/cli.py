@@ -16,8 +16,7 @@ from pathlib import Path
 
 from leoho import experiments
 from leoho.env import ConfigError
-from leoho.experiments import ExperimentSpec, parse_spec_file
-from leoho.training import CheckpointError, load_checkpoint
+from leoho.experiments import CheckpointError, ExperimentSpec, load_checkpoint, parse_spec_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

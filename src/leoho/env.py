@@ -25,18 +25,15 @@ so an episode plays out the same whichever episodes share its batch.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from leoho import link, orbital
+from leoho.rng import episode_generators, seed_key
 
 # Terminal-episodes stepped together by the evaluation loops: 256 episodes at
 # J = 10 and 25 at J = 100, enough to amortise the per-slot numpy calls.
@@ -349,14 +346,6 @@ class OutcomeColumns(dict):
         return list(zip(d, c_r, c_p, reward))
 
 
-def stack_outcomes(slots: Sequence[StepOutcome]) -> OutcomeColumns:
-    """The :class:`OutcomeColumns` of consecutive slot outcomes."""
-    columns = OutcomeColumns(len(slots))
-    for outcome in slots:
-        columns.append(outcome)
-    return columns
-
-
 class EpisodeOutcomes(Sequence):
     """One episode's step outcomes, read from the columns of its chunk.
 
@@ -364,7 +353,7 @@ class EpisodeOutcomes(Sequence):
     some of them.  Indexing or iterating builds :class:`StepOutcome`
     records, one per slot, equal to those stepping the episode alone gives,
     and needs every column; :func:`episode_metrics` and
-    :func:`write_trace_csv` read the columns and build none.
+    ``experiments.write_trace_csv`` read the columns and build none.
     """
 
     __slots__ = ("columns", "episode")
@@ -372,15 +361,6 @@ class EpisodeOutcomes(Sequence):
     def __init__(self, columns: dict[str, np.ndarray], episode: int):
         self.columns = columns
         self.episode = episode
-
-    @classmethod
-    def of(cls, outcomes: Sequence[StepOutcome]) -> "EpisodeOutcomes":
-        """``outcomes`` itself if a view, else a view of the records stacked."""
-        return outcomes if isinstance(outcomes, cls) else cls(stack_outcomes(outcomes), 0)
-
-    def column(self, name: str) -> np.ndarray:
-        """This episode's (N, ...) block of one column."""
-        return self.columns[name][self.episode]
 
     def __len__(self) -> int:
         return len(self.columns["slot"])
@@ -480,136 +460,6 @@ def rach(
     return preamble, prach_collision, prach_collision.sum(axis=-1) / num_ues
 
 
-def _seed_key(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(v) for v in seed)
-
-
-# numpy's SeedSequence, as ``default_rng(key)`` runs it, for many keys at
-# once.  Its hash constants do not depend on the data, so every mixing round
-# is a few ufuncs over a (4, E) pool of uint32 words, one column per key.
-_MASK32 = 0xFFFFFFFF
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
-    """(calls, 1) xor and multiplier columns of ``calls`` successive hash calls."""
-    c = [init]
-    for _ in range(calls):
-        c.append(c[-1] * mult & _MASK32)
-    c = np.array(c, dtype=np.uint32)[:, None]
-    return c[:-1], c[1:]
-
-
-_POOL_HASH = (0x43B0D7E5, 0x931E8875)  # initial value and multiplier of the pool's hash
-_POOL_XOR, _POOL_MUL = _hash_constants(*_POOL_HASH, 16)
-# Pool word s hashes into the other three in turn: calls 4 + 3s .. 6 + 3s,
-# with a dummy call for the word itself, which keeps its value.
-_CROSS_CALLS = [[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)]
-_CROSS_ROUNDS = [(_POOL_XOR[calls], _POOL_MUL[calls]) for calls in _CROSS_CALLS]
-_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    values = values ^ xor
-    values *= mul
-    values ^= values >> 16
-    return values
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of ``y`` into ``x``; ``y`` is overwritten."""
-    y *= _MIX_MULT_R
-    out = _MIX_MULT_L * x
-    out -= y
-    out ^= out >> 16
-    return out
-
-
-def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
-    """(E, 4) uint64 PCG64 seeding words of (W, E) uint32 entropy words, W >= 4.
-
-    The pool absorbs the first four words, mixes every word into the other
-    three, then absorbs the rest a word at a time; ``generate_state(4,
-    np.uint64)`` then hashes the pool, cycled twice, into eight words.
-    """
-    pool = _hashmix(entropy[:4], _POOL_XOR[:4], _POOL_MUL[:4])
-    for s, (xor, mul) in enumerate(_CROSS_ROUNDS):
-        mixed = _mix(pool, _hashmix(pool[s], xor, mul))
-        mixed[s] = pool[s]
-        pool = mixed
-    if len(entropy) > 4:
-        # Each word past the fourth hashes into the four pool words in turn.
-        xor, mul = (c[16:].reshape(-1, 4, 1) for c in _hash_constants(*_POOL_HASH, 4 * len(entropy)))
-        for word, word_xor, word_mul in zip(entropy[4:], xor, mul):
-            pool = _mix(pool, _hashmix(word, word_xor, word_mul))
-    state = _hashmix(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MUL)
-    # Word pairs read as little-endian uint64, whatever the host's byte order.
-    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-
-
-def _entropy_words(key: tuple[int, ...]) -> list[int]:
-    """The uint32 words SeedSequence reads from a key: each entry little-endian."""
-    words = []
-    for value in key:
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        while True:
-            words.append(value & _MASK32)
-            value >>= 32
-            if not value:
-                break
-    return words
-
-
-def _entropy_groups(keys: list[tuple[int, ...]]) -> list[tuple[list[int], np.ndarray]]:
-    """(rows, (W, E') uint32 entropy words) of the keys with each word count W >= 4.
-
-    Keys shorter than four words are padded with zeros, which SeedSequence
-    hashes the same as no words.
-    """
-    words = [_entropy_words(key) for key in keys]
-    by_count: dict[int, list[int]] = {}
-    for i, w in enumerate(words):
-        by_count.setdefault(max(4, len(w)), []).append(i)
-    return [
-        (rows, np.array([words[i] + [0] * (count - len(words[i])) for i in rows], dtype=np.uint32).T)
-        for count, rows in by_count.items()
-    ]
-
-
-class _PoolSeed(np.random.bit_generator.ISeedSequence):
-    """A key's PCG64 seeding words, hashed ahead with the rest of its chunk.
-
-    PCG64 asks its seed sequence for ``generate_state(4, np.uint64)``.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def episode_generators(keys: Iterable) -> Iterator[np.random.Generator]:
-    """One generator per key, bit-identical to ``np.random.default_rng(key)``.
-
-    A key is an int or a sequence of ints.  The first ``next`` hashes every
-    key's SeedSequence pool in one vectorised pass, grouping keys by their
-    number of 32-bit words; PCG64 then seeds each generator from its words,
-    one per ``next``.  Negative entries raise ``ValueError``, as in numpy.
-    """
-    keys = [_seed_key(key) for key in keys]
-    seeds = [None] * len(keys)
-    for rows, entropy in _entropy_groups(keys):
-        for i, words in zip(rows, _pcg64_seeds(entropy)):
-            seeds[i] = words
-    for words in seeds:
-        yield np.random.Generator(np.random.PCG64(_PoolSeed(words)))
-
-
 class HandoverEnv:
     """One serving satellite's handover episodes, stepped action-by-action.
 
@@ -662,12 +512,12 @@ class HandoverEnv:
         this order: its terminal positions, (N, J) uniform admission keys
         and (N, J) preamble signatures.  Measurement shadowing comes from
         ``default_rng(s + (0x4D53,))`` when measurements are first read.
-        :func:`episode_generators` builds a chunk's generators.
+        :func:`rng.episode_generators` builds a chunk's generators.
         """
         cfg = self.config
         self._batched = episodes is not None
         raw = episodes if self._batched else [seed]
-        self._seed_keys = [_seed_key(s) for s in raw]
+        self._seed_keys = [seed_key(s) for s in raw]
         e, j, n = len(self._seed_keys), cfg.num_ues, cfg.horizon
         # Blocks are filled in place, so a chunk's working set is allocated once.
         ue_pos = np.zeros((e, j, 3))
@@ -823,12 +673,9 @@ class HandoverEnv:
             out[..., pos : pos + j * (k - 1)] = flags.reshape(lead + (j * (k - 1),))
         return out
 
-    def metrics(self, outcomes: Sequence[StepOutcome]) -> MetricsRecord:
-        return episode_metrics(outcomes, self.state)
 
-
-def episode_metrics(outcomes: Sequence[StepOutcome], final_state: EnvState) -> MetricsRecord:
-    """Episode aggregates of an :class:`EpisodeOutcomes` view or a list of records.
+def episode_metrics(outcomes: EpisodeOutcomes, final_state: EnvState) -> MetricsRecord:
+    """Episode aggregates of an :class:`EpisodeOutcomes` view.
 
     The sums are the episode's row of :attr:`OutcomeColumns.episode_sums`,
     which the first call for a chunk computes for every episode in it.
@@ -837,8 +684,7 @@ def episode_metrics(outcomes: Sequence[StepOutcome], final_state: EnvState) -> M
         raise ValueError(
             f"got {len(outcomes)} outcomes for {final_state.slot} completed slots"
         )
-    view = EpisodeOutcomes.of(outcomes)
-    d, c_r, c_p, reward = view.columns.episode_sums[view.episode]
+    d, c_r, c_p, reward = outcomes.columns.episode_sums[outcomes.episode]
     return MetricsRecord(
         sum_delay=d,
         sum_collision_rb=c_r,
@@ -846,100 +692,3 @@ def episode_metrics(outcomes: Sequence[StepOutcome], final_state: EnvState) -> M
         ho_success=np.count_nonzero(final_state.accessed) / final_state.accessed.shape[0],
         episode_return=reward,
     )
-
-
-TRACE_FIELDS_FIXED = ["episode", "n", "D"]
-
-
-def trace_header(num_targets: int) -> list[str]:
-    cols = list(TRACE_FIELDS_FIXED)
-    cols += [f"C_R_{k}" for k in range(1, num_targets + 1)]
-    cols += ["C_P", "reward", "accessed_count"]
-    return cols
-
-
-@contextlib.contextmanager
-def replace_atomically(path, mode: str = "w", **open_kwargs):
-    """A file opened for writing whose contents replace ``path`` when the block ends.
-
-    It is written under a temporary name in the same directory and renamed
-    over ``path`` once the block completes, so ``path`` always holds a whole
-    file.  If the block raises, the temporary file goes and ``path`` stays
-    as it was.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, **open_kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-class _TraceTails(dict):
-    """Formatted trace-row tails, keyed by the bits of the row's values.
-
-    A tail is everything after ``episode,n,``: the row's D, C_R, C_P and
-    reward, its accessed count (a function of D) and the line end.  A miss
-    formats the row; the bits tell -0.0 from 0.0.
-    """
-
-    def __init__(self, num_ues: int, width: int):
-        super().__init__()
-        self.num_ues = num_ues
-        self.template = "%.6f," * width + "%d\r\n"
-
-    def __missing__(self, key: bytes) -> str:
-        values = np.frombuffer(key).tolist()
-        # np.rint and round both round half to even.
-        accessed = round(self.num_ues * (1.0 - values[0]))
-        tail = self[key] = self.template % (*values, accessed)
-        return tail
-
-
-# The columns the trace reads; a chunk's trace views need no others.
-TRACE_COLUMNS = ("slot", "d", "c_r_per_target", "c_p", "reward")
-
-
-def write_trace_csv(
-    path, episodes: Iterable[tuple[int, Sequence[StepOutcome]]], num_ues: int, num_targets: int
-) -> None:
-    """One row per slot: (episode, n, D, C_R_1.., C_P, reward, accessed_count).
-
-    ``episodes`` pairs an episode index with its outcomes, an
-    :class:`EpisodeOutcomes` view (of the :data:`TRACE_COLUMNS` at least) or
-    a list of records.  It is read lazily, and each chunk's rows are written
-    once its views are done, so a generator's chunks can go one at a time.
-    The bytes are those ``csv.writer`` writes for the same rows: nothing
-    needs quoting, and lines end in CRLF.  A run repeats a few distinct (D,
-    C_R, C_P, reward) rows, so each row's tail is formatted once.
-    """
-    width = num_targets + 3
-    row_bits = np.dtype((np.void, 8 * width))
-    tails = _TraceTails(num_ues, width)
-    with replace_atomically(path, newline="") as fh:
-        lines = [",".join(trace_header(num_targets)) + "\r\n"]
-        chunk = None
-        for episode_idx, outcomes in episodes:
-            view = EpisodeOutcomes.of(outcomes)
-            if view.columns is not chunk:  # the views of one chunk share its columns
-                fh.write("".join(lines))
-                lines.clear()
-                chunk = view.columns
-                values = np.concatenate(
-                    (
-                        chunk["d"][..., None],
-                        chunk["c_r_per_target"],
-                        chunk["c_p"][..., None],
-                        chunk["reward"][..., None],
-                    ),
-                    axis=-1,
-                )
-                keys = values.view(row_bits)[..., 0]  # (E, N) row bits
-                slots = chunk["slot"].tolist()
-            prefix = f"{episode_idx},"
-            lines += [f"{prefix}{n},{tails[key]}" for n, key in zip(slots, keys[view.episode].tolist())]
-        fh.write("".join(lines))

@@ -3,24 +3,28 @@
 A spec file is flat ``key = value`` text with dotted section prefixes
 (``scenario.J = 10``); see the README for the grammar.  Every run emits
 schema-stable CSVs: a summary row per (agent, sweep value), a per-slot trace,
-and a learning curve when training happened.
+and a learning curve when training happened.  This module is the one that
+reads or writes files (the spec, the reports and the policy checkpoint), and
+it writes each file whole through :func:`replace_atomically`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import json
 import math
+import os
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from leoho import net
 from leoho.agents import dho_decide, make_agent
 from leoho.env import (
-    TRACE_COLUMNS,
     ConfigError,
     EpisodeOutcomes,
     FeatureMask,
@@ -29,20 +33,11 @@ from leoho.env import (
     OutcomeColumns,
     ScenarioConfig,
     batch_episodes,
-    episode_generators,
     episode_metrics,
-    replace_atomically,
-    write_trace_csv,
+    observation_size,
 )
-from leoho.training import (
-    VtraceConfig,
-    check_evaluation,
-    check_training,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-    write_curve_csv,
-)
+from leoho.rng import episode_generators
+from leoho.training import VtraceConfig, check_evaluation, check_training, train
 
 AGENT_KINDS = ("conventional", "random", "dho")
 
@@ -371,6 +366,97 @@ def evaluate(
     return records, traces
 
 
+@contextlib.contextmanager
+def replace_atomically(path, mode: str = "w", **open_kwargs):
+    """A file opened for writing whose contents replace ``path`` when the block ends.
+
+    It is written under a temporary name in the same directory and renamed
+    over ``path`` once the block completes, so ``path`` always holds a whole
+    file.  If the block raises, the temporary file goes and ``path`` stays
+    as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def trace_header(num_targets: int) -> list[str]:
+    targets = [f"C_R_{k}" for k in range(1, num_targets + 1)]
+    return ["episode", "n", "D", *targets, "C_P", "reward", "accessed_count"]
+
+
+class _TraceTails(dict):
+    """Formatted trace-row tails, keyed by the bits of the row's values.
+
+    A tail is everything after ``episode,n,``: the row's D, C_R, C_P and
+    reward, its accessed count (a function of D) and the line end.  A miss
+    formats the row; the bits tell -0.0 from 0.0.
+    """
+
+    def __init__(self, num_ues: int, width: int):
+        super().__init__()
+        self.num_ues = num_ues
+        self.template = "%.6f," * width + "%d\r\n"
+
+    def __missing__(self, key: bytes) -> str:
+        values = np.frombuffer(key).tolist()
+        # np.rint and round both round half to even.
+        accessed = round(self.num_ues * (1.0 - values[0]))
+        tail = self[key] = self.template % (*values, accessed)
+        return tail
+
+
+# The columns the trace reads; a chunk's trace views need no others.
+TRACE_COLUMNS = ("slot", "d", "c_r_per_target", "c_p", "reward")
+
+
+def write_trace_csv(
+    path, episodes: Iterable[tuple[int, EpisodeOutcomes]], num_ues: int, num_targets: int
+) -> None:
+    """One row per slot: (episode, n, D, C_R_1.., C_P, reward, accessed_count).
+
+    ``episodes`` pairs an episode index with its :class:`EpisodeOutcomes`
+    view, of the :data:`TRACE_COLUMNS` at least.  It is read lazily, and
+    each chunk's rows are written once its views are done, so a generator's
+    chunks can go one at a time.  The bytes are those ``csv.writer`` writes
+    for the same rows: nothing needs quoting, and lines end in CRLF.  A run
+    repeats a few distinct (D, C_R, C_P, reward) rows, so each row's tail is
+    formatted once.
+    """
+    width = num_targets + 3
+    row_bits = np.dtype((np.void, 8 * width))
+    tails = _TraceTails(num_ues, width)
+    with replace_atomically(path, newline="") as fh:
+        lines = [",".join(trace_header(num_targets)) + "\r\n"]
+        chunk = None
+        for episode_idx, view in episodes:
+            if view.columns is not chunk:  # the views of one chunk share its columns
+                fh.write("".join(lines))
+                lines.clear()
+                chunk = view.columns
+                values = np.concatenate(
+                    (
+                        chunk["d"][..., None],
+                        chunk["c_r_per_target"],
+                        chunk["c_p"][..., None],
+                        chunk["reward"][..., None],
+                    ),
+                    axis=-1,
+                )
+                keys = values.view(row_bits)[..., 0]  # (E, N) row bits
+                slots = chunk["slot"].tolist()
+            prefix = f"{episode_idx},"
+            lines += [f"{prefix}{n},{tails[key]}" for n, key in zip(slots, keys[view.episode].tolist())]
+        fh.write("".join(lines))
+
+
 SUMMARY_HEADER = [
     "agent",
     "label",
@@ -430,6 +516,83 @@ def write_summary_csv(path, rows: Sequence[dict]) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
+
+
+CURVE_HEADER = ["episode", "mean_return", "sum_delay", "sum_collision"]
+
+
+def _curve_row(episode: int, r: MetricsRecord) -> list:
+    return [episode, f"{r.episode_return:.6f}", f"{r.sum_delay:.6f}", f"{r.sum_collision:.6f}"]
+
+
+def write_curve_csv(path, records: Sequence[MetricsRecord]) -> None:
+    """One row per training episode; the episode index is the record's position."""
+    with replace_atomically(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CURVE_HEADER)
+        writer.writerows(_curve_row(episode, r) for episode, r in enumerate(records))
+
+
+CHECKPOINT_VERSION = 1
+_CHECKPOINT_SHAPES = ("obs_dim", "num_ues", "num_actions")
+
+
+class CheckpointError(RuntimeError):
+    pass
+
+
+def save_checkpoint(params: net.PolicyParameters, path) -> None:
+    """Versioned, lossless parameter snapshot (.npz), written to ``path`` as named."""
+    meta = {
+        "version": CHECKPOINT_VERSION,
+        "obs_dim": params.obs_dim,
+        "num_ues": params.num_ues,
+        "num_actions": params.num_actions,
+        "hidden": list(params.hidden_sizes),
+    }
+    # An open file, so np.savez appends no ".npz" to the temporary name.
+    with replace_atomically(path, "wb") as fh:
+        meta_bytes = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(fh, meta=meta_bytes, **params.tensors())
+
+
+def load_checkpoint(path, scenario: ScenarioConfig | None = None) -> net.PolicyParameters:
+    """Load a checkpoint, optionally validating it against a scenario.
+
+    The shapes must be ints and every tensor a real floating-point array;
+    anything else is a :class:`CheckpointError`.
+    """
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data else None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path} is not a policy checkpoint")
+        if meta.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"checkpoint version {meta.get('version')} unsupported (want {CHECKPOINT_VERSION})"
+            )
+        missing = [k for k in _CHECKPOINT_SHAPES if k not in meta]
+        missing += [name for name in net.TENSOR_NAMES if name not in data]
+        if missing:
+            raise CheckpointError(f"{path} lacks {', '.join(missing)}")
+        shapes = {k: meta[k] for k in _CHECKPOINT_SHAPES}
+        tensors = {name: data[name] for name in net.TENSOR_NAMES}
+        malformed = [k for k, v in shapes.items() if type(v) is not int]
+        malformed += [name for name, t in tensors.items() if t.dtype.kind != "f"]
+        if malformed:
+            raise CheckpointError(
+                f"{path} holds malformed {', '.join(malformed)} "
+                "(shapes must be ints, tensors real floating-point arrays)"
+            )
+        params = net.PolicyParameters(**shapes, **tensors)
+    if scenario is not None:
+        expected = (observation_size(scenario), scenario.num_ues, scenario.num_planes)
+        actual = (params.obs_dim, params.num_ues, params.num_actions)
+        if expected != actual:
+            raise CheckpointError(
+                f"checkpoint shape {actual} does not fit scenario {expected} "
+                "(obs_dim, num_ues, num_planes)"
+            )
+    return params
 
 
 def episodes_to_threshold(curve, threshold: float, window: int = 100) -> int | None:
@@ -643,14 +806,5 @@ def ablation(
         writer = csv.writer(fh)
         writer.writerow(ABLATION_HEADER)
         for name, curve in curves.items():
-            for r in curve:
-                writer.writerow(
-                    [
-                        name,
-                        r.episode,
-                        f"{r.episode_return:.6f}",
-                        f"{r.sum_delay:.6f}",
-                        f"{r.sum_collision:.6f}",
-                    ]
-                )
+            writer.writerows([name, *_curve_row(episode, r)] for episode, r in enumerate(curve))
     return {"curves": curves, "path": path}

@@ -1,0 +1,144 @@
+"""Per-episode random generators, hashed for a whole chunk of keys at once.
+
+An episode's randomness comes from ``np.random.default_rng(key)`` for its
+seed key.  :func:`episode_generators` builds the generators of many keys
+with numpy's SeedSequence hash run once, vectorised over the keys, and
+gives generators bit-identical to ``default_rng``'s.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
+
+import numpy as np
+
+
+def seed_key(seed) -> tuple[int, ...]:
+    """A seed, an int or a sequence of ints, as a tuple of ints."""
+    if isinstance(seed, (int, np.integer)):
+        return (int(seed),)
+    return tuple(int(v) for v in seed)
+
+
+# numpy's SeedSequence, as ``default_rng(key)`` runs it, for many keys at
+# once.  Its hash constants do not depend on the data, so every mixing round
+# is a few ufuncs over a (4, E) pool of uint32 words, one column per key.
+_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """(calls, 1) xor and multiplier columns of ``calls`` successive hash calls."""
+    c = [init]
+    for _ in range(calls):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)  # initial value and multiplier of the pool's hash
+_POOL_XOR, _POOL_MUL = _hash_constants(*_POOL_HASH, 16)
+# Pool word s hashes into the other three in turn: calls 4 + 3s .. 6 + 3s,
+# with a dummy call for the word itself, which keeps its value.
+_CROSS_CALLS = [[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)]
+_CROSS_ROUNDS = [(_POOL_XOR[calls], _POOL_MUL[calls]) for calls in _CROSS_CALLS]
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    values = values ^ xor
+    values *= mul
+    values ^= values >> 16
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of ``y`` into ``x``; ``y`` is overwritten."""
+    y *= _MIX_MULT_R
+    out = _MIX_MULT_L * x
+    out -= y
+    out ^= out >> 16
+    return out
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """(E, 4) uint64 PCG64 seeding words of (W, E) uint32 entropy words, W >= 4.
+
+    The pool absorbs the first four words, mixes every word into the other
+    three, then absorbs the rest a word at a time; ``generate_state(4,
+    np.uint64)`` then hashes the pool, cycled twice, into eight words.
+    """
+    pool = _hashmix(entropy[:4], _POOL_XOR[:4], _POOL_MUL[:4])
+    for s, (xor, mul) in enumerate(_CROSS_ROUNDS):
+        mixed = _mix(pool, _hashmix(pool[s], xor, mul))
+        mixed[s] = pool[s]
+        pool = mixed
+    if len(entropy) > 4:
+        # Each word past the fourth hashes into the four pool words in turn.
+        xor, mul = (c[16:].reshape(-1, 4, 1) for c in _hash_constants(*_POOL_HASH, 4 * len(entropy)))
+        for word, word_xor, word_mul in zip(entropy[4:], xor, mul):
+            pool = _mix(pool, _hashmix(word, word_xor, word_mul))
+    state = _hashmix(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MUL)
+    # Word pairs read as little-endian uint64, whatever the host's byte order.
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+def _entropy_words(key: tuple[int, ...]) -> list[int]:
+    """The uint32 words SeedSequence reads from a key: each entry little-endian."""
+    words = []
+    for value in key:
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        while True:
+            words.append(value & _MASK32)
+            value >>= 32
+            if not value:
+                break
+    return words
+
+
+def _entropy_groups(keys: list[tuple[int, ...]]) -> list[tuple[list[int], np.ndarray]]:
+    """(rows, (W, E') uint32 entropy words) of the keys with each word count W >= 4.
+
+    Keys shorter than four words are padded with zeros, which SeedSequence
+    hashes the same as no words.
+    """
+    words = [_entropy_words(key) for key in keys]
+    by_count: dict[int, list[int]] = {}
+    for i, w in enumerate(words):
+        by_count.setdefault(max(4, len(w)), []).append(i)
+    return [
+        (rows, np.array([words[i] + [0] * (count - len(words[i])) for i in rows], dtype=np.uint32).T)
+        for count, rows in by_count.items()
+    ]
+
+
+class _PoolSeed(np.random.bit_generator.ISeedSequence):
+    """A key's PCG64 seeding words, hashed ahead with the rest of its chunk.
+
+    PCG64 asks its seed sequence for ``generate_state(4, np.uint64)``.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def episode_generators(keys: Iterable) -> Iterator[np.random.Generator]:
+    """One generator per key, bit-identical to ``np.random.default_rng(key)``.
+
+    A key is an int or a sequence of ints.  The first ``next`` hashes every
+    key's SeedSequence pool in one vectorised pass, grouping keys by their
+    number of 32-bit words; PCG64 then seeds each generator from its words,
+    one per ``next``.  Negative entries raise ``ValueError``, as in numpy.
+    """
+    keys = [seed_key(key) for key in keys]
+    seeds = [None] * len(keys)
+    for rows, entropy in _entropy_groups(keys):
+        for i, words in zip(rows, _pcg64_seeds(entropy)):
+            seeds[i] = words
+    for words in seeds:
+        yield np.random.Generator(np.random.PCG64(_PoolSeed(words)))

@@ -27,8 +27,6 @@ its batch and reads through ``reshape``.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,16 +39,15 @@ from leoho.env import (
     ConfigError,
     EpisodeOutcomes,
     HandoverEnv,
+    MetricsRecord,
     OutcomeColumns,
     ScenarioConfig,
     batch_episodes,
     episode_metrics,
     observation_size,
     reject_non_finite,
-    replace_atomically,
 )
 
-CHECKPOINT_VERSION = 1
 DEFAULT_HIDDEN = (128, 128)
 
 # The learned policy has one head per (terminal, plane), and its input and
@@ -331,20 +328,12 @@ class Adam:
             tensor -= step
 
 
-@dataclass
-class EpisodeRecord:
-    episode: int
-    episode_return: float
-    sum_delay: float
-    sum_collision: float
-
-
 def rollout_segment(
     env: HandoverEnv,
     policy: net.PolicyParameters | net.StackedPolicy,
     noise: np.ndarray,
     env_seeds: list,
-) -> tuple[vtrace.TrajectorySegment, list["EpisodeRecord"]]:
+) -> tuple[vtrace.TrajectorySegment, list[MetricsRecord]]:
     """Sampled episodes, stepped together under one behavior policy.
 
     A :class:`net.StackedPolicy` of G parameter sets splits the episodes
@@ -353,7 +342,7 @@ def rollout_segment(
     ``noise[e]`` (N, J, K).  Every slot runs one ``env.step`` and one
     decision for all episodes.  The behavior log-probabilities come from
     one pass over the whole rollout's logits.  Returns one stacked segment,
-    built on the rollout's own buffers, and one record per episode.
+    built on the rollout's own buffers, and each episode's metrics.
     """
     cfg = env.config
     episodes, length, j = len(env_seeds), cfg.horizon, cfg.num_ues
@@ -385,17 +374,9 @@ def rollout_segment(
         masks=(~pinned).astype(float),
         bootstrap_value=0.0,  # episodes terminate at the horizon
     )
-    records = []
-    for e in range(episodes):
-        metrics = episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e))
-        records.append(
-            EpisodeRecord(
-                episode=-1,
-                episode_return=metrics.episode_return,
-                sum_delay=metrics.sum_delay,
-                sum_collision=metrics.sum_collision,
-            )
-        )
+    records = [
+        episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e)) for e in range(episodes)
+    ]
     return segment, records
 
 
@@ -405,8 +386,10 @@ def train(
     episodes: int,
     seed: int = 0,
     initial_params: net.PolicyParameters | None = None,
-) -> tuple[net.PolicyParameters, list[EpisodeRecord]]:
+) -> tuple[net.PolicyParameters, list[MetricsRecord]]:
     """Run the actor-learner loop and return final parameters plus the curve.
+
+    The curve is every episode's :class:`MetricsRecord`, in episode order.
 
     Deterministic for a fixed (scenario, cfg, episodes, seed): with
     ``actors = cfg.actors_count``, episode ``d`` belongs to actor
@@ -446,7 +429,7 @@ def train(
     per_batch = cfg.batch_episodes(scenario.horizon)
     lag = cfg.lag
 
-    curve: list[EpisodeRecord] = []
+    curve: list[MetricsRecord] = []
     done = 0
     while done < episodes:
         count = min((1 + lag) * per_batch, episodes - done)
@@ -467,8 +450,6 @@ def train(
         # Nothing past the rollout reads the noise, and the parameters the
         # first batch acted under can go once the learner replaces them.
         del stack, noise
-        for d, record in enumerate(records, start=done):
-            record.episode = d
         curve += records
         done += count
 
@@ -486,66 +467,3 @@ def train(
             del grads
         del segments  # and this pass's, before the next pass allocates its own
     return params, curve
-
-
-CURVE_HEADER = ["episode", "mean_return", "sum_delay", "sum_collision"]
-
-
-def write_curve_csv(path, records: list[EpisodeRecord]) -> None:
-    with replace_atomically(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.episode, f"{r.episode_return:.6f}", f"{r.sum_delay:.6f}", f"{r.sum_collision:.6f}"]
-            )
-
-
-def save_checkpoint(params: net.PolicyParameters, path) -> None:
-    """Versioned, lossless parameter snapshot (.npz), written to ``path`` as named."""
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "obs_dim": params.obs_dim,
-        "num_ues": params.num_ues,
-        "num_actions": params.num_actions,
-        "hidden": list(params.hidden_sizes),
-    }
-    # An open file, so np.savez appends no ".npz" to the temporary name.
-    with replace_atomically(path, "wb") as fh:
-        meta_bytes = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(fh, meta=meta_bytes, **params.tensors())
-
-
-class CheckpointError(RuntimeError):
-    pass
-
-
-def load_checkpoint(path, scenario: ScenarioConfig | None = None) -> net.PolicyParameters:
-    """Load a checkpoint, optionally validating it against a scenario."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data else None
-        if not isinstance(meta, dict):
-            raise CheckpointError(f"{path} is not a policy checkpoint")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint version {meta.get('version')} unsupported (want {CHECKPOINT_VERSION})"
-            )
-        missing = [k for k in ("obs_dim", "num_ues", "num_actions") if k not in meta]
-        missing += [name for name in net.TENSOR_NAMES if name not in data]
-        if missing:
-            raise CheckpointError(f"{path} lacks {', '.join(missing)}")
-        params = net.PolicyParameters(
-            obs_dim=meta["obs_dim"],
-            num_ues=meta["num_ues"],
-            num_actions=meta["num_actions"],
-            **{name: data[name] for name in net.TENSOR_NAMES},
-        )
-    if scenario is not None:
-        expected = (observation_size(scenario), scenario.num_ues, scenario.num_planes)
-        actual = (params.obs_dim, params.num_ues, params.num_actions)
-        if expected != actual:
-            raise CheckpointError(
-                f"checkpoint shape {actual} does not fit scenario {expected} "
-                "(obs_dim, num_ues, num_planes)"
-            )
-    return params

@@ -20,15 +20,11 @@ from leoho.experiments import (
     DESK_TRAINING,
     behavior_stats,
     evaluate,
+    save_checkpoint,
     scenario_for_case,
     summary_row,
 )
-from leoho.training import (
-    VtraceConfig,
-    loss_and_gradient_with_targets,
-    save_checkpoint,
-    train,
-)
+from leoho.training import VtraceConfig, loss_and_gradient_with_targets, train
 from leoho.vtrace import TrajectorySegment, vtrace_from_values, vtrace_targets
 
 EVAL_EPISODES = 1000

@@ -187,16 +187,17 @@ def test_no_agent_requests_for_accessed_terminals():
         make_agent("random"),
         make_agent("dho", params=params, mode="sample"),
     ]
+    pinned = np.array([0, 2, 4])
     for agent in agents:
-        obs = env.reset(11)
-        agent.begin_episode(env, np.random.default_rng(5))
-        env.state.accessed[np.array([0, 2, 4])] = True
+        obs = env.reset(episodes=[11])
+        agent.begin_episode(env, [np.random.default_rng(5)])
+        env.state.accessed[:, pinned] = True
         obs = env.observe()
         for _ in range(3):
             actions = agent.act(env, obs)
-            assert not actions[np.array([0, 2, 4])].any()
+            assert not actions[:, pinned].any()
             obs, _ = env.step(actions)
-            env.state.accessed[np.array([0, 2, 4])] = True
+            env.state.accessed[:, pinned] = True
 
 
 def test_make_agent_validation():

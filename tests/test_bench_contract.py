@@ -71,6 +71,33 @@ def test_learner_targets_go_through_the_traced_name():
         assert [len(segments) for segments in calls] == [5, 5], vtrace_enabled
 
 
+def test_run_writes_each_report_through_the_traced_name(tmp_path):
+    # The tracer times the report writers by patching them on ``experiments``,
+    # so a run must look each one up there, once per file it writes.
+    spec = experiments.ExperimentSpec(
+        scenario=ScenarioConfig(num_ues=4, rb_per_target=(4, 4), num_preambles=20, horizon=8),
+        training=training.VtraceConfig(batch_size=40, hidden=(8, 8)),
+        agent="dho",
+        eval_episodes=3,
+        train_episodes=7,
+    )
+    writers = ("write_trace_csv", "write_summary_csv", "write_curve_csv", "save_checkpoint")
+    calls = []
+    with ExitStack() as stack:
+        for name in writers:
+
+            def counted(*args, name=name, inner=getattr(experiments, name)):
+                calls.append(name)
+                return inner(*args)
+
+            stack.enter_context(patched(experiments, name, counted))
+        experiments.run_experiment(spec, tmp_path)
+    assert sorted(calls) == sorted(writers)
+    assert {path.name for path in tmp_path.iterdir()} == {
+        "trace.csv", "summary.csv", "curve.csv", "checkpoint.npz"
+    }
+
+
 def test_setup_probe_runs():
     # ``bench/run.py`` times set-up by building an env, the agents and a
     # policy from a spec in a fresh interpreter, and prints the seconds.

@@ -110,16 +110,27 @@ def test_malformed_checkpoint_exits_3_with_one_line(tmp_path, capsys):
     spec = write_spec(tmp_path, FAST_DHO)
     shapes = {"version": 1, "obs_dim": 3, "num_ues": 1, "num_actions": 2}
     tensors = {name: np.zeros((1, 1)) for name in net.TENSOR_NAMES}
+    # The shapes and tensors of a policy for FAST_DHO's scenario, each case
+    # below with one flaw.
+    fitting = {"version": 1, "obs_dim": 17, "num_ues": 4, "num_actions": 3}
+    policy = net.zero_params(17, 4, 3, hidden=(16, 16)).tensors()
     malformed = [
         ({"version": 1}, {}),  # no shapes, no tensors
         (shapes, {**tensors, "w1": np.zeros(3)}),  # a flat weight matrix
+        ({**fitting, "num_ues": None}, policy),
+        ({**fitting, "num_ues": "a", "num_actions": "b"}, policy),
+        ({**fitting, "num_ues": 4.0}, policy),
+        ({**fitting, "num_actions": True}, policy),
+        (fitting, {**policy, "b1": np.array(["x"] * 16)}),  # a string tensor
     ]
     for g, (meta, arrays) in enumerate(malformed):
         path = tmp_path / f"malformed{g}.npz"
         np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8), **arrays)
-        code = main(["eval", "--spec", spec, "--checkpoint", str(path), "--out", str(tmp_path / "o")])
-        assert code == 3, meta
-        assert capsys.readouterr().err.count("\n") == 1
+        for command in (["eval", "--out", str(tmp_path / "o")], ["behavior", "--episodes", "2"]):
+            code = main([*command, "--spec", spec, "--checkpoint", str(path)])
+            assert code == 3, (command[0], meta)
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bad_spec_exits_2(tmp_path, capsys):

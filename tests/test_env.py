@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from leoho import env as env_module, experiments, link, orbital, training
+from leoho import env as env_module, experiments, link, orbital, rng as rng_module, training
 from leoho.env import (
     INT64_MAX,
     MAX_CHUNK_CELLS,
@@ -23,20 +23,25 @@ from leoho.env import (
     StepOutcome,
     admission,
     batch_episodes,
-    episode_generators,
     episode_metrics,
     observation_size,
     rach,
-    stack_outcomes,
-    trace_header,
-    write_trace_csv,
 )
+from leoho.experiments import trace_header, write_trace_csv
 
 
 def small_config(**kw) -> ScenarioConfig:
     defaults = dict(num_ues=10, num_planes=3, rb_per_target=(10, 10), num_preambles=50)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
+
+
+def episode_view(outcomes) -> EpisodeOutcomes:
+    """The view of one episode's slot outcomes, stacked as a loop collects them."""
+    columns = OutcomeColumns(len(outcomes))
+    for outcome in outcomes:
+        columns.append(outcome)
+    return EpisodeOutcomes(columns, 0)
 
 
 # --- configuration -------------------------------------------------------
@@ -165,52 +170,7 @@ def test_initial_observation_contents():
     assert np.array_equal(onehot[:, 0], np.ones(10))  # previous action all-zero
 
 
-# --- episode generators ----------------------------------------------------
-
-# Key entries at the edges of SeedSequence's 32-bit words, or random ones of
-# up to three words.  A key is an int or a tuple of 1-8 entries, so keys run
-# from one word to well past the pool's four.
-SEED_ENTRIES = st.one_of(
-    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 5]), st.integers(0, 2**96 - 1)
-)
-SEED_KEYS = st.one_of(SEED_ENTRIES, st.lists(SEED_ENTRIES, min_size=1, max_size=8).map(tuple))
-
-
-def assert_same_generator(got: np.random.Generator, key) -> None:
-    want = np.random.default_rng(key)
-    assert got.bit_generator.state == want.bit_generator.state
-    assert got.random(5).tobytes() == want.random(5).tobytes()
-    assert np.array_equal(got.integers(1, 51, size=(3, 4)), want.integers(1, 51, size=(3, 4)))
-    assert got.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(SEED_KEYS, min_size=1, max_size=6))
-def test_episode_generators_match_default_rng(keys):
-    generators = list(episode_generators(keys))
-    assert len(generators) == len(keys)
-    for got, key in zip(generators, keys):
-        assert_same_generator(got, key)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.integers(1, 7).flatmap(
-        lambda n: st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * n), min_size=1, max_size=70)
-    )
-)
-def test_episode_generators_match_default_rng_for_a_chunk_of_word_keys(keys):
-    # Keys of one length, every entry one word: the chunk is hashed in one pass.
-    for got, key in zip(episode_generators(keys), keys, strict=True):
-        assert_same_generator(got, key)
-
-
-@pytest.mark.parametrize("bad", [-1, (-1,), (3, -1), (2**40, -(2**70)), (2**64 + 5, 2, 1, 0, -7)])
-def test_episode_generators_reject_negative_entries(bad):
-    with pytest.raises(ValueError):
-        np.random.default_rng(bad)
-    with pytest.raises(ValueError):
-        list(episode_generators([5, bad]))
+# --- random streams ---------------------------------------------------------
 
 
 def test_reset_streams_are_default_rng_streams():
@@ -229,7 +189,7 @@ def test_reset_streams_are_default_rng_streams():
         assert np.array_equal(env._keys[e], rng.random((cfg.horizon, cfg.num_ues)))
         preambles = rng.integers(1, cfg.num_preambles + 1, size=(cfg.horizon, cfg.num_ues))
         assert np.array_equal(env._preambles[e], preambles)
-        stream = np.random.default_rng(env_module._seed_key(key) + (env_module.MEASUREMENT_STREAM,))
+        stream = np.random.default_rng(rng_module.seed_key(key) + (env_module.MEASUREMENT_STREAM,))
         expected = stream.standard_normal(shadowing.shape[1:]) * cfg.shadowing_sigma_db
         assert np.array_equal(shadowing[e], expected)
 
@@ -436,7 +396,7 @@ def test_everyone_accesses_first_slot_scores_zero_delay():
     for _ in range(19):
         _, o = env.step(np.zeros(10, dtype=int))
         outcomes.append(o)
-    m = env.metrics(outcomes)
+    m = episode_metrics(episode_view(outcomes), env.state)
     assert m.sum_delay == 0.0
     assert m.ho_success == 1.0
 
@@ -445,7 +405,7 @@ def test_never_accessing_scores_full_delay():
     env = HandoverEnv(small_config())
     env.reset(0)
     outcomes = [env.step(np.zeros(10, dtype=int))[1] for _ in range(20)]
-    m = env.metrics(outcomes)
+    m = episode_metrics(episode_view(outcomes), env.state)
     assert m.sum_delay == 20.0
     assert m.ho_success == 0.0
     assert m.episode_return == -20.0
@@ -457,7 +417,7 @@ def test_return_identity_with_delay_weight():
     rng = np.random.default_rng(0)
     env.reset(9)
     outcomes = [env.step(rng.integers(0, 3, 10))[1] for _ in range(20)]
-    m = env.metrics(outcomes)
+    m = episode_metrics(episode_view(outcomes), env.state)
     assert m.episode_return == pytest.approx(-cfg.nu * m.sum_delay - m.sum_collision, abs=1e-12)
 
 
@@ -493,7 +453,7 @@ def test_batched_views_equal_single_episode_records(scenario):
         assert outcome.c_r_per_target.shape == (len(seeds), cfg.num_targets)
         assert outcome.reward.shape == (len(seeds),)
         slots.append(outcome)
-    columns = stack_outcomes(slots)
+    columns = episode_view(slots).columns
     for e, seed in enumerate(seeds):
         alone = HandoverEnv(cfg)
         alone.reset(seed)
@@ -515,7 +475,7 @@ def test_batched_views_equal_single_episode_records(scenario):
             episode_return=float(sum(o.reward for o in records)),
         )
         assert episode_metrics(view, env.state.episode(e)) == oracle
-        assert alone.metrics(records) == oracle
+        assert episode_metrics(episode_view(records), alone.state) == oracle
 
 
 def _per_episode_sums(d, c_r_block, c_p, reward) -> list[str]:
@@ -573,23 +533,14 @@ def test_chunk_sums_match_per_episode_sums(shape, data):
         view = EpisodeOutcomes(columns, e)
         final = SimpleNamespace(slot=slots, accessed=np.array([e % 2 == 0]))
         want = _per_episode_sums(
-            view.column("d").tolist(),
-            view.column("c_r_per_target"),
-            view.column("c_p").tolist(),
-            view.column("reward").tolist(),
+            columns["d"][e].tolist(),
+            columns["c_r_per_target"][e],
+            columns["c_p"][e].tolist(),
+            columns["reward"][e].tolist(),
         )
         record = episode_metrics(view, final)
         assert _metric_bits(record) == want
         assert record.ho_success == float(e % 2 == 0)
-        # A list of records is stacked as its own one-episode chunk.
-        records = list(view)
-        listed = _per_episode_sums(
-            [o.d for o in records],
-            np.array([o.c_r_per_target for o in records]),
-            [o.c_p for o in records],
-            [o.reward for o in records],
-        )
-        assert _metric_bits(episode_metrics(records, final)) == listed
 
 
 @pytest.mark.parametrize("targets", [1, 2, 3])
@@ -606,7 +557,8 @@ def test_chunk_sums_past_numpy_buffer_match_the_episode_alone(targets):
         view = EpisodeOutcomes(columns, e)
         alone = np.array([o.c_r_per_target for o in view]).sum()
         assert episode_metrics(view, final).sum_collision_rb.hex() == float(alone).hex()
-        assert episode_metrics(list(view), final).sum_collision_rb.hex() == float(alone).hex()
+        restacked = episode_metrics(episode_view(list(view)), final)
+        assert restacked.sum_collision_rb.hex() == float(alone).hex()
 
 
 def _count_step_outcomes(monkeypatch) -> list:
@@ -646,7 +598,7 @@ def test_episode_metrics_length_mismatch():
     env.reset(0)
     _, out = env.step(np.zeros(10, dtype=int))
     with pytest.raises(ValueError):
-        episode_metrics([out, out], env.state)
+        episode_metrics(episode_view([out, out]), env.state)
 
 
 # --- whole-episode invariants -------------------------------------------------
@@ -693,7 +645,7 @@ def test_episode_invariants_hold(seed, rb, preambles, data):
         )
     )
     env, outcomes = run_episode(cfg, seed, actions)
-    m = env.metrics(outcomes)
+    m = episode_metrics(episode_view(outcomes), env.state)
     # Block accounting: every spent block belongs to a completed terminal.
     completions = np.zeros(2, dtype=int)
     for out in outcomes:
@@ -729,7 +681,7 @@ def test_trace_csv_schema_and_determinism(tmp_path):
     for e in range(2):
         env.reset(e)
         outcomes = [env.step(np.ones(10, dtype=int))[1] for _ in range(cfg.horizon)]
-        episodes.append((e, outcomes))
+        episodes.append((e, episode_view(outcomes)))
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(path_a, episodes, cfg.num_ues, cfg.num_targets)
     write_trace_csv(path_b, episodes, cfg.num_ues, cfg.num_targets)
@@ -751,7 +703,8 @@ def test_trace_writer_bytes_match_csv_writer(tmp_path):
     # Rows equal but for the sign of a zero are formatted apart.
     for e, zero in ((3, 0.0), (4, -0.0)):
         episodes.append((e, [dataclasses.replace(o, reward=zero) for o in episodes[0][1]]))
-    write_trace_csv(tmp_path / "trace.csv", episodes, cfg.num_ues, cfg.num_targets)
+    views = [(e, episode_view(outcomes)) for e, outcomes in episodes]
+    write_trace_csv(tmp_path / "trace.csv", views, cfg.num_ues, cfg.num_targets)
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(trace_header(cfg.num_targets))

@@ -8,13 +8,14 @@ from leoho import env as env_module, experiments, net
 from leoho.env import (
     BATCH_TERMINALS,
     ConfigError,
+    EpisodeOutcomes,
     FeatureMask,
     HandoverEnv,
     MetricsRecord,
+    OutcomeColumns,
     ScenarioConfig,
     batch_episodes,
     observation_size,
-    write_trace_csv,
 )
 from leoho.experiments import (
     ABLATION_MASKS,
@@ -29,13 +30,15 @@ from leoho.experiments import (
     label_for_nu,
     parse_spec_file,
     run_experiment,
+    save_checkpoint,
     scenario_for_case,
     scenario_with_ratios,
     summary_row,
     sweep_experiment,
+    write_curve_csv,
     write_summary_csv,
+    write_trace_csv,
 )
-from leoho.training import EpisodeRecord, save_checkpoint, write_curve_csv
 
 
 def fast_spec(**kw) -> ExperimentSpec:
@@ -374,8 +377,8 @@ def test_spec_file_terminal_profile(tmp_path):
 
 
 def test_episodes_to_threshold():
-    curve = [EpisodeRecord(i, -10.0, 0, 0) for i in range(50)]
-    curve += [EpisodeRecord(50 + i, -1.0, 0, 0) for i in range(100)]
+    curve = [MetricsRecord(0, 0, 0, 1.0, -10.0)] * 50
+    curve += [MetricsRecord(0, 0, 0, 1.0, -1.0)] * 100
     # Window mean (-200 + 9m)/20 crosses -2 once m = 18 of the 20 are fresh.
     assert episodes_to_threshold(curve, -2.0, window=20) == 68
     assert episodes_to_threshold(curve, 5.0, window=20) is None
@@ -386,8 +389,11 @@ def test_episodes_to_threshold():
 
 def _trace_episodes():
     env = HandoverEnv(ScenarioConfig(horizon=3))
-    env.reset(0)
-    yield 0, [env.step(np.ones(10, dtype=int))[1] for _ in range(3)]
+    env.reset(episodes=[0])
+    columns = OutcomeColumns(3)
+    for _ in range(3):
+        columns.append(env.step(np.ones((1, 10), dtype=int))[1])
+    yield 0, EpisodeOutcomes(columns, 0)
 
 
 def _broken(items, exc=RuntimeError("midway")):
@@ -401,7 +407,7 @@ def _savez_midway(fh, **arrays):
 
 
 SUMMARY_ROW = summary_row([MetricsRecord(1.0, 0.5, 0.25, 1.0, -2.0)], "random")
-CURVE = [EpisodeRecord(0, -1.0, 0.5, 0.25), EpisodeRecord(1, -2.0, 0.5, 0.25)]
+CURVE = [MetricsRecord(0.5, 0.125, 0.125, 1.0, -1.0), MetricsRecord(0.5, 0.125, 0.125, 1.0, -2.0)]
 PARAMS = net.zero_params(41, 10, 3)
 
 # name: (write the file, a write of other content that raises midway, what

@@ -16,17 +16,14 @@ from leoho.env import (
     batch_episodes,
     observation_size,
 )
+from leoho.experiments import CheckpointError, load_checkpoint, save_checkpoint, write_curve_csv
 from leoho.training import (
     Adam,
-    CheckpointError,
     VtraceConfig,
-    load_checkpoint,
     loss_and_gradient,
     loss_and_gradient_with_targets,
     rollout_segment,
-    save_checkpoint,
     train,
-    write_curve_csv,
 )
 from leoho.vtrace import TrajectorySegment, vtrace_targets
 
@@ -319,10 +316,12 @@ def tiny_training(**kw):
     return VtraceConfig(**defaults)
 
 
-def test_train_smoke_and_curve_length():
+def test_train_smoke_and_curve_length(tmp_path):
     params, curve = train(tiny_scenario(), tiny_training(), episodes=12, seed=0)
     assert len(curve) == 12
-    assert [r.episode for r in curve] == list(range(12))
+    write_curve_csv(tmp_path / "curve.csv", curve)
+    rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [str(d) for d in range(12)]
     assert all(np.isfinite(r.episode_return) for r in curve)
     # Returns bounded by the worst case -N * (nu + c_max).
     assert all(-5 * (1 + 3) <= r.episode_return <= 0 for r in curve)
@@ -370,7 +369,7 @@ def serial_train(scenario, cfg, episodes, actors, seed):
         noise = np.stack([rngs[d % actors].gumbel(size=shape) for d in batch])
         seeds = [(seed ^ (d % actors), d // actors) for d in batch]
         segments, records = rollout_segment(env, published, noise, seeds)
-        curve += [(d, r.episode_return, r.sum_delay, r.sum_collision) for d, r in zip(batch, records)]
+        curve += records
         if len(batch) == per_batch:
             previous = params.copy()
             _, grads = loss_and_gradient(params, segments, cfg)
@@ -403,7 +402,6 @@ def test_pipelined_train_matches_serial_reference(vtrace_enabled, actors, episod
         ref_params, ref_curve = serial_train(scenario, cfg, episodes, actors, seed=5)
         for name in net.TENSOR_NAMES:
             assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
-        curve = [(r.episode, r.episode_return, r.sum_delay, r.sum_collision) for r in curve]
         assert curve == ref_curve
 
 
