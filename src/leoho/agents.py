@@ -99,25 +99,27 @@ def dho_log_probs(logits: np.ndarray, actions: np.ndarray, accessed: np.ndarray)
 
 
 class ConventionalAgent:
-    """Stateful wrapper carrying the A3 streak counters across a slot loop."""
+    """Stateful wrapper carrying the A3 streak counters across a slot loop.
+
+    The A3 offset and trigger length are the scenario's.
+    """
 
     name = "conventional"
 
-    def __init__(self, offset_db: float = 1.0, trigger_slots: int = 1):
-        self.offset_db = offset_db
-        self.trigger_slots = trigger_slots
+    def __init__(self) -> None:
         self._streak: np.ndarray | None = None
 
     def begin_episode(self, env: HandoverEnv, rngs) -> None:
-        shape = env.state.accessed.shape + (env.config.num_targets,)
-        self._streak = np.zeros(shape, dtype=np.int64)
+        cfg = env.config
+        self._streak = np.zeros(env.state.accessed.shape + (cfg.num_targets,), dtype=np.int64)
+        self._offset_db = cfg.a3_offset_db
         # A streak never passes the horizon, so any longer trigger acts as
         # horizon + 1, which int64 holds on every numpy.
-        self._trigger = min(self.trigger_slots, env.config.horizon + 1)
+        self._trigger = min(cfg.a3_trigger_slots, cfg.horizon + 1)
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         actions, self._streak = conventional_decide(
-            env.measurements(), env.state.accessed, self.offset_db, self._streak, self._trigger
+            env.measurements(), env.state.accessed, self._offset_db, self._streak, self._trigger
         )
         return actions
 
@@ -164,15 +166,9 @@ class DhoAgent:
         return actions
 
 
-def make_agent(
-    kind: str,
-    params: net.PolicyParameters | None = None,
-    offset_db: float = 1.0,
-    trigger_slots: int = 1,
-    mode: str = "greedy",
-):
+def make_agent(kind: str, params: net.PolicyParameters | None = None, mode: str = "greedy"):
     if kind == "conventional":
-        return ConventionalAgent(offset_db=offset_db, trigger_slots=trigger_slots)
+        return ConventionalAgent()
     if kind == "random":
         return RandomAgent()
     if kind == "dho":

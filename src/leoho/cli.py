@@ -1,15 +1,16 @@
 """Command-line entry point.
 
 Subcommands: run | sweep | eval | behavior | ablation.  Exit codes: 0 on
-success, 2 for configuration errors, 3 for runtime failures.  The default
-output directory comes from --out, then the spec file, then the
-LEOHO_OUTPUT_DIR environment variable, then ./leoho_out.
+success, 2 for configuration errors, 3 for runtime failures.  Each flag is
+a spec setting (see :data:`FLAG_KEYS`), applied after the spec file's lines
+through :func:`experiments.apply_settings`, so a flag and its spec line
+give the same run.  The default output directory comes from --out, then the
+spec file, then the LEOHO_OUTPUT_DIR environment variable, then ./leoho_out.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -56,44 +57,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each flag's spec key.  Flags apply after the spec file's lines: --case
+# first, as its two ratio settings, then --mask, as its four feature
+# settings, then the flags below in this order.
+FLAG_KEYS = {
+    "rb_ratio": "scenario.rb_ratio",
+    "preamble_ratio": "scenario.preamble_ratio",
+    "nu": "scenario.nu",
+    "actors": "training.actors_count",
+    "vtrace": "training.vtrace_enabled",
+    "agent": "agent",
+    "seed": "master_seed",
+    "episodes": "eval_episodes",
+    "train_episodes": "train_episodes",
+    "checkpoint": "checkpoint",
+    "mode": "eval_mode",
+    "out": "output_dir",
+    "parameter": "sweep.parameter",
+    "values": "sweep.values",
+}
+
+
 def _load_spec(args) -> ExperimentSpec:
     spec = parse_spec_file(args.spec) if args.spec else ExperimentSpec()
-    scenario = spec.scenario
-    training = spec.training
-
-    if args.case:
-        scenario = experiments.scenario_for_case(args.case, scenario)
-    if args.rb_ratio is not None:
-        scenario = experiments.scenario_with_ratios(scenario, rb_ratio=args.rb_ratio)
-    if args.preamble_ratio is not None:
-        scenario = experiments.scenario_with_ratios(scenario, preamble_ratio=args.preamble_ratio)
-    if args.nu is not None:
-        scenario = dataclasses.replace(scenario, nu=experiments._coerce("--nu", args.nu, 0.0))
-    if args.command != "ablation" and args.mask:
-        if args.mask not in experiments.ABLATION_MASKS:
-            raise ConfigError("mask", f"unknown mask {args.mask!r}")
-        scenario = dataclasses.replace(scenario, features=experiments.ABLATION_MASKS[args.mask])
-    if args.actors is not None:
-        training = dataclasses.replace(training, actors_count=args.actors)
-    if args.vtrace is not None:
-        training = dataclasses.replace(training, vtrace_enabled=args.vtrace == "on")
-
-    updates: dict = {"scenario": scenario, "training": training}
-    if args.agent:
-        updates["agent"] = args.agent
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.episodes is not None:
-        updates["eval_episodes"] = args.episodes
-    if args.train_episodes is not None:
-        updates["train_episodes"] = args.train_episodes
-    if args.checkpoint:
-        updates["checkpoint"] = args.checkpoint
-    if args.mode:
-        updates["eval_mode"] = args.mode
-    if args.out:
-        updates["output_dir"] = args.out
-    return dataclasses.replace(spec, **updates)
+    flags = vars(args)
+    settings = []
+    if args.case is not None:
+        settings += experiments.case_settings(args.case)
+    if args.mask is not None and args.command != "ablation":  # ablation trains one policy per mask
+        settings += experiments.mask_settings(args.mask)
+    settings += [(key, flags[dest]) for dest, key in FLAG_KEYS.items() if flags.get(dest) is not None]
+    return experiments.apply_settings(spec, settings)
 
 
 def _out_dir(spec: ExperimentSpec) -> Path:
@@ -119,22 +113,16 @@ def _dispatch(args) -> int:
     if args.command == "eval":
         if spec.agent == "dho" and not spec.checkpoint:
             raise ConfigError("checkpoint", "eval of the learned agent needs --checkpoint")
-        spec = dataclasses.replace(spec, train_episodes=0)
         artifacts = experiments.run_experiment(spec, out_dir)
         _print_row(artifacts["row"])
         return EXIT_OK
 
     if args.command == "sweep":
-        parameter = args.parameter or spec.sweep_parameter
-        if not parameter:
+        if not spec.sweep_parameter:
             raise ConfigError("sweep.parameter", "sweep needs --parameter or sweep.parameter")
-        if args.values:
-            values = tuple(experiments._coerce("--values", v, 0.0) for v in args.values.split(","))
-        else:
-            values = spec.sweep_values
-        if not values:
+        if not spec.sweep_values:
             raise ConfigError("sweep.values", "sweep needs --values or sweep.values")
-        result = experiments.sweep_experiment(spec, parameter, values, out_dir)
+        result = experiments.sweep_experiment(spec, spec.sweep_parameter, spec.sweep_values, out_dir)
         for row in result["rows"]:
             _print_row(row)
         print(f"sweep table: {result['sweep']}")

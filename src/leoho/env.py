@@ -583,9 +583,7 @@ class HandoverEnv:
                 shadowing *= cfg.shadowing_sigma_db
                 self._shadowing = self._squeeze(shadowing)
             first = self._rsrp(self._init_positions[None], slice(0, 1))[0]
-            self._meas = link.MeasurementState.initialise(
-                first, beta_l3=cfg.beta_l3, a3_offset_db=cfg.a3_offset_db
-            )
+            self._meas = link.MeasurementState.initialise(first, beta_l3=cfg.beta_l3)
         while self._meas_slot < state.slot:
             n = self._meas_slot
             times = self._sample_times[n][:, None, None, None]

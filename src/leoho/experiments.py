@@ -1,7 +1,9 @@
 """Experiment orchestration: spec files, evaluation, sweeps, reports.
 
 A spec file is flat ``key = value`` text with dotted section prefixes
-(``scenario.J = 10``); see the README for the grammar.  Every run emits
+(``scenario.J = 10``); see the README for the grammar.  Spec lines, CLI
+flags, named cases and sweep points are all ``(key, value)`` settings of
+that grammar, laid over a spec by :func:`apply_settings`.  Every run emits
 schema-stable CSVs: a summary row per (agent, sweep value), a per-slot trace,
 and a learning curve when training happened.  This module is the one that
 reads or writes files (the spec, the reports and the policy checkpoint), and
@@ -58,20 +60,6 @@ def label_for_nu(nu: float) -> str:
     return ""
 
 
-def scenario_with_ratios(
-    base: ScenarioConfig, rb_ratio: float | None = None, preamble_ratio: float | None = None
-) -> ScenarioConfig:
-    """Scale per-target blocks and preambles as multiples of the UE count."""
-    changes: dict = {}
-    if rb_ratio is not None:
-        changes["rb_per_target"] = _scaled_count("rb_ratio", rb_ratio, base.num_ues, least=0)
-    if preamble_ratio is not None:
-        changes["num_preambles"] = _scaled_count(
-            "preamble_ratio", preamble_ratio, base.num_ues, least=1
-        )
-    return dataclasses.replace(base, **changes) if changes else base
-
-
 def _scaled_count(key: str, ratio: float, num_ues: int, least: int) -> int:
     """``ratio`` per terminal as a whole count, at least ``least``.
 
@@ -84,21 +72,33 @@ def _scaled_count(key: str, ratio: float, num_ues: int, least: int) -> int:
     return max(least, round(count))
 
 
-def scenario_for_case(case: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Named resource regimes used throughout the result tables."""
-    base = ScenarioConfig() if base is None else base
-    ratios = {
-        "case1": (1.0, 5.0),
-        "case2": (0.3, 5.0),
-        "case3": (1.0, 2.0),
-        "case4": (1.0, 0.8),
-        "abundant": (1.0, 2.0),  # enough blocks and signatures
-        "scarce": (0.3, 0.8),  # short on both
-    }
-    if case not in ratios:
-        raise ConfigError("case", f"unknown case {case!r}, expected one of {sorted(ratios)}")
-    rb, pre = ratios[case]
-    return scenario_with_ratios(base, rb_ratio=rb, preamble_ratio=pre)
+# Named resource regimes of the result tables: (blocks, signatures) per terminal.
+CASES = {
+    "case1": (1.0, 5.0),
+    "case2": (0.3, 5.0),
+    "case3": (1.0, 2.0),
+    "case4": (1.0, 0.8),
+    "abundant": (1.0, 2.0),  # enough blocks and signatures
+    "scarce": (0.3, 0.8),  # short on both
+}
+
+
+def _named(key: str, table: dict, name: str):
+    if name not in table:
+        raise ConfigError(key, f"unknown {key} {name!r}, expected one of {sorted(table)}")
+    return table[name]
+
+
+def case_settings(case: str) -> list[tuple[str, float]]:
+    """The two ratio settings of a named resource regime."""
+    rb_ratio, preamble_ratio = _named("case", CASES, case)
+    return [("scenario.rb_ratio", rb_ratio), ("scenario.preamble_ratio", preamble_ratio)]
+
+
+def mask_settings(mask: str) -> list[tuple[str, bool]]:
+    """The ``features.*`` settings of a named ablation mask."""
+    features = _named("mask", ABLATION_MASKS, mask)
+    return [(f"features.{f.name}", getattr(features, f.name)) for f in dataclasses.fields(features)]
 
 
 # Learner schedule that converges at desk scale (tens of terminals, short
@@ -176,20 +176,23 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    lowered = text.strip().lower()
+def _parse_bool(value, key: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    lowered = value.strip().lower()
     if lowered in ("1", "true", "on", "yes"):
         return True
     if lowered in ("0", "false", "off", "no"):
         return False
-    raise ConfigError(key, f"expected a boolean, got {text!r}")
+    raise ConfigError(key, f"expected a boolean, got {value!r}")
 
 
 def _coerce(key: str, value, current):
     """``value``, spec text or a parsed number, as the type of ``current``, the field's default.
 
     Integer fields take only whole numbers, and every number, fractions
-    included, must parse; otherwise the key's :class:`ConfigError`.
+    included, must parse; otherwise the key's :class:`ConfigError`.  A
+    parsed int stays exact.
     """
     if isinstance(current, bool):
         return _parse_bool(value, key)
@@ -199,6 +202,8 @@ def _coerce(key: str, value, current):
         return value
     if not isinstance(current, (int, float)):
         raise ConfigError(key, "cannot be set from a spec file")
+    if type(value) is int and isinstance(current, int):
+        return value
     if not isinstance(value, str):
         number = float(value)
     else:
@@ -213,65 +218,60 @@ def _coerce(key: str, value, current):
     return int(number)
 
 
-def parse_spec_file(path) -> ExperimentSpec:
-    """Parse the flat key-value experiment grammar into an ExperimentSpec."""
+def apply_settings(spec: ExperimentSpec, settings: Iterable[tuple[str, object]]) -> ExperimentSpec:
+    """``spec`` with ``settings``, ``(key, value)`` pairs of the spec grammar, laid over it.
+
+    A value is spec text or a number already parsed.  A later setting of a
+    key overrides an earlier one.  The ratios resolve against the final J
+    and win over a block budget given directly, a single R is every
+    target's budget, and a K that changes with no R set gives each target J
+    blocks.  The result is validated once, at the end.
+    """
+    defaults = ExperimentSpec()  # each value is typed by its field's default
+    base = spec.scenario
     scenario_kw: dict = {}
     feature_kw: dict = {}
     training_kw: dict = {}
     top_kw: dict = {}
     ratios: dict = {}
-    sweep_parameter = None
-    sweep_values: tuple[float, ...] = ()
 
-    spec_defaults = ExperimentSpec()
-    scenario_defaults = spec_defaults.scenario
-    training_defaults = spec_defaults.training
-    feature_defaults = scenario_defaults.features
-
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-
+    for key, value in settings:
         if key.startswith("scenario."):
             name = key.split(".", 1)[1]
             name = _SCENARIO_ALIASES.get(name, name)
             if name in ("rb_ratio", "preamble_ratio"):
                 ratios[name] = _coerce(key, value, 0.0)
                 continue
-            if name == "rb_per_target" and "," not in value:
+            if name == "rb_per_target" and not (isinstance(value, str) and "," in value):
                 # A single number means the same budget on every target.
                 ratios["rb_uniform"] = _coerce(key, value, 0)
                 continue
-            if not hasattr(scenario_defaults, name):
+            if not hasattr(defaults.scenario, name):
                 raise ConfigError(key, "unknown scenario field")
-            scenario_kw[name] = _coerce(key, value, getattr(scenario_defaults, name))
+            scenario_kw[name] = _coerce(key, value, getattr(defaults.scenario, name))
         elif key.startswith("features."):
             name = key.split(".", 1)[1]
-            if not hasattr(feature_defaults, name):
+            if not hasattr(defaults.scenario.features, name):
                 raise ConfigError(key, "unknown feature flag")
             feature_kw[name] = _parse_bool(value, key)
         elif key.startswith("training."):
             name = key.split(".", 1)[1]
-            if not hasattr(training_defaults, name):
+            if not hasattr(defaults.training, name):
                 raise ConfigError(key, "unknown training field")
-            training_kw[name] = _coerce(key, value, getattr(training_defaults, name))
+            training_kw[name] = _coerce(key, value, getattr(defaults.training, name))
         elif key == "sweep.parameter":
-            sweep_parameter = value
+            top_kw["sweep_parameter"] = value
         elif key == "sweep.values":
-            sweep_values = tuple(_coerce(key, v, 0.0) for v in value.split(","))
+            top_kw["sweep_values"] = tuple(_coerce(key, v, 0.0) for v in value.split(","))
         elif key in _SPEC_TOP_KEYS:
-            top_kw[key] = _coerce(key, value, getattr(spec_defaults, key))
+            top_kw[key] = _coerce(key, value, getattr(defaults, key))
         else:
             raise ConfigError(key, "unknown spec key")
 
     if feature_kw:
-        scenario_kw["features"] = FeatureMask(**feature_kw)
-    num_ues = scenario_kw.get("num_ues", scenario_defaults.num_ues)
-    num_planes = scenario_kw.get("num_planes", scenario_defaults.num_planes)
+        scenario_kw["features"] = dataclasses.replace(base.features, **feature_kw)
+    num_ues = scenario_kw.get("num_ues", base.num_ues)
+    num_planes = scenario_kw.get("num_planes", base.num_planes)
     if "rb_uniform" in ratios:
         scenario_kw["rb_per_target"] = ratios["rb_uniform"]
     if "rb_ratio" in ratios:
@@ -282,18 +282,36 @@ def parse_spec_file(path) -> ExperimentSpec:
         scenario_kw["num_preambles"] = _scaled_count(
             "scenario.preamble_ratio", ratios["preamble_ratio"], num_ues, least=1
         )
-    if "rb_per_target" not in scenario_kw and num_planes != scenario_defaults.num_planes:
+    if "rb_per_target" not in scenario_kw and num_planes != base.num_planes:
         scenario_kw["rb_per_target"] = num_ues
 
-    scenario = ScenarioConfig(**scenario_kw)
-    training = dataclasses.replace(training_defaults, **training_kw)
-    return ExperimentSpec(
-        scenario=scenario,
-        training=training,
-        sweep_parameter=sweep_parameter,
-        sweep_values=sweep_values,
+    return dataclasses.replace(
+        spec,
+        scenario=dataclasses.replace(base, **scenario_kw),
+        training=dataclasses.replace(spec.training, **training_kw),
         **top_kw,
     )
+
+
+def parse_spec_file(path) -> ExperimentSpec:
+    """Parse the flat key-value experiment grammar into an ExperimentSpec."""
+
+    def settings():
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            yield key, value
+
+    return apply_settings(ExperimentSpec(), settings())
+
+
+def scenario_for_case(case: str) -> ScenarioConfig:
+    """The default scenario in a named resource regime."""
+    return apply_settings(ExperimentSpec(), case_settings(case)).scenario
 
 
 def _episode_chunks(scenario: ScenarioConfig, master_seed: int, episodes: int):
@@ -320,13 +338,7 @@ def _evaluated_chunks(
     stochastic agents build them.
     """
     env = HandoverEnv(scenario)
-    agent = make_agent(
-        agent_kind,
-        params=params,
-        offset_db=scenario.a3_offset_db,
-        trigger_slots=scenario.a3_trigger_slots,
-        mode=eval_mode,
-    )
+    agent = make_agent(agent_kind, params=params, mode=eval_mode)
     for seeds in _episode_chunks(scenario, master_seed, episodes):
         obs = env.reset(episodes=seeds)
         agent.begin_episode(env, episode_generators([seed, 101] for seed in seeds))
@@ -585,14 +597,18 @@ def load_checkpoint(path, scenario: ScenarioConfig | None = None) -> net.PolicyP
             )
         params = net.PolicyParameters(**shapes, **tensors)
     if scenario is not None:
-        expected = (observation_size(scenario), scenario.num_ues, scenario.num_planes)
-        actual = (params.obs_dim, params.num_ues, params.num_actions)
-        if expected != actual:
-            raise CheckpointError(
-                f"checkpoint shape {actual} does not fit scenario {expected} "
-                "(obs_dim, num_ues, num_planes)"
-            )
+        _check_fit(params, scenario)
     return params
+
+
+def _check_fit(params: net.PolicyParameters, scenario: ScenarioConfig) -> None:
+    expected = (observation_size(scenario), scenario.num_ues, scenario.num_planes)
+    actual = (params.obs_dim, params.num_ues, params.num_actions)
+    if expected != actual:
+        raise CheckpointError(
+            f"checkpoint shape {actual} does not fit scenario {expected} "
+            "(obs_dim, num_ues, num_planes)"
+        )
 
 
 def episodes_to_threshold(curve, threshold: float, window: int = 100) -> int | None:
@@ -607,16 +623,21 @@ def episodes_to_threshold(curve, threshold: float, window: int = 100) -> int | N
     return None
 
 
-def _trained_params(
-    spec: ExperimentSpec, scenario: ScenarioConfig, out_dir: Path | None
-):
-    """Load or train the learned policy for a scenario; returns (params, curve)."""
-    if spec.checkpoint:
-        params = load_checkpoint(spec.checkpoint, scenario)
+def _checkpoint_for(path, scenarios: Iterable[ScenarioConfig]) -> net.PolicyParameters:
+    """The checkpoint at ``path``, loaded once, checked to fit and evaluate on every scenario."""
+    params = load_checkpoint(path)
+    for scenario in scenarios:
+        _check_fit(params, scenario)
         check_evaluation(scenario, params.hidden_sizes)
-        return params, None
+    return params
+
+
+def _trained_params(spec: ExperimentSpec, out_dir: Path | None):
+    """Load or train the spec's learned policy; returns (params, curve)."""
+    if spec.checkpoint:
+        return _checkpoint_for(spec.checkpoint, [spec.scenario]), None
     params, curve = train(
-        scenario,
+        spec.scenario,
         spec.training,
         episodes=spec.train_episodes,
         seed=spec.master_seed,
@@ -636,7 +657,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     params = None
     curve = None
     if spec.agent == "dho":
-        params, curve = _trained_params(spec, scenario, out_dir)
+        params, curve = _trained_params(spec, out_dir)
 
     records: list[MetricsRecord] = []
 
@@ -666,61 +687,63 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     return artifacts
 
 
-def apply_sweep_value(
-    scenario: ScenarioConfig, training: VtraceConfig, parameter: str, value: float
-) -> tuple[ScenarioConfig, VtraceConfig]:
-    """The scenario and training with the sweep's ``parameter`` set to ``value``.
-
-    Numbers are coerced as spec values are, typed by the field's default.
-    """
-    if parameter == "rb_ratio":
-        return scenario_with_ratios(scenario, rb_ratio=value), training
-    if parameter == "preamble_ratio":
-        return scenario_with_ratios(scenario, preamble_ratio=value), training
+def _sweep_key(parameter: str) -> str:
+    """The spec key a sweep ``parameter`` sets: a numeric scenario or training field, by name or alias."""
     name = _SCENARIO_ALIASES.get(parameter, parameter)
-    if name == "num_ues":
-        j = _coerce("sweep.values", value, scenario.num_ues)
-        # Resource ratios follow the UE count so the regime stays comparable.
-        rb_ratio = scenario.rb_per_target[0] / scenario.num_ues
-        pre_ratio = scenario.num_preambles / scenario.num_ues
-        scaled = dataclasses.replace(scenario, num_ues=j, rb_per_target=j)
-        return scenario_with_ratios(scaled, rb_ratio=rb_ratio, preamble_ratio=pre_ratio), training
-    if hasattr(scenario, name):
-        current = getattr(scenario, name)
-        if isinstance(current, (int, float)) and not isinstance(current, bool):
-            number = _coerce("sweep.values", value, current)
-            return dataclasses.replace(scenario, **{name: number}), training
-        raise ConfigError("sweep.parameter", f"{parameter} is not a numeric scenario field")
-    if hasattr(training, name):
-        current = getattr(training, name)
-        if isinstance(current, (int, float)) and not isinstance(current, bool):
-            number = _coerce("sweep.values", value, current)
-            return scenario, dataclasses.replace(training, **{name: number})
-        raise ConfigError("sweep.parameter", f"{parameter} is not a numeric training field")
+    if name == "num_planes":
+        raise ConfigError(
+            "sweep.parameter", f"{parameter!r} cannot be swept: its new targets would have no block budget"
+        )
+    if name in ("rb_ratio", "preamble_ratio", "rb_per_target"):
+        return f"scenario.{name}"
+    defaults = ExperimentSpec()
+    for section in ("scenario", "training"):
+        config = getattr(defaults, section)
+        if hasattr(config, name):
+            current = getattr(config, name)
+            if isinstance(current, (int, float)) and not isinstance(current, bool):
+                return f"{section}.{name}"
+            raise ConfigError("sweep.parameter", f"{parameter} is not a numeric {section} field")
     raise ConfigError("sweep.parameter", f"unknown parameter {parameter!r}")
+
+
+def _sweep_point(spec: ExperimentSpec, key: str, value: float) -> ExperimentSpec:
+    point = apply_settings(spec, [(key, value)])
+    if key == "scenario.num_ues":
+        # Each target's blocks and the signatures keep their share per
+        # terminal, so the regime stays comparable.
+        base, j = spec.scenario, point.scenario.num_ues
+        blocks = (_scaled_count(key, r / base.num_ues, j, least=0) for r in base.rb_per_target)
+        ratios = [
+            ("scenario.R", ",".join(map(str, blocks))),
+            ("scenario.preamble_ratio", base.num_preambles / base.num_ues),
+        ]
+        point = apply_settings(point, ratios)
+    return point
 
 
 def sweep_experiment(spec: ExperimentSpec, parameter: str, values: Sequence[float], out_dir) -> dict:
     """One summary row per sweep value for the spec's agent.
 
-    Every sweep point is built, and so validated, before any of them runs.
+    Every sweep point is built, and so validated, before any of them runs,
+    and a policy checkpoint is loaded once and checked against every point.
     """
-    points = []
-    for value in values:
-        scenario, training = apply_sweep_value(spec.scenario, spec.training, parameter, value)
-        points.append((value, dataclasses.replace(spec, scenario=scenario, training=training)))
+    key = _sweep_key(parameter)
+    points = [(value, _sweep_point(spec, key, value)) for value in values]
+    learned = spec.agent == "dho"
+    params = None
+    if learned and spec.checkpoint:
+        params = _checkpoint_for(spec.checkpoint, [point.scenario for _, point in points])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for value, point in points:
         scenario = point.scenario
-        params = None
         to_threshold = ""
-        if spec.agent == "dho":
-            params, curve = _trained_params(point, scenario, None)
-            if curve is not None:
-                hit = episodes_to_threshold(curve, spec.threshold_return)
-                to_threshold = "" if hit is None else str(hit)
+        if learned and not spec.checkpoint:
+            params, curve = _trained_params(point, None)
+            hit = episodes_to_threshold(curve, spec.threshold_return)
+            to_threshold = "" if hit is None else str(hit)
         records, _ = evaluate(
             scenario,
             spec.agent,
@@ -790,9 +813,7 @@ def ablation(
     """Train one policy per feature mask and emit the overlaid curves."""
     masked = {}
     for name in mask_names:
-        if name not in ABLATION_MASKS:
-            raise ConfigError("mask", f"unknown mask {name!r}, expected one of {sorted(ABLATION_MASKS)}")
-        masked[name] = dataclasses.replace(scenario, features=ABLATION_MASKS[name])
+        masked[name] = dataclasses.replace(scenario, features=_named("mask", ABLATION_MASKS, name))
         check_training(masked[name], training, episodes)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -138,23 +138,17 @@ class MeasurementState:
     l1_dbm: np.ndarray
     l3_dbm: np.ndarray
     beta_l3: float = 0.5
-    a3_offset_db: float = 1.0
 
     @classmethod
-    def initialise(
-        cls, first_l1_dbm: np.ndarray, beta_l3: float = 0.5, a3_offset_db: float = 1.0
-    ) -> "MeasurementState":
+    def initialise(cls, first_l1_dbm: np.ndarray, beta_l3: float = 0.5) -> "MeasurementState":
         first = np.asarray(first_l1_dbm, dtype=float)
-        return cls(
-            l1_dbm=first.copy(), l3_dbm=first.copy(), beta_l3=beta_l3, a3_offset_db=a3_offset_db
-        )
+        return cls(l1_dbm=first.copy(), l3_dbm=first.copy(), beta_l3=beta_l3)
 
     def fold_sample(self, l1_dbm: np.ndarray) -> None:
         self.l1_dbm = np.asarray(l1_dbm, dtype=float)
         self.l3_dbm = l3_filter(self.l3_dbm, self.l1_dbm, self.beta_l3)
 
-    def a3_flags(self, offset_db: float | None = None) -> np.ndarray:
+    def a3_flags(self, offset_db: float) -> np.ndarray:
         """Boolean (..., J, K-1) A3 conditions, target planes vs. serving."""
-        offset = self.a3_offset_db if offset_db is None else offset_db
         serving = self.l3_dbm[..., :1]
-        return self.l3_dbm[..., 1:] > serving + offset
+        return self.l3_dbm[..., 1:] > serving + offset_db

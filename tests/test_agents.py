@@ -14,7 +14,7 @@ from leoho.env import HandoverEnv, ScenarioConfig
 
 def measurements_from(l3_rows) -> link.MeasurementState:
     arr = np.array(l3_rows, dtype=float)
-    return link.MeasurementState.initialise(arr, beta_l3=0.5, a3_offset_db=1.0)
+    return link.MeasurementState.initialise(arr, beta_l3=0.5)
 
 
 def fresh_streak(j, targets=2):
@@ -79,9 +79,9 @@ def test_conventional_compares_streaks_within_int64(monkeypatch):
         return conventional_decide(measurements, accessed, offset_db, streak, trigger_slots)
 
     monkeypatch.setattr(agents_module, "conventional_decide", record)
-    env = HandoverEnv(ScenarioConfig(num_ues=3, horizon=5))
     for trigger, expected in ((10**30, 6), (2**63, 6), (6, 6), (5, 5), (1, 1)):
-        agent = make_agent("conventional", trigger_slots=trigger)
+        env = HandoverEnv(ScenarioConfig(num_ues=3, horizon=5, a3_trigger_slots=trigger))
+        agent = make_agent("conventional")
         obs = env.reset(episodes=[1, 2])
         agent.begin_episode(env, None)
         agent.act(env, obs)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from leoho import experiments, net
+from leoho import cli, experiments, net
 from leoho.cli import main
 from leoho.experiments import AGENT_KINDS
 
@@ -202,23 +202,12 @@ def test_missing_spec_file_exits_3(tmp_path):
 
 def test_sweep_cli(tmp_path):
     spec = write_spec(tmp_path, FAST_RANDOM)
-    out = tmp_path / "sweep"
-    code = main(
-        [
-            "sweep",
-            "--spec",
-            spec,
-            "--parameter",
-            "rb_ratio",
-            "--values",
-            "0.5,1.0",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 3
+    for parameter, values in (("rb_ratio", "0.5,1.0"), ("R", "3,10")):
+        out = tmp_path / parameter
+        code = main(["sweep", "--spec", spec, "--parameter", parameter, "--values", values, "--out", str(out)])
+        assert code == 0, parameter
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 3
 
 
 def test_sweep_without_parameter_exits_2(tmp_path):
@@ -229,7 +218,8 @@ def test_sweep_without_parameter_exits_2(tmp_path):
 def test_sweep_unknown_parameter_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, FAST_RANDOM)
     # The scenario has no seed: every episode's key comes from master_seed.
-    for parameter in ("bogus", "seed"):
+    # A K sweep would add targets with no block budget.
+    for parameter in ("bogus", "seed", "K"):
         args = ["--parameter", parameter, "--values", "1,2,3", "--out", str(tmp_path / "x")]
         assert main(["sweep", "--spec", spec, *args]) == 2, parameter
         assert repr(parameter) in capsys.readouterr().err
@@ -244,6 +234,30 @@ def test_sweep_tau_checks_every_value_before_running(tmp_path):
     assert not out.exists()
     assert main(args + ["0.15,0.45"]) == 0
     assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
+def fast_dho_policy(path) -> str:
+    """A random policy that fits FAST_DHO's scenario, saved at ``path``."""
+    params = net.init_params(17, 4, 3, hidden=(16, 16), rng=np.random.default_rng(0), head_scale=1.0)
+    experiments.save_checkpoint(params, path)
+    return str(path)
+
+
+def test_sweep_checks_its_checkpoint_before_any_work(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, evaluate=experiments.evaluate, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "evaluate", counted)
+    spec = write_spec(tmp_path, FAST_DHO)
+    policy = fast_dho_policy(tmp_path / "policy.npz")
+    # The policy fits J = 4 only.
+    args = ["--checkpoint", policy, "--parameter", "J", "--values", "4,8", "--out", str(tmp_path / "o")]
+    assert main(["sweep", "--spec", spec, *args]) == 3
+    assert calls == []
+    assert "does not fit" in capsys.readouterr().err
 
 
 def test_ablation_cli(tmp_path):
@@ -293,6 +307,51 @@ def test_cli_overrides_apply(tmp_path):
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[1].split(",")[1] == "collision-averse"  # label column
     assert summary[1].split(",")[4] == "12"  # eval_episodes column
+
+
+# Per flag: the spec it runs on, its value, and the spec lines that set the
+# same.  {policy} and {out} name a checkpoint and the side's output directory.
+FLAG_CASES = {
+    "agent": (FAST_RANDOM, "conventional", "agent = conventional"),
+    "seed": (FAST_RANDOM, "5", "master_seed = 5"),
+    "episodes": (FAST_RANDOM, "7", "eval_episodes = 7"),
+    "train_episodes": (FAST_DHO, "12", "train_episodes = 12"),
+    "out": (FAST_RANDOM, "{out}", "output_dir = {out}"),
+    "actors": (FAST_DHO, "2", "training.actors_count = 2"),
+    "vtrace": (FAST_DHO, "off", "training.vtrace_enabled = off"),
+    "nu": (FAST_RANDOM, "1/20", "scenario.nu = 1/20"),
+    "rb_ratio": (FAST_RANDOM, "0.5", "scenario.rb_ratio = 0.5"),
+    "preamble_ratio": (FAST_RANDOM, "2", "scenario.preamble_ratio = 2"),
+    "checkpoint": (FAST_DHO, "{policy}", "checkpoint = {policy}"),
+    "mode": (FAST_DHO, "sample", "eval_mode = sample"),
+    "parameter": (FAST_RANDOM + "sweep.values = 3,5\n", "J", "sweep.parameter = J"),
+    "values": (FAST_RANDOM + "sweep.parameter = J\n", "3,5", "sweep.values = 3,5"),
+    "case": (FAST_RANDOM, "case2", "scenario.rb_ratio = 0.3\nscenario.preamble_ratio = 5"),
+    "mask": (
+        FAST_DHO,
+        "no_time",
+        "features.time_index = off\nfeatures.accessed_vector = on\n"
+        "features.prev_action = on\nfeatures.a3_centralized = off",
+    ),
+}
+
+
+@pytest.mark.parametrize("dest", sorted({*cli.FLAG_KEYS, "case", "mask"}))
+def test_each_flag_writes_what_its_spec_lines_write(tmp_path, dest):
+    base, value, lines = FLAG_CASES[dest]
+    policy = fast_dho_policy(tmp_path / "policy.npz")
+    command = "sweep" if dest in ("parameter", "values") else "run"
+    flag = [f"--{dest.replace('_', '-')}", value]
+    written = []
+    for side, (text, flags) in enumerate(((base, flag), (base + lines + "\n", []))):
+        out = tmp_path / f"out{side}"
+        fill = {"policy": policy, "out": out}
+        argv = [command, "--spec", write_spec(tmp_path, text.format(**fill), f"{side}.spec")]
+        argv += [f.format(**fill) for f in flags] + ([] if dest == "out" else ["--out", str(out)])
+        assert main(argv) == 0, argv
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert written[0] == written[1]
+    assert {"summary.csv", "trace.csv"} <= set(written[0]) or set(written[0]) == {"sweep.csv"}
 
 
 def test_eval_random_agent_needs_no_checkpoint(tmp_path):

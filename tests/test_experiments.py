@@ -23,7 +23,7 @@ from leoho.experiments import (
     SUMMARY_HEADER,
     ExperimentSpec,
     ablation,
-    apply_sweep_value,
+    apply_settings,
     behavior_stats,
     episodes_to_threshold,
     evaluate,
@@ -32,7 +32,6 @@ from leoho.experiments import (
     run_experiment,
     save_checkpoint,
     scenario_for_case,
-    scenario_with_ratios,
     summary_row,
     sweep_experiment,
     write_curve_csv,
@@ -142,7 +141,8 @@ def test_case_presets():
 
 
 def test_ratio_helper_rounds_and_clamps():
-    sc = scenario_with_ratios(ScenarioConfig(), rb_ratio=0.25, preamble_ratio=0.05)
+    settings = [("scenario.rb_ratio", 0.25), ("scenario.preamble_ratio", 0.05)]
+    sc = apply_settings(ExperimentSpec(), settings).scenario
     assert sc.rb_per_target == (2, 2)
     assert sc.num_preambles == 1  # clamped to at least one signature
 
@@ -340,19 +340,52 @@ def test_sweep_unknown_parameter_rejected(tmp_path):
     with pytest.raises(ConfigError):
         sweep_experiment(fast_spec(), "warp_speed", (1.0,), tmp_path)
     with pytest.raises(ConfigError):
-        apply_sweep_value(ScenarioConfig(), DESK_TRAINING, "ue_positions", 1.0)
+        sweep_experiment(fast_spec(), "ue_positions", (1.0,), tmp_path)
 
 
-def test_sweep_num_ues_rescales_resources():
-    sc, _ = apply_sweep_value(scenario_for_case("case2"), DESK_TRAINING, "num_ues", 20)
+def swept(monkeypatch, spec, parameter, values, tmp_path):
+    """The scenarios a sweep evaluates and the training configs it trains, run by fakes."""
+    scenarios, trainings = [], []
+    record = MetricsRecord(0, 0, 0, 1.0, -1.0)
+
+    def fake_train(scenario, training, episodes, seed):
+        trainings.append(training)
+        return PARAMS, [record]
+
+    def fake_evaluate(scenario, *args, **kwargs):
+        scenarios.append(scenario)
+        return [record], []
+
+    monkeypatch.setattr(experiments, "train", fake_train)
+    monkeypatch.setattr(experiments, "evaluate", fake_evaluate)
+    sweep_experiment(spec, parameter, values, tmp_path)
+    return scenarios, trainings
+
+
+def test_sweep_num_ues_rescales_resources(monkeypatch, tmp_path):
+    spec = dataclasses.replace(fast_spec(), scenario=scenario_for_case("case2"))
+    [sc], _ = swept(monkeypatch, spec, "num_ues", (20,), tmp_path)
     assert sc.num_ues == 20
     assert sc.rb_per_target == (6, 6)  # keeps the 0.3 ratio
     assert sc.num_preambles == 100
 
 
-def test_sweep_training_field():
-    _, tr = apply_sweep_value(ScenarioConfig(), DESK_TRAINING, "gamma", 0.9)
+def test_sweep_num_ues_keeps_each_targets_budget(monkeypatch, tmp_path):
+    spec = dataclasses.replace(fast_spec(), scenario=ScenarioConfig(rb_per_target=(10, 4)))
+    scenarios, _ = swept(monkeypatch, spec, "J", (20, 5), tmp_path)
+    assert [sc.rb_per_target for sc in scenarios] == [(20, 8), (5, 2)]
+    assert [sc.num_preambles for sc in scenarios] == [100, 25]
+
+
+def test_sweep_training_field(monkeypatch, tmp_path):
+    assert apply_settings(ExperimentSpec(), [("training.gamma", 0.9)]).training.gamma == 0.9
+    _, [tr] = swept(monkeypatch, fast_spec(agent="dho"), "gamma", (0.9,), tmp_path)
     assert tr.gamma == pytest.approx(0.9)
+
+
+def test_sweep_r_sets_every_targets_budget(monkeypatch, tmp_path):
+    scenarios, _ = swept(monkeypatch, fast_spec(), "R", (3, 10), tmp_path)
+    assert [sc.rb_per_target for sc in scenarios] == [(3, 3), (10, 10)]
 
 
 def test_sweep_with_learned_agent_reports_training_cost(tmp_path):

@@ -159,8 +159,8 @@ def test_beta_from_iir_order():
 
 def a3_flag(serving: float, target: float, offset_db: float) -> bool:
     """The A3 condition one measurement state reports for one target."""
-    ms = link.MeasurementState.initialise(np.array([[serving, target]]), a3_offset_db=offset_db)
-    return bool(ms.a3_flags()[0, 0])
+    ms = link.MeasurementState.initialise(np.array([[serving, target]]))
+    return bool(ms.a3_flags(offset_db)[0, 0])
 
 
 def test_a3_event_boundary_and_offset():
@@ -182,16 +182,16 @@ def test_a3_event_invariant_to_common_shift(serving, target, offset, shift):
 
 def test_measurement_state_fold_and_flags():
     first = np.array([[-100.0, -95.0, -105.0]])
-    ms = link.MeasurementState.initialise(first, beta_l3=0.5, a3_offset_db=1.0)
+    ms = link.MeasurementState.initialise(first, beta_l3=0.5)
     assert np.array_equal(ms.l3_dbm, first)
     ms.fold_sample(np.array([[-90.0, -95.0, -95.0]]))
     assert np.allclose(ms.l3_dbm, [[-95.0, -95.0, -100.0]])
-    flags = ms.a3_flags()
+    flags = ms.a3_flags(1.0)
     # Serving filtered to -95: a target triggers only above -94.
     assert flags.tolist() == [[False, False]]
     ms.fold_sample(np.array([[-110.0, -70.0, -110.0]]))
     # Filtered: serving -102.5, targets -82.5 and -105; offset 1 dB.
-    assert ms.a3_flags().tolist() == [[True, False]]
+    assert ms.a3_flags(1.0).tolist() == [[True, False]]
 
 
 def test_profiles_registry():
