@@ -131,7 +131,7 @@ def _dispatch(args) -> int:
     if args.command == "behavior":
         if not spec.checkpoint:
             raise ConfigError("checkpoint", "behavior stats need --checkpoint")
-        params = load_checkpoint(spec.checkpoint, spec.scenario)
+        params = load_checkpoint(spec.checkpoint, [spec.scenario])
         request_fraction, wait_fraction = experiments.behavior_stats(
             params, spec.scenario, spec.eval_episodes, spec.master_seed
         )

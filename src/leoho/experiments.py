@@ -25,7 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from leoho import net
-from leoho.agents import dho_decide, make_agent
+# Nothing here calls dho_decide; bench/tracing.py patches it as an
+# attribute of this module, so it stays importable from here.
+from leoho.agents import dho_decide, make_agent  # noqa: F401
 from leoho.env import (
     ConfigError,
     EpisodeOutcomes,
@@ -192,7 +194,7 @@ def _coerce(key: str, value, current):
 
     Integer fields take only whole numbers, and every number, fractions
     included, must parse; otherwise the key's :class:`ConfigError`.  A
-    parsed int stays exact.
+    parsed int, and integer text for an integer field, stay exact.
     """
     if isinstance(current, bool):
         return _parse_bool(value, key)
@@ -202,8 +204,12 @@ def _coerce(key: str, value, current):
         return value
     if not isinstance(current, (int, float)):
         raise ConfigError(key, "cannot be set from a spec file")
-    if type(value) is int and isinstance(current, int):
-        return value
+    if isinstance(current, int):
+        if type(value) is int:
+            return value
+        if isinstance(value, str):
+            with contextlib.suppress(ValueError):
+                return int(value)  # integer text; other text reads as a float below
     if not isinstance(value, str):
         number = float(value)
     else:
@@ -314,14 +320,7 @@ def scenario_for_case(case: str) -> ScenarioConfig:
     return apply_settings(ExperimentSpec(), case_settings(case)).scenario
 
 
-def _episode_chunks(scenario: ScenarioConfig, master_seed: int, episodes: int):
-    """Seeds master_seed + i of the episodes, in chunks stepped together."""
-    size = batch_episodes(scenario)
-    for start in range(0, episodes, size):
-        yield [master_seed + i for i in range(start, min(start + size, episodes))]
-
-
-def _evaluated_chunks(
+def evaluate_chunks(
     scenario: ScenarioConfig,
     agent_kind: str,
     episodes: int,
@@ -329,19 +328,22 @@ def _evaluated_chunks(
     params: net.PolicyParameters | None,
     eval_mode: str,
     keep: Sequence[str] | None = None,
+    stream: int = 101,
 ):
-    """Evaluate episodes master_seed + i chunk by chunk.
+    """Evaluate episodes master_seed + i in chunks stepped together.
 
     Yields each chunk's first episode index, its episodes' metrics and its
     outcome columns, only those named in ``keep`` if given.  Episode i's
-    agent generator is seeded from [master_seed + i, 101], and only
+    agent generator is seeded from [master_seed + i, stream], and only
     stochastic agents build them.
     """
     env = HandoverEnv(scenario)
     agent = make_agent(agent_kind, params=params, mode=eval_mode)
-    for seeds in _episode_chunks(scenario, master_seed, episodes):
+    size = batch_episodes(scenario)
+    for first in range(0, episodes, size):
+        seeds = [master_seed + i for i in range(first, min(first + size, episodes))]
         obs = env.reset(episodes=seeds)
-        agent.begin_episode(env, episode_generators([seed, 101] for seed in seeds))
+        agent.begin_episode(env, episode_generators([seed, stream] for seed in seeds))
         columns = OutcomeColumns(scenario.horizon)
         for _ in range(scenario.horizon):
             obs, outcome = env.step(agent.act(env, obs))
@@ -351,7 +353,7 @@ def _evaluated_chunks(
         ]
         if keep is not None:
             columns = {name: columns[name] for name in keep}
-        yield seeds[0] - master_seed, metrics, columns
+        yield first, metrics, columns
 
 
 def evaluate(
@@ -361,21 +363,10 @@ def evaluate(
     master_seed: int,
     params: net.PolicyParameters | None = None,
     eval_mode: str = "greedy",
-    collect_traces: bool = False,
-) -> tuple[list[MetricsRecord], list]:
-    """Evaluate one agent over fresh episode seeds master_seed + i.
-
-    Traces pair i with the episode's :class:`EpisodeOutcomes` view.
-    """
-    records: list[MetricsRecord] = []
-    traces = []
-    for first, metrics, columns in _evaluated_chunks(
-        scenario, agent_kind, episodes, master_seed, params, eval_mode
-    ):
-        records += metrics
-        if collect_traces:
-            traces += [(first + e, EpisodeOutcomes(columns, e)) for e in range(len(metrics))]
-    return records, traces
+) -> list[MetricsRecord]:
+    """Metrics of one agent over fresh episode seeds master_seed + i."""
+    chunks = evaluate_chunks(scenario, agent_kind, episodes, master_seed, params, eval_mode, keep=())
+    return [record for _, metrics, _ in chunks for record in metrics]
 
 
 @contextlib.contextmanager
@@ -568,11 +559,13 @@ def save_checkpoint(params: net.PolicyParameters, path) -> None:
         np.savez(fh, meta=meta_bytes, **params.tensors())
 
 
-def load_checkpoint(path, scenario: ScenarioConfig | None = None) -> net.PolicyParameters:
-    """Load a checkpoint, optionally validating it against a scenario.
+def load_checkpoint(path, scenarios: Iterable[ScenarioConfig] = ()) -> net.PolicyParameters:
+    """Load a checkpoint, checked to fit and evaluate on each of ``scenarios``.
 
-    The shapes must be ints and every tensor a real floating-point array;
-    anything else is a :class:`CheckpointError`.
+    The shapes must be ints, every tensor a real floating-point array and
+    the shapes those of each scenario; anything else is a
+    :class:`CheckpointError`.  A scenario whose evaluation chunk the policy
+    would make too wide is :func:`check_evaluation`'s ConfigError.
     """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data else None
@@ -596,19 +589,16 @@ def load_checkpoint(path, scenario: ScenarioConfig | None = None) -> net.PolicyP
                 "(shapes must be ints, tensors real floating-point arrays)"
             )
         params = net.PolicyParameters(**shapes, **tensors)
-    if scenario is not None:
-        _check_fit(params, scenario)
-    return params
-
-
-def _check_fit(params: net.PolicyParameters, scenario: ScenarioConfig) -> None:
-    expected = (observation_size(scenario), scenario.num_ues, scenario.num_planes)
     actual = (params.obs_dim, params.num_ues, params.num_actions)
-    if expected != actual:
-        raise CheckpointError(
-            f"checkpoint shape {actual} does not fit scenario {expected} "
-            "(obs_dim, num_ues, num_planes)"
-        )
+    for scenario in scenarios:
+        expected = (observation_size(scenario), scenario.num_ues, scenario.num_planes)
+        if expected != actual:
+            raise CheckpointError(
+                f"checkpoint shape {actual} does not fit scenario {expected} "
+                "(obs_dim, num_ues, num_planes)"
+            )
+        check_evaluation(scenario, params.hidden_sizes)
+    return params
 
 
 def episodes_to_threshold(curve, threshold: float, window: int = 100) -> int | None:
@@ -623,19 +613,10 @@ def episodes_to_threshold(curve, threshold: float, window: int = 100) -> int | N
     return None
 
 
-def _checkpoint_for(path, scenarios: Iterable[ScenarioConfig]) -> net.PolicyParameters:
-    """The checkpoint at ``path``, loaded once, checked to fit and evaluate on every scenario."""
-    params = load_checkpoint(path)
-    for scenario in scenarios:
-        _check_fit(params, scenario)
-        check_evaluation(scenario, params.hidden_sizes)
-    return params
-
-
 def _trained_params(spec: ExperimentSpec, out_dir: Path | None):
     """Load or train the spec's learned policy; returns (params, curve)."""
     if spec.checkpoint:
-        return _checkpoint_for(spec.checkpoint, [spec.scenario]), None
+        return load_checkpoint(spec.checkpoint, [spec.scenario]), None
     params, curve = train(
         spec.scenario,
         spec.training,
@@ -664,7 +645,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     def traces():
         # The trace is written chunk by chunk, and each chunk keeps only the
         # columns it reads, so memory does not grow with the episode count.
-        for first, metrics, columns in _evaluated_chunks(
+        for first, metrics, columns in evaluate_chunks(
             scenario, spec.agent, spec.eval_episodes, spec.master_seed, params, spec.eval_mode,
             keep=TRACE_COLUMNS,
         ):
@@ -733,7 +714,7 @@ def sweep_experiment(spec: ExperimentSpec, parameter: str, values: Sequence[floa
     learned = spec.agent == "dho"
     params = None
     if learned and spec.checkpoint:
-        params = _checkpoint_for(spec.checkpoint, [point.scenario for _, point in points])
+        params = load_checkpoint(spec.checkpoint, [point.scenario for _, point in points])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -744,7 +725,7 @@ def sweep_experiment(spec: ExperimentSpec, parameter: str, values: Sequence[floa
             params, curve = _trained_params(point, None)
             hit = episodes_to_threshold(curve, spec.threshold_return)
             to_threshold = "" if hit is None else str(hit)
-        records, _ = evaluate(
+        records = evaluate(
             scenario,
             spec.agent,
             spec.eval_episodes,
@@ -776,23 +757,22 @@ def behavior_stats(
     """Fractions of request vs. wait decisions among unaccessed terminals.
 
     Decisions are sampled from the policy (not greedy) so an untrained
-    uniform policy reports a request fraction near (K-1)/K.  Episode i
+    uniform policy reports a request fraction near (K-1)/K.  The episodes
+    are the evaluation chunks of :func:`evaluate_chunks`, and episode i
     samples from the generator seeded [master_seed + i, 202].
     """
-    env = HandoverEnv(scenario)
-    shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
     requests = 0
     waits = 0
-    for seeds in _episode_chunks(scenario, master_seed, episodes):
-        obs = env.reset(episodes=seeds)
-        rngs = episode_generators([seed, 202] for seed in seeds)
-        noise = np.stack([rng.gumbel(size=shape) for rng in rngs])
-        for n in range(scenario.horizon):
-            accessed = env.state.accessed
-            actions, _ = dho_decide(params, obs, noise[:, n], "sample", accessed)
-            requests += int((actions[~accessed] > 0).sum())
-            waits += int((actions[~accessed] == 0).sum())
-            obs, _ = env.step(actions)
+    for _, _, columns in evaluate_chunks(
+        scenario, "dho", episodes, master_seed, params, "sample",
+        keep=("requested", "newly_accessed"), stream=202,
+    ):
+        requested = columns["requested"] > 0  # (E, N, J); accessed terminals request nothing
+        newly = columns["newly_accessed"]
+        # Unaccessed when the slot began: accessed in no earlier slot.
+        unaccessed = newly.cumsum(axis=1) == newly
+        requests += int(requested.sum())
+        waits += int((unaccessed & ~requested).sum())
     total = requests + waits
     if total == 0:
         return 0.0, 0.0

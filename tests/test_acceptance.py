@@ -20,6 +20,7 @@ from leoho.experiments import (
     DESK_TRAINING,
     behavior_stats,
     evaluate,
+    evaluate_chunks,
     save_checkpoint,
     scenario_for_case,
     summary_row,
@@ -297,7 +298,7 @@ def test_criterion_05_capacity_ceiling_reproduction(case2_policy):
     scenario = scenario_for_case("case2")  # 3 + 3 blocks for 10 terminals
     succ = {}
     for kind, params in (("conventional", None), ("random", None), ("dho", case2_policy)):
-        records, _ = evaluate(scenario, kind, EVAL_EPISODES, 20_000, params=params)
+        records = evaluate(scenario, kind, EVAL_EPISODES, 20_000, params=params)
         succ[kind] = float(np.mean([r.ho_success for r in records]))
         assert abs(succ[kind] - 0.60) <= 0.05, f"{kind}: H={succ[kind]:.3f} not within 0.60 +- 0.05"
     elapsed = time.perf_counter() - start
@@ -311,11 +312,11 @@ def test_criterion_06_ordering_reproduction(case1_policies):
     scenario = scenario_for_case("case1")
     dho_delays = []
     for params in case1_policies:
-        records, _ = evaluate(scenario, "dho", EVAL_EPISODES, 30_000, params=params)
+        records = evaluate(scenario, "dho", EVAL_EPISODES, 30_000, params=params)
         dho_delays.append(float(np.mean([r.sum_delay for r in records])))
     dho = float(np.mean(dho_delays))
-    random_records, _ = evaluate(scenario, "random", EVAL_EPISODES, 30_000)
-    conventional_records, _ = evaluate(scenario, "conventional", EVAL_EPISODES, 30_000)
+    random_records = evaluate(scenario, "random", EVAL_EPISODES, 30_000)
+    conventional_records = evaluate(scenario, "conventional", EVAL_EPISODES, 30_000)
     rnd = float(np.mean([r.sum_delay for r in random_records]))
     conv = float(np.mean([r.sum_delay for r in conventional_records]))
 
@@ -337,7 +338,7 @@ def test_criterion_07_delay_collision_tradeoff():
     for nu, episodes in ((5.0, 2000), (1.0 / 20.0, 4000)):
         scenario = dataclasses.replace(base, nu=nu)
         params, _ = train(scenario, DESK_TRAINING, episodes=episodes, seed=0)
-        records, _ = evaluate(scenario, "dho", EVAL_EPISODES, 40_000, params=params, eval_mode="sample")
+        records = evaluate(scenario, "dho", EVAL_EPISODES, 40_000, params=params, eval_mode="sample")
         stats[nu] = (
             np.array([r.sum_delay for r in records]),
             np.array([r.sum_collision for r in records]),
@@ -440,11 +441,11 @@ def test_criterion_10_determinism(tmp_path):
     rows = []
     traces = []
     for _ in range(2):
-        records, trace = evaluate(scenario, "conventional", 50, master_seed=11, collect_traces=True)
-        rows.append(summary_row(records, "conventional"))
-        traces.append(
-            [(o.reward, tuple(o.preamble.tolist())) for _, outcomes in trace for o in outcomes]
+        chunks = list(
+            evaluate_chunks(scenario, "conventional", 50, 11, None, "greedy", keep=("reward", "preamble"))
         )
+        rows.append(summary_row([r for _, metrics, _ in chunks for r in metrics], "conventional"))
+        traces.append([(c["reward"].tolist(), c["preamble"].tolist()) for _, _, c in chunks])
     assert rows[0] == rows[1]
     assert traces[0] == traces[1]
 

@@ -141,7 +141,7 @@ def test_evaluate_calls_episode_metrics_once_per_episode():
     episodes = batch_episodes(scenario) + 3  # two chunks
     with ExitStack() as stack:
         checker, seen = _watch_episode_metrics(stack, experiments, scenario)
-        records, _ = experiments.evaluate(scenario, "random", episodes, master_seed=3)
+        records = experiments.evaluate(scenario, "random", episodes, master_seed=3)
     assert len(records) == len(seen) == checker.checked == episodes
     assert checker.failed == 0
     _assert_records(seen[-1], scenario.horizon)

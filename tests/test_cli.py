@@ -260,6 +260,36 @@ def test_sweep_checks_its_checkpoint_before_any_work(tmp_path, monkeypatch, caps
     assert "does not fit" in capsys.readouterr().err
 
 
+def test_behavior_refuses_a_checkpoint_that_eval_refuses(tmp_path):
+    # Fits FAST_DHO's scenario, but a 640-episode evaluation chunk of its
+    # 52429-wide layer passes the cell bound.
+    spec = write_spec(tmp_path, FAST_DHO)
+    policy = tmp_path / "wide.npz"
+    experiments.save_checkpoint(net.init_params(17, 4, 3, hidden=(52429, 1)), policy)
+    errors = []
+    for command in (["eval", "--out", str(tmp_path / "o")], ["behavior"]):
+        code, err = exit_code([*command, "--spec", spec, "--checkpoint", str(policy), "--episodes", "1"])
+        assert code == 2, command
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].count("\n") == 1
+    assert "hidden: an evaluation chunk's widest layer must hold at most" in errors[0]
+
+
+def test_spec_integers_read_exactly(tmp_path):
+    parse = cli.build_parser().parse_args
+    spec = write_spec(tmp_path, "master_seed = 9007199254740993\n")
+    from_line = cli._load_spec(parse(["run", "--spec", spec]))
+    from_flag = cli._load_spec(parse(["run", "--seed", "9007199254740993"]))
+    assert from_line == from_flag
+    assert from_line.master_seed == 9007199254740993
+    # 2^63 - 1 blocks per target is the largest budget int64 holds.
+    for budget, expected in (("9223372036854775807", 0), ("9223372036854775808", 2)):
+        spec = write_spec(tmp_path, FAST_RANDOM + f"scenario.R = {budget}\n", f"r{budget}.spec")
+        code, err = exit_code(["run", "--spec", spec, "--out", str(tmp_path / budget)])
+        assert code == expected, err
+
+
 def test_ablation_cli(tmp_path):
     spec = write_spec(tmp_path, FAST_DHO)
     out = tmp_path / "abl"

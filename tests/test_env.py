@@ -577,7 +577,7 @@ def test_evaluation_builds_one_outcome_per_slot_per_chunk(monkeypatch):
     cfg = small_config(**CASE1)
     episodes = 2 * batch_episodes(cfg) + 3
     built = _count_step_outcomes(monkeypatch)
-    records, _ = experiments.evaluate(cfg, "random", episodes, master_seed=4, collect_traces=False)
+    records = experiments.evaluate(cfg, "random", episodes, master_seed=4)
     assert len(records) == episodes
     assert 0 < len(built) <= 3 * cfg.horizon
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from leoho import env as env_module, experiments, net
+from leoho.agents import dho_decide
 from leoho.env import (
     BATCH_TERMINALS,
     ConfigError,
@@ -27,6 +28,7 @@ from leoho.experiments import (
     behavior_stats,
     episodes_to_threshold,
     evaluate,
+    evaluate_chunks,
     label_for_nu,
     parse_spec_file,
     run_experiment,
@@ -158,8 +160,8 @@ def test_nu_labels():
 
 def test_evaluate_deterministic_rows():
     sc = ScenarioConfig()
-    r1, _ = evaluate(sc, "random", 25, master_seed=5)
-    r2, _ = evaluate(sc, "random", 25, master_seed=5)
+    r1 = evaluate(sc, "random", 25, master_seed=5)
+    r2 = evaluate(sc, "random", 25, master_seed=5)
     assert [m.episode_return for m in r1] == [m.episode_return for m in r2]
     row1, row2 = summary_row(r1, "random"), summary_row(r2, "random")
     assert row1 == row2
@@ -170,9 +172,9 @@ def test_evaluate_episodes_do_not_depend_on_their_chunk(agent):
     # Record i of a multi-chunk run equals episode master_seed + i run alone.
     scenario = scenario_for_case("scarce")
     episodes = batch_episodes(scenario) + 3
-    records, _ = evaluate(scenario, agent, episodes, master_seed=7)
+    records = evaluate(scenario, agent, episodes, master_seed=7)
     for i in range(episodes):
-        alone, _ = evaluate(scenario, agent, 1, master_seed=7 + i)
+        alone = evaluate(scenario, agent, 1, master_seed=7 + i)
         assert records[i] == alone[0], i
 
 
@@ -182,9 +184,9 @@ def test_long_episodes_do_not_depend_on_their_chunk():
     scenario = ScenarioConfig(
         num_ues=3, rb_per_target=(1, 1), num_preambles=5, horizon=4200, measurement_period_s=0.3
     )
-    records, _ = evaluate(scenario, "random", 3, master_seed=0)
+    records = evaluate(scenario, "random", 3, master_seed=0)
     for i in range(3):
-        alone, _ = evaluate(scenario, "random", 1, master_seed=i)
+        alone = evaluate(scenario, "random", 1, master_seed=i)
         assert records[i].sum_collision_rb.hex() == alone[0].sum_collision_rb.hex(), i
         assert records[i] == alone[0], i
 
@@ -193,7 +195,7 @@ def test_long_episodes_do_not_depend_on_their_chunk():
 def test_baseline_agents_run_past_the_policy_bound(agent):
     # J * K = 2^16 + 2 heads is too wide for the learned policy only.
     wide = ScenarioConfig(num_ues=2**15 + 1, num_planes=2, rb_per_target=1, num_preambles=5, horizon=1)
-    records, _ = evaluate(wide, agent, 1, master_seed=0)
+    records = evaluate(wide, agent, 1, master_seed=0)
     assert len(records) == 1
 
 
@@ -354,7 +356,7 @@ def swept(monkeypatch, spec, parameter, values, tmp_path):
 
     def fake_evaluate(scenario, *args, **kwargs):
         scenarios.append(scenario)
-        return [record], []
+        return [record]
 
     monkeypatch.setattr(experiments, "train", fake_train)
     monkeypatch.setattr(experiments, "evaluate", fake_evaluate)
@@ -493,6 +495,60 @@ def test_behavior_fractions_of_uniform_policy():
     assert request + wait == pytest.approx(1.0, abs=1e-12)
     # Uniform over three planes requests two thirds of the time.
     assert abs(request - 2 / 3) < 0.03
+
+
+def slot_by_slot_behavior(params, scenario, episodes, master_seed):
+    """Request and wait counts of unaccessed terminals, counted slot by slot.
+
+    Steps the same chunks of episodes, with the same sampling noise, as
+    evaluation, and counts from each slot's actions rather than the
+    outcome columns.
+    """
+    env = HandoverEnv(scenario)
+    shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
+    size = batch_episodes(scenario)
+    requests = waits = 0
+    for first in range(0, episodes, size):
+        seeds = [master_seed + i for i in range(first, min(first + size, episodes))]
+        obs = env.reset(episodes=seeds)
+        noise = np.stack([np.random.default_rng([seed, 202]).gumbel(size=shape) for seed in seeds])
+        for n in range(scenario.horizon):
+            accessed = env.state.accessed
+            actions, _ = dho_decide(params, obs, noise[:, n], "sample", accessed)
+            requests += int((actions[~accessed] > 0).sum())
+            waits += int((actions[~accessed] == 0).sum())
+            obs, _ = env.step(actions)
+    return requests, waits
+
+
+@pytest.mark.parametrize("case", ["case1", "scarce"])
+def test_behavior_fractions_match_a_slot_by_slot_count(case):
+    scenario = scenario_for_case(case)
+    episodes = batch_episodes(scenario) + 5  # two chunks
+    params = net.init_params(
+        observation_size(scenario), scenario.num_ues, scenario.num_planes,
+        rng=np.random.default_rng(3), head_scale=1.0,
+    )
+    requests, waits = slot_by_slot_behavior(params, scenario, episodes, master_seed=9)
+    assert 0 < requests and 0 < waits  # both decisions occur
+    expected = (requests / (requests + waits), waits / (requests + waits))
+    assert behavior_stats(params, scenario, episodes, master_seed=9) == expected
+
+
+def test_evaluate_chunks_seeds_agents_from_its_stream(monkeypatch):
+    keys = []
+
+    def watched(key_list, inner=experiments.episode_generators):
+        key_list = list(key_list)
+        keys.extend(key_list)
+        return inner(key_list)
+
+    monkeypatch.setattr(experiments, "episode_generators", watched)
+    scenario = ScenarioConfig()
+    for stream in (101, 202):
+        keys.clear()
+        list(evaluate_chunks(scenario, "random", 3, 4, None, "greedy", keep=(), stream=stream))
+        assert keys == [[4, stream], [5, stream], [6, stream]]
 
 
 # --- ablation ----------------------------------------------------------------------

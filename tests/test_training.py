@@ -494,8 +494,8 @@ def test_checkpoint_scenario_mismatch(tmp_path):
     save_checkpoint(params, path)
     wrong_j = ScenarioConfig(num_ues=9, rb_per_target=(9, 9))
     with pytest.raises(CheckpointError):
-        load_checkpoint(path, wrong_j)
-    load_checkpoint(path, ScenarioConfig())  # matching scenario passes
+        load_checkpoint(path, [wrong_j])
+    load_checkpoint(path, [ScenarioConfig()])  # matching scenario passes
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
