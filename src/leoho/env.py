@@ -391,6 +391,19 @@ class MetricsRecord:
         return self.sum_collision_rb + self.sum_collision_prach
 
 
+def _plane_counts(planes: np.ndarray, num_targets: int) -> np.ndarray:
+    """Entries of each row of ``planes`` (..., J) equal to 1..num_targets, (..., num_targets).
+
+    One bincount over (row, plane) codes; plane 0 lands in each row's
+    uncounted bin.
+    """
+    lead = planes.shape[:-1]
+    bins = num_targets + 1
+    size = math.prod(lead) * bins
+    codes = planes + np.arange(0, size, bins).reshape(lead + (1,))
+    return np.bincount(codes.ravel(), minlength=size).reshape(lead + (bins,))[..., 1:]
+
+
 def admission(
     requested: np.ndarray,
     rb_remaining: np.ndarray,
@@ -400,33 +413,37 @@ def admission(
     """Grant handover requests against the remaining per-target blocks.
 
     ``requested`` is (..., J) target planes (0 = none) and ``rb_remaining``
-    (..., K-1), over the same leading episode axes.  When a target has fewer
-    blocks than requesters, it grants the requesters with the smallest
-    ``keys`` (..., J), i.i.d. uniform draws, so the granted subset is uniform
-    at random.  Returns (command, rb_collision, c_r) where ``command`` is
-    the granted target plane (0 if none), ``rb_collision`` flags refused
-    requesters, and ``c_r`` (..., K-1) is the per-target collision rate
-    (excess requesters over the whole population).
+    (..., K-1), over the same leading episode axes.  Requesters are counted
+    per (episode, target) with one bincount.  When a target has fewer blocks
+    than requesters, it grants the ``rb_remaining`` requesters with the
+    smallest ``keys`` (..., J), i.i.d. uniform draws, so the granted subset
+    is uniform at random: each row is put in key order once, and each target
+    plane in turn grants its requesters whose running count in that order is
+    within its blocks.  Returns (command, rb_collision, c_r) where
+    ``command`` is the granted target plane (0 if none), ``rb_collision``
+    flags refused requesters, and ``c_r`` (..., K-1) is the per-target
+    collision rate (excess requesters over the whole population).
     """
     requested = np.asarray(requested)
     rb_remaining = np.asarray(rb_remaining)
-    wants = requested[..., None] == np.arange(1, rb_remaining.shape[-1] + 1)  # (..., J, K-1)
-    excess = wants.sum(axis=-2) - rb_remaining
-    oversubscribed = excess > 0
-    if not oversubscribed.any():  # every slot when R >= J: nothing to rank
+    excess = _plane_counts(requested, rb_remaining.shape[-1]) - rb_remaining
+    if not (excess > 0).any():  # every slot when R >= J: nothing to rank
         return requested.copy(), np.zeros(requested.shape, dtype=bool), np.zeros(excess.shape)
-    # Rank each requester among its target's requesters, in key order; flat
-    # indices into the raveled batch keep the gathers cheap.
+    # Put each row in key order; flat indices into the raveled batch keep the
+    # gather and the scatter back cheap.
     j = requested.shape[-1]
     order = keys.argsort(axis=-1)
     order += np.arange(0, requested.size, j).reshape(requested.shape[:-1] + (1,))
     order = order.ravel()
-    wants_sorted = wants.reshape(-1, wants.shape[-1])[order].reshape(wants.shape)
-    rank = wants_sorted.cumsum(axis=-2)
+    ranked = requested.ravel()[order].reshape(-1, j)
+    blocks = rb_remaining.reshape(len(ranked), -1)
+    granted_ranked = np.zeros(ranked.shape, dtype=bool)
+    for plane in range(1, blocks.shape[-1] + 1):
+        wants = ranked == plane
+        granted_ranked |= wants & (wants.cumsum(axis=-1) <= blocks[:, plane - 1 : plane])
     granted = np.empty(requested.size, dtype=bool)
-    granted[order] = (wants_sorted & (rank <= rb_remaining[..., None, :])).any(axis=-1).ravel()
-    granted = granted.reshape(requested.shape)
-    command = np.where(granted, requested, 0)
+    granted[order] = granted_ranked.ravel()
+    command = np.where(granted.reshape(requested.shape), requested, 0)
     rb_collision = (requested > 0) & (command == 0)
     return command, rb_collision, np.maximum(excess, 0) / num_ues
 
@@ -481,7 +498,6 @@ class HandoverEnv:
             sats_per_plane=config.sats_per_plane,
         )
         self._rb_initial = np.array(config.rb_per_target, dtype=np.int64)
-        self._targets = np.arange(1, config.num_planes)
         # Measurement instants of slot n: slot start + m * period, m = 1..M.
         m = config.samples_per_slot
         self._sample_times = (
@@ -623,9 +639,9 @@ class HandoverEnv:
 
         newly = (command > 0) ^ prach_collision  # only commanded terminals collide
         if newly.any():
-            # Completed terminals keep their block; contention losers return theirs.
-            completed = np.where(newly, command, 0)[..., None] == self._targets
-            state.rb_remaining -= completed.sum(axis=-2)
+            # Completed terminals keep their block, counted per target;
+            # contention losers hold none, so theirs is back in the budget.
+            state.rb_remaining -= _plane_counts(np.where(newly, command, 0), cfg.num_targets)
             state.accessed |= newly
 
         d = (cfg.num_ues - state.accessed.sum(axis=-1)) / cfg.num_ues

@@ -614,9 +614,7 @@ def episodes_to_threshold(curve, threshold: float, window: int = 100) -> int | N
 
 
 def _trained_params(spec: ExperimentSpec, out_dir: Path | None):
-    """Load or train the spec's learned policy; returns (params, curve)."""
-    if spec.checkpoint:
-        return load_checkpoint(spec.checkpoint, [spec.scenario]), None
+    """Train the spec's learned policy; returns (params, curve)."""
     params, curve = train(
         spec.scenario,
         spec.training,
@@ -632,12 +630,14 @@ def _trained_params(spec: ExperimentSpec, out_dir: Path | None):
 def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """Train if needed, evaluate, and write summary/trace artifacts."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     scenario = spec.scenario
-
+    learned = spec.agent == "dho"
     params = None
     curve = None
-    if spec.agent == "dho":
+    if learned and spec.checkpoint:  # checked before anything is written
+        params = load_checkpoint(spec.checkpoint, [scenario])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if learned and not spec.checkpoint:
         params, curve = _trained_params(spec, out_dir)
 
     records: list[MetricsRecord] = []

@@ -276,6 +276,24 @@ def test_behavior_refuses_a_checkpoint_that_eval_refuses(tmp_path):
     assert "hidden: an evaluation chunk's widest layer must hold at most" in errors[0]
 
 
+def test_refused_checkpoint_leaves_no_output_directory(tmp_path):
+    spec = write_spec(tmp_path, FAST_DHO)
+    fits = fast_dho_policy(tmp_path / "policy.npz")
+    wide = tmp_path / "wide.npz"
+    experiments.save_checkpoint(net.init_params(17, 4, 3, hidden=(52429, 1)), wide)
+    cases = (
+        (["--checkpoint", fits, "--mask", "no_time"], 3),  # one input fewer than the policy's
+        (["--checkpoint", str(wide)], 2),  # an evaluation chunk too wide
+    )
+    for i, (flags, expected) in enumerate(cases):
+        for command in ("run", "eval"):
+            out = tmp_path / f"{command}{i}"
+            args = [command, "--spec", spec, *flags, "--episodes", "1", "--out", str(out)]
+            code, err = exit_code(args)
+            assert code == expected, (command, err)
+            assert not out.exists(), command
+
+
 def test_spec_integers_read_exactly(tmp_path):
     parse = cli.build_parser().parse_args
     spec = write_spec(tmp_path, "master_seed = 9007199254740993\n")

@@ -279,6 +279,56 @@ def test_admission_zero_blocks_refuses_everyone():
     assert c_r[1] == pytest.approx(0.6)
 
 
+def one_hot_admission(requested, rb_remaining, num_ues, keys):
+    """Reference: admission ranked on (..., J, K-1) one-hot requester tensors."""
+    requested = np.asarray(requested)
+    rb_remaining = np.asarray(rb_remaining)
+    wants = requested[..., None] == np.arange(1, rb_remaining.shape[-1] + 1)  # (..., J, K-1)
+    excess = wants.sum(axis=-2) - rb_remaining
+    oversubscribed = excess > 0
+    if not oversubscribed.any():
+        return requested.copy(), np.zeros(requested.shape, dtype=bool), np.zeros(excess.shape)
+    j = requested.shape[-1]
+    order = keys.argsort(axis=-1)
+    order += np.arange(0, requested.size, j).reshape(requested.shape[:-1] + (1,))
+    order = order.ravel()
+    wants_sorted = wants.reshape(-1, wants.shape[-1])[order].reshape(wants.shape)
+    rank = wants_sorted.cumsum(axis=-2)
+    granted = np.empty(requested.size, dtype=bool)
+    granted[order] = (wants_sorted & (rank <= rb_remaining[..., None, :])).any(axis=-1).ravel()
+    granted = granted.reshape(requested.shape)
+    command = np.where(granted, requested, 0)
+    rb_collision = (requested > 0) & (command == 0)
+    return command, rb_collision, np.maximum(excess, 0) / num_ues
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    num_ues=st.integers(1, 120),
+    targets=st.integers(1, 4),
+    request_rate=st.sampled_from([0.0, 0.3, 0.9]),
+    unbounded=st.booleans(),
+)
+@example(seed=0, lead=(), num_ues=120, targets=4, request_rate=0.9, unbounded=False)
+@example(seed=1, lead=(3, 2), num_ues=7, targets=1, request_rate=0.0, unbounded=True)
+def test_admission_matches_one_hot_reference(seed, lead, num_ues, targets, request_rate, unbounded):
+    rng = np.random.default_rng(seed)
+    shape = lead + (num_ues,)
+    requested = np.where(rng.random(shape) < request_rate, rng.integers(1, targets + 1, shape), 0)
+    requested[rng.random(lead) < 0.25] = 0  # rows with no requester
+    rb = rng.integers(0, num_ues // 2 + 2, size=lead + (targets,))  # zero-block targets too
+    if unbounded:
+        rb[rng.random(rb.shape) < 0.5] = INT64_MAX
+    keys = rng.random(shape)
+    got = admission(requested, rb, num_ues, keys)
+    want = one_hot_admission(requested, rb, num_ues, keys)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
 # --- random access oracle ----------------------------------------------------
 
 

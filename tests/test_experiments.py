@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -121,8 +122,6 @@ def test_parse_spec_file_type_errors(tmp_path):
 
 
 def test_shipped_presets_parse():
-    import pathlib
-
     for name in ("case1", "case2", "case3", "case4", "delay_aware", "collision_averse"):
         spec = parse_spec_file(pathlib.Path("scripts") / f"{name}.spec")
         assert spec.agent == "dho"
@@ -309,6 +308,47 @@ def test_conventional_case1_full_success(tmp_path):
     spec = dataclasses.replace(spec, scenario=scenario_for_case("case1"))
     artifacts = run_experiment(spec, tmp_path)
     assert float(artifacts["row"]["ho_success_mean"]) == pytest.approx(1.0)
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
+
+SCARCE_J100_SPEC = """\
+agent = random
+scenario.J = 100
+scenario.K = 3
+scenario.N = 20
+scenario.rb_ratio = 0.3
+scenario.preamble_ratio = 0.8
+eval_episodes = 30
+master_seed = 0
+"""
+
+
+@pytest.mark.parametrize(
+    "reference", ["scarce-J100-random-trace.csv", "case2-conventional-trace.csv"]
+)
+def test_trace_matches_reference_bytes(tmp_path, reference):
+    """``trace.csv`` is byte-identical to a reference in ``tests/data``.
+
+    ``scarce-J100-random-trace.csv`` contends for blocks and preambles in
+    every slot, over two evaluation chunks; it was written by
+    ``leoho run --spec scarce.spec --out <dir>`` with ``scarce.spec`` holding
+    the lines of ``SCARCE_J100_SPEC``.  ``case2-conventional-trace.csv``
+    drives the A3 measurement fold; it was written by
+    ``leoho run --spec scripts/case2.spec --agent conventional --episodes 20
+    --out <dir>``.  After a deliberate change to the dynamics, regenerate the
+    reference with the same command.
+    """
+    if reference.startswith("scarce"):
+        spec_path = tmp_path / "scarce.spec"
+        spec_path.write_text(SCARCE_J100_SPEC)
+        spec = parse_spec_file(spec_path)
+    else:
+        spec = parse_spec_file(SCRIPTS / "case2.spec")
+        spec = apply_settings(spec, [("agent", "conventional"), ("eval_episodes", 20)])
+    run_experiment(spec, tmp_path / "out")
+    assert (tmp_path / "out" / "trace.csv").read_bytes() == (DATA / reference).read_bytes()
 
 
 # --- sweeps ---------------------------------------------------------------------
