@@ -105,14 +105,10 @@ class ScenarioConfig:
     ue_positions: tuple | None = None  # explicit (J, 2) or (J, 3) metres, else uniform
     features: FeatureMask = field(default_factory=FeatureMask)
     shadowing_sigma_db: float = 2.0
-    dl_eirp_dbw: float = 10.0
-    terminal_profile: str = "handheld"  # names a link.PROFILES preset
-    measurement_carrier_ghz: float = 0.0  # 0 = use the terminal profile's carrier
     a3_offset_db: float = 1.0
     a3_trigger_slots: int = 1
     measurement_period_s: float = 0.15  # must divide slot_s
     iir_order: float = 4.0
-    sats_per_plane: int = 1
 
     def __post_init__(self) -> None:
         reject_non_finite(self)
@@ -149,14 +145,6 @@ class ScenarioConfig:
                 raise ConfigError(
                     "ue_positions", f"expected finite numbers shaped ({self.num_ues}, 2) or ({self.num_ues}, 3)"
                 )
-        if self.terminal_profile not in link.PROFILES:
-            raise ConfigError(
-                "terminal_profile", f"expected one of {sorted(link.PROFILES)}, got {self.terminal_profile!r}"
-            )
-        if self.measurement_carrier_ghz < 0:
-            raise ConfigError("measurement_carrier_ghz", "carrier must be non-negative")
-        if self.sats_per_plane < 1:
-            raise ConfigError("sats_per_plane", "need at least one satellite per plane")
         if self.iir_order < 0:
             raise ConfigError("iir_order", f"filter order must be non-negative, got {self.iir_order}")
         if self.measurement_period_s <= 0:
@@ -171,8 +159,8 @@ class ScenarioConfig:
             raise ConfigError(
                 "scenario",
                 f"one episode's largest block must hold at most {MAX_CHUNK_CELLS} cells; "
-                "lower the horizon, the terminals, the planes, the preambles, the measurement "
-                "samples per slot or the satellites per plane",
+                "lower the horizon, the terminals, the planes, the preambles or the measurement "
+                "samples per slot",
             )
         if isinstance(self.rb_per_target, int):  # one budget for every target
             object.__setattr__(self, "rb_per_target", (self.rb_per_target,) * self.num_targets)
@@ -200,25 +188,16 @@ class ScenarioConfig:
         """Cells of the largest block one episode of an evaluation chunk adds.
 
         Per (terminal, plane): the M*N + 1 shadowing draws, or one slot's
-        M x I x 3 terminal-to-satellite coordinate differences; or the
-        episode's K * (P + 1) RACH contention bins.
+        M x 3 terminal-to-satellite coordinate differences; or the episode's
+        K * (P + 1) RACH contention bins.
         """
         m = self.samples_per_slot
-        per_cell = max(m * self.horizon + 1, 3 * m * self.sats_per_plane)
+        per_cell = max(m * self.horizon + 1, 3 * m)
         return max(self.num_ues * self.num_planes * per_cell, self.num_planes * (self.num_preambles + 1))
 
     @property
     def beta_l3(self) -> float:
         return link.beta_from_iir_order(self.iir_order)
-
-    @property
-    def profile(self) -> link.TerminalProfile:
-        return link.PROFILES[self.terminal_profile]
-
-    @property
-    def carrier_ghz(self) -> float:
-        """Downlink measurement carrier: explicit override or the profile's band."""
-        return self.measurement_carrier_ghz or self.profile.carrier_ghz
 
 
 def batch_episodes(config: ScenarioConfig) -> int:
@@ -488,14 +467,13 @@ class HandoverEnv:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        # (K, I, 3) positions at slot 0 and velocities.
+        # (K, 3) positions at slot 0 and velocities.
         self._init_positions, self._velocities = orbital.default_constellation(
             altitude_m=config.altitude_m,
             num_planes=config.num_planes,
             slot_duration_s=config.slot_s,
             horizon=config.horizon,
             area_m=config.area_m,
-            sats_per_plane=config.sats_per_plane,
         )
         self._rb_initial = np.array(config.rb_per_target, dtype=np.int64)
         # Measurement instants of slot n: slot start + m * period, m = 1..M.
@@ -566,12 +544,11 @@ class HandoverEnv:
     def _rsrp(self, positions: np.ndarray, rows: slice) -> np.ndarray:
         """Instantaneous downlink RSRP (S, [E,] J, K) dBm at S sample instants.
 
-        ``positions`` is (S, K, I, 3); ``rows`` picks the instants' rows of
-        the shadowing block.
+        ``positions`` is (S, K, 3); ``rows`` picks the instants' rows of the
+        shadowing block.
         """
-        cfg = self.config
         d_km = orbital.nearest_distances_km(positions, self.state.ue_positions)
-        rsrp = link.rsrp_dbm(d_km, cfg.dl_eirp_dbw, cfg.carrier_ghz)
+        rsrp = link.rsrp_dbm(d_km)
         if self._shadowing is not None:
             rsrp += np.moveaxis(self._shadowing[..., rows, :, :], -3, 0)
         return rsrp
@@ -602,7 +579,7 @@ class HandoverEnv:
             self._meas = link.MeasurementState.initialise(first, beta_l3=cfg.beta_l3)
         while self._meas_slot < state.slot:
             n = self._meas_slot
-            times = self._sample_times[n][:, None, None, None]
+            times = self._sample_times[n][:, None, None]
             positions = orbital.propagate(self._init_positions, self._velocities, times)
             for sample in self._rsrp(positions, slice(1 + n * m, 1 + (n + 1) * m)):
                 self._meas.fold_sample(sample)

@@ -74,7 +74,12 @@ VSAT = TerminalProfile(
     g_over_t_db_per_k=13.0,
 )
 
-PROFILES = {p.name: p for p in (HANDHELD, VSAT)}
+# The downlink every environment measures: a fixed satellite EIRP on the
+# handheld S-band carrier.  The A3 event and the conventional agent compare
+# filtered RSRP of targets with serving or with each other, and the L3 filter
+# is linear, so an absolute offset here could not change a decision.
+DL_EIRP_DBW = 10.0
+DL_CARRIER_GHZ = HANDHELD.carrier_ghz
 
 
 def cnr(profile: TerminalProfile, d_km: float) -> float:
@@ -91,23 +96,25 @@ def cnr(profile: TerminalProfile, d_km: float) -> float:
     )
 
 
-def rsrp_proxy(dl_eirp_dbw: float, d_km: float, f_ghz: float, shadowing_db: float = 0.0) -> float:
+def rsrp_proxy(eirp_dbw: float, d_km: float, f_ghz: float, shadowing_db: float = 0.0) -> float:
     """Downlink received power in dBm.
 
     Only differences between satellites matter for event evaluation, so the
-    absolute calibration of ``dl_eirp_dbw`` is irrelevant.
+    absolute calibration of ``eirp_dbw`` is irrelevant.
     """
-    return dl_eirp_dbw + 30.0 - fspl(f_ghz, d_km) + shadowing_db
+    return eirp_dbw + 30.0 - fspl(f_ghz, d_km) + shadowing_db
 
 
-def rsrp_dbm(d_km: np.ndarray, dl_eirp_dbw: float, f_ghz: float) -> np.ndarray:
+def rsrp_dbm(
+    d_km: np.ndarray, eirp_dbw: float = DL_EIRP_DBW, f_ghz: float = DL_CARRIER_GHZ
+) -> np.ndarray:
     """Downlink received power in dBm, without shadowing, at every distance.
 
     The vectorised :func:`rsrp_proxy`, associated as ``(eirp + 30 - (20
     log10 f + 92.45)) - 20 log10 d``, in a new C-ordered array of
-    ``d_km``'s shape.
+    ``d_km``'s shape.  The defaults are the environment's fixed downlink.
     """
-    const = dl_eirp_dbw + 30.0 - (20.0 * np.log10(f_ghz) + 92.45)
+    const = eirp_dbw + 30.0 - (20.0 * np.log10(f_ghz) + 92.45)
     out = np.log10(d_km, out=np.empty(np.shape(d_km)))
     out *= 20.0
     return np.subtract(const, out, out=out)

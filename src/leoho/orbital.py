@@ -38,8 +38,8 @@ def propagation_delay(distance_m: float) -> float:
 def propagate(positions: np.ndarray, velocities: np.ndarray, dt: float | np.ndarray) -> np.ndarray:
     """Satellite positions ``dt`` seconds on, by straight-line motion.
 
-    ``positions`` and ``velocities`` are (K, I, 3); ``dt`` is a scalar or an
-    array that broadcasts against them, e.g. (S, 1, 1, 1) for S instants.
+    ``positions`` and ``velocities`` are (K, 3); ``dt`` is a scalar or an
+    array that broadcasts against them, e.g. (S, 1, 1) for S instants.
     """
     return positions + dt * velocities
 
@@ -50,54 +50,41 @@ def default_constellation(
     slot_duration_s: float,
     horizon: int,
     area_m: float,
-    sats_per_plane: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical episode geometry over a square ground area.
 
-    Returns the (K, I, 3) satellite positions at slot 0 and their
-    velocities; plane 0 is the serving plane.  Each plane's satellite is
+    Returns the (K, 3) positions at slot 0 and the velocities of one
+    satellite per plane; plane 0 is the serving plane.  Each satellite is
     placed half an episode's travel behind the point directly above the
     area centre, so it passes overhead mid-episode.  The serving plane heads
     along +y; target planes approach on diagonal tracks crossing the same
     overhead point.
     """
     speed = orbital_speed(altitude_m)
-    dirs = [np.array([0.0, 1.0, 0.0])]
     s = 1.0 / math.sqrt(2.0)
-    diagonals = [np.array([s, s, 0.0]), np.array([-s, s, 0.0])]
-    for k in range(1, num_planes):
-        dirs.append(diagonals[(k - 1) % 2])
-    dirs_arr = np.stack(dirs)
+    diagonals = np.array([[s, s, 0.0], [-s, s, 0.0]])
+    dirs = np.vstack([[0.0, 1.0, 0.0], diagonals[np.arange(num_planes - 1) % 2]])
 
     overhead = np.array([area_m / 2.0, area_m / 2.0, altitude_m])
     back_off = horizon * slot_duration_s * speed / 2.0
-    # Same-plane satellites sit one equal arc apart along the track.
-    arc = 2.0 * math.pi * (R_EARTH + altitude_m) / sats_per_plane
-    positions = np.empty((num_planes, sats_per_plane, 3))
-    for k in range(num_planes):
-        for i in range(sats_per_plane):
-            positions[k, i] = overhead - (back_off + i * arc) * dirs_arr[k]
-    velocities = np.broadcast_to(speed * dirs_arr[:, None, :], positions.shape).copy()
-    return positions, velocities
+    return overhead - back_off * dirs, speed * dirs
 
 
 def nearest_distances_km(positions: np.ndarray, ue_positions: np.ndarray) -> np.ndarray:
-    """Distance from each terminal to the nearest satellite of each plane.
+    """Distance from each terminal to each plane's satellite.
 
-    The field of view is assumed to hold one visible satellite per plane;
-    with several per plane we take the closest.  ``positions`` is (S..., K,
-    I, 3), with leading axes for several sample instants at once, and
-    ``ue_positions`` is (E..., J, 3), with leading axes for several
-    episodes.  Returns (S..., E..., J, K) kilometres, a view of a
-    (S..., K, E..., J) block.
+    The field of view is assumed to hold one visible satellite per plane.
+    ``positions`` is (S..., K, 3), with leading axes for several sample
+    instants at once, and ``ue_positions`` is (E..., J, 3), with leading
+    axes for several episodes.  Returns (S..., E..., J, K) kilometres, a
+    view of a (S..., K, E..., J) block.
 
-    The work runs one coordinate at a time over whole (S..., K, I, E...,
-    J) planes, and the squares are summed in the fixed order (x^2 + z^2) +
+    The work runs one coordinate at a time over whole (S..., K, E..., J)
+    planes, and the squares are summed in the fixed order (x^2 + z^2) +
     y^2, so every distance is ``sqrt((dx*dx + dz*dz) + dy*dy) / 1e3``
     whatever the shapes.
     """
-    lead = positions.shape[:-3]
-    sats_per_plane = positions.shape[-2]
+    lead = positions.shape[:-2]
     sat_shape = positions.shape[:-1] + (1,) * (ue_positions.ndim - 1)
 
     def square(axis: int) -> np.ndarray:
@@ -108,7 +95,5 @@ def nearest_distances_km(positions: np.ndarray, ue_positions: np.ndarray) -> np.
     total += square(2)
     total += square(1)
     np.sqrt(total, out=total)
-    i_axis = len(lead) + 1
-    nearest = total.min(axis=i_axis) if sats_per_plane > 1 else total.squeeze(i_axis)
-    nearest /= 1e3
-    return np.moveaxis(nearest, len(lead), -1)
+    total /= 1e3
+    return np.moveaxis(total, len(lead), -1)

@@ -139,7 +139,6 @@ def test_bad_spec_exits_2(tmp_path, capsys):
         "scenario.bogus = 1\n",
         "scenario.seed = 7\n",
         "training.gamma = 1.5\n",
-        "scenario.sats_per_plane = 0\n",
         *(f"agent = {agent}\nscenario.iir_order = -8\n" for agent in AGENT_KINDS),
         "eval_episodes = 2.7\n",
         "train_episodes = 1.5\n",
@@ -166,6 +165,19 @@ def test_bad_spec_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert not out.exists(), text
+    # Deleted knobs, each at a value it once accepted: the unknown key is the
+    # only fault, and the one line of stderr names it.
+    for line in (
+        "scenario.dl_eirp_dbw = 10",
+        "scenario.terminal_profile = handheld",
+        "scenario.measurement_carrier_ghz = 7.5",
+        "scenario.sats_per_plane = 1",
+    ):
+        spec = write_spec(tmp_path, line + "\n")
+        assert main(["run", "--spec", spec, "--out", str(out)]) == 2, line
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and line.split(" = ")[0] in lines[0], lines
+        assert not out.exists(), line
 
 
 def test_runtime_floating_point_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -480,7 +492,6 @@ def test_huge_counts_exit_2_before_any_work(tmp_path):
         "scenario.R = 1e30",
         "scenario.P = 1e30",
         "scenario.tau = 1e30",
-        "scenario.sats_per_plane = 1e9",
         "scenario.rb_ratio = 1e30",
         "scenario.preamble_ratio = 1e30",
     ):
@@ -581,7 +592,6 @@ HUGE_KEYS = (
     "scenario.P",
     "scenario.R",
     "scenario.tau",
-    "scenario.sats_per_plane",
     "scenario.rb_ratio",
     "scenario.preamble_ratio",
     "scenario.nu",

@@ -60,9 +60,6 @@ def test_config_errors_carry_field_names():
     with pytest.raises(ConfigError) as err:
         ScenarioConfig(nu=-0.5)
     assert err.value.field == "nu"
-    with pytest.raises(ConfigError) as err:
-        ScenarioConfig(sats_per_plane=0)
-    assert err.value.field == "sats_per_plane"
     for name in ("altitude_m", "area_m", "slot_s"):
         for value in (0.0, -1.0):
             with pytest.raises(ConfigError) as err:
@@ -94,7 +91,11 @@ def test_config_errors_carry_field_names():
         (dict(num_preambles=MAX_CHUNK_CELLS // 3), "scenario"),
         (dict(horizon=10**9), "scenario"),
         (dict(slot_s=1e30), "scenario"),
-        (dict(sats_per_plane=10**9), "scenario"),
+        # One slot's M x 3 coordinate differences alone pass the bound.
+        (
+            dict(num_ues=1, num_planes=2, rb_per_target=1, horizon=1, slot_s=2.0**23, measurement_period_s=1.0),
+            "scenario",
+        ),
         (dict(slot_s=1e300, measurement_period_s=1e-300), "measurement_period_s"),
     ],
 )
@@ -794,9 +795,9 @@ def test_measurements_fold_samples_per_slot(period, samples):
         out = np.empty((cfg.num_ues, cfg.num_planes))
         for j, ue in enumerate(ues):
             for k in range(cfg.num_planes):
-                sat = positions[k, 0] + t * velocities[k, 0]
+                sat = positions[k] + t * velocities[k]
                 d_km = orbital.slant_distance(sat, ue) / 1e3
-                out[j, k] = link.rsrp_proxy(cfg.dl_eirp_dbw, d_km, cfg.carrier_ghz)
+                out[j, k] = link.rsrp_proxy(link.DL_EIRP_DBW, d_km, link.DL_CARRIER_GHZ)
         return out
 
     l3 = rsrp(0.0)
@@ -804,14 +805,3 @@ def test_measurements_fold_samples_per_slot(period, samples):
         for m in range(1, samples + 1):
             l3 = link.l3_filter(l3, rsrp(n * cfg.slot_s + m * period), cfg.beta_l3)
     assert np.allclose(folded.l3_dbm, l3, rtol=0.0, atol=1e-9)
-
-
-def test_terminal_profile_selects_measurement_carrier():
-    assert small_config().carrier_ghz == 2.0  # handheld S-band default
-    vsat = small_config(terminal_profile="vsat")
-    assert vsat.carrier_ghz == 30.0
-    override = small_config(measurement_carrier_ghz=12.0)
-    assert override.carrier_ghz == 12.0
-    with pytest.raises(ConfigError) as err:
-        small_config(terminal_profile="laser")
-    assert err.value.field == "terminal_profile"

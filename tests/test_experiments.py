@@ -444,13 +444,6 @@ def test_sweep_with_learned_agent_reports_training_cost(tmp_path):
         assert int(row["episodes_to_threshold"]) <= 60
 
 
-def test_spec_file_terminal_profile(tmp_path):
-    path = tmp_path / "p.spec"
-    path.write_text("agent = random\nscenario.terminal_profile = vsat\n")
-    spec = parse_spec_file(path)
-    assert spec.scenario.carrier_ghz == 30.0
-
-
 def test_episodes_to_threshold():
     curve = [MetricsRecord(0, 0, 0, 1.0, -10.0)] * 50
     curve += [MetricsRecord(0, 0, 0, 1.0, -1.0)] * 100

@@ -109,11 +109,12 @@ def test_rsrp_dbm_is_bit_equal_to_the_samples_the_env_folds():
         time = 0.0 if slot == 0 else (slot - 1) * cfg.slot_s + cfg.measurement_period_s
         positions = sat_positions + time * velocities
         d_km = orbital.nearest_distances_km(positions, env.state.ue_positions)
-        # The env's association before the link budget moved into link.
-        const = cfg.dl_eirp_dbw + 30.0 - (20.0 * np.log10(cfg.carrier_ghz) + 92.45)
+        # The env's association before the link budget moved into link, on
+        # the fixed downlink: 10 dBW EIRP on the 2 GHz handheld carrier.
+        const = 10.0 + 30.0 - (20.0 * np.log10(2.0) + 92.45)
         want = const - 20.0 * np.log10(d_km)
         folded = env.measurements()
-        assert np.array_equal(link.rsrp_dbm(d_km, cfg.dl_eirp_dbw, cfg.carrier_ghz), want)
+        assert np.array_equal(link.rsrp_dbm(d_km), want)
         assert np.array_equal(folded.l1_dbm, want) and np.array_equal(folded.l3_dbm, want)
         env.step(np.zeros(env.state.accessed.shape, dtype=np.int64))
 
@@ -194,8 +195,8 @@ def test_measurement_state_fold_and_flags():
     assert ms.a3_flags(1.0).tolist() == [[True, False]]
 
 
-def test_profiles_registry():
-    assert set(link.PROFILES) == {"handheld", "vsat"}
-    assert link.PROFILES["vsat"].bandwidth_hz == 400e6
-    assert link.PROFILES["handheld"].carrier_ghz == 2.0
+def test_handheld_and_vsat_presets():
+    assert (link.HANDHELD.name, link.VSAT.name) == ("handheld", "vsat")
+    assert link.VSAT.bandwidth_hz == 400e6
+    assert link.HANDHELD.carrier_ghz == 2.0
     assert link.VSAT.eirp_dbw == pytest.approx(46.2)

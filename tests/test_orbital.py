@@ -70,9 +70,9 @@ def test_propagate_semigroup(tracks):
     twice = orbital.propagate(once, velocities, SLOT_S)
     direct = orbital.propagate(positions, velocities, 2 * SLOT_S)
     assert np.allclose(twice, direct, atol=1e-3)
-    # A (S, 1, 1, 1) dt gives S instants at once, each as its own call does.
+    # A (S, 1, 1) dt gives S instants at once, each as its own call does.
     times = np.array([0.0, SLOT_S, 2 * SLOT_S])
-    stacked = orbital.propagate(positions, velocities, times[:, None, None, None])
+    stacked = orbital.propagate(positions, velocities, times[:, None, None])
     for t, block in zip(times, stacked):
         assert np.array_equal(block, orbital.propagate(positions, velocities, t))
 
@@ -109,13 +109,13 @@ def test_propagation_delay_cases():
 
 def test_default_constellation_geometry(tracks):
     positions, velocities = tracks
-    # One satellite per plane by default, and every plane's track passes
-    # directly over the area centre at mid-episode.
-    assert positions.shape == velocities.shape == (3, 1, 3)
+    # One satellite per plane, and every plane's track passes directly over
+    # the area centre at mid-episode.
+    assert positions.shape == velocities.shape == (3, 3)
     mid = orbital.propagate(positions, velocities, 10 * SLOT_S)
     overhead = np.array([500.0, 500.0, 550e3])
     for k in range(3):
-        assert np.linalg.norm(mid[k, 0] - overhead) < 1.0
+        assert np.linalg.norm(mid[k] - overhead) < 1.0
 
 
 def test_constellation_speed_uniform(tracks):
@@ -126,48 +126,35 @@ def test_constellation_speed_uniform(tracks):
 
 def test_nearest_distances_consistent_between_fast_and_general_paths():
     rng = np.random.default_rng(0)
-    positions = rng.uniform(-1e6, 1e6, size=(3, 1, 3))
+    positions = rng.uniform(-1e6, 1e6, size=(3, 3))
     ues = rng.uniform(0, 1e3, size=(7, 3))
     fast = orbital.nearest_distances_km(positions, ues)
     general = np.array(
-        [[orbital.slant_distance(positions[k, 0], u) / 1e3 for k in range(3)] for u in ues]
+        [[orbital.slant_distance(positions[k], u) / 1e3 for k in range(3)] for u in ues]
     )
     assert np.allclose(fast, general)
     batched = orbital.nearest_distances_km(np.stack([positions, positions + 10.0]), ues)
     assert np.allclose(batched[0], fast)
 
 
-def test_nearest_distances_picks_closest_satellite_per_plane():
-    positions = np.array([[[0.0, 0.0, 550e3], [0.0, 9e6, 550e3]]])  # one plane, two sats
-    ues = np.zeros((1, 3))
-    d = orbital.nearest_distances_km(positions, ues)
-    assert d[0, 0] == pytest.approx(550.0)
-
-
 def python_float_distances_km(positions, ues):
-    # Per-element oracle in Python floats: (x^2 + z^2) + y^2, the nearest
-    # satellite of each plane, then kilometres.
-    lead_s, lead_e = positions.shape[:-3], ues.shape[:-2]
-    out = np.empty(lead_s + lead_e + ues.shape[-2:-1] + positions.shape[-3:-2])
+    # Per-element oracle in Python floats: (x^2 + z^2) + y^2 for each
+    # plane's satellite, then kilometres.
+    lead_s, lead_e = positions.shape[:-2], ues.shape[:-2]
+    out = np.empty(lead_s + lead_e + ues.shape[-2:-1] + positions.shape[-2:-1])
     for s in np.ndindex(lead_s):
         for e in np.ndindex(lead_e):
             for j, ue in enumerate(ues[e]):
-                for k, plane in enumerate(positions[s]):
-                    nearest = math.inf
-                    for sat in plane:
-                        dx, dy, dz = (float(sat[c]) - float(ue[c]) for c in range(3))
-                        nearest = min(nearest, math.sqrt((dx * dx + dz * dz) + dy * dy))
-                    out[s + e + (j, k)] = nearest / 1e3
+                for k, sat in enumerate(positions[s]):
+                    dx, dy, dz = (float(sat[c]) - float(ue[c]) for c in range(3))
+                    out[s + e + (j, k)] = math.sqrt((dx * dx + dz * dz) + dy * dy) / 1e3
     return out
 
 
-@pytest.mark.parametrize("sats_per_plane", [1, 3])
 @pytest.mark.parametrize("sample_axes, episode_axes", [((), ()), ((2,), ()), ((), (3,)), ((2,), (2, 3))])
-def test_nearest_distances_match_the_python_float_oracle_bit_for_bit(
-    sats_per_plane, sample_axes, episode_axes
-):
-    rng = np.random.default_rng(sats_per_plane)
-    positions = rng.uniform(-2e6, 2e6, size=sample_axes + (3, sats_per_plane, 3))
+def test_nearest_distances_match_the_python_float_oracle_bit_for_bit(sample_axes, episode_axes):
+    rng = np.random.default_rng(1)
+    positions = rng.uniform(-2e6, 2e6, size=sample_axes + (3, 3))
     positions[..., 2] += 550e3
     # Explicit 3-D terminal positions, heights included.
     ues = rng.uniform(0.0, 1e4, size=episode_axes + (4, 3))
