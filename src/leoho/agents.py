@@ -14,6 +14,9 @@ whole rollout's log-probabilities in one :func:`dho_log_probs` call.
 Stochastic agents draw each episode's randomness at ``begin_episode``, in
 one block per episode from that episode's generator: (N, J) uniform actions
 for the random agent, (N, J, K) Gumbel noise for the sampling learned agent.
+The random agent reads its actions as raw PCG64 words and converts the
+chunk's blocks at once (:func:`rng.integers_by_rows`), with the bits of
+numpy's ``integers(0, K, (N, J))``; the noise is numpy's own ``gumbel``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from leoho import net
 from leoho.env import HandoverEnv
 from leoho.link import MeasurementState
+from leoho.rng import integers_by_rows
 
 
 def conventional_decide(
@@ -38,15 +42,21 @@ def conventional_decide(
     per (terminal, target); it is carried by the caller and returned
     updated.  A terminal requests when some target's streak reaches
     ``trigger_slots``, choosing the highest filtered measurement among those
-    targets (ties go to the lowest plane index).
+    targets (ties go to the lowest plane index).  The running best is kept
+    one target plane at a time, and only a strictly higher measurement
+    replaces it, as ``argmax`` breaks ties.
     """
     flags = measurements.a3_flags(offset_db)
     streak = np.where(flags, streak + 1, 0)
     eligible = streak >= trigger_slots
-    any_eligible = eligible.any(axis=-1) & ~accessed
-    scores = np.where(eligible, measurements.l3_dbm[..., 1:], -np.inf)
-    actions = np.where(any_eligible, scores.argmax(axis=-1) + 1, 0)
-    return actions, streak
+    targets = measurements.l3_dbm[..., 1:]
+    best = np.where(eligible[..., 0], targets[..., 0], -np.inf)
+    actions = eligible[..., 0].astype(np.intp)
+    for t in range(1, eligible.shape[-1]):
+        better = eligible[..., t] & (targets[..., t] > best)
+        best = np.where(better, targets[..., t], best)
+        actions = np.where(better, t + 1, actions)
+    return np.where(accessed, 0, actions), streak
 
 
 def random_decide(draws: np.ndarray, accessed: np.ndarray) -> np.ndarray:
@@ -133,8 +143,9 @@ class RandomAgent:
     def begin_episode(self, env: HandoverEnv, rngs) -> None:
         """``rngs``: an iterable of one generator per episode."""
         cfg = env.config
-        shape = (cfg.horizon, cfg.num_ues)
-        self._draws = np.stack([rng.integers(0, cfg.num_planes, size=shape) for rng in rngs])
+        generators = list(rngs)
+        self._draws = np.empty((len(generators), cfg.horizon, cfg.num_ues), dtype=np.int64)
+        integers_by_rows(generators, 0, cfg.num_planes, self._draws)
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         state = env.state

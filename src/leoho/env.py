@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from leoho import link, orbital
-from leoho.rng import episode_generators, seed_key
+from leoho.rng import episode_generators, integers_by_rows, seed_key, uniform_from_raw
 
 # Terminal-episodes stepped together by the evaluation loops: 256 episodes at
 # J = 10 and 25 at J = 100, enough to amortise the per-slot numpy calls.
@@ -503,26 +503,37 @@ class HandoverEnv:
         together; everything then carries a leading episode axis.
 
         Each episode with key ``s`` draws, from ``default_rng(s)`` and in
-        this order: its terminal positions, (N, J) uniform admission keys
-        and (N, J) preamble signatures.  Measurement shadowing comes from
+        this order: its terminal positions ``uniform(0, area, (J, 2))``,
+        (N, J) uniform admission keys ``random`` and (N, J) preamble
+        signatures ``integers(1, P + 1)``.  Measurement shadowing comes from
         ``default_rng(s + (0x4D53,))`` when measurements are first read.
-        :func:`rng.episode_generators` builds a chunk's generators.
+        :func:`rng.episode_generators` builds a chunk's generators.  The
+        positions and signatures are read as raw PCG64 words, one block per
+        episode, and converted for the whole chunk at once with numpy's own
+        conversions (:func:`rng.uniform_from_raw`,
+        :func:`rng.integers_by_rows`), so they keep ``default_rng``'s bits.
         """
         cfg = self.config
         self._batched = episodes is not None
         raw = episodes if self._batched else [seed]
         self._seed_keys = [seed_key(s) for s in raw]
         e, j, n = len(self._seed_keys), cfg.num_ues, cfg.horizon
-        # Blocks are filled in place, so a chunk's working set is allocated once.
+        draw_positions = cfg.ue_positions is None
+        # Blocks are filled in place, so a chunk's working set is allocated
+        # once; the position words are converted where they lie.
         ue_pos = np.zeros((e, j, 3))
+        position_words = ue_pos.view(np.uint64)[..., :2]
         keys = np.empty((e, n, j))
         preambles = np.empty((e, n, j), dtype=np.int64)
-        for i, rng in enumerate(episode_generators(self._seed_keys)):
-            if cfg.ue_positions is None:
-                ue_pos[i, :, :2] = rng.uniform(0.0, cfg.area_m, size=(j, 2))
+        generators = list(episode_generators(self._seed_keys))
+        for i, rng in enumerate(generators):
+            if draw_positions:
+                position_words[i] = rng.bit_generator.random_raw((j, 2))
             rng.random(out=keys[i])
-            preambles[i] = rng.integers(1, cfg.num_preambles + 1, size=(n, j))
-        if cfg.ue_positions is not None:
+        integers_by_rows(generators, 1, cfg.num_preambles + 1, preambles)
+        if draw_positions:
+            uniform_from_raw(position_words, cfg.area_m, out=ue_pos[..., :2])
+        else:
             explicit = np.asarray(cfg.ue_positions, dtype=float)
             ue_pos[..., : explicit.shape[1]] = explicit
         ue_pos = self._squeeze(ue_pos)

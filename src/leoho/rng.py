@@ -1,13 +1,18 @@
-"""Per-episode random generators, hashed for a whole chunk of keys at once.
+"""Per-episode random generators, hashed and drawn for a whole chunk at once.
 
 An episode's randomness comes from ``np.random.default_rng(key)`` for its
 seed key.  :func:`episode_generators` builds the generators of many keys
 with numpy's SeedSequence hash run once, vectorised over the keys, and
-gives generators bit-identical to ``default_rng``'s.
+gives generators bit-identical to ``default_rng``'s.  :func:`uniform_from_raw`
+and :func:`integers_from_raw` apply the conversions numpy's ``Generator``
+makes of PCG64's raw 64-bit words to a whole chunk's words at once, so each
+episode pays one ``random_raw`` call per block instead of a ``uniform`` or
+``integers`` call, and the values keep their bits.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -142,3 +147,78 @@ def episode_generators(keys: Iterable) -> Iterator[np.random.Generator]:
             seeds[i] = words
     for words in seeds:
         yield np.random.Generator(np.random.PCG64(_PoolSeed(words)))
+
+
+# numpy's conversions of raw PCG64 words.  A double takes one word, as
+# ``(w >> 11) * 2**-53``; a bounded integer over a range below 2**32 takes a
+# 32-bit half of a word, low half first, by Lemire's method.
+_PCG64_PERIOD = 2**128
+
+
+def uniform_from_raw(words: np.ndarray, high: float, out: np.ndarray) -> None:
+    """numpy's ``uniform(0, high)`` of raw PCG64 words, one value per word, into ``out``.
+
+    Each value is ``0.0 + high * ((w >> 11) * 2**-53)``.  ``words`` is
+    shifted in place; ``out`` may share its memory.
+    """
+    np.right_shift(words, 11, out=words)
+    np.multiply(words, 2.0**-53, out=out)
+    out *= high
+    out += 0.0
+
+
+def integer_words(count: int, span: int) -> int:
+    """Raw words numpy's ``integers`` reads for ``count`` values over ``span`` < 2**32 values.
+
+    Each value reads a 32-bit half, so ``ceil(count / 2)`` words, unless one
+    is redrawn; a single value (``span == 1``) reads none.
+    """
+    return 0 if span == 1 else (count + 1) // 2
+
+
+def integers_from_raw(words: np.ndarray, low: int, span: int, out: np.ndarray) -> np.ndarray:
+    """numpy's ``integers(low, low + span)`` of rows of raw PCG64 words, into ``out``.
+
+    ``words`` (..., W) holds each row's :func:`integer_words` words and
+    ``out`` (..., C) int64 its C values.  numpy's Lemire method reads the
+    32-bit halves x of the words, low half first, and gives
+    ``low + (x * span >> 32)`` unless ``(x * span) mod 2**32`` falls below
+    ``(2**32 - span) mod span``: then it redraws from the next half, and the
+    rest of the row shifts.  Returns the (...,) mask of such rows; their
+    values in ``out`` are not numpy's (see :func:`integers_by_rows`).
+    """
+    if not 1 <= span < 2**32:
+        raise ValueError(f"span must lie in [1, 2**32), got {span}")
+    if span == 1:
+        out[...] = low
+        return np.zeros(out.shape[:-1], dtype=bool)
+    # The halves as numpy reads them, whatever the host's byte order.
+    halves = words.astype("<u8", copy=False).view("<u4")[..., : out.shape[-1]]
+    values = out.view(np.uint64)
+    np.multiply(halves, span, out=values, dtype=np.uint64)
+    leftover = np.multiply(halves, span, dtype=np.uint32)
+    redraw = (leftover < (2**32 - span) % span).any(axis=-1)
+    np.right_shift(values, 32, out=values)
+    out += low
+    return redraw
+
+
+def integers_by_rows(generators: list, low: int, high: int, out: np.ndarray) -> None:
+    """``generators[i].integers(low, high, size=out.shape[1:])`` into each ``out[i]``, bit for bit.
+
+    ``out`` is a C-contiguous int64 array with one row per generator.  Each
+    generator gives one ``random_raw`` block, and one
+    :func:`integers_from_raw` converts them all.  A row it flags is drawn
+    again by numpy's own ``integers``, after stepping its generator back
+    over the block: PCG64 advances modulo 2**128, so advancing by 2**128 - W
+    undoes W words and leaves the generator where a fresh one for its key
+    stands once advanced past the words drawn before.
+    """
+    rows, count = len(generators), math.prod(out.shape[1:])
+    words = np.empty((rows, integer_words(count, high - low)), dtype=np.uint64)
+    for row, generator in zip(words, generators):
+        row[...] = generator.bit_generator.random_raw(words.shape[1])
+    for i in np.flatnonzero(integers_from_raw(words, low, high - low, out.reshape(rows, count))):
+        generator = generators[i]
+        generator.bit_generator.advance(_PCG64_PERIOD - words.shape[1])
+        out[i] = generator.integers(low, high, size=out.shape[1:])

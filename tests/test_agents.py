@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leoho import agents as agents_module, link, net
 from leoho.agents import (
@@ -86,6 +87,45 @@ def test_conventional_compares_streaks_within_int64(monkeypatch):
         agent.begin_episode(env, None)
         agent.act(env, obs)
         assert seen.pop() == expected
+
+
+def argmax_conventional_decide(measurements, accessed, offset_db, streak, trigger_slots=1):
+    """Reference: A3 decisions reduced with ``any`` and ``argmax`` over (..., J, K-1) tensors."""
+    flags = measurements.a3_flags(offset_db)
+    streak = np.where(flags, streak + 1, 0)
+    eligible = streak >= trigger_slots
+    any_eligible = eligible.any(axis=-1) & ~accessed
+    scores = np.where(eligible, measurements.l3_dbm[..., 1:], -np.inf)
+    actions = np.where(any_eligible, scores.argmax(axis=-1) + 1, 0)
+    return actions, streak
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    num_ues=st.integers(1, 12),
+    planes=st.integers(2, 5),
+    trigger=st.integers(1, 3),
+    offset_db=st.sampled_from([0.0, 0.5, 1.0]),
+    accessed_rate=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_conventional_matches_argmax_reference(seed, lead, num_ues, planes, trigger, offset_db, accessed_rate):
+    # Measurements on a half-dB grid, so targets often tie with each other
+    # and with the serving plane plus the offset.  Three slots carry the
+    # streaks from one decision to the next.
+    rng = np.random.default_rng(seed)
+    shape = lead + (num_ues,)
+    streak = want_streak = rng.integers(0, 4, size=shape + (planes - 1,))
+    for _ in range(3):
+        ms = measurements_from(-100.0 + 0.5 * rng.integers(-4, 5, size=shape + (planes,)))
+        accessed = rng.random(shape) < accessed_rate
+        got = conventional_decide(ms, accessed, offset_db, streak, trigger)
+        want = argmax_conventional_decide(ms, accessed, offset_db, want_streak, trigger)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+        streak, want_streak = got[1], want[1]
 
 
 # --- random -----------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from leoho import env as env_module, experiments, link, orbital, rng as rng_module, training
+from leoho.agents import RandomAgent
 from leoho.env import (
     INT64_MAX,
     MAX_CHUNK_CELLS,
@@ -193,6 +194,57 @@ def test_reset_streams_are_default_rng_streams():
         stream = np.random.default_rng(rng_module.seed_key(key) + (env_module.MEASUREMENT_STREAM,))
         expected = stream.standard_normal(shadowing.shape[1:]) * cfg.shadowing_sigma_db
         assert np.array_equal(shadowing[e], expected)
+
+
+def reference_draws(cfg: ScenarioConfig, seeds: list[int]):
+    """Reference: reset's and the random agent's blocks as numpy's own per-episode calls.
+
+    Returns (E, J, 3) positions, (E, N, J) admission keys and preambles, and
+    the (E, N, J) random actions of the agent generators ``[seed, 101]``.
+    """
+    e, j, n = len(seeds), cfg.num_ues, cfg.horizon
+    ue_pos = np.zeros((e, j, 3))
+    keys = np.empty((e, n, j))
+    preambles = np.empty((e, n, j), dtype=np.int64)
+    for i, rng in enumerate(rng_module.episode_generators(seeds)):
+        if cfg.ue_positions is None:
+            ue_pos[i, :, :2] = rng.uniform(0.0, cfg.area_m, size=(j, 2))
+        rng.random(out=keys[i])
+        preambles[i] = rng.integers(1, cfg.num_preambles + 1, size=(n, j))
+    if cfg.ue_positions is not None:
+        explicit = np.asarray(cfg.ue_positions, dtype=float)
+        ue_pos[..., : explicit.shape[1]] = explicit
+    agent_streams = rng_module.episode_generators([seed, 101] for seed in seeds)
+    actions = np.stack([rng.integers(0, cfg.num_planes, size=(n, j)) for rng in agent_streams])
+    return ue_pos, keys, preambles, actions
+
+
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("positions", [False, True])
+@pytest.mark.parametrize("preambles", [50, 2**23 + 1])
+def test_reset_and_random_agent_draws_match_numpy_calls(batched, positions, preambles):
+    # At P = 2**23 + 1, 15 of the 40 episodes' preamble rows, episode 42's
+    # among them, hold a value numpy redraws, with or without positions.
+    cfg = small_config(
+        num_preambles=preambles,
+        ue_positions=tuple((3.0 * i, 500.0 - i) for i in range(10)) if positions else None,
+    )
+    seeds = list(range(40, 80)) if batched else [42]
+    env = HandoverEnv(cfg)
+    if batched:
+        env.reset(episodes=seeds)
+    else:
+        env.reset(seeds[0])
+    agent = RandomAgent()
+    agent.begin_episode(env, rng_module.episode_generators([seed, 101] for seed in seeds))
+    want = reference_draws(cfg, seeds)
+    got = (env.state.ue_positions, env._keys, env._preambles)
+    for g, w in zip(got, want):
+        w = w if batched else w[0]
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+    assert (agent._draws.dtype, agent._draws.shape) == (want[3].dtype, want[3].shape)
+    assert agent._draws.tobytes() == want[3].tobytes()
 
 
 # --- observation encoding --------------------------------------------------
