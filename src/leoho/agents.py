@@ -14,6 +14,7 @@ whole rollout's log-probabilities in one :func:`dho_log_probs` call.
 Stochastic agents draw each episode's randomness at ``begin_episode``, in
 one block per episode from that episode's generator: (N, J) uniform actions
 for the random agent, (N, J, K) Gumbel noise for the sampling learned agent.
+The blocks carry the env's episode axis, so none after ``reset(seed)``.
 The random agent reads its actions as raw PCG64 words and converts the
 chunk's blocks at once (:func:`rng.integers_by_rows`), with the bits of
 numpy's ``integers(0, K, (N, J))``; the noise is numpy's own ``gumbel``.
@@ -144,8 +145,9 @@ class RandomAgent:
         """``rngs``: an iterable of one generator per episode."""
         cfg = env.config
         generators = list(rngs)
-        self._draws = np.empty((len(generators), cfg.horizon, cfg.num_ues), dtype=np.int64)
-        integers_by_rows(generators, 0, cfg.num_planes, self._draws)
+        draws = np.empty((len(generators), cfg.horizon, cfg.num_ues), dtype=np.int64)
+        integers_by_rows(generators, 0, cfg.num_planes, draws)
+        self._draws = draws.reshape(env.state.accessed.shape[:-1] + draws.shape[1:])
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         state = env.state
@@ -168,7 +170,8 @@ class DhoAgent:
         if self.mode == "sample":
             cfg = env.config
             shape = (cfg.horizon, cfg.num_ues, cfg.num_planes)
-            self._noise = np.stack([rng.gumbel(size=shape) for rng in rngs])
+            noise = np.stack([rng.gumbel(size=shape) for rng in rngs])
+            self._noise = noise.reshape(env.state.accessed.shape[:-1] + shape)
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         state = env.state

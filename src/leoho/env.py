@@ -370,16 +370,21 @@ class MetricsRecord:
         return self.sum_collision_rb + self.sum_collision_prach
 
 
-def _plane_counts(planes: np.ndarray, num_targets: int) -> np.ndarray:
-    """Entries of each row of ``planes`` (..., J) equal to 1..num_targets, (..., num_targets).
-
-    One bincount over (row, plane) codes; plane 0 lands in each row's
-    uncounted bin.
-    """
+def _plane_codes(planes: np.ndarray, num_targets: int) -> np.ndarray:
+    """(row, plane) codes ``plane + row * (num_targets + 1)`` of ``planes`` (..., J)."""
     lead = planes.shape[:-1]
     bins = num_targets + 1
+    return planes + np.arange(0, math.prod(lead) * bins, bins).reshape(lead + (1,))
+
+
+def _plane_counts(codes: np.ndarray, num_targets: int) -> np.ndarray:
+    """Entries of each row equal to 1..num_targets, (..., num_targets), from :func:`_plane_codes`.
+
+    One bincount over the codes; plane 0 lands in each row's uncounted bin.
+    """
+    lead = codes.shape[:-1]
+    bins = num_targets + 1
     size = math.prod(lead) * bins
-    codes = planes + np.arange(0, size, bins).reshape(lead + (1,))
     return np.bincount(codes.ravel(), minlength=size).reshape(lead + (bins,))[..., 1:]
 
 
@@ -393,37 +398,48 @@ def admission(
 
     ``requested`` is (..., J) target planes (0 = none) and ``rb_remaining``
     (..., K-1), over the same leading episode axes.  Requesters are counted
-    per (episode, target) with one bincount.  When a target has fewer blocks
-    than requesters, it grants the ``rb_remaining`` requesters with the
-    smallest ``keys`` (..., J), i.i.d. uniform draws, so the granted subset
-    is uniform at random: each row is put in key order once, and each target
-    plane in turn grants its requesters whose running count in that order is
-    within its blocks.  Returns (command, rb_collision, c_r) where
-    ``command`` is the granted target plane (0 if none), ``rb_collision``
-    flags refused requesters, and ``c_r`` (..., K-1) is the per-target
-    collision rate (excess requesters over the whole population).
+    per (episode, target) with one bincount.  A target with at least as
+    many blocks as requesters grants them all, and one with no block left
+    refuses them all, so those are read from a per-(episode, plane) table.
+    A target with some blocks but fewer than its requesters grants the
+    ``rb_remaining`` requesters with the smallest ``keys`` (..., J), i.i.d.
+    uniform draws, so the granted subset is uniform at random: only the rows
+    holding such a target are put in key order, and each target plane in
+    turn refuses its requesters whose running count in that order passes
+    its blocks.  Returns (command, rb_collision, c_r) where ``command`` is
+    the granted target plane (0 if none), ``rb_collision`` flags refused
+    requesters, and ``c_r`` (..., K-1) is the per-target collision rate
+    (excess requesters over the whole population).
     """
     requested = np.asarray(requested)
     rb_remaining = np.asarray(rb_remaining)
-    excess = _plane_counts(requested, rb_remaining.shape[-1]) - rb_remaining
-    if not (excess > 0).any():  # every slot when R >= J: nothing to rank
+    num_targets = rb_remaining.shape[-1]
+    codes = _plane_codes(requested, num_targets)
+    excess = _plane_counts(codes, num_targets) - rb_remaining
+    contended = excess > 0
+    if not contended.any():  # every slot when R >= J: nothing to refuse
         return requested.copy(), np.zeros(requested.shape, dtype=bool), np.zeros(excess.shape)
-    # Put each row in key order; flat indices into the raveled batch keep the
-    # gather and the scatter back cheap.
-    j = requested.shape[-1]
-    order = keys.argsort(axis=-1)
-    order += np.arange(0, requested.size, j).reshape(requested.shape[:-1] + (1,))
-    order = order.ravel()
-    ranked = requested.ravel()[order].reshape(-1, j)
-    blocks = rb_remaining.reshape(len(ranked), -1)
-    granted_ranked = np.zeros(ranked.shape, dtype=bool)
-    for plane in range(1, blocks.shape[-1] + 1):
-        wants = ranked == plane
-        granted_ranked |= wants & (wants.cumsum(axis=-1) <= blocks[:, plane - 1 : plane])
-    granted = np.empty(requested.size, dtype=bool)
-    granted[order] = granted_ranked.ravel()
-    command = np.where(granted.reshape(requested.shape), requested, 0)
-    rb_collision = (requested > 0) & (command == 0)
+    # Refuse every requester of a contended target; the partly contended
+    # rows are ranked below and overwritten.
+    refused = np.zeros(excess.shape[:-1] + (num_targets + 1,), dtype=bool)
+    refused[..., 1:] = contended
+    rb_collision = refused.ravel()[codes]
+    partial = contended & (rb_remaining > 0)
+    if partial.any():
+        # Put the rows in key order; flat indices into the raveled batch keep
+        # the gather and the scatter back cheap.
+        j = requested.shape[-1]
+        rows = np.flatnonzero(partial.reshape(-1, num_targets).any(axis=-1))
+        order = keys.reshape(-1, j)[rows].argsort(axis=-1)
+        order += rows[:, None] * j
+        ranked = requested.ravel()[order]
+        blocks = rb_remaining.reshape(-1, num_targets)[rows]
+        refused_ranked = np.zeros(ranked.shape, dtype=bool)
+        for plane in range(1, num_targets + 1):
+            wants = ranked == plane
+            refused_ranked |= wants & (wants.cumsum(axis=-1) > blocks[:, plane - 1 : plane])
+        rb_collision.ravel()[order] = refused_ranked
+    command = np.where(rb_collision, 0, requested)
     return command, rb_collision, np.maximum(excess, 0) / num_ues
 
 
@@ -439,11 +455,14 @@ def rach(
     ``command`` is (..., J) granted target planes.  Each commanded terminal
     sends its signature from ``preambles`` (..., J), uniform on {1..P}.
     Terminals sharing an (episode, target, signature) collide and fail, the
-    rest complete.  ``num_targets`` bounds the planes in ``command``.
-    Returns (preamble, prach_collision, c_p) with ``c_p`` (...).
+    rest complete.  ``num_targets`` bounds the planes in ``command``; a
+    slot that commands nobody bins nothing.  Returns (preamble,
+    prach_collision, c_p) with ``c_p`` (...).
     """
     command = np.asarray(command)
     commanded = command > 0
+    if not commanded.any():  # no signature sent, so none collides
+        return np.zeros_like(preambles), commanded, np.zeros(command.shape[:-1])[()]
     preamble = np.where(commanded, preambles, 0)
     # One bin per (episode, target, signature); uncommanded terminals land in
     # their episode's target-0 bins and are masked out.
@@ -489,6 +508,7 @@ class HandoverEnv:
         self._meas: link.MeasurementState | None = None
         self._shadowing: np.ndarray | None = None
         self._meas_slot = 0  # slots folded into measurements
+        self._one_hot_at: np.ndarray | None = None  # observe's ([E,] J) one-hot indices
 
     def _squeeze(self, blocks: np.ndarray) -> np.ndarray:
         """Per-episode blocks (E, ...), without the episode axis for one episode."""
@@ -543,6 +563,7 @@ class HandoverEnv:
         self._meas = None
         self._shadowing = None
         self._meas_slot = 0
+        self._one_hot_at = None
         self.state = EnvState(
             slot=0,
             accessed=np.zeros(lead + (j,), dtype=bool),
@@ -629,7 +650,8 @@ class HandoverEnv:
         if newly.any():
             # Completed terminals keep their block, counted per target;
             # contention losers hold none, so theirs is back in the budget.
-            state.rb_remaining -= _plane_counts(np.where(newly, command, 0), cfg.num_targets)
+            completed = _plane_codes(np.where(newly, command, 0), cfg.num_targets)
+            state.rb_remaining -= _plane_counts(completed, cfg.num_targets)
             state.accessed |= newly
 
         d = (cfg.num_ues - state.accessed.sum(axis=-1)) / cfg.num_ues
@@ -667,8 +689,12 @@ class HandoverEnv:
             out[..., pos : pos + j] = state.accessed
             pos += j
         if f.prev_action:
-            block = out[..., pos : pos + j * k].reshape(lead + (j, k))
-            block[...] = state.prev_action[..., None] == np.arange(k)
+            # A 1 at each terminal's action, by flat index into the rows; the
+            # indices of action 0 are built once per reset.
+            if self._one_hot_at is None:
+                rows = np.arange(0, out.size, out.shape[-1]).reshape(lead + (1,))
+                self._one_hot_at = rows + np.arange(pos, pos + j * k, k)
+            out.reshape(-1)[state.prev_action + self._one_hot_at] = 1.0
             pos += j * k
         if f.a3_centralized:
             flags = self.measurements().a3_flags(config.a3_offset_db)

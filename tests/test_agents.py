@@ -240,6 +240,32 @@ def test_no_agent_requests_for_accessed_terminals():
             env.state.accessed[:, pinned] = True
 
 
+@pytest.mark.parametrize(
+    "kind, mode", [("conventional", "greedy"), ("random", "greedy"), ("dho", "greedy"), ("dho", "sample")]
+)
+def test_agents_step_one_unbatched_episode(kind, mode):
+    # After reset(seed) nothing carries an episode axis, so each agent's
+    # per-episode blocks drop theirs too; its episode plays out as the same
+    # episode stepped as a batch of one.
+    cfg = ScenarioConfig(num_ues=6, rb_per_target=(2, 2), num_preambles=4, horizon=5)
+    params = net.init_params(1 + 6 + 18, 6, 3, hidden=(8, 8), rng=np.random.default_rng(3))
+    single, batch = HandoverEnv(cfg), HandoverEnv(cfg)
+    single_agent = make_agent(kind, params=params, mode=mode)
+    batch_agent = make_agent(kind, params=params, mode=mode)
+    obs, batch_obs = single.reset(8), batch.reset(episodes=[8])
+    single_agent.begin_episode(single, [np.random.default_rng(5)])
+    batch_agent.begin_episode(batch, [np.random.default_rng(5)])
+    for _ in range(cfg.horizon):
+        actions = single_agent.act(single, obs)
+        batch_actions = batch_agent.act(batch, batch_obs)
+        assert actions.shape == (cfg.num_ues,)
+        assert np.array_equal(actions, batch_actions[0])
+        obs, outcome = single.step(actions)
+        batch_obs, batch_outcome = batch.step(batch_actions)
+        assert np.array_equal(outcome.command, batch_outcome.command[0])
+        assert outcome.reward == batch_outcome.reward[0]
+
+
 def test_make_agent_validation():
     with pytest.raises(ValueError):
         make_agent("dho")

@@ -16,7 +16,9 @@ import sys
 from contextlib import ExitStack
 from pathlib import Path
 
-from leoho import experiments, orbital, training, vtrace
+import numpy as np
+
+from leoho import env, experiments, orbital, training, vtrace
 from leoho.env import ScenarioConfig, StepOutcome, batch_episodes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +51,33 @@ def test_measurement_fold_propagates_through_the_traced_name():
         with patched(orbital, "propagate", counted):
             experiments.evaluate(scenario, kind, batch_episodes(scenario), master_seed=3)
         assert len(calls) == expected, kind
+
+
+def test_step_grants_and_accesses_through_the_traced_names():
+    # The tracer times ``env.admission`` and ``env.rach`` per call and counts
+    # their requests, grants and collisions by patching the module
+    # attributes, so ``HandoverEnv.step`` must look each up there once per
+    # slot: slots whose contended targets have no block left, and slots that
+    # command nobody, included.
+    scenario = ScenarioConfig(num_ues=100, rb_per_target=30, num_preambles=80)
+    calls = {"admission": [], "rach": []}
+    with ExitStack() as stack:
+        for name, seen in calls.items():
+
+            def counted(*args, inner=getattr(env, name), seen=seen):
+                seen.append([np.copy(a) for a in args])
+                return inner(*args)
+
+            stack.enter_context(patched(env, name, counted))
+        experiments.evaluate(scenario, "random", batch_episodes(scenario), master_seed=1)
+    assert len(calls["admission"]) == len(calls["rach"]) == scenario.horizon
+
+    def settled(requested, rb):
+        contended = (requested[..., None] == np.arange(1, scenario.num_planes)).sum(axis=-2) > rb
+        return contended.any() and not rb[contended].any()
+
+    assert any(settled(requested, rb) for requested, rb, *_ in calls["admission"])
+    assert not all(command.any() for command, *_ in calls["rach"])
 
 
 def test_learner_targets_go_through_the_traced_name():

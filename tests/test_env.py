@@ -238,13 +238,11 @@ def test_reset_and_random_agent_draws_match_numpy_calls(batched, positions, prea
     agent = RandomAgent()
     agent.begin_episode(env, rng_module.episode_generators([seed, 101] for seed in seeds))
     want = reference_draws(cfg, seeds)
-    got = (env.state.ue_positions, env._keys, env._preambles)
+    got = (env.state.ue_positions, env._keys, env._preambles, agent._draws)
     for g, w in zip(got, want):
         w = w if batched else w[0]
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
-    assert (agent._draws.dtype, agent._draws.shape) == (want[3].dtype, want[3].shape)
-    assert agent._draws.tobytes() == want[3].tobytes()
 
 
 # --- observation encoding --------------------------------------------------
@@ -282,6 +280,48 @@ def test_centralized_observation_matches_a3_evaluation():
     )
     flags = obs[41:].reshape(10, 2).astype(bool)
     assert np.array_equal(flags, expected)
+
+
+def compared_observation(env: HandoverEnv) -> np.ndarray:
+    """Reference: the observation with its one-hot block cast from an (..., J, K) comparison."""
+    state, config = env.state, env.config
+    f = config.features
+    j, k = config.num_ues, config.num_planes
+    lead = state.accessed.shape[:-1]
+    out = np.zeros(lead + (observation_size(config),))
+    pos = 0
+    if f.time_index:
+        out[..., 0] = state.slot / config.horizon
+        pos = 1
+    if f.accessed_vector:
+        out[..., pos : pos + j] = state.accessed
+        pos += j
+    if f.prev_action:
+        block = out[..., pos : pos + j * k].reshape(lead + (j, k))
+        block[...] = state.prev_action[..., None] == np.arange(k)
+        pos += j * k
+    if f.a3_centralized:
+        flags = env.measurements().a3_flags(config.a3_offset_db)
+        out[..., pos : pos + j * (k - 1)] = flags.reshape(lead + (j * (k - 1),))
+    return out
+
+
+@pytest.mark.parametrize("mask", sorted(experiments.ABLATION_MASKS))
+@pytest.mark.parametrize("batched", [False, True])
+def test_observe_matches_compared_reference(mask, batched):
+    cfg = small_config(
+        num_planes=4, rb_per_target=(2, 3, 2), horizon=6, features=experiments.ABLATION_MASKS[mask]
+    )
+    env = HandoverEnv(cfg)
+    obs = env.reset(episodes=[4, 5, 6]) if batched else env.reset(4)
+    shape = (cfg.horizon,) + env.state.accessed.shape
+    actions = np.random.default_rng(2).integers(0, cfg.num_planes, shape)
+    for n in range(cfg.horizon + 1):
+        want = compared_observation(env)
+        assert (obs.dtype, obs.shape) == (want.dtype, want.shape)
+        assert obs.tobytes() == want.tobytes()
+        if n < cfg.horizon:
+            obs, _ = env.step(actions[n])
 
 
 # --- admission oracle -------------------------------------------------------
@@ -366,6 +406,12 @@ def one_hot_admission(requested, rb_remaining, num_ues, keys):
 )
 @example(seed=0, lead=(), num_ues=120, targets=4, request_rate=0.9, unbounded=False)
 @example(seed=1, lead=(3, 2), num_ues=7, targets=1, request_rate=0.0, unbounded=True)
+# Every oversubscribed target (three of them) has no block left.
+@example(seed=1, lead=(3, 2), num_ues=5, targets=2, request_rate=0.9, unbounded=False)
+# Two settled rows, three with a partly contended target and one uncontended.
+@example(seed=3, lead=(6,), num_ues=12, targets=2, request_rate=0.9, unbounded=False)
+# One row with no episode axis: five requesters for each target's three blocks.
+@example(seed=0, lead=(), num_ues=12, targets=2, request_rate=0.9, unbounded=False)
 def test_admission_matches_one_hot_reference(seed, lead, num_ues, targets, request_rate, unbounded):
     rng = np.random.default_rng(seed)
     shape = lead + (num_ues,)
@@ -414,6 +460,35 @@ def test_rach_collision_rate_matches_birthday_formula():
         expected = (m / 10) * (1 - (1 - 1 / p) ** (m - 1))
         sem = rates.std() / np.sqrt(trials)
         assert abs(rates.mean() - expected) < max(4 * sem, 1e-12)
+
+
+def binned_rach(command, num_preambles, num_ues, preambles, num_targets):
+    """Reference: random access binning every slot, commanded or not."""
+    command = np.asarray(command)
+    commanded = command > 0
+    preamble = np.where(commanded, preambles, 0)
+    stride = (num_targets + 1) * (num_preambles + 1)
+    codes = command * (num_preambles + 1) + preamble
+    codes += np.arange(0, command.size // command.shape[-1] * stride, stride).reshape(
+        command.shape[:-1] + (1,)
+    )
+    prach_collision = commanded & (np.bincount(codes.ravel())[codes] > 1)
+    return preamble, prach_collision, prach_collision.sum(axis=-1) / num_ues
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (3, 2)])
+@pytest.mark.parametrize("commanded", [False, True])
+def test_rach_matches_binned_reference(lead, commanded):
+    rng = np.random.default_rng(len(lead))
+    shape = lead + (30,)
+    command = rng.integers(0, 3, shape) * commanded
+    signatures = rng.integers(1, 5, lead + (3, 30))[..., 1, :]  # a slot of a block, as step passes
+    got = rach(command, 4, 30, signatures, 2)
+    want = binned_rach(command, 4, 30, signatures, 2)
+    assert got[1].any() == commanded  # four signatures for ~10 terminals per target
+    for g, w in zip(got, want):
+        assert (type(g), g.dtype, g.shape) == (type(w), w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
 
 
 # --- batched kernels against a per-episode oracle ------------------------------
