@@ -3,7 +3,9 @@
 All of them pin already-accessed terminals to action 0: the environment
 would ignore their requests anyway, and for the learned policy the pin keeps
 recorded behavior log-probabilities consistent (a pinned head chose 0 with
-probability one).
+probability one).  Evaluation and training rely on the pin: once every
+terminal of a chunk has access they stop deciding and settle the chunk
+with action 0 (:meth:`HandoverEnv.settle`).
 
 Every decision function takes arrays with any leading episode axes, so one
 call decides for all the episodes a :class:`HandoverEnv` steps together.

@@ -282,10 +282,11 @@ class OutcomeColumns(dict):
     """Columns of N consecutive slot outcomes, one per :class:`StepOutcome` field.
 
     :meth:`append` copies each slot's outcome into (N, E, ...) buffers
-    allocated at the first slot, so no slot outlives its step.  Each column
-    is an (E, N, ...) view of its buffer, for E episodes, with the slot axis
+    allocated at the first slot, so no slot outlives its step, and
+    :meth:`repeat` copies one outcome into every slot left.  Each column is
+    an (E, N, ...) view of its buffer, for E episodes, with the slot axis
     outermost in memory; outcomes without an episode axis fill E = 1.
-    ``slot`` is (N,).  The columns are complete once N slots are appended.
+    ``slot`` is (N,).  The columns are complete once N slots are filled.
     """
 
     def __init__(self, slots: int):
@@ -307,6 +308,19 @@ class OutcomeColumns(dict):
         for name, buffer in self._buffers:
             buffer[n] = getattr(outcome, name)
         self._filled = n + 1
+
+    def repeat(self, outcome: StepOutcome) -> None:
+        """Append ``outcome`` to every slot left, numbered on from its own ``slot``.
+
+        The remaining slots of a settled chunk (:meth:`HandoverEnv.settle`)
+        all have this outcome.
+        """
+        n = self._filled
+        self.append(outcome)
+        for _, buffer in self._buffers:
+            buffer[n + 1 :] = buffer[n]
+        self["slot"][n:] += np.arange(self._slots - n)
+        self._filled = self._slots
 
     @functools.cached_property
     def episode_sums(self) -> list[tuple[float, float, float, float]]:
@@ -669,6 +683,37 @@ class HandoverEnv:
             *aggregates,
         )
         return self.observe(), outcome
+
+    def settle(self, observations: np.ndarray | None = None) -> StepOutcome:
+        """Play out the remaining slots once every terminal of every episode has access.
+
+        Nothing can be requested then, so each remaining slot has the same
+        outcome, and every agent decides action 0.  The next slot is stepped
+        with those actions through :meth:`step`, the state moves on to the
+        horizon, and that slot's outcome is returned for each remaining
+        slot to repeat (:meth:`OutcomeColumns.repeat`).  ``observations``,
+        if given, is a (..., horizon - slot, obs_dim) buffer that receives
+        the observations at slots ``slot + 1`` through the horizon, built by
+        :meth:`observe`.
+        """
+        state = self.state
+        if state is None:
+            raise RuntimeError("reset() must be called before settle()")
+        if not state.accessed.all():
+            raise ValueError("settle() needs every terminal to have access")
+        horizon = self.config.horizon
+        if observations is not None and observations.shape[-2] != horizon - state.slot:
+            raise ValueError(
+                f"observations must hold {horizon - state.slot} slots, got {observations.shape[-2]}"
+            )
+        obs, outcome = self.step(np.zeros(state.accessed.shape, dtype=np.int64))
+        if observations is not None:
+            observations[..., 0, :] = obs
+            for i in range(1, observations.shape[-2]):
+                state.slot += 1
+                observations[..., i, :] = self.observe()
+        state.slot = horizon
+        return outcome
 
     def observe(self) -> np.ndarray:
         """Observation vectors: [n/N] + accessed + one-hot previous action (+ A3 flags).

@@ -335,7 +335,10 @@ def evaluate_chunks(
     Yields each chunk's first episode index, its episodes' metrics and its
     outcome columns, only those named in ``keep`` if given.  Episode i's
     agent generator is seeded from [master_seed + i, stream], and only
-    stochastic agents build them.
+    stochastic agents build them.  The agent decides each slot until every
+    terminal of the chunk has access; the chunk then settles
+    (:meth:`HandoverEnv.settle`), and its remaining slots repeat that
+    outcome, the one deciding them would give.
     """
     env = HandoverEnv(scenario)
     agent = make_agent(agent_kind, params=params, mode=eval_mode)
@@ -348,6 +351,10 @@ def evaluate_chunks(
         for _ in range(scenario.horizon):
             obs, outcome = env.step(agent.act(env, obs))
             columns.append(outcome)
+            if not outcome.d.any():  # D is 0 only once every terminal has access
+                break
+        if env.state.slot < scenario.horizon:
+            columns.repeat(env.settle())
         metrics = [
             episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e)) for e in range(len(seeds))
         ]

@@ -19,10 +19,13 @@ of its own.
 
 Each pass decides under one :class:`net.StackedPolicy` of its batches'
 snapshots, so a slot's decision is one forward pass, a matmul over
-(G, rows, ...).  The pass keeps each slot's logits, takes the behavior
-log-probabilities of the whole rollout in one pass after its last slot,
-and gives the learner one stacked segment, which each update slices into
-its batch and reads through ``reshape``.
+(G, rows, ...).  It decides until every terminal of every episode has
+access; the remaining slots pin every head to action 0 and are settled
+without a decision (:meth:`HandoverEnv.settle`).  The pass keeps the
+logits of the slots it decided, takes the behavior log-probabilities of
+the whole rollout in one pass after its last slot, and gives the learner
+one stacked segment, which each update slices into its batch and reads
+through ``reshape``.
 """
 
 from __future__ import annotations
@@ -339,10 +342,14 @@ def rollout_segment(
     A :class:`net.StackedPolicy` of G parameter sets splits the episodes
     into G equal runs in order, each under its own set.  Episode ``e``
     starts from seed key ``env_seeds[e]`` and samples with the Gumbel noise
-    ``noise[e]`` (N, J, K).  Every slot runs one ``env.step`` and one
-    decision for all episodes.  The behavior log-probabilities come from
-    one pass over the whole rollout's logits.  Returns one stacked segment,
-    built on the rollout's own buffers, and each episode's metrics.
+    ``noise[e]`` (N, J, K).  Each slot runs one ``env.step`` and one
+    decision for all episodes until every terminal of every episode has
+    access.  The pass then settles (:meth:`HandoverEnv.settle`): its
+    remaining slots are recorded as deciding them would record them, with
+    every head pinned to action 0, and no decision is made.  The behavior
+    log-probabilities come from one pass over the whole rollout's logits.
+    Returns one stacked segment, built on the rollout's own buffers, and
+    each episode's metrics.
     """
     cfg = env.config
     episodes, length, j = len(env_seeds), cfg.horizon, cfg.num_ues
@@ -362,7 +369,17 @@ def rollout_segment(
         obs, outcome = env.step(actions[:, n])
         rewards[:, n] = outcome.reward
         columns.append(outcome)
-    observations[:, length] = obs
+        if not outcome.d.any():  # D is 0 only once every terminal has access
+            break
+    decided = n + 1
+    observations[:, decided] = obs
+    if decided < length:
+        outcome = env.settle(observations[:, decided + 1 :])
+        columns.repeat(outcome)
+        pinned[:, decided:] = True
+        actions[:, decided:] = 0
+        logits[:, decided:] = 0.0  # a pinned head's log-prob is 0 whatever its logits
+        rewards[:, decided:] = outcome.reward[:, None]
     # The logits go as soon as they are used.
     logprobs = dho_log_probs(logits, actions, pinned)
     del logits

@@ -37,11 +37,12 @@ def test_every_trace_target_resolves():
 def test_measurement_fold_propagates_through_the_traced_name():
     # The tracer counts ``orbital.propagate`` by patching the module
     # attribute, so the env must look it up there once per folded slot.
-    # The conventional agent reads the fold before each of the N decisions,
-    # by which time slots 0..N-2 have ended; the random agent never reads it.
+    # The conventional agent reads the fold before each decision, so before
+    # the last of the S slots decided until the chunk settles, slots
+    # 0..S-2 have ended; the random agent never reads it.
     scenario = ScenarioConfig()
     inner = orbital.propagate
-    for kind, expected in (("conventional", scenario.horizon - 1), ("random", 0)):
+    for kind in ("conventional", "random"):
         calls = []
 
         def counted(*args):
@@ -49,8 +50,15 @@ def test_measurement_fold_propagates_through_the_traced_name():
             return inner(*args)
 
         with patched(orbital, "propagate", counted):
-            experiments.evaluate(scenario, kind, batch_episodes(scenario), master_seed=3)
-        assert len(calls) == expected, kind
+            [(_, _, columns)] = experiments.evaluate_chunks(
+                scenario, kind, batch_episodes(scenario), 3, None, "greedy", keep=("d",)
+            )
+        # The decided slots end with the first one after which every
+        # terminal of the chunk has access.
+        delay = columns["d"].any(axis=0)
+        decided = scenario.horizon if delay.all() else 1 + int(np.argmin(delay))
+        assert decided < scenario.horizon, kind  # the chunk settles
+        assert len(calls) == (decided - 1 if kind == "conventional" else 0), kind
 
 
 def test_step_grants_and_accesses_through_the_traced_names():

@@ -599,6 +599,46 @@ def test_return_identity_with_delay_weight():
     assert m.episode_return == pytest.approx(-cfg.nu * m.sum_delay - m.sum_collision, abs=1e-12)
 
 
+@pytest.mark.parametrize("batched", [False, True])
+def test_settle_gives_what_stepping_action_zero_gives(batched):
+    # The A3 flags put the measurement fold in every observation, and at
+    # nu = 0 a settled slot's reward is still step's -0.0.
+    cfg = small_config(horizon=12, nu=0.0, features=FeatureMask(a3_centralized=True))
+    stepped, settled = HandoverEnv(cfg), HandoverEnv(cfg)
+    columns = {}
+    for env in (stepped, settled):
+        if batched:
+            env.reset(episodes=[3, 4])
+        else:
+            env.reset(3)
+        columns[env] = OutcomeColumns(cfg.horizon)
+    with pytest.raises(ValueError, match="every terminal"):
+        settled.settle()
+    while not settled.state.accessed.all():  # request plane 1 until everyone has access
+        actions = np.where(settled.state.accessed, 0, 1)
+        for env in (stepped, settled):
+            columns[env].append(env.step(actions)[1])
+    slot = settled.state.slot
+    assert 0 < slot < cfg.horizon - 1
+    lead = settled.state.accessed.shape[:-1]
+    want = np.empty(lead + (cfg.horizon - slot, observation_size(cfg)))
+    for i in range(cfg.horizon - slot):
+        want[..., i, :], outcome = stepped.step(np.zeros_like(actions))
+        columns[stepped].append(outcome)
+    with pytest.raises(ValueError, match="slots"):
+        settled.settle(np.empty(want.shape[:-2] + (1, want.shape[-1])))
+    observations = np.empty_like(want)
+    columns[settled].repeat(settled.settle(observations))
+    assert observations.tobytes() == want.tobytes()
+    for name, column in columns[stepped].items():
+        assert columns[settled][name].tobytes() == column.tobytes(), name
+    assert np.signbit(columns[settled]["reward"][..., slot:]).all()
+    for name in ("slot", "accessed", "rb_remaining", "prev_action"):
+        assert np.array_equal(getattr(settled.state, name), getattr(stepped.state, name)), name
+    with pytest.raises(RuntimeError):
+        settled.step(np.zeros_like(actions))
+
+
 def test_step_rejects_bad_actions_and_finished_episode():
     env = HandoverEnv(small_config(horizon=2))
     env.reset(0)

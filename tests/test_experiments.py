@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from leoho import env as env_module, experiments, net
-from leoho.agents import dho_decide
+from leoho.agents import dho_decide, make_agent
 from leoho.env import (
     BATCH_TERMINALS,
     ConfigError,
@@ -17,6 +17,7 @@ from leoho.env import (
     OutcomeColumns,
     ScenarioConfig,
     batch_episodes,
+    episode_metrics,
     observation_size,
 )
 from leoho.experiments import (
@@ -41,6 +42,7 @@ from leoho.experiments import (
     write_summary_csv,
     write_trace_csv,
 )
+from leoho.rng import episode_generators
 
 
 def fast_spec(**kw) -> ExperimentSpec:
@@ -326,7 +328,13 @@ master_seed = 0
 
 
 @pytest.mark.parametrize(
-    "reference", ["scarce-J100-random-trace.csv", "case2-conventional-trace.csv"]
+    "reference",
+    [
+        "scarce-J100-random-trace.csv",
+        "case2-conventional-trace.csv",
+        "case1-random-trace.csv",
+        "case1-conventional-trace.csv",
+    ],
 )
 def test_trace_matches_reference_bytes(tmp_path, reference):
     """``trace.csv`` is byte-identical to a reference in ``tests/data``.
@@ -334,19 +342,22 @@ def test_trace_matches_reference_bytes(tmp_path, reference):
     ``scarce-J100-random-trace.csv`` contends for blocks and preambles in
     every slot, over two evaluation chunks; it was written by
     ``leoho run --spec scarce.spec --out <dir>`` with ``scarce.spec`` holding
-    the lines of ``SCARCE_J100_SPEC``.  ``case2-conventional-trace.csv``
-    drives the A3 measurement fold; it was written by
-    ``leoho run --spec scripts/case2.spec --agent conventional --episodes 20
-    --out <dir>``.  After a deliberate change to the dynamics, regenerate the
-    reference with the same command.
+    the lines of ``SCARCE_J100_SPEC``.  The others were written by
+    ``leoho run --spec scripts/<case>.spec --agent <agent> --episodes 20
+    --out <dir>``.  ``case2-conventional-trace.csv`` drives the A3
+    measurement fold.  The two case1 chunks settle: every terminal has
+    access after slot 4 under random and after slot 15 under conventional,
+    and the slots after that repeat one outcome.  After a deliberate change
+    to the dynamics, regenerate the reference with the same command.
     """
     if reference.startswith("scarce"):
         spec_path = tmp_path / "scarce.spec"
         spec_path.write_text(SCARCE_J100_SPEC)
         spec = parse_spec_file(spec_path)
     else:
-        spec = parse_spec_file(SCRIPTS / "case2.spec")
-        spec = apply_settings(spec, [("agent", "conventional"), ("eval_episodes", 20)])
+        case, agent, _ = reference.split("-")
+        spec = parse_spec_file(SCRIPTS / f"{case}.spec")
+        spec = apply_settings(spec, [("agent", agent), ("eval_episodes", 20)])
     run_experiment(spec, tmp_path / "out")
     assert (tmp_path / "out" / "trace.csv").read_bytes() == (DATA / reference).read_bytes()
 
@@ -566,6 +577,62 @@ def test_behavior_fractions_match_a_slot_by_slot_count(case):
     assert 0 < requests and 0 < waits  # both decisions occur
     expected = (requests / (requests + waits), waits / (requests + waits))
     assert behavior_stats(params, scenario, episodes, master_seed=9) == expected
+
+
+def stepped_chunks(scenario, agent_kind, episodes, master_seed, params, eval_mode):
+    """The reference evaluation: each chunk's agent decides and steps every slot."""
+    env = HandoverEnv(scenario)
+    agent = make_agent(agent_kind, params=params, mode=eval_mode)
+    size = batch_episodes(scenario)
+    for first in range(0, episodes, size):
+        seeds = [master_seed + i for i in range(first, min(first + size, episodes))]
+        obs = env.reset(episodes=seeds)
+        agent.begin_episode(env, episode_generators([seed, 101] for seed in seeds))
+        columns = OutcomeColumns(scenario.horizon)
+        for _ in range(scenario.horizon):
+            obs, outcome = env.step(agent.act(env, obs))
+            columns.append(outcome)
+        metrics = [
+            episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e)) for e in range(len(seeds))
+        ]
+        yield first, metrics, columns
+
+
+@pytest.mark.parametrize(
+    "agent_kind, eval_mode",
+    [("random", "greedy"), ("conventional", "greedy"), ("dho", "greedy"), ("dho", "sample")],
+)
+@pytest.mark.parametrize("case", ["case1", "scarce"])
+def test_evaluate_chunks_match_the_slot_by_slot_reference(agent_kind, eval_mode, case, monkeypatch):
+    # At case1 every chunk settles before the horizon; with scarce blocks at
+    # J = 10 none does.
+    scenario = dataclasses.replace(scenario_for_case(case), features=ABLATION_MASKS["centralized"])
+    params = net.init_params(
+        observation_size(scenario), scenario.num_ues, scenario.num_planes,
+        rng=np.random.default_rng(2), head_scale=1.0,
+    )
+    params.b_pi[:: scenario.num_planes] -= 3.0  # waiting is unlikely, so every terminal requests
+    episodes = batch_episodes(scenario) + 7  # two chunks
+    settled = []
+
+    def settle(self, *args, inner=HandoverEnv.settle, **kwargs):
+        settled.append(self.state.slot)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(HandoverEnv, "settle", settle)
+    chunks = evaluate_chunks(scenario, agent_kind, episodes, 5, params, eval_mode)
+    want = stepped_chunks(scenario, agent_kind, episodes, 5, params, eval_mode)
+    for (first, metrics, columns), (want_first, want_metrics, want_columns) in zip(
+        chunks, want, strict=True
+    ):
+        assert first == want_first
+        assert metrics == want_metrics
+        assert sorted(columns) == sorted(want_columns)
+        for name, column in columns.items():
+            expected = want_columns[name]
+            assert column.dtype == expected.dtype and column.shape == expected.shape, name
+            assert column.tobytes() == expected.tobytes(), name
+    assert len(settled) == (2 if case == "case1" else 0)
 
 
 def test_evaluate_chunks_seeds_agents_from_its_stream(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,17 +7,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leoho import net, training
-from leoho.agents import dho_decide
+from leoho.agents import dho_decide, dho_log_probs
 from leoho.env import (
     MAX_CHUNK_CELLS,
     ConfigError,
+    EpisodeOutcomes,
     FeatureMask,
     HandoverEnv,
+    OutcomeColumns,
     ScenarioConfig,
     batch_episodes,
+    episode_metrics,
     observation_size,
 )
-from leoho.experiments import CheckpointError, load_checkpoint, save_checkpoint, write_curve_csv
+from leoho.experiments import (
+    ABLATION_MASKS,
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+    write_curve_csv,
+)
 from leoho.training import (
     Adam,
     VtraceConfig,
@@ -408,20 +418,118 @@ def test_pipelined_train_matches_serial_reference(vtrace_enabled, actors, episod
 @pytest.mark.parametrize("vtrace_enabled", [True, False])
 def test_rollout_decides_once_per_slot(vtrace_enabled, monkeypatch):
     scenario = tiny_scenario()
-    calls = []
+    events = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        events.append(args[0])
         return dho_decide(*args, **kwargs)
 
+    def reset(self, *args, inner=HandoverEnv.reset, **kwargs):
+        events.append("reset")
+        return inner(self, *args, **kwargs)
+
+    def settle(self, *args, inner=HandoverEnv.settle, **kwargs):
+        events.append(("settle", self.state.slot))
+        return inner(self, *args, **kwargs)
+
     monkeypatch.setattr(training, "dho_decide", counted)
+    monkeypatch.setattr(HandoverEnv, "reset", reset)
+    monkeypatch.setattr(HandoverEnv, "settle", settle)
     # 30 episodes in batches of six: passes of two batches with V-trace (the
     # last holds one), and of one without.
     train(scenario, tiny_training(vtrace_enabled=vtrace_enabled), episodes=30, seed=1)
-    passes = 3 if vtrace_enabled else 5
-    assert len(calls) == passes * scenario.horizon
-    if vtrace_enabled:
-        assert all(isinstance(policy, net.StackedPolicy) for policy in calls[:10])
+    passes = []
+    for event in events:
+        if event == "reset":
+            passes.append([])
+        else:
+            passes[-1].append(event)
+    assert len(passes) == (3 if vtrace_enabled else 5)
+    settled = 0
+    for rollout in passes:
+        # One decision per slot until every terminal has access, then none.
+        *decisions, last = rollout
+        if isinstance(last, tuple):
+            assert last == ("settle", len(decisions)) and len(decisions) < scenario.horizon
+            settled += 1
+        else:
+            assert len(rollout) == scenario.horizon
+        if vtrace_enabled:
+            assert all(isinstance(policy, net.StackedPolicy) for policy in decisions)
+    assert settled  # some pass settles before its horizon
+
+
+def stepped_rollout(env, policy, noise, env_seeds):
+    """The reference rollout: it decides and steps every slot up to the horizon."""
+    cfg = env.config
+    episodes, length, j = len(env_seeds), cfg.horizon, cfg.num_ues
+    observations = np.empty((episodes, length + 1, observation_size(cfg)))
+    actions = np.empty((episodes, length, j), dtype=np.int64)
+    logits = np.empty((episodes, length, j, cfg.num_planes))
+    pinned = np.empty((episodes, length, j), dtype=bool)
+    rewards = np.empty((episodes, length))
+    obs = env.reset(episodes=env_seeds)
+    columns = OutcomeColumns(length)
+    for n in range(length):
+        observations[:, n] = obs
+        pinned[:, n] = env.state.accessed
+        actions[:, n], logits[:, n] = dho_decide(policy, obs, noise[:, n], "sample", pinned[:, n])
+        obs, outcome = env.step(actions[:, n])
+        rewards[:, n] = outcome.reward
+        columns.append(outcome)
+    observations[:, length] = obs
+    segment = TrajectorySegment(
+        observations=observations,
+        actions=actions,
+        behavior_logprobs=dho_log_probs(logits, actions, pinned),
+        rewards=rewards,
+        masks=(~pinned).astype(float),
+        bootstrap_value=0.0,
+    )
+    records = [episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e)) for e in range(episodes)]
+    return segment, records
+
+
+def record_bits(records):
+    return np.array([dataclasses.astuple(r) for r in records]).tobytes()
+
+
+@pytest.mark.parametrize("mask", ["full_local", "centralized"])
+@pytest.mark.parametrize("vtrace_enabled", [True, False], ids=["vtrace", "no_vtrace"])
+@pytest.mark.parametrize(
+    "blocks, settles", [((3, 3), True), ((1, 1), False)], ids=["settles", "never_settles"]
+)
+def test_rollout_matches_the_slot_by_slot_reference(mask, vtrace_enabled, blocks, settles, monkeypatch):
+    # Three terminals and two blocks in all never settle; six blocks do,
+    # before the horizon.
+    scenario = dataclasses.replace(
+        tiny_scenario(), horizon=8, rb_per_target=blocks, features=ABLATION_MASKS[mask]
+    )
+    shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
+    noise = np.random.default_rng(11).gumbel(size=(6,) + shape)
+    seeds = [(4, e) for e in range(6)]
+    policies = [
+        net.init_params(observation_size(scenario), 3, 3, hidden=(8, 8), rng=np.random.default_rng(s))
+        for s in (5, 6)
+    ]
+    # With V-trace a pass decides under two snapshots, without under one.
+    policy = net.stack_params(policies if vtrace_enabled else policies[:1])
+    settled = []
+
+    def settle(self, *args, inner=HandoverEnv.settle, **kwargs):
+        settled.append(self.state.slot)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(HandoverEnv, "settle", settle)
+    segment, records = rollout_segment(HandoverEnv(scenario), policy, noise, seeds)
+    want, want_records = stepped_rollout(HandoverEnv(scenario), policy, noise, seeds)
+    assert len(settled) == (1 if settles else 0)
+    for field in ("observations", "actions", "behavior_logprobs", "rewards", "masks"):
+        got, expected = getattr(segment, field), getattr(want, field)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, field
+        assert got.tobytes() == expected.tobytes(), field
+    assert segment.bootstrap_value == want.bootstrap_value
+    assert record_bits(records) == record_bits(want_records)
 
 
 def test_rollout_groups_act_under_their_own_parameters():
