@@ -3,9 +3,11 @@
 All of them pin already-accessed terminals to action 0: the environment
 would ignore their requests anyway, and for the learned policy the pin keeps
 recorded behavior log-probabilities consistent (a pinned head chose 0 with
-probability one).  Evaluation and training rely on the pin: once every
-terminal of a chunk has access they stop deciding and settle the chunk
-with action 0 (:meth:`HandoverEnv.settle`).
+probability one).  Evaluation and training rely on the pin: evaluation
+stops deciding for an episode once every terminal in it has access and
+retires it (:meth:`HandoverEnv.retire`), and training settles a pass with
+action 0 once every terminal of every episode has access
+(:meth:`HandoverEnv.settle`).
 
 Every decision function takes arrays with any leading episode axes, so one
 call decides for all the episodes a :class:`HandoverEnv` steps together.
@@ -16,7 +18,10 @@ whole rollout's log-probabilities in one :func:`dho_log_probs` call.
 Stochastic agents draw each episode's randomness at ``begin_episode``, in
 one block per episode from that episode's generator: (N, J) uniform actions
 for the random agent, (N, J, K) Gumbel noise for the sampling learned agent.
-The blocks carry the env's episode axis, so none after ``reset(seed)``.
+The blocks carry the env's episode axis, so none after ``reset(seed)``,
+and each slot's rows are read through :meth:`HandoverEnv.at_slot`, which
+follows the episodes the env retires.  ``retire`` drops the A3 streaks of
+the episodes retired.
 The random agent reads its actions as raw PCG64 words and converts the
 chunk's blocks at once (:func:`rng.integers_by_rows`), with the bits of
 numpy's ``integers(0, K, (N, J))``; the noise is numpy's own ``gumbel``.
@@ -136,6 +141,9 @@ class ConventionalAgent:
         )
         return actions
 
+    def retire(self, settled: np.ndarray) -> None:
+        self._streak = self._streak[~settled]
+
 
 class RandomAgent:
     name = "random"
@@ -153,7 +161,10 @@ class RandomAgent:
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         state = env.state
-        return random_decide(self._draws[..., state.slot, :], state.accessed)
+        return random_decide(env.at_slot(self._draws), state.accessed)
+
+    def retire(self, settled: np.ndarray) -> None:
+        """Nothing to drop: the draws are read through :meth:`HandoverEnv.at_slot`."""
 
 
 class DhoAgent:
@@ -177,9 +188,12 @@ class DhoAgent:
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         state = env.state
-        noise = None if self._noise is None else self._noise[..., state.slot, :, :]
+        noise = None if self._noise is None else env.at_slot(self._noise)
         actions, _ = dho_decide(self.params, observation, noise, self.mode, state.accessed)
         return actions
+
+    def retire(self, settled: np.ndarray) -> None:
+        """Nothing to drop: the noise is read through :meth:`HandoverEnv.at_slot`."""
 
 
 def make_agent(kind: str, params: net.PolicyParameters | None = None, mode: str = "greedy"):

@@ -18,9 +18,11 @@ Conventions, fixed across the whole package:
   ``nu`` therefore sets how expensive waiting is relative to colliding.
 
 :class:`HandoverEnv` steps E independent episodes in lockstep, so its state
-arrays carry a leading episode axis.  Every episode draws its randomness at
-reset from generators seeded by its own key (see :meth:`HandoverEnv.reset`),
-so an episode plays out the same whichever episodes share its batch.
+arrays carry a leading episode axis.  Every episode draws its randomness
+from generators seeded by its own key (see :meth:`HandoverEnv.reset`), so
+an episode plays out the same whichever episodes share its batch, and an
+episode that has settled can be retired from the batch
+(:meth:`HandoverEnv.retire`) without changing the others.
 """
 
 from __future__ import annotations
@@ -185,11 +187,12 @@ class ScenarioConfig:
 
     @property
     def episode_cells(self) -> int:
-        """Cells of the largest block one episode of an evaluation chunk adds.
+        """Cells of the largest block one episode of an evaluation chunk adds, or a bound on it.
 
-        Per (terminal, plane): the M*N + 1 shadowing draws, or one slot's
-        M x 3 terminal-to-satellite coordinate differences; or the episode's
-        K * (P + 1) RACH contention bins.
+        Per (terminal, plane): M*N + 1, which holds the episode's N Gumbel
+        draws of the sampling agent, or one slot's M x 3 terminal-to-satellite
+        coordinate differences; or the episode's K * (P + 1) RACH contention
+        bins.
         """
         m = self.samples_per_slot
         per_cell = max(m * self.horizon + 1, 3 * m)
@@ -278,15 +281,55 @@ _ARRAY_FIELDS = tuple(f.name for f in fields(StepOutcome))[1:8]
 _FLOAT_FIELDS = tuple(f.name for f in fields(StepOutcome))[8:]
 
 
+def _outcome(
+    config: ScenarioConfig, slot: int, requested, command, preamble, rb_collision,
+    prach_collision, newly, c_r, c_p, accessed: np.ndarray,
+) -> StepOutcome:
+    """A slot's :class:`StepOutcome`, its aggregates taken from ``accessed``, the set after the slot.
+
+    ``D`` is the share of terminals still lacking access, ``C`` sums both
+    collision rates, and the reward is ``-nu * D - C``.  One episode's
+    (``accessed`` is (J,)) aggregates are floats.
+    """
+    d = (config.num_ues - accessed.sum(axis=-1)) / config.num_ues
+    c_total = c_r.sum(axis=-1) + c_p
+    reward = -config.nu * d - c_total
+    aggregates = (c_p, c_total, d, reward)
+    if accessed.ndim == 1:
+        aggregates = map(float, aggregates)
+    return StepOutcome(
+        slot, requested, command, preamble, rb_collision, prach_collision, newly, c_r, *aggregates
+    )
+
+
+def settled_outcome(config: ScenarioConfig, slot: int, lead: tuple[int, ...] = ()) -> StepOutcome:
+    """The outcome of slot ``slot`` of episodes every terminal of which has access.
+
+    Every agent decides action 0 then, so nothing is requested, granted or
+    sent, nobody collides and D = 0; the aggregates come from
+    :meth:`HandoverEnv.step`'s arithmetic, so the reward is -0.0.  ``lead``
+    is the leading episode axes; () gives one episode's outcome.
+    """
+    j = config.num_ues
+    requested, command, preamble = (np.zeros(lead + (j,), dtype=np.int64) for _ in range(3))
+    rb_collision, prach_collision, newly = (np.zeros(lead + (j,), dtype=bool) for _ in range(3))
+    return _outcome(
+        config, slot, requested, command, preamble, rb_collision, prach_collision, newly,
+        np.zeros(lead + (config.num_targets,)), np.zeros(lead)[()], np.ones(lead + (j,), dtype=bool),
+    )
+
+
 class OutcomeColumns(dict):
     """Columns of N consecutive slot outcomes, one per :class:`StepOutcome` field.
 
     :meth:`append` copies each slot's outcome into (N, E, ...) buffers
     allocated at the first slot, so no slot outlives its step, and
-    :meth:`repeat` copies one outcome into every slot left.  Each column is
-    an (E, N, ...) view of its buffer, for E episodes, with the slot axis
-    outermost in memory; outcomes without an episode axis fill E = 1.
-    ``slot`` is (N,).  The columns are complete once N slots are filled.
+    :meth:`repeat` copies one outcome into every slot left.  Both can fill
+    some of the episodes only: those still stepped, or those retired.  Each
+    column is an (E, N, ...) view of its buffer, for E episodes, with the
+    slot axis outermost in memory; outcomes without an episode axis fill
+    E = 1.  ``slot`` is (N,).  The columns are complete once every slot of
+    every episode is appended or repeated.
     """
 
     def __init__(self, slots: int):
@@ -295,7 +338,12 @@ class OutcomeColumns(dict):
         self._buffers: list[tuple[str, np.ndarray]] = []
         self._filled = 0
 
-    def append(self, outcome: StepOutcome) -> None:
+    def append(self, outcome: StepOutcome, rows: np.ndarray | slice = slice(None)) -> None:
+        """Fill the next slot of the episodes ``rows`` with ``outcome``, one row each.
+
+        The first slot's outcome covers every episode.  The other episodes'
+        entries of the slot stay as they are.
+        """
         n = self._filled
         if n == 0:
             lead = (self._slots,) if np.ndim(outcome.d) else (self._slots, 1)
@@ -305,22 +353,27 @@ class OutcomeColumns(dict):
                 self._buffers.append((name, np.empty(lead + value.shape, value.dtype)))
             for name, buffer in self._buffers:
                 self[name] = buffer if name == "slot" else buffer.swapaxes(0, 1)
-        for name, buffer in self._buffers:
-            buffer[n] = getattr(outcome, name)
+        self["slot"][n] = outcome.slot
+        for name, buffer in self._buffers[1:]:
+            buffer[n, rows] = getattr(outcome, name)
         self._filled = n + 1
 
     def repeat(self, outcome: StepOutcome) -> None:
-        """Append ``outcome`` to every slot left, numbered on from its own ``slot``.
+        """Give ``outcome`` to every slot left, numbered on from its own ``slot``.
 
         The remaining slots of a settled chunk (:meth:`HandoverEnv.settle`)
-        all have this outcome.
+        all have its outcome.  One episode's outcome, without the episode
+        axis, goes to every episode: :func:`settled_outcome` is what an
+        episode retired from a running chunk (:meth:`HandoverEnv.retire`)
+        holds in its remaining slots, and appends after this fill the rows of
+        the episodes still stepped.  Call it after the first :meth:`append`.
         """
         n = self._filled
-        self.append(outcome)
-        for _, buffer in self._buffers:
+        self["slot"][n:] = outcome.slot + np.arange(self._slots - n)
+        for name, buffer in self._buffers[1:]:
+            # Copying a whole slot on is faster than broadcasting an episode's row.
+            buffer[n] = getattr(outcome, name)
             buffer[n + 1 :] = buffer[n]
-        self["slot"][n:] += np.arange(self._slots - n)
-        self._filled = self._slots
 
     @functools.cached_property
     def episode_sums(self) -> list[tuple[float, float, float, float]]:
@@ -493,9 +546,12 @@ class HandoverEnv:
     """One serving satellite's handover episodes, stepped action-by-action.
 
     A single instance is owned by one caller at a time; independent
-    instances are safe to run in parallel.  All randomness is drawn at
-    :meth:`reset` from each episode's own generators, in a fixed layout, so
-    traces are bit-reproducible from (config, seed, actions).
+    instances are safe to run in parallel.  All randomness comes from each
+    episode's own generators, in a fixed layout: the per-slot blocks are
+    drawn at :meth:`reset`, and the measurement shadowing as each slot is
+    folded, for the episodes still stepped only.  Traces are therefore
+    bit-reproducible from (config, seed, actions), and retiring an episode
+    (:meth:`retire`) changes no other episode's draws.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -518,9 +574,11 @@ class HandoverEnv:
         self.state: EnvState | None = None
         self._batched = False
         self._seed_keys: list[tuple[int, ...]] = []
+        # The reset batch's rows still stepped: all, then an index array.
+        self._live: slice | np.ndarray = slice(None)
         self._keys = self._preambles = None  # ([E,] N, J) per-slot draws
         self._meas: link.MeasurementState | None = None
-        self._shadowing: np.ndarray | None = None
+        self._shadowing_rngs: np.ndarray | None = None  # object array, one generator per row
         self._meas_slot = 0  # slots folded into measurements
         self._one_hot_at: np.ndarray | None = None  # observe's ([E,] J) one-hot indices
 
@@ -540,7 +598,7 @@ class HandoverEnv:
         this order: its terminal positions ``uniform(0, area, (J, 2))``,
         (N, J) uniform admission keys ``random`` and (N, J) preamble
         signatures ``integers(1, P + 1)``.  Measurement shadowing comes from
-        ``default_rng(s + (0x4D53,))`` when measurements are first read.
+        ``default_rng(s + (0x4D53,))``, drawn as :meth:`measurements` folds.
         :func:`rng.episode_generators` builds a chunk's generators.  The
         positions and signatures are read as raw PCG64 words, one block per
         episode, and converted for the whole chunk at once with numpy's own
@@ -574,8 +632,9 @@ class HandoverEnv:
         self._keys = self._squeeze(keys)
         self._preambles = self._squeeze(preambles)
         lead = ue_pos.shape[:-2]
+        self._live = slice(None)
         self._meas = None
-        self._shadowing = None
+        self._shadowing_rngs = None
         self._meas_slot = 0
         self._one_hot_at = None
         self.state = EnvState(
@@ -587,47 +646,49 @@ class HandoverEnv:
         )
         return self.observe()
 
-    def _rsrp(self, positions: np.ndarray, rows: slice) -> np.ndarray:
+    def _rsrp(self, positions: np.ndarray) -> np.ndarray:
         """Instantaneous downlink RSRP (S, [E,] J, K) dBm at S sample instants.
 
-        ``positions`` is (S, K, 3); ``rows`` picks the instants' rows of the
-        shadowing block.
+        ``positions`` is (S, K, 3).  Each episode's shadowing for the S
+        samples is its stream's next (S, J, K) standard normals, times sigma.
         """
+        cfg = self.config
         d_km = orbital.nearest_distances_km(positions, self.state.ue_positions)
         rsrp = link.rsrp_dbm(d_km)
-        if self._shadowing is not None:
-            rsrp += np.moveaxis(self._shadowing[..., rows, :, :], -3, 0)
+        if cfg.shadowing_sigma_db > 0.0:
+            if self._shadowing_rngs is None:
+                streams = [key + (MEASUREMENT_STREAM,) for key in self._seed_keys]
+                rngs = np.empty(len(streams), dtype=object)
+                rngs[:] = list(episode_generators(streams))
+                self._shadowing_rngs = rngs[self._live]
+            shape = (len(self._shadowing_rngs), len(positions), cfg.num_ues, cfg.num_planes)
+            shadowing = np.empty(shape)
+            for block, rng in zip(shadowing, self._shadowing_rngs):
+                rng.standard_normal(out=block)
+            shadowing *= cfg.shadowing_sigma_db
+            rsrp += np.moveaxis(self._squeeze(shadowing), -3, 0)
         return rsrp
 
     def measurements(self) -> link.MeasurementState:
         """Measurement state folded up to the current slot.
 
-        Measurement shadowing has its own random stream, so consumers that
-        never look at measurements draw nothing for it, and catching up late
-        folds exactly the samples an eager per-slot update would have.
+        Measurement shadowing has its own random stream per episode, drawn
+        in stream order: the first sample's (J, K) normals when measurements
+        are first read, then M (J, K) blocks per folded slot.  So consumers
+        that never look at measurements draw nothing for it, catching up
+        late folds exactly the samples an eager per-slot update would have,
+        and a retired episode draws no more.
         """
         state = self.state
         if state is None:
             raise RuntimeError("reset() must be called first")
-        cfg = self.config
-        m = cfg.samples_per_slot
         if self._meas is None:
-            if cfg.shadowing_sigma_db > 0.0:
-                shadowing = np.empty(
-                    (len(self._seed_keys), m * cfg.horizon + 1, cfg.num_ues, cfg.num_planes)
-                )
-                streams = [key + (MEASUREMENT_STREAM,) for key in self._seed_keys]
-                for block, rng in zip(shadowing, episode_generators(streams)):
-                    rng.standard_normal(out=block)
-                shadowing *= cfg.shadowing_sigma_db
-                self._shadowing = self._squeeze(shadowing)
-            first = self._rsrp(self._init_positions[None], slice(0, 1))[0]
-            self._meas = link.MeasurementState.initialise(first, beta_l3=cfg.beta_l3)
+            first = self._rsrp(self._init_positions[None])[0]
+            self._meas = link.MeasurementState.initialise(first, beta_l3=self.config.beta_l3)
         while self._meas_slot < state.slot:
-            n = self._meas_slot
-            times = self._sample_times[n][:, None, None]
+            times = self._sample_times[self._meas_slot][:, None, None]
             positions = orbital.propagate(self._init_positions, self._velocities, times)
-            for sample in self._rsrp(positions, slice(1 + n * m, 1 + (n + 1) * m)):
+            for sample in self._rsrp(positions):
                 self._meas.fold_sample(sample)
             self._meas_slot += 1
         return self._meas
@@ -649,15 +710,14 @@ class HandoverEnv:
             raise ValueError(f"actions must have shape {state.accessed.shape}, got {actions.shape}")
         if actions.min() < 0 or actions.max() >= cfg.num_planes:
             raise ValueError("actions must lie in [0, num_planes)")
-        n = state.slot
 
         # Request derivation: already-accessed terminals never request.
         requested = np.where(state.accessed, 0, actions)
         command, rb_collision, c_r = admission(
-            requested, state.rb_remaining, cfg.num_ues, self._keys[..., n, :]
+            requested, state.rb_remaining, cfg.num_ues, self.at_slot(self._keys)
         )
         preamble, prach_collision, c_p = rach(
-            command, cfg.num_preambles, cfg.num_ues, self._preambles[..., n, :], cfg.num_targets
+            command, cfg.num_preambles, cfg.num_ues, self.at_slot(self._preambles), cfg.num_targets
         )
 
         newly = (command > 0) ^ prach_collision  # only commanded terminals collide
@@ -668,19 +728,11 @@ class HandoverEnv:
             state.rb_remaining -= _plane_counts(completed, cfg.num_targets)
             state.accessed |= newly
 
-        d = (cfg.num_ues - state.accessed.sum(axis=-1)) / cfg.num_ues
-        c_total = c_r.sum(axis=-1) + c_p
-        reward = -cfg.nu * d - c_total
-
         state.prev_action = actions
         state.slot += 1
-
-        aggregates = (c_p, c_total, d, reward)
-        if not self._batched:
-            aggregates = map(float, aggregates)
-        outcome = StepOutcome(
-            state.slot, requested, command, preamble, rb_collision, prach_collision, newly, c_r,
-            *aggregates,
+        outcome = _outcome(
+            cfg, state.slot, requested, command, preamble, rb_collision, prach_collision, newly,
+            c_r, c_p, state.accessed,
         )
         return self.observe(), outcome
 
@@ -688,32 +740,84 @@ class HandoverEnv:
         """Play out the remaining slots once every terminal of every episode has access.
 
         Nothing can be requested then, so each remaining slot has the same
-        outcome, and every agent decides action 0.  The next slot is stepped
-        with those actions through :meth:`step`, the state moves on to the
-        horizon, and that slot's outcome is returned for each remaining
-        slot to repeat (:meth:`OutcomeColumns.repeat`).  ``observations``,
-        if given, is a (..., horizon - slot, obs_dim) buffer that receives
-        the observations at slots ``slot + 1`` through the horizon, built by
-        :meth:`observe`.
+        outcome, :func:`settled_outcome`, and every agent decides action 0.
+        The state moves on to the horizon with those actions, and the next
+        slot's outcome is returned for each remaining slot to repeat
+        (:meth:`OutcomeColumns.repeat`).  ``observations``, if given, is a
+        (..., horizon - slot, obs_dim) buffer that receives the observations
+        at slots ``slot + 1`` through the horizon, built by :meth:`observe`.
         """
         state = self.state
         if state is None:
             raise RuntimeError("reset() must be called before settle()")
+        horizon = self.config.horizon
+        if state.slot >= horizon:
+            raise RuntimeError(f"episode finished after {horizon} opportunities")
         if not state.accessed.all():
             raise ValueError("settle() needs every terminal to have access")
-        horizon = self.config.horizon
         if observations is not None and observations.shape[-2] != horizon - state.slot:
             raise ValueError(
                 f"observations must hold {horizon - state.slot} slots, got {observations.shape[-2]}"
             )
-        obs, outcome = self.step(np.zeros(state.accessed.shape, dtype=np.int64))
+        state.prev_action = np.zeros(state.accessed.shape, dtype=np.int64)
+        outcome = settled_outcome(self.config, state.slot + 1, state.accessed.shape[:-1])
         if observations is not None:
-            observations[..., 0, :] = obs
-            for i in range(1, observations.shape[-2]):
+            for i in range(observations.shape[-2]):
                 state.slot += 1
                 observations[..., i, :] = self.observe()
         state.slot = horizon
         return outcome
+
+    def retire(self, settled: np.ndarray) -> EnvState:
+        """Stop stepping the episodes flagged in ``settled`` (E,), every terminal of which has access.
+
+        Returns their final state as :meth:`settle` leaves it: at the
+        horizon, with previous action 0.  Their remaining slots all have the
+        one-episode :func:`settled_outcome`.  The other episodes step on as
+        the batch: their state, measurement state and shadowing generators
+        are gathered, and the per-slot blocks drawn at reset are read at
+        their rows (:meth:`at_slot`), so each keeps its own draws and later
+        slots draw shadowing for them only.
+        """
+        state = self.state
+        if state is None or not self._batched:
+            raise RuntimeError("retire() needs a batch from reset(episodes=...)")
+        accessed = state.accessed[settled]
+        if not accessed.all():
+            raise ValueError("retire() needs every terminal of a retired episode to have access")
+        retired = EnvState(
+            self.config.horizon,
+            accessed,
+            state.rb_remaining[settled],
+            np.zeros(accessed.shape, dtype=np.int64),
+            state.ue_positions[settled],
+        )
+        live = np.flatnonzero(~settled)
+        self.state = EnvState(
+            state.slot,
+            state.accessed[live],
+            state.rb_remaining[live],
+            state.prev_action[live],
+            state.ue_positions[live],
+        )
+        self._live = live if isinstance(self._live, slice) else self._live[live]
+        if self._meas is not None:
+            meas = self._meas
+            self._meas = link.MeasurementState(meas.l1_dbm[live], meas.l3_dbm[live], meas.beta_l3)
+        if self._shadowing_rngs is not None:
+            self._shadowing_rngs = self._shadowing_rngs[live]
+        self._one_hot_at = None
+        return retired
+
+    def at_slot(self, block: np.ndarray) -> np.ndarray:
+        """The current slot of a per-episode block ([E,] N, ...), for the episodes still stepped.
+
+        ``block`` carries the episode axis of :meth:`reset`'s batch, as the
+        per-slot draws made at reset do, and keeps it through :meth:`retire`.
+        """
+        if not self._batched:
+            return block[self.state.slot]
+        return block[self._live, self.state.slot]
 
     def observe(self) -> np.ndarray:
         """Observation vectors: [n/N] + accessed + one-hot previous action (+ A3 flags).

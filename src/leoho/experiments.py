@@ -39,6 +39,7 @@ from leoho.env import (
     batch_episodes,
     episode_metrics,
     observation_size,
+    settled_outcome,
 )
 from leoho.rng import episode_generators
 from leoho.training import VtraceConfig, check_evaluation, check_training, train
@@ -335,29 +336,47 @@ def evaluate_chunks(
     Yields each chunk's first episode index, its episodes' metrics and its
     outcome columns, only those named in ``keep`` if given.  Episode i's
     agent generator is seeded from [master_seed + i, stream], and only
-    stochastic agents build them.  The agent decides each slot until every
-    terminal of the chunk has access; the chunk then settles
-    (:meth:`HandoverEnv.settle`), and its remaining slots repeat that
-    outcome, the one deciding them would give.
+    stochastic agents build them.  The agent decides each slot for the
+    episodes still live.  An episode every terminal of which has access
+    after a slot before the horizon is retired (:meth:`HandoverEnv.retire`):
+    the env and the agent step it no more, and its remaining slots get the
+    outcome deciding them would give, :func:`settled_outcome`.  The chunk
+    ends when no episode is live.  The columns and the final states handed
+    to ``episode_metrics`` cover every episode of the chunk.
     """
     env = HandoverEnv(scenario)
     agent = make_agent(agent_kind, params=params, mode=eval_mode)
     size = batch_episodes(scenario)
+    horizon = scenario.horizon
     for first in range(0, episodes, size):
         seeds = [master_seed + i for i in range(first, min(first + size, episodes))]
         obs = env.reset(episodes=seeds)
         agent.begin_episode(env, episode_generators([seed, stream] for seed in seeds))
-        columns = OutcomeColumns(scenario.horizon)
-        for _ in range(scenario.horizon):
+        columns = OutcomeColumns(horizon)
+        finals = [None] * len(seeds)  # each episode's final state
+        live = slice(None)  # the chunk's rows still stepped: all, then an index array
+        while env.state.slot < horizon:
             obs, outcome = env.step(agent.act(env, obs))
-            columns.append(outcome)
-            if not outcome.d.any():  # D is 0 only once every terminal has access
+            columns.append(outcome, live)
+            settled = outcome.d == 0  # D is 0 only once every terminal has access
+            if env.state.slot == horizon or not settled.any():
+                continue
+            if isinstance(live, slice):
+                # Every slot left holds the settled outcome until a live
+                # episode's append fills its row.
+                columns.repeat(settled_outcome(scenario, env.state.slot + 1))
+                live = np.arange(len(seeds))
+            retired = env.retire(settled)
+            agent.retire(settled)
+            for i, e in enumerate(live[settled].tolist()):
+                finals[e] = retired.episode(i)
+            kept = ~settled
+            obs, live = obs[kept], live[kept]
+            if not live.size:
                 break
-        if env.state.slot < scenario.horizon:
-            columns.repeat(env.settle())
-        metrics = [
-            episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e)) for e in range(len(seeds))
-        ]
+        for i, e in enumerate(np.arange(len(seeds))[live].tolist()):
+            finals[e] = env.state.episode(i)
+        metrics = [episode_metrics(EpisodeOutcomes(columns, e), final) for e, final in enumerate(finals)]
         if keep is not None:
             columns = {name: columns[name] for name in keep}
         yield first, metrics, columns

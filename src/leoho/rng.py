@@ -103,13 +103,39 @@ def _entropy_words(key: tuple[int, ...]) -> list[int]:
     return words
 
 
-def _entropy_groups(keys: list[tuple[int, ...]]) -> list[tuple[list[int], np.ndarray]]:
+def _word_block(keys: list) -> np.ndarray | None:
+    """(W, E) uint32 entropy words of E keys read by numpy in one pass, or None.
+
+    The keys must all be ints, or all sequences of one length, with every
+    entry in [0, 2**32): each entry is then one word.  W is at least 4,
+    padded with zeros.
+    """
+    try:
+        entries = np.array(keys)
+    except ValueError:  # sequences of different lengths
+        return None
+    if entries.dtype.kind not in "iu" or entries.ndim not in (1, 2):
+        return None
+    if not ((entries >= 0) & (entries <= _MASK32)).all():
+        return None
+    entries = entries.reshape(len(keys), -1)
+    block = np.zeros((max(4, entries.shape[1]), len(keys)), dtype=np.uint32)
+    block[: entries.shape[1]] = entries.T
+    return block
+
+
+def _entropy_groups(keys: list) -> list[tuple[list[int] | slice, np.ndarray]]:
     """(rows, (W, E') uint32 entropy words) of the keys with each word count W >= 4.
 
     Keys shorter than four words are padded with zeros, which SeedSequence
-    hashes the same as no words.
+    hashes the same as no words.  Keys that :func:`_word_block` reads make
+    one group; the others are normalised by :func:`seed_key` and split into
+    words one key at a time.
     """
-    words = [_entropy_words(key) for key in keys]
+    block = _word_block(keys)
+    if block is not None:
+        return [(slice(None), block)]
+    words = [_entropy_words(seed_key(key)) for key in keys]
     by_count: dict[int, list[int]] = {}
     for i, w in enumerate(words):
         by_count.setdefault(max(4, len(w)), []).append(i)
@@ -138,13 +164,14 @@ def episode_generators(keys: Iterable) -> Iterator[np.random.Generator]:
     A key is an int or a sequence of ints.  The first ``next`` hashes every
     key's SeedSequence pool in one vectorised pass, grouping keys by their
     number of 32-bit words; PCG64 then seeds each generator from its words,
-    one per ``next``.  Negative entries raise ``ValueError``, as in numpy.
+    one per ``next``.  When every key is an int, or every key a sequence of
+    the same length, with entries in [0, 2**32), numpy reads the words of
+    all of them at once.  Negative entries raise ``ValueError``, as in numpy.
     """
-    keys = [seed_key(key) for key in keys]
-    seeds = [None] * len(keys)
+    keys = list(keys)
+    seeds = np.empty((len(keys), 4), dtype=np.uint64)
     for rows, entropy in _entropy_groups(keys):
-        for i, words in zip(rows, _pcg64_seeds(entropy)):
-            seeds[i] = words
+        seeds[rows] = _pcg64_seeds(entropy)
     for words in seeds:
         yield np.random.Generator(np.random.PCG64(_PoolSeed(words)))
 

@@ -177,13 +177,21 @@ def test_initial_observation_contents():
 
 def test_reset_streams_are_default_rng_streams():
     # reset draws each episode's blocks from default_rng(key), and the
-    # measurement shadowing from default_rng(key + (0x4D53,)).
-    cfg = small_config(horizon=4)
+    # measurement shadowing comes from default_rng(key + (0x4D53,)): the
+    # first sample's (J, K) normals, then M (J, K) blocks per folded slot.
+    cfg = small_config(horizon=4, measurement_period_s=0.1)
+    m, shape = cfg.samples_per_slot, (cfg.num_ues, cfg.num_planes)
     keys = [7, (7, 2), (2**40, 3, 9, 1, 5)]
     env = HandoverEnv(cfg)
     env.reset(episodes=keys)
-    env.measurements()
-    shadowing = env._shadowing
+    first = env.measurements().l1_dbm.copy()
+    env.step(np.zeros((len(keys), cfg.num_ues), dtype=np.int64))
+    last = env.measurements().l1_dbm
+    # The satellites at the first sample and at the last sample of slot 1.
+    satellites = [
+        env._init_positions,
+        orbital.propagate(env._init_positions, env._velocities, m * cfg.measurement_period_s),
+    ]
     for e, key in enumerate(keys):
         rng = np.random.default_rng(key)
         positions = rng.uniform(0.0, cfg.area_m, size=(cfg.num_ues, 2))
@@ -192,8 +200,10 @@ def test_reset_streams_are_default_rng_streams():
         preambles = rng.integers(1, cfg.num_preambles + 1, size=(cfg.horizon, cfg.num_ues))
         assert np.array_equal(env._preambles[e], preambles)
         stream = np.random.default_rng(rng_module.seed_key(key) + (env_module.MEASUREMENT_STREAM,))
-        expected = stream.standard_normal(shadowing.shape[1:]) * cfg.shadowing_sigma_db
-        assert np.array_equal(shadowing[e], expected)
+        normals = stream.standard_normal((1 + m,) + shape)
+        for got, sats, draw in zip((first, last), satellites, (normals[0], normals[m])):
+            path = link.rsrp_dbm(orbital.nearest_distances_km(sats, env.state.ue_positions[e]))
+            assert got[e].tobytes() == (path + cfg.shadowing_sigma_db * draw).tobytes()
 
 
 def reference_draws(cfg: ScenarioConfig, seeds: list[int]):
@@ -637,6 +647,44 @@ def test_settle_gives_what_stepping_action_zero_gives(batched):
         assert np.array_equal(getattr(settled.state, name), getattr(stepped.state, name)), name
     with pytest.raises(RuntimeError):
         settled.step(np.zeros_like(actions))
+
+
+def test_retired_episodes_leave_the_others_as_they_were():
+    # The A3 flags put the measurement fold, and so the shadowing streams,
+    # in every observation.  Episodes retire as they settle, at different
+    # slots since three terminals share two signatures; the live rows step
+    # on exactly as the same rows of an env that steps them all.
+    cfg = small_config(
+        horizon=12, num_ues=3, rb_per_target=(3, 3), num_preambles=2,
+        features=FeatureMask(a3_centralized=True),
+    )
+    keys = list(range(20, 28))
+    stepped, retiring = HandoverEnv(cfg), HandoverEnv(cfg)
+    stepped.reset(episodes=keys)
+    retiring.reset(episodes=keys)
+    with pytest.raises(ValueError, match="every terminal"):
+        retiring.retire(np.ones(len(keys), dtype=bool))
+    live = np.arange(len(keys))
+    retired_after = set()
+    while stepped.state.slot < cfg.horizon and live.size:
+        actions = np.where(stepped.state.accessed, 0, 1)
+        obs, want = stepped.step(actions)
+        got_obs, got = retiring.step(actions[live])
+        assert got_obs.tobytes() == obs[live].tobytes()
+        for name in ("requested", "command", "preamble", "newly_accessed", "reward"):
+            assert getattr(got, name).tobytes() == getattr(want, name)[live].tobytes(), name
+        settled = got.d == 0
+        if settled.any() and retiring.state.slot < cfg.horizon:
+            final = retiring.retire(settled)
+            assert final.slot == cfg.horizon and not final.prev_action.any()
+            assert np.array_equal(final.rb_remaining, stepped.state.rb_remaining[live[settled]])
+            retired_after.add(stepped.state.slot)
+            live = live[~settled]
+    assert len(retired_after) > 1
+    single = HandoverEnv(cfg)
+    single.reset(3)
+    with pytest.raises(RuntimeError, match="batch"):
+        single.retire(np.array([False]))
 
 
 def test_step_rejects_bad_actions_and_finished_episode():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pathlib
 import tracemalloc
@@ -227,10 +228,9 @@ def test_only_stochastic_agents_build_generators(monkeypatch, agent, mode, built
 J100_SCARCE = ScenarioConfig(num_ues=100, rb_per_target=(30, 30), num_preambles=80, horizon=10)
 
 
-def _artifacts_at_chunk_size(out, terminals, monkeypatch, checkpoint) -> dict[str, bytes]:
-    """Every report file of the evaluation runs, at ``terminals`` per chunk."""
+def _artifacts_at_chunk_size(out, terminals, monkeypatch, base) -> dict[str, bytes]:
+    """Every report file of the evaluation runs of ``base``, at ``terminals`` per chunk."""
     monkeypatch.setattr(env_module, "BATCH_TERMINALS", terminals)
-    base = ExperimentSpec(scenario=J100_SCARCE, eval_episodes=60, master_seed=9, checkpoint=str(checkpoint))
     runs = {
         "random": base,
         "conventional": dataclasses.replace(base, agent="conventional"),
@@ -243,21 +243,50 @@ def _artifacts_at_chunk_size(out, terminals, monkeypatch, checkpoint) -> dict[st
     return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*.csv"))}
 
 
-def test_artifacts_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
-    j = J100_SCARCE.num_ues
+def _artifacts_at_chunk_sizes(tmp_path, monkeypatch, scenario, episodes) -> list[dict[str, bytes]]:
+    """The report files at one episode per chunk, at the default chunks and in one chunk."""
+    j = scenario.num_ues
     params = net.init_params(
-        observation_size(J100_SCARCE), j, J100_SCARCE.num_planes, hidden=(8, 8),
+        observation_size(scenario), j, scenario.num_planes, hidden=(8, 8),
         rng=np.random.default_rng(4), head_scale=1.0,
     )
     checkpoint = tmp_path / "policy.npz"
     save_checkpoint(params, checkpoint)
-    # One episode per chunk, chunks of 25 (the default), and one chunk.
-    sizes = (j, BATCH_TERMINALS, 60 * j)
-    found = [
-        _artifacts_at_chunk_size(tmp_path / str(size), size, monkeypatch, checkpoint) for size in sizes
-    ]
+    base = ExperimentSpec(
+        scenario=scenario, eval_episodes=episodes, master_seed=9, checkpoint=str(checkpoint)
+    )
+    sizes = (j, BATCH_TERMINALS, episodes * j)
+    return [_artifacts_at_chunk_size(tmp_path / str(size), size, monkeypatch, base) for size in sizes]
+
+
+def test_artifacts_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # Chunks of 25 episodes by default; no episode settles.
+    found = _artifacts_at_chunk_sizes(tmp_path, monkeypatch, J100_SCARCE, 60)
     assert len(found[0]) == 4 * 2 + 1
     assert found[0] == found[1] == found[2]
+
+
+def first_settled_slots(trace: bytes) -> set[int]:
+    """The slots after which the episodes of a trace first have D = 0."""
+    first = {}
+    for line in trace.decode().splitlines()[1:]:
+        episode, n, d = line.split(",")[:3]
+        if float(d) == 0.0:
+            first.setdefault(episode, int(n))
+    return set(first.values())
+
+
+def test_artifacts_with_retired_episodes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # At case1 episodes retire at many different slots, each chunk keeps
+    # stepping its live ones, and 260 episodes make a 256-episode chunk and
+    # a 4-episode one by default.
+    scenario = scenario_for_case("case1")
+    found = _artifacts_at_chunk_sizes(tmp_path, monkeypatch, scenario, 260)
+    assert len(found[0]) == 4 * 2 + 1
+    assert found[0] == found[1] == found[2]
+    for agent in ("random", "conventional", "dho", "dho-sample"):
+        retired_after = first_settled_slots(found[0][f"{agent}/trace.csv"]) - {scenario.horizon}
+        assert len(retired_after) > 2, agent
 
 
 def test_run_experiment_memory_does_not_grow_with_episodes(tmp_path):
@@ -345,10 +374,11 @@ def test_trace_matches_reference_bytes(tmp_path, reference):
     the lines of ``SCARCE_J100_SPEC``.  The others were written by
     ``leoho run --spec scripts/<case>.spec --agent <agent> --episodes 20
     --out <dir>``.  ``case2-conventional-trace.csv`` drives the A3
-    measurement fold.  The two case1 chunks settle: every terminal has
-    access after slot 4 under random and after slot 15 under conventional,
-    and the slots after that repeat one outcome.  After a deliberate change
-    to the dynamics, regenerate the reference with the same command.
+    measurement fold.  In the two case1 chunks the episodes retire at
+    different slots, the last after slot 4 under random and after slot 15
+    under conventional, and each episode's slots after its retirement
+    repeat one outcome.  After a deliberate change to the dynamics,
+    regenerate the reference with the same command.
     """
     if reference.startswith("scarce"):
         spec_path = tmp_path / "scarce.spec"
@@ -580,7 +610,10 @@ def test_behavior_fractions_match_a_slot_by_slot_count(case):
 
 
 def stepped_chunks(scenario, agent_kind, episodes, master_seed, params, eval_mode):
-    """The reference evaluation: each chunk's agent decides and steps every slot."""
+    """The reference evaluation: each chunk's agent decides and steps every slot.
+
+    Yields what :func:`evaluate_chunks` yields, and the chunk's final state.
+    """
     env = HandoverEnv(scenario)
     agent = make_agent(agent_kind, params=params, mode=eval_mode)
     size = batch_episodes(scenario)
@@ -595,7 +628,10 @@ def stepped_chunks(scenario, agent_kind, episodes, master_seed, params, eval_mod
         metrics = [
             episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e)) for e in range(len(seeds))
         ]
-        yield first, metrics, columns
+        yield first, metrics, columns, copy.deepcopy(env.state)
+
+
+FINAL_FIELDS = ("slot", "accessed", "rb_remaining", "prev_action", "ue_positions")
 
 
 @pytest.mark.parametrize(
@@ -604,8 +640,8 @@ def stepped_chunks(scenario, agent_kind, episodes, master_seed, params, eval_mod
 )
 @pytest.mark.parametrize("case", ["case1", "scarce"])
 def test_evaluate_chunks_match_the_slot_by_slot_reference(agent_kind, eval_mode, case, monkeypatch):
-    # At case1 every chunk settles before the horizon; with scarce blocks at
-    # J = 10 none does.
+    # At case1 every episode retires before the horizon, at different slots;
+    # with scarce blocks at J = 10 none does.
     scenario = dataclasses.replace(scenario_for_case(case), features=ABLATION_MASKS["centralized"])
     params = net.init_params(
         observation_size(scenario), scenario.num_ues, scenario.num_planes,
@@ -613,16 +649,22 @@ def test_evaluate_chunks_match_the_slot_by_slot_reference(agent_kind, eval_mode,
     )
     params.b_pi[:: scenario.num_planes] -= 3.0  # waiting is unlikely, so every terminal requests
     episodes = batch_episodes(scenario) + 7  # two chunks
-    settled = []
+    retired = []  # (slot, episodes retired after it)
+    finals = []  # the final state of each episode_metrics call, copied
 
-    def settle(self, *args, inner=HandoverEnv.settle, **kwargs):
-        settled.append(self.state.slot)
-        return inner(self, *args, **kwargs)
+    def retire(self, settled, inner=HandoverEnv.retire):
+        retired.append((self.state.slot, int(settled.sum())))
+        return inner(self, settled)
 
-    monkeypatch.setattr(HandoverEnv, "settle", settle)
+    def recorded(outcomes, final_state, inner=experiments.episode_metrics):
+        finals.append([np.copy(getattr(final_state, name)) for name in FINAL_FIELDS])
+        return inner(outcomes, final_state)
+
+    monkeypatch.setattr(HandoverEnv, "retire", retire)
+    monkeypatch.setattr(experiments, "episode_metrics", recorded)
     chunks = evaluate_chunks(scenario, agent_kind, episodes, 5, params, eval_mode)
     want = stepped_chunks(scenario, agent_kind, episodes, 5, params, eval_mode)
-    for (first, metrics, columns), (want_first, want_metrics, want_columns) in zip(
+    for (first, metrics, columns), (want_first, want_metrics, want_columns, want_final) in zip(
         chunks, want, strict=True
     ):
         assert first == want_first
@@ -632,7 +674,16 @@ def test_evaluate_chunks_match_the_slot_by_slot_reference(agent_kind, eval_mode,
             expected = want_columns[name]
             assert column.dtype == expected.dtype and column.shape == expected.shape, name
             assert column.tobytes() == expected.tobytes(), name
-    assert len(settled) == (2 if case == "case1" else 0)
+        assert len(finals) == first + len(metrics)  # one call per episode, in order
+        for e, final in enumerate(finals[first:]):
+            for name, got in zip(FINAL_FIELDS, final):
+                expected = np.asarray(getattr(want_final.episode(e), name))
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+    if case == "case1":
+        assert sum(count for _, count in retired) == episodes
+        assert len({slot for slot, _ in retired}) > 1
+    else:
+        assert retired == []
 
 
 def test_evaluate_chunks_seeds_agents_from_its_stream(monkeypatch):

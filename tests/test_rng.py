@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import leoho.rng as rng_module
 from leoho.rng import (
     episode_generators,
     integer_words,
@@ -61,7 +62,34 @@ def test_episode_generators_reject_negative_entries(bad):
         np.random.default_rng(bad)
     with pytest.raises(ValueError):
         list(episode_generators([5, bad]))
+    with pytest.raises(ValueError):
+        list(episode_generators([(5, 1)] * 3 + [bad]))
 
+
+# Keys numpy reads in one block (ints, or tuples of one length, of one-word
+# entries), and calls that mix them with keys split one at a time: a longer
+# or shorter tuple, an entry of two words, an int past the fast path.
+WORD_CHUNKS = [[0, 7, 2**32 - 1], [(5, 101), (6, 101), (2**32 - 1, 0)], [(1, 2, 3, 4, 5)] * 2]
+MIXED_CHUNKS = [
+    [(5, 101), (6, 101), (7,)],
+    [(5, 101), (2**32, 101), (7, 202)],
+    [3, (3, 0x4D53), 2**40],
+    [(5, 101, 0x4D53), [6, 101, 0x4D53], (7, 101, 0x4D53, 1, 2)],
+]
+
+
+@pytest.mark.parametrize("keys", WORD_CHUNKS + MIXED_CHUNKS)
+def test_episode_generators_read_one_word_chunks_at_once(keys, monkeypatch):
+    split = []
+
+    def counted(key, inner=rng_module._entropy_words):
+        split.append(key)
+        return inner(key)
+
+    monkeypatch.setattr(rng_module, "_entropy_words", counted)
+    for got, key in zip(episode_generators(keys), keys, strict=True):
+        assert_same_generator(got, key)
+    assert len(split) == (0 if keys in WORD_CHUNKS else len(keys))
 
 
 # --- conversions of raw words -------------------------------------------------
