@@ -136,6 +136,35 @@ class ForwardCache:
     h2: np.ndarray  # (B, hidden2) post-tanh
 
 
+@dataclass
+class TrunkBuffers:
+    """The arrays of one forward and backward pass over ``rows`` observations.
+
+    :func:`forward_batch` and :func:`backward_trunk` write into them when
+    given them as ``out``, so a learner that keeps one set for a run makes
+    no new arrays per update; each pass overwrites the one before.
+    """
+
+    h1: np.ndarray  # (rows, hidden1) post-tanh
+    h2: np.ndarray  # (rows, hidden2) post-tanh
+    logits: np.ndarray  # (rows, J * K)
+    values: np.ndarray  # (rows,)
+    spares: tuple[np.ndarray, np.ndarray]  # (rows * max(hidden),) each, see backward_trunk
+    grads: dict[str, np.ndarray]  # shaped like the parameters
+
+    @classmethod
+    def allocate(cls, params: PolicyParameters, rows: int) -> "TrunkBuffers":
+        h1, h2 = params.hidden_sizes
+        return cls(
+            h1=np.empty((rows, h1)),
+            h2=np.empty((rows, h2)),
+            logits=np.empty((rows, params.num_ues * params.num_actions)),
+            values=np.empty(rows),
+            spares=(np.empty(rows * max(h1, h2)), np.empty(rows * max(h1, h2))),
+            grads={name: np.empty_like(tensor) for name, tensor in params.tensors().items()},
+        )
+
+
 @dataclass(frozen=True)
 class StackedPolicy:
     """G parameter sets stacked on a leading axis.
@@ -183,13 +212,18 @@ def stack_params(params: Sequence[PolicyParameters]) -> StackedPolicy:
 
 
 def forward_batch(
-    params: PolicyParameters | StackedPolicy, obs: np.ndarray, value_head: bool = True
+    params: PolicyParameters | StackedPolicy,
+    obs: np.ndarray,
+    value_head: bool = True,
+    out: TrunkBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, ForwardCache]:
     """Logits (B, J, K), values (B,), and the cache for backprop.
 
     A :class:`StackedPolicy` takes (G, B, obs_dim) observations and gives
     (G, B, J, K) logits; it runs only with ``value_head=False``, which
-    skips the value head and gives None for the values.
+    skips the value head and gives None for the values.  With ``out`` the
+    activations, logits and values are written into its buffers, which the
+    results and the cache then view; without, each is a new array.
     """
     if value_head and isinstance(params, StackedPolicy):
         raise ValueError("a stacked policy runs without its value head")
@@ -199,18 +233,23 @@ def forward_batch(
             f"observations must have {params.w1.ndim} axes, the last of length "
             f"{params.obs_dim}, got {obs.shape}"
         )
-    # The bias adds and tanh run in place on each matmul's fresh result.
-    h1 = obs @ params.w1
+    h1, h2, logits, values = (None,) * 4 if out is None else (out.h1, out.h2, out.logits, out.values)
+    # Each matmul writes its result, and the bias add and tanh run in place on it.
+    h1 = np.matmul(obs, params.w1, out=h1)
     h1 += params.b1
     np.tanh(h1, out=h1)
-    h2 = h1 @ params.w2
+    h2 = np.matmul(h1, params.w2, out=h2)
     h2 += params.b2
     np.tanh(h2, out=h2)
-    logits = h2 @ params.w_pi
+    logits = np.matmul(h2, params.w_pi, out=logits)
     logits += params.b_pi
     logits = logits.reshape(obs.shape[:-1] + (params.num_ues, params.num_actions))
-    values = h2 @ params.w_v + params.b_v[0] if value_head else None
-    return logits, values, ForwardCache(inputs=obs, h1=h1, h2=h2)
+    cache = ForwardCache(inputs=obs, h1=h1, h2=h2)
+    if not value_head:
+        return logits, None, cache
+    values = np.matmul(h2, params.w_v, out=values)
+    values += params.b_v[0]
+    return logits, values, cache
 
 
 def forward(params: PolicyParameters | StackedPolicy, obs: np.ndarray) -> np.ndarray:
@@ -234,37 +273,56 @@ def backward_trunk(
     cache: ForwardCache,
     dlogits: np.ndarray,
     dvalues: np.ndarray,
+    out: TrunkBuffers | None = None,
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of any scalar loss given its logits/value gradients."""
+    """Exact gradients of any scalar loss given its logits/value gradients.
+
+    The intermediates and gradients are written into ``out``, or into a set
+    allocated for this pass, and the gradients returned are its ``grads``.
+    """
     b = cache.inputs.shape[0]
     dlogits_flat = dlogits.reshape(b, -1)
-    grads: dict[str, np.ndarray] = {}
-    grads["w_pi"] = cache.h2.T @ dlogits_flat
-    grads["b_pi"] = dlogits_flat.sum(axis=0)
-    grads["w_v"] = cache.h2.T @ dvalues
-    grads["b_v"] = np.array([dvalues.sum()])
+    if out is None:
+        out = TrunkBuffers.allocate(params, b)
+    grads = out.grads
+    first, second = out.spares
+    np.matmul(cache.h2.T, dlogits_flat, out=grads["w_pi"])
+    np.sum(dlogits_flat, axis=0, out=grads["b_pi"])
+    np.matmul(cache.h2.T, dvalues, out=grads["w_v"])
+    np.sum(dvalues, keepdims=True, out=grads["b_v"])
 
-    dz2 = dlogits_flat @ params.w_pi.T
-    dz2 += dvalues[:, None] * params.w_v[None, :]
-    dz2 *= _tanh_slope(cache.h2)
-    grads["w2"] = cache.h1.T @ dz2
-    grads["b2"] = dz2.sum(axis=0)
+    # The first spare holds dz2, then h1's tanh slope once dz2 is used up;
+    # the second the value head's outer product, h2's tanh slope, then dz1.
+    h1_width, h2_width = params.hidden_sizes
+    dz2 = np.matmul(dlogits_flat, params.w_pi.T, out=_rows(first, b, h2_width))
+    outer = np.multiply(dvalues[:, None], params.w_v[None, :], out=_rows(second, b, h2_width))
+    dz2 += outer
+    dz2 *= _tanh_slope(cache.h2, out=outer)
+    np.matmul(cache.h1.T, dz2, out=grads["w2"])
+    np.sum(dz2, axis=0, out=grads["b2"])
 
-    dz1 = dz2 @ params.w2.T
-    dz1 *= _tanh_slope(cache.h1)
-    grads["w1"] = cache.inputs.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
+    dz1 = np.matmul(dz2, params.w2.T, out=_rows(second, b, h1_width))
+    dz1 *= _tanh_slope(cache.h1, out=_rows(first, b, h1_width))
+    np.matmul(cache.inputs.T, dz1, out=grads["w1"])
+    np.sum(dz1, axis=0, out=grads["b1"])
     return grads
 
 
-def _tanh_slope(h: np.ndarray) -> np.ndarray:
-    """``1 - h**2``, the derivative of tanh at its output ``h``, in one buffer."""
-    slope = np.square(h)
+def _rows(spare: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The first ``rows * width`` cells of a spare buffer, as (rows, width)."""
+    return spare[: rows * width].reshape(rows, width)
+
+
+def _tanh_slope(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 - h**2``, the derivative of tanh at its output ``h``, into ``out``."""
+    slope = np.square(h, out=out)
     return np.subtract(1.0, slope, out=slope)
 
 
-def _shift(logits: np.ndarray) -> np.ndarray:
-    """Logits less their per-head max.
+def _shift(
+    logits: np.ndarray, out: np.ndarray | None = None, top: np.ndarray | None = None
+) -> np.ndarray:
+    """Logits less their per-head max, into ``out``; ``top`` is a (..., 1) buffer for the max.
 
     The K planes are reduced one elementwise op at a time, here and in
     :func:`_plane_sum`, which is cheaper than a reduction over a short last
@@ -272,33 +330,51 @@ def _shift(logits: np.ndarray) -> np.ndarray:
     loop does, so for K < 8 the results are bit-identical to ``.max`` and
     ``.sum`` over the last axis.
     """
-    top = np.array(logits[..., 0:1])
+    top = _copy(logits[..., 0:1], top)
     for plane in range(1, logits.shape[-1]):
         np.maximum(top, logits[..., plane : plane + 1], out=top)
-    return logits - top
+    return np.subtract(logits, top, out=out)
 
 
-def _plane_sum(values: np.ndarray) -> np.ndarray:
-    """The sum over the last axis, kept with length one."""
-    total = np.array(values[..., 0:1])
+def _plane_sum(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum over the last axis, kept with length one, into ``out``."""
+    total = _copy(values[..., 0:1], out)
     for plane in range(1, values.shape[-1]):
         total += values[..., plane : plane + 1]
     return total
 
 
-def softmax_and_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable softmax and log-softmax over the last axis, from one pass."""
-    shifted = _shift(logits)
-    exps = np.exp(shifted)
-    total = _plane_sum(exps)
+def _copy(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``values`` copied into ``out``, or into a new array."""
+    if out is None:
+        return np.array(values)
+    np.copyto(out, values)
+    return out
+
+
+def softmax_and_log_softmax(
+    logits: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+    per_head: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable softmax and log-softmax over the last axis, from one pass.
+
+    ``out`` is a (probs, logp) pair of buffers shaped like ``logits``, and
+    logp may be ``logits`` itself; ``per_head`` is a (..., 1) buffer for
+    the per-head max and sum.  Without them each is a new array.
+    """
+    probs, logp = (None, None) if out is None else out
+    shifted = _shift(logits, out=logp, top=per_head)
+    exps = np.exp(shifted, out=probs)
+    total = _plane_sum(exps, out=per_head)
     exps /= total
-    shifted -= np.log(total)
+    shifted -= np.log(total, out=total)
     return exps, shifted
 
 
-def pick(values: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """``values[..., actions]`` per head: (..., J, K) and (..., J) give (..., J)."""
-    picked = np.array(values[..., 0])
+def pick(values: np.ndarray, actions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``values[..., actions]`` per head: (..., J, K) and (..., J) give (..., J), into ``out``."""
+    picked = _copy(values[..., 0], out)
     for plane in range(1, values.shape[-1]):
         np.copyto(picked, values[..., plane], where=actions == plane)
     return picked

@@ -24,8 +24,16 @@ access; the remaining slots pin every head to action 0 and are settled
 without a decision (:meth:`HandoverEnv.settle`).  The pass keeps the
 logits of the slots it decided, takes the behavior log-probabilities of
 the whole rollout in one pass after its last slot, and gives the learner
-one stacked segment, which each update slices into its batch and reads
-through ``reshape``.
+one stacked segment, which each update slices into its batch.
+
+The learner writes every array of an update into one
+:class:`LearnerBuffers` set: the batch's observations copied as
+(S * L, obs_dim) rows, the activations, the heads' probabilities and
+logit gradient, the loss terms, the backward pass and the gradients.
+:func:`train` allocates the set at its first update and keeps it until it
+returns, so an update makes no new arrays beyond small per-head and
+per-segment ones, and its speed does not depend on what the allocator
+did with memory freed before it.
 """
 
 from __future__ import annotations
@@ -177,13 +185,48 @@ class LossReport:
 
 
 @dataclass
+class LearnerBuffers:
+    """Every array a learner update writes, for batches of ``rows`` transitions.
+
+    :func:`train` allocates one set at its first update and each update
+    overwrites the one before, so updates make no new arrays.  A buffer
+    serves each array that is live at a time; the comments name what else
+    a buffer holds while that array is not yet or no longer live.
+    """
+
+    inputs: np.ndarray  # (rows, obs_dim) observations
+    trunk: net.TrunkBuffers  # activations, logits, values, backward pass, gradients
+    probs: np.ndarray  # (rows, J, K)
+    chosen_logp: np.ndarray  # (rows, J); then its masked loss terms
+    entropies: np.ndarray  # (rows, J); first the softmax's per-head max and sum
+    dlogits: np.ndarray  # (rows, J, K); first probs * logp, then the actions one-hot
+    value_error: np.ndarray  # (rows,); then the value gradient
+    per_row: np.ndarray  # (rows,) loss-term scratch
+
+    @classmethod
+    def allocate(cls, params: net.PolicyParameters, rows: int) -> "LearnerBuffers":
+        heads = (rows, params.num_ues)
+        return cls(
+            inputs=np.empty((rows, params.obs_dim)),
+            trunk=net.TrunkBuffers.allocate(params, rows),
+            probs=np.empty(heads + (params.num_actions,)),
+            chosen_logp=np.empty(heads),
+            entropies=np.empty(heads),
+            dlogits=np.empty(heads + (params.num_actions,)),
+            value_error=np.empty(rows),
+            per_row=np.empty(rows),
+        )
+
+
+@dataclass
 class _BatchPass:
     """One learner forward pass over every transition of a batch, in order.
 
-    The loss builds its logit gradient in ``probs`` and ``logp``, so a pass
-    serves one update.
+    Its arrays live in ``buffers``, and the loss builds its logit gradient
+    in ``probs`` and ``logp``, so a pass serves one update.
     """
 
+    buffers: LearnerBuffers
     values: np.ndarray  # (B,)
     cache: net.ForwardCache
     actions: np.ndarray  # (B, J)
@@ -193,22 +236,35 @@ class _BatchPass:
     chosen_logp: np.ndarray  # (B, J) log pi of the actions taken
 
 
-def _forward(params: net.PolicyParameters, segments: vtrace.TrajectorySegment) -> _BatchPass:
-    """The pass over a stack of segments, its (S, L, ...) arrays read as (S * L, ...) rows."""
+def _forward(
+    params: net.PolicyParameters,
+    segments: vtrace.TrajectorySegment,
+    buffers: LearnerBuffers | None = None,
+) -> _BatchPass:
+    """The pass over a stack of segments, its (S, L, ...) arrays read as (S * L, ...) rows.
+
+    It writes into ``buffers``, or into a set allocated for this batch.
+    """
     observations = segments.observations[:, :-1]
-    logits, values, cache = net.forward_batch(
-        params, observations.reshape(-1, observations.shape[-1])
-    )
+    if buffers is None:
+        buffers = LearnerBuffers.allocate(params, segments.rewards.size)
+    inputs = buffers.inputs
+    np.copyto(inputs.reshape(observations.shape), observations)
+    logits, values, cache = net.forward_batch(params, inputs, out=buffers.trunk)
     actions = segments.actions.reshape(-1, params.num_ues)
-    probs, logp = net.softmax_and_log_softmax(logits)
+    # The log-probabilities overwrite the logits, which nothing reads after them.
+    probs, logp = net.softmax_and_log_softmax(
+        logits, out=(buffers.probs, logits), per_head=buffers.entropies[..., None]
+    )
     return _BatchPass(
+        buffers=buffers,
         values=values,
         cache=cache,
         actions=actions,
         masks=segments.masks.reshape(actions.shape),
         probs=probs,
         logp=logp,
-        chosen_logp=net.pick(logp, actions),
+        chosen_logp=net.pick(logp, actions, out=buffers.chosen_logp),
     )
 
 
@@ -226,16 +282,25 @@ def loss_and_gradient_with_targets(
     The targets/advantages are stop-gradients: they are recomputed from the
     current parameters before every update but not differentiated through.
     ``forward`` is the batch's learner pass when the caller already has it;
-    this call uses it up.
+    this call uses it up, and the gradients it returns live in the pass's
+    buffers until the next pass over them.
     """
     batch = _forward(params, segments) if forward is None else forward
+    buffers = batch.buffers
     probs, logp, masks = batch.probs, batch.logp, batch.masks
-    entropies = -(probs * logp).sum(axis=-1)  # (B, J)
+    # The product goes in dlogits' buffer, which is free until dlogits is built.
+    entropies = np.sum(np.multiply(probs, logp, out=buffers.dlogits), axis=-1, out=buffers.entropies)
+    np.negative(entropies, out=entropies)  # (B, J)
 
-    policy_loss = -float((advantages * (batch.chosen_logp * masks).sum(axis=1)).sum())
-    value_error = batch.values - targets
-    baseline_loss = 0.5 * float((value_error**2).sum())
-    entropy_total = float((entropies * masks).sum())
+    # Each loss term is reduced in a buffer whose array is dead by then.
+    chosen = batch.chosen_logp
+    chosen *= masks
+    per_row = np.sum(chosen, axis=1, out=buffers.per_row)
+    per_row *= advantages
+    policy_loss = -float(per_row.sum())
+    value_error = np.subtract(batch.values, targets, out=buffers.value_error)
+    baseline_loss = 0.5 * float(np.square(value_error, out=buffers.per_row).sum())
+    entropy_total = float(np.multiply(entropies, masks, out=chosen).sum())
     total = (
         policy_loss + cfg.baseline_coeff * baseline_loss - cfg.entropy_coeff * entropy_total
     )
@@ -244,16 +309,17 @@ def loss_and_gradient_with_targets(
 
     # d(total)/dlogits = -A (onehot - p) + c p (log p + H), built in place
     # in the pass's buffers; pinned heads contribute nothing to any term.
-    dlogits = (batch.actions[..., None] == np.arange(probs.shape[-1])) - probs
-    dlogits *= -advantages[:, None, None]
+    dlogits = np.equal(batch.actions[..., None], np.arange(probs.shape[-1]), out=buffers.dlogits)
+    dlogits -= probs
+    dlogits *= np.negative(advantages, out=buffers.per_row)[:, None, None]
     probs *= cfg.entropy_coeff
     logp += entropies[..., None]
     logp *= probs
     dlogits += logp
     dlogits *= masks[..., None]
-    dvalues = cfg.baseline_coeff * value_error
+    dvalues = np.multiply(value_error, cfg.baseline_coeff, out=value_error)
 
-    grads = net.backward_trunk(params, batch.cache, dlogits, dvalues)
+    grads = net.backward_trunk(params, batch.cache, dlogits, dvalues, out=buffers.trunk)
     report = LossReport(
         policy=policy_loss, baseline=baseline_loss, entropy=entropy_total, total=total
     )
@@ -264,14 +330,16 @@ def loss_and_gradient(
     params: net.PolicyParameters,
     segments: vtrace.TrajectorySegment,
     cfg: VtraceConfig,
+    buffers: LearnerBuffers | None = None,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """The loss and its gradient, from one forward pass over the batch.
 
-    The pass's values and log pi of the recorded actions feed
-    :func:`vtrace.vtrace_targets`, looked up on the module, where the
-    benchmark's tracer patches it.
+    The pass writes into ``buffers``, or into a set allocated for this
+    batch, and the gradients returned live there.  Its values and log pi
+    of the recorded actions feed :func:`vtrace.vtrace_targets`, looked up
+    on the module, where the benchmark's tracer patches it.
     """
-    forward = _forward(params, segments)
+    forward = _forward(params, segments, buffers)
     targets, advantages = vtrace.vtrace_targets(
         segments,
         forward.values.reshape(segments.rewards.shape),
@@ -296,6 +364,9 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.tensors().items()}
         self.v = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+        # Two scratch buffers as large as the largest tensor, kept for every step.
+        size = max(v.size for v in params.tensors().values())
+        self.scratch = np.empty(size), np.empty(size)
 
     def step(self, params: net.PolicyParameters, grads: dict[str, np.ndarray], lr: float) -> None:
         """``tensor -= lr * (m / bias1) / (sqrt(v / bias2) + eps)``, in two scratch buffers.
@@ -306,15 +377,11 @@ class Adam:
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        tensors = params.tensors()
-        # Freed with the step, so they add nothing to the memory held between updates.
-        size = max(t.size for t in tensors.values())
-        scratch = np.empty(size), np.empty(size)
-        for name, tensor in tensors.items():
+        for name, tensor in params.tensors().items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            step, denom = (buf[: g.size].reshape(g.shape) for buf in scratch)
+            step, denom = (buf[: g.size].reshape(g.shape) for buf in self.scratch)
             m *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=step)
             m += step
@@ -447,6 +514,7 @@ def train(
     lag = cfg.lag
 
     curve: list[MetricsRecord] = []
+    buffers: LearnerBuffers | None = None  # every update's arrays, kept for the run
     done = 0
     while done < episodes:
         count = min((1 + lag) * per_batch, episodes - done)
@@ -471,7 +539,10 @@ def train(
         done += count
 
         for g in range(count // per_batch):  # none for a partial batch
-            _, grads = loss_and_gradient(params, segments[g * per_batch : (g + 1) * per_batch], cfg)
+            if buffers is None:  # so a run shorter than one batch allocates none
+                buffers = LearnerBuffers.allocate(params, per_batch * scenario.horizon)
+            batch = slice(g * per_batch, (g + 1) * per_batch)
+            _, grads = loss_and_gradient(params, segments[batch], cfg, buffers)
             if lag:
                 # One update of publication lag models the actor-learner queue:
                 # actors download the parameters from before this update,
@@ -480,7 +551,5 @@ def train(
             optimizer.step(params, grads, cfg.learning_rate)
             if not lag:
                 published = params.copy()
-            # Free this update's arrays before the next one allocates its own.
-            del grads
-        del segments  # and this pass's, before the next pass allocates its own
+        del segments  # free this pass's arrays before the next pass allocates its own
     return params, curve

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from leoho.env import (
 )
 from leoho.experiments import (
     ABLATION_MASKS,
+    DESK_TRAINING,
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
+    scenario_for_case,
     write_curve_csv,
 )
 from leoho.training import (
@@ -282,6 +285,76 @@ def reference_adam_step(adam, params, grads, lr):
         tensor -= lr * (m / bias1) / (np.sqrt(v / bias2) + adam.eps)
 
 
+def reference_learner_update(params, segments, cfg):
+    """One learner update's loss and gradient as plain formulas, a new array per expression.
+
+    The forward pass, the V-trace targets, the three-term loss and the
+    backward pass keep no buffer, so no state carried between updates can
+    reach their results.  For K < 8 the per-head max and sum equal the
+    learner's plane loops bit for bit.
+    """
+    obs = segments.observations[:, :-1].reshape(-1, params.obs_dim)
+    h1 = np.tanh(obs @ params.w1 + params.b1)
+    h2 = np.tanh(h1 @ params.w2 + params.b2)
+    logits = (h2 @ params.w_pi + params.b_pi).reshape(len(obs), params.num_ues, params.num_actions)
+    values = h2 @ params.w_v + params.b_v[0]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    total = exps.sum(axis=-1, keepdims=True)
+    probs = exps / total
+    logp = shifted - np.log(total)
+    actions = segments.actions.reshape(-1, params.num_ues)
+    masks = segments.masks.reshape(actions.shape)
+    chosen = np.take_along_axis(logp, actions[..., None], axis=-1)[..., 0]
+    targets, advantages = vtrace_targets(
+        segments,
+        values.reshape(segments.rewards.shape),
+        chosen.reshape(segments.actions.shape),
+        cfg.gamma,
+        cfg.rho_bar,
+        cfg.c_bar,
+        cfg.vtrace_enabled,
+    )
+    targets, advantages = targets.ravel(), advantages.ravel()
+
+    entropies = -(probs * logp).sum(axis=-1)
+    policy = -float((advantages * (chosen * masks).sum(axis=1)).sum())
+    value_error = values - targets
+    baseline = 0.5 * float((value_error**2).sum())
+    entropy = float((entropies * masks).sum())
+    report = training.LossReport(
+        policy=policy,
+        baseline=baseline,
+        entropy=entropy,
+        total=policy + cfg.baseline_coeff * baseline - cfg.entropy_coeff * entropy,
+    )
+    onehot = actions[..., None] == np.arange(params.num_actions)
+    dlogits = (
+        (onehot - probs) * -advantages[:, None, None]
+        + (logp + entropies[..., None]) * (probs * cfg.entropy_coeff)
+    ) * masks[..., None]
+    dvalues = cfg.baseline_coeff * value_error
+
+    dlogits = dlogits.reshape(len(obs), -1)
+    grads = {
+        "w_pi": h2.T @ dlogits,
+        "b_pi": dlogits.sum(axis=0),
+        "w_v": h2.T @ dvalues,
+        "b_v": np.array([dvalues.sum()]),
+    }
+    dz2 = (dlogits @ params.w_pi.T + dvalues[:, None] * params.w_v[None, :]) * (1.0 - h2**2)
+    grads["w2"] = h1.T @ dz2
+    grads["b2"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ params.w2.T) * (1.0 - h1**2)
+    grads["w1"] = obs.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    return report, grads
+
+
+def report_bits(report):
+    return [value.hex() for value in dataclasses.astuple(report)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -312,6 +385,40 @@ def test_adam_step_matches_plain_formula_bit_for_bit(
             assert getattr(params, name).tobytes() == getattr(reference, name).tobytes(), name
             assert adam.m[name].tobytes() == oracle.m[name].tobytes(), name
             assert adam.v[name].tobytes() == oracle.v[name].tobytes(), name
+
+
+@pytest.mark.parametrize("vtrace_enabled", [True, False], ids=["vtrace", "no_vtrace"])
+@pytest.mark.parametrize("hidden", [(1, 1), (16, 16)])
+@pytest.mark.parametrize("episodes", [4, 1], ids=["batch", "one_episode"])
+def test_kept_buffers_match_the_allocating_reference_learner(vtrace_enabled, hidden, episodes):
+    # Consecutive updates through one set of kept buffers give the bits of
+    # the allocating formulas: losses, gradients and the updated parameters.
+    rng = np.random.default_rng(13)
+    params = net.init_params(7, 3, 3, hidden=hidden, rng=rng)
+    reference = params.copy()
+    cfg = VtraceConfig(
+        gamma=0.9,
+        rho_bar=1.2,
+        c_bar=0.8,
+        entropy_coeff=0.02,
+        baseline_coeff=0.7,
+        vtrace_enabled=vtrace_enabled,
+        hidden=hidden,
+    )
+    adam, oracle = Adam(params), Adam(reference)
+    buffers = training.LearnerBuffers.allocate(params, episodes * 5)
+    for _ in range(4):
+        segments = make_segments(rng, params, count=episodes, length=5)
+        report, grads = loss_and_gradient(params, segments, cfg, buffers)
+        want_report, want = reference_learner_update(reference, segments, cfg)
+        assert report_bits(report) == report_bits(want_report)
+        for name in net.TENSOR_NAMES:
+            assert grads[name] is buffers.trunk.grads[name], name
+            assert grads[name].tobytes() == want[name].tobytes(), name
+        adam.step(params, grads, 0.05)
+        reference_adam_step(oracle, reference, want, 0.05)
+        for name in net.TENSOR_NAMES:
+            assert getattr(params, name).tobytes() == getattr(reference, name).tobytes(), name
 
 
 def tiny_scenario():
@@ -359,7 +466,10 @@ def test_train_with_vtrace_disabled_runs():
 
 
 def serial_train(scenario, cfg, episodes, actors, seed):
-    """The reference loop: one learner batch per rollout, under the published parameters."""
+    """The reference loop: one learner batch per rollout, under the published parameters.
+
+    Its updates are the allocating reference learner and Adam's plain formula.
+    """
     params = net.init_params(
         observation_size(scenario),
         scenario.num_ues,
@@ -382,8 +492,8 @@ def serial_train(scenario, cfg, episodes, actors, seed):
         curve += records
         if len(batch) == per_batch:
             previous = params.copy()
-            _, grads = loss_and_gradient(params, segments, cfg)
-            optimizer.step(params, grads, cfg.learning_rate)
+            _, grads = reference_learner_update(params, segments, cfg)
+            reference_adam_step(optimizer, params, grads, cfg.learning_rate)
             published = previous if cfg.vtrace_enabled else params.copy()
     return params, curve
 
@@ -413,6 +523,49 @@ def test_pipelined_train_matches_serial_reference(vtrace_enabled, actors, episod
         for name in net.TENSOR_NAMES:
             assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
         assert curve == ref_curve
+
+
+@pytest.mark.parametrize("vtrace_enabled", [True, False], ids=["vtrace", "no_vtrace"])
+@pytest.mark.parametrize("hidden", [(1, 1), (16, 16)])
+def test_repeated_train_calls_match_the_reference_learner(vtrace_enabled, hidden):
+    # Each train() call keeps its learner buffers for its own run only:
+    # every call after the first in this process still gives the reference
+    # bits, at batches of six episodes and of one (batch_size <= horizon).
+    scenario = tiny_scenario()
+    for batch_size in (30, 5):
+        cfg = tiny_training(vtrace_enabled=vtrace_enabled, batch_size=batch_size, hidden=hidden)
+        for seed in (9, 10):
+            params, curve = train(scenario, cfg, episodes=20, seed=seed)
+            ref_params, ref_curve = serial_train(scenario, cfg, 20, 1, seed=seed)
+            for name in net.TENSOR_NAMES:
+                assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
+            assert curve == ref_curve
+
+
+def test_learner_updates_allocate_no_new_arrays(monkeypatch):
+    # train() allocates its learner buffers once, so past the first update
+    # an update's traced memory rises by less than one activation block.
+    scenario = scenario_for_case("case1")
+    rises = []
+    inner = training.loss_and_gradient
+
+    def traced(*args):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = inner(*args)
+        rises.append(tracemalloc.get_traced_memory()[1] - held)
+        return result
+
+    monkeypatch.setattr(training, "loss_and_gradient", traced)
+    tracemalloc.start()
+    try:
+        train(scenario, DESK_TRAINING, episodes=60, seed=0)
+    finally:
+        tracemalloc.stop()
+    rows = DESK_TRAINING.batch_episodes(scenario.horizon) * scenario.horizon
+    block = rows * max(DESK_TRAINING.hidden) * np.dtype(float).itemsize  # 200 KiB
+    assert len(rises) == 6
+    assert max(rises[1:]) < block, rises
 
 
 @pytest.mark.parametrize("vtrace_enabled", [True, False])
