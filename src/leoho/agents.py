@@ -3,14 +3,14 @@
 All of them pin already-accessed terminals to action 0: the environment
 would ignore their requests anyway, and for the learned policy the pin keeps
 recorded behavior log-probabilities consistent (a pinned head chose 0 with
-probability one).  Evaluation and training rely on the pin: evaluation
-stops deciding for an episode once every terminal in it has access and
-retires it (:meth:`HandoverEnv.retire`), and training settles a pass with
-action 0 once every terminal of every episode has access
-(:meth:`HandoverEnv.settle`).
+probability one).  The chunk engine (:func:`env.play`) relies on the pin:
+it stops deciding for an episode once every terminal in it has access and
+retires it (:meth:`HandoverEnv.retire`).
 
 Every decision function takes arrays with any leading episode axes, so one
 call decides for all the episodes a :class:`HandoverEnv` steps together.
+The agents are deciders for :func:`env.play`: ``begin_episode`` starts a
+chunk, ``act`` decides a slot and ``retire`` drops retired episodes.
 The learned policy also decides under a :class:`net.StackedPolicy`, one
 parameter set per equal run of episodes.  It returns its logits rather than
 log-probabilities: evaluation needs only the actions, and training takes a
@@ -18,10 +18,9 @@ whole rollout's log-probabilities in one :func:`dho_log_probs` call.
 Stochastic agents draw each episode's randomness at ``begin_episode``, in
 one block per episode from that episode's generator: (N, J) uniform actions
 for the random agent, (N, J, K) Gumbel noise for the sampling learned agent.
-The blocks carry the env's episode axis, so none after ``reset(seed)``,
-and each slot's rows are read through :meth:`HandoverEnv.at_slot`, which
-follows the episodes the env retires.  ``retire`` drops the A3 streaks of
-the episodes retired.
+The blocks carry the chunk's episode axis, and each slot's rows are read
+through :meth:`HandoverEnv.at_slot`, which follows the episodes the env
+retires.  ``retire`` drops the A3 streaks of the episodes retired.
 The random agent reads its actions as raw PCG64 words and converts the
 chunk's blocks at once (:func:`rng.integers_by_rows`), with the bits of
 numpy's ``integers(0, K, (N, J))``; the noise is numpy's own ``gumbel``.
@@ -157,7 +156,7 @@ class RandomAgent:
         generators = list(rngs)
         draws = np.empty((len(generators), cfg.horizon, cfg.num_ues), dtype=np.int64)
         integers_by_rows(generators, 0, cfg.num_planes, draws)
-        self._draws = draws.reshape(env.state.accessed.shape[:-1] + draws.shape[1:])
+        self._draws = draws
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         state = env.state
@@ -183,8 +182,7 @@ class DhoAgent:
         if self.mode == "sample":
             cfg = env.config
             shape = (cfg.horizon, cfg.num_ues, cfg.num_planes)
-            noise = np.stack([rng.gumbel(size=shape) for rng in rngs])
-            self._noise = noise.reshape(env.state.accessed.shape[:-1] + shape)
+            self._noise = np.stack([rng.gumbel(size=shape) for rng in rngs])
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         state = env.state

@@ -139,7 +139,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "ablation":
-        masks = args.mask.split(",") if args.mask else list(experiments.ABLATION_MASKS)
+        masks = args.mask.split(",") if args.mask is not None else list(experiments.ABLATION_MASKS)
         result = experiments.ablation(
             spec.scenario,
             spec.training,

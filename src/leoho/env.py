@@ -17,12 +17,14 @@ Conventions, fixed across the whole package:
 * The reward is ``-nu * D - C`` where ``C`` sums both collision rates.
   ``nu`` therefore sets how expensive waiting is relative to colliding.
 
-:class:`HandoverEnv` steps E independent episodes in lockstep, so its state
-arrays carry a leading episode axis.  Every episode draws its randomness
-from generators seeded by its own key (see :meth:`HandoverEnv.reset`), so
-an episode plays out the same whichever episodes share its batch, and an
-episode that has settled can be retired from the batch
-(:meth:`HandoverEnv.retire`) without changing the others.
+:class:`HandoverEnv` steps a chunk of E independent episodes in lockstep, so
+its state arrays carry a leading episode axis, also for a chunk of one.
+Every episode draws its randomness from generators seeded by its own key
+(see :meth:`HandoverEnv.reset`), so an episode plays out the same whichever
+episodes share its chunk, and an episode that has settled can be retired
+from the chunk (:meth:`HandoverEnv.retire`) without changing the others.
+:func:`play` is the one slot loop: evaluation and training both step their
+chunks through it, each under its own decider.
 """
 
 from __future__ import annotations
@@ -231,18 +233,18 @@ def observation_size(config: ScenarioConfig) -> int:
 class EnvState:
     """Mutable state of the episodes stepped together.
 
-    Arrays carry a leading episode axis ``...`` when a batch is stepped and
-    none for a single episode or the view of one (:meth:`episode`).
+    Arrays carry a leading episode axis, and the view of one episode
+    (:meth:`episode`) none.
     """
 
     slot: int
-    accessed: np.ndarray  # (..., J) bool, monotone within an episode
-    rb_remaining: np.ndarray  # (..., K-1) int
-    prev_action: np.ndarray  # (..., J) int in [0, K)
-    ue_positions: np.ndarray  # (..., J, 3) m
+    accessed: np.ndarray  # (E, J) bool, monotone within an episode
+    rb_remaining: np.ndarray  # (E, K-1) int
+    prev_action: np.ndarray  # (E, J) int in [0, K)
+    ue_positions: np.ndarray  # (E, J, 3) m
 
     def episode(self, e: int) -> "EnvState":
-        """Episode ``e`` of the batch, as views that share its arrays."""
+        """Episode ``e`` of the chunk, as views that share its arrays."""
         return EnvState(
             self.slot,
             self.accessed[e],
@@ -256,9 +258,10 @@ class EnvState:
 class StepOutcome:
     """Everything one slot produced, per terminal and aggregated.
 
-    A batched step's outcome carries a leading episode axis on every field
-    but ``slot``: (E, J) per-terminal arrays, (E, K-1) rates and (E,)
-    aggregates.  A single episode's has none, and its aggregates are floats.
+    A step's outcome carries a leading episode axis on every field but
+    ``slot``: (E, J) per-terminal arrays, (E, K-1) rates and (E,)
+    aggregates.  One episode's records (:class:`EpisodeOutcomes`) carry
+    none, and their aggregates are floats.
     """
 
     slot: int  # 1-based opportunity index
@@ -276,7 +279,7 @@ class StepOutcome:
 
 
 # The fields after ``slot``: per-terminal arrays and per-target rates, then
-# the aggregates, which are floats for a single episode.
+# the aggregates, which are floats in one episode's records.
 _ARRAY_FIELDS = tuple(f.name for f in fields(StepOutcome))[1:8]
 _FLOAT_FIELDS = tuple(f.name for f in fields(StepOutcome))[8:]
 
@@ -288,34 +291,31 @@ def _outcome(
     """A slot's :class:`StepOutcome`, its aggregates taken from ``accessed``, the set after the slot.
 
     ``D`` is the share of terminals still lacking access, ``C`` sums both
-    collision rates, and the reward is ``-nu * D - C``.  One episode's
-    (``accessed`` is (J,)) aggregates are floats.
+    collision rates, and the reward is ``-nu * D - C``.
     """
     d = (config.num_ues - accessed.sum(axis=-1)) / config.num_ues
     c_total = c_r.sum(axis=-1) + c_p
     reward = -config.nu * d - c_total
-    aggregates = (c_p, c_total, d, reward)
-    if accessed.ndim == 1:
-        aggregates = map(float, aggregates)
     return StepOutcome(
-        slot, requested, command, preamble, rb_collision, prach_collision, newly, c_r, *aggregates
+        slot, requested, command, preamble, rb_collision, prach_collision, newly, c_r,
+        c_p, c_total, d, reward,
     )
 
 
-def settled_outcome(config: ScenarioConfig, slot: int, lead: tuple[int, ...] = ()) -> StepOutcome:
-    """The outcome of slot ``slot`` of episodes every terminal of which has access.
+def settled_outcome(config: ScenarioConfig, slot: int) -> StepOutcome:
+    """The outcome of slot ``slot`` of an episode every terminal of which has access, as one row.
 
     Every agent decides action 0 then, so nothing is requested, granted or
     sent, nobody collides and D = 0; the aggregates come from
-    :meth:`HandoverEnv.step`'s arithmetic, so the reward is -0.0.  ``lead``
-    is the leading episode axes; () gives one episode's outcome.
+    :meth:`HandoverEnv.step`'s arithmetic, so the reward is -0.0.
+    :meth:`OutcomeColumns.repeat` gives the row to every episode.
     """
     j = config.num_ues
-    requested, command, preamble = (np.zeros(lead + (j,), dtype=np.int64) for _ in range(3))
-    rb_collision, prach_collision, newly = (np.zeros(lead + (j,), dtype=bool) for _ in range(3))
+    requested, command, preamble = (np.zeros((1, j), dtype=np.int64) for _ in range(3))
+    rb_collision, prach_collision, newly = (np.zeros((1, j), dtype=bool) for _ in range(3))
     return _outcome(
         config, slot, requested, command, preamble, rb_collision, prach_collision, newly,
-        np.zeros(lead + (config.num_targets,)), np.zeros(lead)[()], np.ones(lead + (j,), dtype=bool),
+        np.zeros((1, config.num_targets)), np.zeros(1), np.ones((1, j), dtype=bool),
     )
 
 
@@ -324,12 +324,11 @@ class OutcomeColumns(dict):
 
     :meth:`append` copies each slot's outcome into (N, E, ...) buffers
     allocated at the first slot, so no slot outlives its step, and
-    :meth:`repeat` copies one outcome into every slot left.  Both can fill
-    some of the episodes only: those still stepped, or those retired.  Each
-    column is an (E, N, ...) view of its buffer, for E episodes, with the
-    slot axis outermost in memory; outcomes without an episode axis fill
-    E = 1.  ``slot`` is (N,).  The columns are complete once every slot of
-    every episode is appended or repeated.
+    :meth:`repeat` copies one outcome into every slot left.  :meth:`append`
+    can fill some of the episodes only: those still stepped.  Each column
+    is an (E, N, ...) view of its buffer, for E episodes, with the slot
+    axis outermost in memory.  ``slot`` is (N,).  The columns are complete
+    once every slot of every episode is appended or repeated.
     """
 
     def __init__(self, slots: int):
@@ -346,11 +345,10 @@ class OutcomeColumns(dict):
         """
         n = self._filled
         if n == 0:
-            lead = (self._slots,) if np.ndim(outcome.d) else (self._slots, 1)
             self._buffers = [("slot", np.empty(self._slots, dtype=int))]
             for name in _ARRAY_FIELDS + _FLOAT_FIELDS:
-                value = np.asarray(getattr(outcome, name))
-                self._buffers.append((name, np.empty(lead + value.shape, value.dtype)))
+                value = getattr(outcome, name)
+                self._buffers.append((name, np.empty((self._slots,) + value.shape, value.dtype)))
             for name, buffer in self._buffers:
                 self[name] = buffer if name == "slot" else buffer.swapaxes(0, 1)
         self["slot"][n] = outcome.slot
@@ -359,14 +357,12 @@ class OutcomeColumns(dict):
         self._filled = n + 1
 
     def repeat(self, outcome: StepOutcome) -> None:
-        """Give ``outcome`` to every slot left, numbered on from its own ``slot``.
+        """Give ``outcome``, one row, to every episode's slots left, numbered on from its ``slot``.
 
-        The remaining slots of a settled chunk (:meth:`HandoverEnv.settle`)
-        all have its outcome.  One episode's outcome, without the episode
-        axis, goes to every episode: :func:`settled_outcome` is what an
-        episode retired from a running chunk (:meth:`HandoverEnv.retire`)
-        holds in its remaining slots, and appends after this fill the rows of
-        the episodes still stepped.  Call it after the first :meth:`append`.
+        :func:`settled_outcome` is what an episode retired from its chunk
+        (:meth:`HandoverEnv.retire`) holds in its remaining slots, and
+        appends after this fill the rows of the episodes still stepped.
+        Call it after the first :meth:`append`.
         """
         n = self._filled
         self["slot"][n:] = outcome.slot + np.arange(self._slots - n)
@@ -572,27 +568,22 @@ class HandoverEnv:
             + np.arange(1, m + 1) * config.measurement_period_s
         )
         self.state: EnvState | None = None
-        self._batched = False
         self._seed_keys: list[tuple[int, ...]] = []
         # The reset batch's rows still stepped: all, then an index array.
         self._live: slice | np.ndarray = slice(None)
-        self._keys = self._preambles = None  # ([E,] N, J) per-slot draws
+        self._keys = self._preambles = None  # (E, N, J) per-slot draws
         self._meas: link.MeasurementState | None = None
         self._shadowing_rngs: np.ndarray | None = None  # object array, one generator per row
         self._meas_slot = 0  # slots folded into measurements
-        self._one_hot_at: np.ndarray | None = None  # observe's ([E,] J) one-hot indices
-
-    def _squeeze(self, blocks: np.ndarray) -> np.ndarray:
-        """Per-episode blocks (E, ...), without the episode axis for one episode."""
-        return blocks if self._batched else blocks[0]
+        self._one_hot_at: np.ndarray | None = None  # observe's (E, J) one-hot indices
 
     def reset(self, seed=0, *, episodes: Sequence | None = None) -> np.ndarray:
-        """Start fresh episodes and return the first observation.
+        """Start a chunk of fresh episodes and return its first observations.
 
-        ``seed`` (an int or a sequence of ints) starts one episode, and the
-        state, observations, actions and outcomes carry no episode axis.
-        ``episodes`` instead takes one such key per episode, stepped
-        together; everything then carries a leading episode axis.
+        ``episodes`` takes one seed key (an int or a sequence of ints) per
+        episode, stepped together; without it, ``seed`` starts a chunk of
+        one, as ``episodes=[seed]`` does.  The state, observations, actions
+        and outcomes carry a leading episode axis.
 
         Each episode with key ``s`` draws, from ``default_rng(s)`` and in
         this order: its terminal positions ``uniform(0, area, (J, 2))``,
@@ -606,9 +597,7 @@ class HandoverEnv:
         :func:`rng.integers_by_rows`), so they keep ``default_rng``'s bits.
         """
         cfg = self.config
-        self._batched = episodes is not None
-        raw = episodes if self._batched else [seed]
-        self._seed_keys = [seed_key(s) for s in raw]
+        self._seed_keys = [seed_key(s) for s in ([seed] if episodes is None else episodes)]
         e, j, n = len(self._seed_keys), cfg.num_ues, cfg.horizon
         draw_positions = cfg.ue_positions is None
         # Blocks are filled in place, so a chunk's working set is allocated
@@ -628,10 +617,8 @@ class HandoverEnv:
         else:
             explicit = np.asarray(cfg.ue_positions, dtype=float)
             ue_pos[..., : explicit.shape[1]] = explicit
-        ue_pos = self._squeeze(ue_pos)
-        self._keys = self._squeeze(keys)
-        self._preambles = self._squeeze(preambles)
-        lead = ue_pos.shape[:-2]
+        self._keys = keys
+        self._preambles = preambles
         self._live = slice(None)
         self._meas = None
         self._shadowing_rngs = None
@@ -639,15 +626,15 @@ class HandoverEnv:
         self._one_hot_at = None
         self.state = EnvState(
             slot=0,
-            accessed=np.zeros(lead + (j,), dtype=bool),
-            rb_remaining=np.tile(self._rb_initial, lead + (1,)),
-            prev_action=np.zeros(lead + (j,), dtype=np.int64),
+            accessed=np.zeros((e, j), dtype=bool),
+            rb_remaining=np.tile(self._rb_initial, (e, 1)),
+            prev_action=np.zeros((e, j), dtype=np.int64),
             ue_positions=ue_pos,
         )
         return self.observe()
 
     def _rsrp(self, positions: np.ndarray) -> np.ndarray:
-        """Instantaneous downlink RSRP (S, [E,] J, K) dBm at S sample instants.
+        """Instantaneous downlink RSRP (S, E, J, K) dBm at S sample instants.
 
         ``positions`` is (S, K, 3).  Each episode's shadowing for the S
         samples is its stream's next (S, J, K) standard normals, times sigma.
@@ -666,7 +653,7 @@ class HandoverEnv:
             for block, rng in zip(shadowing, self._shadowing_rngs):
                 rng.standard_normal(out=block)
             shadowing *= cfg.shadowing_sigma_db
-            rsrp += np.moveaxis(self._squeeze(shadowing), -3, 0)
+            rsrp += np.moveaxis(shadowing, -3, 0)
         return rsrp
 
     def measurements(self) -> link.MeasurementState:
@@ -696,8 +683,7 @@ class HandoverEnv:
     def step(self, actions: Sequence[int] | np.ndarray):
         """Advance every episode one slot.
 
-        Returns the next observation and the slot's :class:`StepOutcome`,
-        whose fields carry the leading episode axis when stepping a batch.
+        Returns the next observations and the slot's :class:`StepOutcome`.
         """
         cfg = self.config
         state = self.state
@@ -736,62 +722,47 @@ class HandoverEnv:
         )
         return self.observe(), outcome
 
-    def settle(self, observations: np.ndarray | None = None) -> StepOutcome:
-        """Play out the remaining slots once every terminal of every episode has access.
+    def retire(self, settled: np.ndarray, observations: np.ndarray | None = None) -> EnvState:
+        """End the episodes flagged in ``settled`` (E,), every terminal of which has access.
 
-        Nothing can be requested then, so each remaining slot has the same
-        outcome, :func:`settled_outcome`, and every agent decides action 0.
-        The state moves on to the horizon with those actions, and the next
-        slot's outcome is returned for each remaining slot to repeat
-        (:meth:`OutcomeColumns.repeat`).  ``observations``, if given, is a
-        (..., horizon - slot, obs_dim) buffer that receives the observations
-        at slots ``slot + 1`` through the horizon, built by :meth:`observe`.
+        Every agent decides action 0 in their remaining slots, each of which
+        has the outcome :func:`settled_outcome`.  Returns their final state:
+        at the horizon, with previous action 0.  Retiring every episode ends
+        the chunk, and the env's state is then that final state.
+        ``observations``, an (E, horizon - slot, obs_dim) buffer, retires
+        every episode and receives the observations of the slots left, as
+        stepping action 0 builds them.  Otherwise the other episodes step on
+        as the chunk: their state, measurement state and shadowing
+        generators are gathered, and the per-slot blocks drawn at reset are
+        read at their rows (:meth:`at_slot`), so each keeps its own draws and
+        later slots draw shadowing for them only.
         """
         state = self.state
         if state is None:
-            raise RuntimeError("reset() must be called before settle()")
-        horizon = self.config.horizon
-        if state.slot >= horizon:
-            raise RuntimeError(f"episode finished after {horizon} opportunities")
-        if not state.accessed.all():
-            raise ValueError("settle() needs every terminal to have access")
-        if observations is not None and observations.shape[-2] != horizon - state.slot:
-            raise ValueError(
-                f"observations must hold {horizon - state.slot} slots, got {observations.shape[-2]}"
-            )
-        state.prev_action = np.zeros(state.accessed.shape, dtype=np.int64)
-        outcome = settled_outcome(self.config, state.slot + 1, state.accessed.shape[:-1])
-        if observations is not None:
-            for i in range(observations.shape[-2]):
-                state.slot += 1
-                observations[..., i, :] = self.observe()
-        state.slot = horizon
-        return outcome
-
-    def retire(self, settled: np.ndarray) -> EnvState:
-        """Stop stepping the episodes flagged in ``settled`` (E,), every terminal of which has access.
-
-        Returns their final state as :meth:`settle` leaves it: at the
-        horizon, with previous action 0.  Their remaining slots all have the
-        one-episode :func:`settled_outcome`.  The other episodes step on as
-        the batch: their state, measurement state and shadowing generators
-        are gathered, and the per-slot blocks drawn at reset are read at
-        their rows (:meth:`at_slot`), so each keeps its own draws and later
-        slots draw shadowing for them only.
-        """
-        state = self.state
-        if state is None or not self._batched:
-            raise RuntimeError("retire() needs a batch from reset(episodes=...)")
+            raise RuntimeError("reset() must be called before retire()")
         accessed = state.accessed[settled]
         if not accessed.all():
             raise ValueError("retire() needs every terminal of a retired episode to have access")
+        horizon = self.config.horizon
+        if observations is not None:
+            if not settled.all() or observations.shape[-2] != horizon - state.slot:
+                raise ValueError(
+                    f"observations must hold every episode's {horizon - state.slot} slots left"
+                )
+            state.prev_action = np.zeros(state.prev_action.shape, dtype=np.int64)
+            for i in range(observations.shape[-2]):
+                state.slot += 1
+                observations[:, i] = self.observe()
         retired = EnvState(
-            self.config.horizon,
+            horizon,
             accessed,
             state.rb_remaining[settled],
             np.zeros(accessed.shape, dtype=np.int64),
             state.ue_positions[settled],
         )
+        if settled.all():
+            self.state = retired
+            return retired
         live = np.flatnonzero(~settled)
         self.state = EnvState(
             state.slot,
@@ -810,20 +781,18 @@ class HandoverEnv:
         return retired
 
     def at_slot(self, block: np.ndarray) -> np.ndarray:
-        """The current slot of a per-episode block ([E,] N, ...), for the episodes still stepped.
+        """The current slot of a per-episode block (E, N, ...), for the episodes still stepped.
 
-        ``block`` carries the episode axis of :meth:`reset`'s batch, as the
+        ``block`` carries the episode axis of :meth:`reset`'s chunk, as the
         per-slot draws made at reset do, and keeps it through :meth:`retire`.
         """
-        if not self._batched:
-            return block[self.state.slot]
         return block[self._live, self.state.slot]
 
     def observe(self) -> np.ndarray:
         """Observation vectors: [n/N] + accessed + one-hot previous action (+ A3 flags).
 
         Blocks appear in that fixed order; disabled blocks are dropped
-        outright.  The result has the state's leading episode axes.
+        outright.  The result has the state's leading episode axis.
         """
         state, config = self.state, self.config
         f = config.features
@@ -849,6 +818,63 @@ class HandoverEnv:
             flags = self.measurements().a3_flags(config.a3_offset_db)
             out[..., pos : pos + j * (k - 1)] = flags.reshape(lead + (j * (k - 1),))
         return out
+
+
+def play(
+    env: HandoverEnv,
+    keys: Sequence,
+    agent,
+    rngs=None,
+    observations: np.ndarray | None = None,
+) -> tuple[OutcomeColumns, list[EnvState]]:
+    """Step a chunk of episodes, seeded by ``keys``, to its end under ``agent``.
+
+    The one slot loop of evaluation and training.  ``env`` is reset with
+    ``episodes=keys`` and ``agent`` begins the chunk with ``rngs``
+    (``agent.begin_episode``); then each slot ``agent.act(env, obs)``
+    decides for the episodes still stepped and ``env.step`` steps them.
+    Once every terminal of some episodes has access, before the horizon,
+    they are retired (:meth:`HandoverEnv.retire` and ``agent.retire``), and
+    their remaining slots get :func:`settled_outcome`, what deciding them
+    would give.  Without ``observations`` episodes leave the chunk as they
+    settle.  ``observations``, an (E, N + 1, obs_dim) buffer, receives the
+    observations of every slot instead, and the chunk ends only as a whole,
+    once every episode has settled, its retirement filling the rest.
+
+    Returns the chunk's :class:`OutcomeColumns` and each episode's final
+    state, in ``keys`` order.
+    """
+    horizon = env.config.horizon
+    obs = env.reset(episodes=keys)
+    agent.begin_episode(env, rngs)
+    if observations is not None:
+        observations[:, 0] = obs
+    columns = OutcomeColumns(horizon)
+    finals = [None] * len(keys)
+    live = np.arange(len(keys))  # the chunk's rows still stepped
+    rows = slice(None)  # the same, as the columns take them until an episode retires
+    while env.state.slot < horizon:
+        obs, outcome = env.step(agent.act(env, obs))
+        columns.append(outcome, rows)
+        slot = env.state.slot
+        if observations is not None:
+            observations[:, slot] = obs
+        settled = outcome.d == 0  # D is 0 only once every terminal has access
+        if slot == horizon or not (settled.any() if observations is None else settled.all()):
+            continue
+        if isinstance(rows, slice):
+            # Every slot left holds the settled outcome until a live
+            # episode's append fills its row.
+            columns.repeat(settled_outcome(env.config, slot + 1))
+        final = env.retire(settled, None if observations is None else observations[:, slot + 1 :])
+        agent.retire(settled)
+        for i, e in enumerate(live[settled].tolist()):
+            finals[e] = final.episode(i)
+        obs, live = obs[~settled], live[~settled]
+        rows = live
+    for i, e in enumerate(live.tolist()):
+        finals[e] = env.state.episode(i)
+    return columns, finals
 
 
 def episode_metrics(outcomes: EpisodeOutcomes, final_state: EnvState) -> MetricsRecord:

@@ -34,12 +34,11 @@ from leoho.env import (
     FeatureMask,
     HandoverEnv,
     MetricsRecord,
-    OutcomeColumns,
     ScenarioConfig,
     batch_episodes,
     episode_metrics,
     observation_size,
-    settled_outcome,
+    play,
 )
 from leoho.rng import episode_generators
 from leoho.training import VtraceConfig, check_evaluation, check_training, train
@@ -334,49 +333,21 @@ def evaluate_chunks(
     """Evaluate episodes master_seed + i in chunks stepped together.
 
     Yields each chunk's first episode index, its episodes' metrics and its
-    outcome columns, only those named in ``keep`` if given.  Episode i's
-    agent generator is seeded from [master_seed + i, stream], and only
-    stochastic agents build them.  The agent decides each slot for the
-    episodes still live.  An episode every terminal of which has access
-    after a slot before the horizon is retired (:meth:`HandoverEnv.retire`):
-    the env and the agent step it no more, and its remaining slots get the
-    outcome deciding them would give, :func:`settled_outcome`.  The chunk
-    ends when no episode is live.  The columns and the final states handed
-    to ``episode_metrics`` cover every episode of the chunk.
+    outcome columns, only those named in ``keep`` if given.  Each chunk is
+    stepped by :func:`env.play` under the agent, and its episodes leave the
+    chunk as they settle.  Episode i's agent generator is seeded from
+    [master_seed + i, stream], and only stochastic agents build them.  The
+    metrics are this module's ``episode_metrics`` of what the chunk
+    returns.
     """
     env = HandoverEnv(scenario)
     agent = make_agent(agent_kind, params=params, mode=eval_mode)
     size = batch_episodes(scenario)
-    horizon = scenario.horizon
     for first in range(0, episodes, size):
         seeds = [master_seed + i for i in range(first, min(first + size, episodes))]
-        obs = env.reset(episodes=seeds)
-        agent.begin_episode(env, episode_generators([seed, stream] for seed in seeds))
-        columns = OutcomeColumns(horizon)
-        finals = [None] * len(seeds)  # each episode's final state
-        live = slice(None)  # the chunk's rows still stepped: all, then an index array
-        while env.state.slot < horizon:
-            obs, outcome = env.step(agent.act(env, obs))
-            columns.append(outcome, live)
-            settled = outcome.d == 0  # D is 0 only once every terminal has access
-            if env.state.slot == horizon or not settled.any():
-                continue
-            if isinstance(live, slice):
-                # Every slot left holds the settled outcome until a live
-                # episode's append fills its row.
-                columns.repeat(settled_outcome(scenario, env.state.slot + 1))
-                live = np.arange(len(seeds))
-            retired = env.retire(settled)
-            agent.retire(settled)
-            for i, e in enumerate(live[settled].tolist()):
-                finals[e] = retired.episode(i)
-            kept = ~settled
-            obs, live = obs[kept], live[kept]
-            if not live.size:
-                break
-        for i, e in enumerate(np.arange(len(seeds))[live].tolist()):
-            finals[e] = env.state.episode(i)
+        columns, finals = play(env, seeds, agent, episode_generators([seed, stream] for seed in seeds))
         metrics = [episode_metrics(EpisodeOutcomes(columns, e), final) for e, final in enumerate(finals)]
+        del finals  # so no final state outlives its chunk while the next is stepped
         if keep is not None:
             columns = {name: columns[name] for name in keep}
         yield first, metrics, columns

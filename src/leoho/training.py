@@ -17,18 +17,19 @@ needs the update before it, so a pass holds one batch.  A pass holds only
 equal batches, so a trailing partial batch beside a full one gets a pass
 of its own.
 
-Each pass decides under one :class:`net.StackedPolicy` of its batches'
-snapshots, so a slot's decision is one forward pass, a matmul over
-(G, rows, ...).  It decides until every terminal of every episode has
-access; the remaining slots pin every head to action 0 and are settled
-without a decision (:meth:`HandoverEnv.settle`).  The pass keeps the
-logits of the slots it decided, takes the behavior log-probabilities of
-the whole rollout in one pass after its last slot, and gives the learner
-one stacked segment, which each update slices into its batch.
+A pass is one chunk of :func:`env.play`, decided under one
+:class:`net.StackedPolicy` of its batches' snapshots, so a slot's decision
+is one forward pass, a matmul over (G, rows, ...).  It ends only as a
+whole: once every terminal of every episode has access, the remaining
+slots pin every head to action 0 and are retired without a decision.  The
+pass keeps the logits of the slots it decided, takes the behavior
+log-probabilities of the whole rollout in one pass after its last slot,
+and gives the learner one stacked segment, which each update slices into
+its batch.
 
 The learner writes every array of an update into one
-:class:`LearnerBuffers` set: the batch's observations copied as
-(S * L, obs_dim) rows, the activations, the heads' probabilities and
+:class:`LearnerBuffers` set: the batch's observations and actions copied
+as (S * L, ...) rows, the activations, the heads' probabilities and
 logit gradient, the loss terms, the backward pass and the gradients.
 :func:`train` allocates the set at its first update and keeps it until it
 returns, so an update makes no new arrays beyond small per-head and
@@ -51,11 +52,11 @@ from leoho.env import (
     EpisodeOutcomes,
     HandoverEnv,
     MetricsRecord,
-    OutcomeColumns,
     ScenarioConfig,
     batch_episodes,
     episode_metrics,
     observation_size,
+    play,
     reject_non_finite,
 )
 
@@ -195,6 +196,7 @@ class LearnerBuffers:
     """
 
     inputs: np.ndarray  # (rows, obs_dim) observations
+    actions: np.ndarray  # (rows, J) int
     trunk: net.TrunkBuffers  # activations, logits, values, backward pass, gradients
     probs: np.ndarray  # (rows, J, K)
     chosen_logp: np.ndarray  # (rows, J); then its masked loss terms
@@ -208,6 +210,7 @@ class LearnerBuffers:
         heads = (rows, params.num_ues)
         return cls(
             inputs=np.empty((rows, params.obs_dim)),
+            actions=np.empty(heads, dtype=np.int64),
             trunk=net.TrunkBuffers.allocate(params, rows),
             probs=np.empty(heads + (params.num_actions,)),
             chosen_logp=np.empty(heads),
@@ -248,10 +251,10 @@ def _forward(
     observations = segments.observations[:, :-1]
     if buffers is None:
         buffers = LearnerBuffers.allocate(params, segments.rewards.size)
-    inputs = buffers.inputs
+    inputs, actions = buffers.inputs, buffers.actions
     np.copyto(inputs.reshape(observations.shape), observations)
+    np.copyto(actions.reshape(segments.actions.shape), segments.actions)
     logits, values, cache = net.forward_batch(params, inputs, out=buffers.trunk)
-    actions = segments.actions.reshape(-1, params.num_ues)
     # The log-probabilities overwrite the logits, which nothing reads after them.
     probs, logp = net.softmax_and_log_softmax(
         logits, out=(buffers.probs, logits), per_head=buffers.entropies[..., None]
@@ -398,6 +401,33 @@ class Adam:
             tensor -= step
 
 
+class _Behavior:
+    """A rollout pass's decider: this module's ``dho_decide``, sampling with the noise given.
+
+    It keeps each slot's logits and pinned (accessed) heads.  The slots
+    left when the pass settles keep their start values: pinned, with
+    logits 0 (a pinned head's log-prob is 0 whatever its logits).
+    """
+
+    def __init__(self, policy: net.PolicyParameters | net.StackedPolicy, noise: np.ndarray):
+        self.policy = policy
+        self.noise = noise  # (E, N, J, K)
+
+    def begin_episode(self, env: HandoverEnv, rngs) -> None:
+        self.logits = np.zeros(self.noise.shape)
+        self.pinned = np.ones(self.noise.shape[:-1], dtype=bool)
+
+    def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
+        n, accessed = env.state.slot, env.state.accessed
+        self.pinned[:, n] = accessed
+        noise = self.noise[:, n]
+        actions, self.logits[:, n] = dho_decide(self.policy, observation, noise, "sample", accessed)
+        return actions
+
+    def retire(self, settled: np.ndarray) -> None:
+        """Nothing to drop: a pass retires every episode at once."""
+
+
 def rollout_segment(
     env: HandoverEnv,
     policy: net.PolicyParameters | net.StackedPolicy,
@@ -409,58 +439,27 @@ def rollout_segment(
     A :class:`net.StackedPolicy` of G parameter sets splits the episodes
     into G equal runs in order, each under its own set.  Episode ``e``
     starts from seed key ``env_seeds[e]`` and samples with the Gumbel noise
-    ``noise[e]`` (N, J, K).  Each slot runs one ``env.step`` and one
-    decision for all episodes until every terminal of every episode has
-    access.  The pass then settles (:meth:`HandoverEnv.settle`): its
-    remaining slots are recorded as deciding them would record them, with
-    every head pinned to action 0, and no decision is made.  The behavior
-    log-probabilities come from one pass over the whole rollout's logits.
-    Returns one stacked segment, built on the rollout's own buffers, and
-    each episode's metrics.
+    ``noise[e]`` (N, J, K).  The episodes are one chunk of
+    :func:`env.play`, given an observation buffer, so it ends as a whole,
+    and its outcome columns hold the actions (the requests, equal under the
+    pin) and the rewards.  The behavior log-probabilities come from one pass
+    over the whole rollout's logits.  Returns one stacked segment and each
+    episode's metrics.
     """
     cfg = env.config
-    episodes, length, j = len(env_seeds), cfg.horizon, cfg.num_ues
-    observations = np.empty((episodes, length + 1, observation_size(cfg)))
-    actions = np.empty((episodes, length, j), dtype=np.int64)
-    logits = np.empty((episodes, length, j, cfg.num_planes))
-    pinned = np.empty((episodes, length, j), dtype=bool)
-    rewards = np.empty((episodes, length))
-
-    obs = env.reset(episodes=env_seeds)
-    columns = OutcomeColumns(length)
-    for n in range(length):
-        observations[:, n] = obs
-        accessed = env.state.accessed
-        pinned[:, n] = accessed
-        actions[:, n], logits[:, n] = dho_decide(policy, obs, noise[:, n], "sample", accessed)
-        obs, outcome = env.step(actions[:, n])
-        rewards[:, n] = outcome.reward
-        columns.append(outcome)
-        if not outcome.d.any():  # D is 0 only once every terminal has access
-            break
-    decided = n + 1
-    observations[:, decided] = obs
-    if decided < length:
-        outcome = env.settle(observations[:, decided + 1 :])
-        columns.repeat(outcome)
-        pinned[:, decided:] = True
-        actions[:, decided:] = 0
-        logits[:, decided:] = 0.0  # a pinned head's log-prob is 0 whatever its logits
-        rewards[:, decided:] = outcome.reward[:, None]
-    # The logits go as soon as they are used.
-    logprobs = dho_log_probs(logits, actions, pinned)
-    del logits
+    observations = np.empty((len(env_seeds), cfg.horizon + 1, observation_size(cfg)))
+    behavior = _Behavior(policy, noise)
+    columns, finals = play(env, env_seeds, behavior, observations=observations)
+    actions = columns["requested"]
     segment = vtrace.TrajectorySegment(
         observations=observations,
         actions=actions,
-        behavior_logprobs=logprobs,
-        rewards=rewards,
-        masks=(~pinned).astype(float),
+        behavior_logprobs=dho_log_probs(behavior.logits, actions, behavior.pinned),
+        rewards=columns["reward"],
+        masks=(~behavior.pinned).astype(float),
         bootstrap_value=0.0,  # episodes terminate at the horizon
     )
-    records = [
-        episode_metrics(EpisodeOutcomes(columns, e), env.state.episode(e)) for e in range(episodes)
-    ]
+    records = [episode_metrics(EpisodeOutcomes(columns, e), final) for e, final in enumerate(finals)]
     return segment, records
 
 

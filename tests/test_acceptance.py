@@ -189,8 +189,8 @@ def _invariant_worker(args):
         env = HandoverEnv(cfg)
         rng = np.random.default_rng((worker_id, episodes, rb, preambles, planes))
         ceiling = min(1.0, sum(cfg.rb_per_target) / cfg.num_ues)
-        # The first episodes go one at a time through reset(seed) and (J,)
-        # actions; the rest run in lockstep chunks, as evaluation runs them.
+        # The first episodes go one at a time through reset(seed), a chunk
+        # of one; the rest run in lockstep chunks, as evaluation runs them.
         # Each keeps its seed key and its (N, J) actions, drawn in episode order.
         single = min(SINGLE_EPISODES, episodes)
         bounds = [*range(single), *range(single, episodes, batch_episodes(cfg)), episodes]
@@ -207,7 +207,7 @@ def _invariant_worker(args):
             )
             previous = np.atleast_2d(env.state.accessed).copy()
             for n in range(cfg.horizon):
-                _, out = env.step(actions[0, n] if one else actions[:, n])
+                _, out = env.step(actions[:, n])
                 accessed = np.atleast_2d(env.state.accessed)
                 rb_collision = np.atleast_2d(out.rb_collision)
                 prach_collision = np.atleast_2d(out.prach_collision)

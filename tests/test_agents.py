@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,15 @@ from leoho.agents import (
     make_agent,
     random_decide,
 )
-from leoho.env import HandoverEnv, ScenarioConfig
+from leoho.env import (
+    EpisodeOutcomes,
+    FeatureMask,
+    HandoverEnv,
+    OutcomeColumns,
+    ScenarioConfig,
+    episode_metrics,
+    observation_size,
+)
 
 
 def measurements_from(l3_rows) -> link.MeasurementState:
@@ -240,30 +250,42 @@ def test_no_agent_requests_for_accessed_terminals():
             env.state.accessed[:, pinned] = True
 
 
+STATE_FIELDS = ("slot", "accessed", "rb_remaining", "prev_action", "ue_positions")
+
+
 @pytest.mark.parametrize(
     "kind, mode", [("conventional", "greedy"), ("random", "greedy"), ("dho", "greedy"), ("dho", "sample")]
 )
-def test_agents_step_one_unbatched_episode(kind, mode):
-    # After reset(seed) nothing carries an episode axis, so each agent's
-    # per-episode blocks drop theirs too; its episode plays out as the same
-    # episode stepped as a batch of one.
-    cfg = ScenarioConfig(num_ues=6, rb_per_target=(2, 2), num_preambles=4, horizon=5)
-    params = net.init_params(1 + 6 + 18, 6, 3, hidden=(8, 8), rng=np.random.default_rng(3))
-    single, batch = HandoverEnv(cfg), HandoverEnv(cfg)
-    single_agent = make_agent(kind, params=params, mode=mode)
-    batch_agent = make_agent(kind, params=params, mode=mode)
-    obs, batch_obs = single.reset(8), batch.reset(episodes=[8])
-    single_agent.begin_episode(single, [np.random.default_rng(5)])
-    batch_agent.begin_episode(batch, [np.random.default_rng(5)])
-    for _ in range(cfg.horizon):
-        actions = single_agent.act(single, obs)
-        batch_actions = batch_agent.act(batch, batch_obs)
-        assert actions.shape == (cfg.num_ues,)
-        assert np.array_equal(actions, batch_actions[0])
-        obs, outcome = single.step(actions)
-        batch_obs, batch_outcome = batch.step(batch_actions)
-        assert np.array_equal(outcome.command, batch_outcome.command[0])
-        assert outcome.reward == batch_outcome.reward[0]
+def test_reset_seed_is_a_chunk_of_one(kind, mode):
+    # reset(seed) starts the chunk reset(episodes=[seed]) starts, so a whole
+    # episode under each agent gives the same observations, states, outcome
+    # columns and metrics, byte for byte.  The A3 flags put the measurement
+    # fold in every observation.
+    cfg = ScenarioConfig(
+        num_ues=6, rb_per_target=(2, 2), num_preambles=4, horizon=5,
+        features=FeatureMask(a3_centralized=True),
+    )
+    params = net.init_params(observation_size(cfg), 6, 3, hidden=(8, 8), rng=np.random.default_rng(3))
+    runs = []
+    for start in (lambda env: env.reset(8), lambda env: env.reset(episodes=[8])):
+        env = HandoverEnv(cfg)
+        agent = make_agent(kind, params=params, mode=mode)
+        obs = start(env)
+        agent.begin_episode(env, [np.random.default_rng(5)])
+        arrays, columns = [obs], OutcomeColumns(cfg.horizon)
+        for _ in range(cfg.horizon):
+            obs, outcome = env.step(agent.act(env, obs))
+            columns.append(outcome)
+            arrays += [obs] + [np.copy(getattr(env.state, name)) for name in STATE_FIELDS]
+        arrays += columns.values()
+        runs.append((arrays, episode_metrics(EpisodeOutcomes(columns, 0), env.state.episode(0))))
+    (seeded, seeded_metrics), (chunk, chunk_metrics) = runs
+    assert len(seeded) == len(chunk)
+    for got, want in zip(seeded, chunk):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    assert [v.hex() for v in astuple(seeded_metrics)] == [v.hex() for v in astuple(chunk_metrics)]
+    assert chunk[0].shape == (1, observation_size(cfg))
 
 
 def test_make_agent_validation():

@@ -1,13 +1,16 @@
 """The program names the benchmark in ``bench/`` hooks, read without editing it.
 
 The benchmark wraps ``episode_metrics`` where evaluation and training look it
-up, to sample the machine's speed and to check every episode, and its traced
-run patches the attributes listed in ``bench/tracing.TARGETS``.  Its set-up
-probe calls ``parse_spec_file``, ``HandoverEnv.reset(seed)``,
-``make_agent(kind, params=...)`` and ``init_params``.  A refactor that
-renames one of them, changes their signatures, or stops calling
-``episode_metrics`` once per episode, silently breaks the checked or traced
-benchmark run.
+up, on ``experiments`` and on ``training``, to sample the machine's speed and
+to check every episode; the chunk engine, ``env.play``, returns outcome
+columns and final states and calls it for neither.  Its traced run patches the
+attributes listed in ``bench/tracing.TARGETS``, among them the
+``rollout_segment`` and ``dho_decide`` that ``train`` looks up on
+``training``.  Its set-up probe calls ``parse_spec_file``,
+``HandoverEnv.reset(seed)`` with an int seed (a chunk of one episode),
+``make_agent(kind, params=...)`` and ``init_params``.  A refactor that renames
+one of them, changes their signatures, or stops calling ``episode_metrics``
+once per episode, silently breaks the checked or traced benchmark run.
 """
 
 import dataclasses

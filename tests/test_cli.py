@@ -341,6 +341,18 @@ def test_ablation_cli(tmp_path):
     assert len(lines) == 1 + 2 * 24
 
 
+@pytest.mark.parametrize("masks", ["", "full_local,"])
+def test_ablation_with_an_empty_mask_name_exits_2_before_any_work(tmp_path, masks):
+    # An empty --mask names one mask, '', as run's --mask does: it is no
+    # request for every mask.
+    spec = write_spec(tmp_path, FAST_DHO)
+    out = tmp_path / "abl"
+    code, err = exit_code(["ablation", "--spec", spec, "--mask", masks, "--train-episodes", "24", "--out", str(out)])
+    assert code == 2, err
+    assert "unknown mask ''" in err
+    assert not out.exists()
+
+
 def test_cli_overrides_apply(tmp_path):
     spec = write_spec(tmp_path, FAST_RANDOM)
     out = tmp_path / "o"

@@ -27,6 +27,7 @@ from leoho.env import (
     episode_metrics,
     observation_size,
     rach,
+    settled_outcome,
 )
 from leoho.experiments import trace_header, write_trace_csv
 
@@ -150,25 +151,25 @@ def test_reset_places_ues_inside_area():
     env = HandoverEnv(small_config(area_m=1000.0))
     env.reset(5)
     pos = env.state.ue_positions
-    assert pos.shape == (10, 3)
-    assert (pos[:, :2] >= 0).all() and (pos[:, :2] <= 1000.0).all()
-    assert (pos[:, 2] == 0).all()
+    assert pos.shape == (1, 10, 3)
+    assert (pos[..., :2] >= 0).all() and (pos[..., :2] <= 1000.0).all()
+    assert (pos[..., 2] == 0).all()
 
 
 def test_explicit_ue_positions():
     coords = tuple((float(i), float(2 * i)) for i in range(10))
     env = HandoverEnv(small_config(ue_positions=coords))
     env.reset(0)
-    assert np.allclose(env.state.ue_positions[:, 0], [c[0] for c in coords])
+    assert np.allclose(env.state.ue_positions[0, :, 0], [c[0] for c in coords])
 
 
 def test_initial_observation_contents():
     env = HandoverEnv(small_config())
     obs = env.reset(0)
-    assert obs.shape == (41,)
-    assert obs[0] == 0.0  # time index n/N
-    assert np.array_equal(obs[1:11], np.zeros(10))  # nothing accessed
-    onehot = obs[11:].reshape(10, 3)
+    assert obs.shape == (1, 41)
+    assert obs[0, 0] == 0.0  # time index n/N
+    assert np.array_equal(obs[0, 1:11], np.zeros(10))  # nothing accessed
+    onehot = obs[0, 11:].reshape(10, 3)
     assert np.array_equal(onehot[:, 0], np.ones(10))  # previous action all-zero
 
 
@@ -250,7 +251,6 @@ def test_reset_and_random_agent_draws_match_numpy_calls(batched, positions, prea
     want = reference_draws(cfg, seeds)
     got = (env.state.ue_positions, env._keys, env._preambles, agent._draws)
     for g, w in zip(got, want):
-        w = w if batched else w[0]
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
 
@@ -277,18 +277,18 @@ def test_centralized_observation_matches_a3_evaluation():
     env = HandoverEnv(cfg)
     obs = env.reset(3)
     for _ in range(4):
-        obs, _ = env.step(np.zeros(10, dtype=int))
+        obs, _ = env.step(np.zeros((1, 10), dtype=int))
     measurements = env.measurements()
     expected = np.array(
         [
             [
-                a3_event(measurements.l3_dbm[j, 0], measurements.l3_dbm[j, k], cfg.a3_offset_db)
+                a3_event(measurements.l3_dbm[0, j, 0], measurements.l3_dbm[0, j, k], cfg.a3_offset_db)
                 for k in (1, 2)
             ]
             for j in range(10)
         ]
     )
-    flags = obs[41:].reshape(10, 2).astype(bool)
+    flags = obs[0, 41:].reshape(10, 2).astype(bool)
     assert np.array_equal(flags, expected)
 
 
@@ -552,7 +552,7 @@ def test_step_all_accessed_is_quiet():
     env = HandoverEnv(small_config())
     env.reset(0)
     env.state.accessed[:] = True
-    _, out = env.step(np.full(10, 2))
+    _, out = env.step(np.full((1, 10), 2))
     assert out.d == 0.0 and out.c_total == 0.0 and out.reward == 0.0
     assert not out.requested.any() and not out.command.any()
 
@@ -560,16 +560,16 @@ def test_step_all_accessed_is_quiet():
 def test_step_all_waiting():
     env = HandoverEnv(small_config())
     env.reset(0)
-    _, out = env.step(np.zeros(10, dtype=int))
+    _, out = env.step(np.zeros((1, 10), dtype=int))
     assert out.d == 1.0 and out.c_total == 0.0 and out.reward == -1.0
 
 
 def test_step_insufficient_blocks_rate():
     env = HandoverEnv(small_config())
     env.reset(0)
-    env.state.rb_remaining[0] = 3
-    _, out = env.step(np.ones(10, dtype=int))
-    assert out.c_r_per_target[0] == pytest.approx(0.7)
+    env.state.rb_remaining[0, 0] = 3
+    _, out = env.step(np.ones((1, 10), dtype=int))
+    assert out.c_r_per_target[0, 0] == pytest.approx(0.7)
     assert (out.command == 1).sum() == 3
 
 
@@ -577,14 +577,14 @@ def test_everyone_accesses_first_slot_scores_zero_delay():
     # Delay counts terminals still unaccessed after the slot's completions.
     env = HandoverEnv(small_config(num_preambles=10**6))
     env.reset(1)
-    _, out = env.step(np.ones(10, dtype=int))
+    _, out = env.step(np.ones((1, 10), dtype=int))
     assert out.newly_accessed.all()
     assert out.d == 0.0
     outcomes = [out]
     for _ in range(19):
-        _, o = env.step(np.zeros(10, dtype=int))
+        _, o = env.step(np.zeros((1, 10), dtype=int))
         outcomes.append(o)
-    m = episode_metrics(episode_view(outcomes), env.state)
+    m = episode_metrics(episode_view(outcomes), env.state.episode(0))
     assert m.sum_delay == 0.0
     assert m.ho_success == 1.0
 
@@ -592,8 +592,8 @@ def test_everyone_accesses_first_slot_scores_zero_delay():
 def test_never_accessing_scores_full_delay():
     env = HandoverEnv(small_config())
     env.reset(0)
-    outcomes = [env.step(np.zeros(10, dtype=int))[1] for _ in range(20)]
-    m = episode_metrics(episode_view(outcomes), env.state)
+    outcomes = [env.step(np.zeros((1, 10), dtype=int))[1] for _ in range(20)]
+    m = episode_metrics(episode_view(outcomes), env.state.episode(0))
     assert m.sum_delay == 20.0
     assert m.ho_success == 0.0
     assert m.episode_return == -20.0
@@ -604,15 +604,17 @@ def test_return_identity_with_delay_weight():
     env = HandoverEnv(cfg)
     rng = np.random.default_rng(0)
     env.reset(9)
-    outcomes = [env.step(rng.integers(0, 3, 10))[1] for _ in range(20)]
-    m = episode_metrics(episode_view(outcomes), env.state)
+    outcomes = [env.step(rng.integers(0, 3, (1, 10)))[1] for _ in range(20)]
+    m = episode_metrics(episode_view(outcomes), env.state.episode(0))
     assert m.episode_return == pytest.approx(-cfg.nu * m.sum_delay - m.sum_collision, abs=1e-12)
 
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_settle_gives_what_stepping_action_zero_gives(batched):
-    # The A3 flags put the measurement fold in every observation, and at
-    # nu = 0 a settled slot's reward is still step's -0.0.
+    # Retiring every episode at once ends the chunk as a whole, and fills
+    # the observations of its remaining slots.  The A3 flags put the
+    # measurement fold in every observation, and at nu = 0 a settled slot's
+    # reward is still step's -0.0.
     cfg = small_config(horizon=12, nu=0.0, features=FeatureMask(a3_centralized=True))
     stepped, settled = HandoverEnv(cfg), HandoverEnv(cfg)
     columns = {}
@@ -622,29 +624,34 @@ def test_settle_gives_what_stepping_action_zero_gives(batched):
         else:
             env.reset(3)
         columns[env] = OutcomeColumns(cfg.horizon)
+    everyone = np.ones(len(settled.state.accessed), dtype=bool)
     with pytest.raises(ValueError, match="every terminal"):
-        settled.settle()
+        settled.retire(everyone)
     while not settled.state.accessed.all():  # request plane 1 until everyone has access
         actions = np.where(settled.state.accessed, 0, 1)
         for env in (stepped, settled):
             columns[env].append(env.step(actions)[1])
     slot = settled.state.slot
     assert 0 < slot < cfg.horizon - 1
-    lead = settled.state.accessed.shape[:-1]
-    want = np.empty(lead + (cfg.horizon - slot, observation_size(cfg)))
+    want = np.empty((len(everyone), cfg.horizon - slot, observation_size(cfg)))
     for i in range(cfg.horizon - slot):
-        want[..., i, :], outcome = stepped.step(np.zeros_like(actions))
+        want[:, i], outcome = stepped.step(np.zeros_like(actions))
         columns[stepped].append(outcome)
-    with pytest.raises(ValueError, match="slots"):
-        settled.settle(np.empty(want.shape[:-2] + (1, want.shape[-1])))
+    with pytest.raises(ValueError, match="slots left"):
+        settled.retire(everyone, np.empty((len(everyone), 1, want.shape[-1])))
     observations = np.empty_like(want)
-    columns[settled].repeat(settled.settle(observations))
+    if batched:
+        with pytest.raises(ValueError, match="every episode's"):
+            settled.retire(np.array([True, False]), observations)
+    final = settled.retire(everyone, observations)
+    columns[settled].repeat(settled_outcome(cfg, slot + 1))
     assert observations.tobytes() == want.tobytes()
     for name, column in columns[stepped].items():
         assert columns[settled][name].tobytes() == column.tobytes(), name
     assert np.signbit(columns[settled]["reward"][..., slot:]).all()
-    for name in ("slot", "accessed", "rb_remaining", "prev_action"):
-        assert np.array_equal(getattr(settled.state, name), getattr(stepped.state, name)), name
+    for state in (final, settled.state):
+        for name in ("slot", "accessed", "rb_remaining", "prev_action"):
+            assert np.array_equal(getattr(state, name), getattr(stepped.state, name)), name
     with pytest.raises(RuntimeError):
         settled.step(np.zeros_like(actions))
 
@@ -681,23 +688,21 @@ def test_retired_episodes_leave_the_others_as_they_were():
             retired_after.add(stepped.state.slot)
             live = live[~settled]
     assert len(retired_after) > 1
-    single = HandoverEnv(cfg)
-    single.reset(3)
-    with pytest.raises(RuntimeError, match="batch"):
-        single.retire(np.array([False]))
+    with pytest.raises(RuntimeError, match="reset"):
+        HandoverEnv(cfg).retire(np.array([False]))
 
 
 def test_step_rejects_bad_actions_and_finished_episode():
     env = HandoverEnv(small_config(horizon=2))
     env.reset(0)
     with pytest.raises(ValueError):
-        env.step(np.zeros(9, dtype=int))
+        env.step(np.zeros((1, 9), dtype=int))
     with pytest.raises(ValueError):
-        env.step(np.full(10, 3))
-    env.step(np.zeros(10, dtype=int))
-    env.step(np.zeros(10, dtype=int))
+        env.step(np.full((1, 10), 3))
+    env.step(np.zeros((1, 10), dtype=int))
+    env.step(np.zeros((1, 10), dtype=int))
     with pytest.raises(RuntimeError):
-        env.step(np.zeros(10, dtype=int))
+        env.step(np.zeros((1, 10), dtype=int))
 
 
 CASE1 = dict(num_ues=10, rb_per_target=(10, 10), num_preambles=50)
@@ -723,7 +728,8 @@ def test_batched_views_equal_single_episode_records(scenario):
     for e, seed in enumerate(seeds):
         alone = HandoverEnv(cfg)
         alone.reset(seed)
-        records = [alone.step(actions[e, n])[1] for n in range(cfg.horizon)]
+        stepped = [alone.step(actions[e, n][None])[1] for n in range(cfg.horizon)]
+        records = list(episode_view(stepped))
         view = EpisodeOutcomes(columns, e)
         assert len(view) == cfg.horizon
         for got, want in zip(view, records):
@@ -741,7 +747,7 @@ def test_batched_views_equal_single_episode_records(scenario):
             episode_return=float(sum(o.reward for o in records)),
         )
         assert episode_metrics(view, env.state.episode(e)) == oracle
-        assert episode_metrics(episode_view(records), alone.state) == oracle
+        assert episode_metrics(episode_view(stepped), alone.state.episode(0)) == oracle
 
 
 def _per_episode_sums(d, c_r_block, c_p, reward) -> list[str]:
@@ -823,8 +829,14 @@ def test_chunk_sums_past_numpy_buffer_match_the_episode_alone(targets):
         view = EpisodeOutcomes(columns, e)
         alone = np.array([o.c_r_per_target for o in view]).sum()
         assert episode_metrics(view, final).sum_collision_rb.hex() == float(alone).hex()
-        restacked = episode_metrics(episode_view(list(view)), final)
+        restacked = episode_metrics(episode_view([with_episode_axis(o) for o in view]), final)
         assert restacked.sum_collision_rb.hex() == float(alone).hex()
+
+
+def with_episode_axis(record: StepOutcome) -> StepOutcome:
+    """One episode's record as a step's outcome for a chunk of one."""
+    values = (getattr(record, f.name) for f in dataclasses.fields(StepOutcome)[1:])
+    return StepOutcome(record.slot, *(np.asarray(value)[None] for value in values))
 
 
 def _count_step_outcomes(monkeypatch) -> list:
@@ -862,9 +874,9 @@ def test_training_builds_one_outcome_per_slot_per_chunk(monkeypatch):
 def test_episode_metrics_length_mismatch():
     env = HandoverEnv(small_config())
     env.reset(0)
-    _, out = env.step(np.zeros(10, dtype=int))
+    _, out = env.step(np.zeros((1, 10), dtype=int))
     with pytest.raises(ValueError):
-        episode_metrics(episode_view([out, out]), env.state)
+        episode_metrics(episode_view([out, out]), env.state.episode(0))
 
 
 # --- whole-episode invariants -------------------------------------------------
@@ -876,7 +888,7 @@ def run_episode(cfg: ScenarioConfig, seed: int, actions: np.ndarray):
     outcomes = []
     accessed_before = env.state.accessed.copy()
     for n in range(cfg.horizon):
-        _, out = env.step(actions[n])
+        _, out = env.step(actions[n][None])
         now = env.state.accessed
         # Monotone access: no terminal ever loses its connection.
         assert (now | ~accessed_before).all() or (now >= accessed_before).all()
@@ -911,14 +923,14 @@ def test_episode_invariants_hold(seed, rb, preambles, data):
         )
     )
     env, outcomes = run_episode(cfg, seed, actions)
-    m = episode_metrics(episode_view(outcomes), env.state)
+    m = episode_metrics(episode_view(outcomes), env.state.episode(0))
     # Block accounting: every spent block belongs to a completed terminal.
     completions = np.zeros(2, dtype=int)
     for out in outcomes:
         for k in (1, 2):
             completions[k - 1] += int((out.command[out.newly_accessed] == k).sum())
     assert np.array_equal(
-        np.array(cfg.rb_per_target) - env.state.rb_remaining, completions
+        np.array(cfg.rb_per_target) - env.state.rb_remaining[0], completions
     )
     assert (env.state.rb_remaining >= 0).all()
     # Capacity ceiling.
@@ -946,7 +958,7 @@ def test_trace_csv_schema_and_determinism(tmp_path):
     episodes = []
     for e in range(2):
         env.reset(e)
-        outcomes = [env.step(np.ones(10, dtype=int))[1] for _ in range(cfg.horizon)]
+        outcomes = [env.step(np.ones((1, 10), dtype=int))[1] for _ in range(cfg.horizon)]
         episodes.append((e, episode_view(outcomes)))
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(path_a, episodes, cfg.num_ues, cfg.num_targets)
@@ -965,17 +977,17 @@ def test_trace_writer_bytes_match_csv_writer(tmp_path):
     episodes = []
     for e in range(3):
         env.reset(e)
-        episodes.append((e, [env.step(rng.integers(0, 3, 10))[1] for _ in range(cfg.horizon)]))
+        episodes.append((e, [env.step(rng.integers(0, 3, (1, 10)))[1] for _ in range(cfg.horizon)]))
     # Rows equal but for the sign of a zero are formatted apart.
     for e, zero in ((3, 0.0), (4, -0.0)):
-        episodes.append((e, [dataclasses.replace(o, reward=zero) for o in episodes[0][1]]))
+        episodes.append((e, [dataclasses.replace(o, reward=np.full(1, zero)) for o in episodes[0][1]]))
     views = [(e, episode_view(outcomes)) for e, outcomes in episodes]
     write_trace_csv(tmp_path / "trace.csv", views, cfg.num_ues, cfg.num_targets)
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(trace_header(cfg.num_targets))
-        for e, outcomes in episodes:
-            for o in outcomes:
+        for e, view in views:
+            for o in view:
                 writer.writerow(
                     [e, o.slot, f"{o.d:.6f}"]
                     + [f"{v:.6f}" for v in o.c_r_per_target]
@@ -997,14 +1009,14 @@ def test_measurements_fold_samples_per_slot(period, samples):
     env = HandoverEnv(cfg)
     env.reset(2)
     for _ in range(3):
-        env.step(np.zeros(10, dtype=int))
+        env.step(np.zeros((1, 10), dtype=int))
     folded = env.measurements()
 
     # Oracle: L1 samples at slot start + m * period, m = 1..M, folded in time order.
     positions, velocities = orbital.default_constellation(
         cfg.altitude_m, cfg.num_planes, cfg.slot_s, cfg.horizon, cfg.area_m
     )
-    ues = env.state.ue_positions
+    ues = env.state.ue_positions[0]
 
     def rsrp(t):
         out = np.empty((cfg.num_ues, cfg.num_planes))

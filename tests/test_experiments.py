@@ -652,9 +652,9 @@ def test_evaluate_chunks_match_the_slot_by_slot_reference(agent_kind, eval_mode,
     retired = []  # (slot, episodes retired after it)
     finals = []  # the final state of each episode_metrics call, copied
 
-    def retire(self, settled, inner=HandoverEnv.retire):
+    def retire(self, settled, *args, inner=HandoverEnv.retire):
         retired.append((self.state.slot, int(settled.sum())))
-        return inner(self, settled)
+        return inner(self, settled, *args)
 
     def recorded(outcomes, final_state, inner=experiments.episode_metrics):
         finals.append([np.copy(getattr(final_state, name)) for name in FINAL_FIELDS])

@@ -581,13 +581,15 @@ def test_rollout_decides_once_per_slot(vtrace_enabled, monkeypatch):
         events.append("reset")
         return inner(self, *args, **kwargs)
 
-    def settle(self, *args, inner=HandoverEnv.settle, **kwargs):
-        events.append(("settle", self.state.slot))
-        return inner(self, *args, **kwargs)
+    def retire(self, settled, *args, inner=HandoverEnv.retire, **kwargs):
+        # A pass ends only as a whole: it retires every episode at once.
+        assert settled.all()
+        events.append(("retire", self.state.slot))
+        return inner(self, settled, *args, **kwargs)
 
     monkeypatch.setattr(training, "dho_decide", counted)
     monkeypatch.setattr(HandoverEnv, "reset", reset)
-    monkeypatch.setattr(HandoverEnv, "settle", settle)
+    monkeypatch.setattr(HandoverEnv, "retire", retire)
     # 30 episodes in batches of six: passes of two batches with V-trace (the
     # last holds one), and of one without.
     train(scenario, tiny_training(vtrace_enabled=vtrace_enabled), episodes=30, seed=1)
@@ -603,7 +605,7 @@ def test_rollout_decides_once_per_slot(vtrace_enabled, monkeypatch):
         # One decision per slot until every terminal has access, then none.
         *decisions, last = rollout
         if isinstance(last, tuple):
-            assert last == ("settle", len(decisions)) and len(decisions) < scenario.horizon
+            assert last == ("retire", len(decisions)) and len(decisions) < scenario.horizon
             settled += 1
         else:
             assert len(rollout) == scenario.horizon
@@ -669,11 +671,13 @@ def test_rollout_matches_the_slot_by_slot_reference(mask, vtrace_enabled, blocks
     policy = net.stack_params(policies if vtrace_enabled else policies[:1])
     settled = []
 
-    def settle(self, *args, inner=HandoverEnv.settle, **kwargs):
+    def retire(self, rows, *args, inner=HandoverEnv.retire, **kwargs):
+        # A pass ends only as a whole: it retires every episode at once.
+        assert rows.all()
         settled.append(self.state.slot)
-        return inner(self, *args, **kwargs)
+        return inner(self, rows, *args, **kwargs)
 
-    monkeypatch.setattr(HandoverEnv, "settle", settle)
+    monkeypatch.setattr(HandoverEnv, "retire", retire)
     segment, records = rollout_segment(HandoverEnv(scenario), policy, noise, seeds)
     want, want_records = stepped_rollout(HandoverEnv(scenario), policy, noise, seeds)
     assert len(settled) == (1 if settles else 0)
