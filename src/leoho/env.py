@@ -394,8 +394,8 @@ class EpisodeOutcomes(Sequence):
     Episode ``episode`` of :class:`OutcomeColumns`, or of a dict holding
     some of them.  Indexing or iterating builds :class:`StepOutcome`
     records, one per slot, equal to those stepping the episode alone gives,
-    and needs every column; :func:`episode_metrics` and
-    ``experiments.write_trace_csv`` read the columns and build none.
+    and needs every column; :func:`episode_metrics` reads the columns and
+    builds none.
     """
 
     __slots__ = ("columns", "episode")

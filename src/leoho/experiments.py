@@ -300,10 +300,14 @@ def apply_settings(spec: ExperimentSpec, settings: Iterable[tuple[str, object]])
 
 
 def parse_spec_file(path) -> ExperimentSpec:
-    """Parse the flat key-value experiment grammar into an ExperimentSpec."""
+    """Parse the flat key-value experiment grammar, UTF-8 text, into an ExperimentSpec."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("spec", f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
     def settings():
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -418,43 +422,45 @@ TRACE_COLUMNS = ("slot", "d", "c_r_per_target", "c_p", "reward")
 
 
 def write_trace_csv(
-    path, episodes: Iterable[tuple[int, EpisodeOutcomes]], num_ues: int, num_targets: int
+    path, chunks: Iterable[tuple[int, dict[str, np.ndarray]]], num_ues: int, num_targets: int
 ) -> None:
     """One row per slot: (episode, n, D, C_R_1.., C_P, reward, accessed_count).
 
-    ``episodes`` pairs an episode index with its :class:`EpisodeOutcomes`
-    view, of the :data:`TRACE_COLUMNS` at least.  It is read lazily, and
-    each chunk's rows are written once its views are done, so a generator's
-    chunks can go one at a time.  The bytes are those ``csv.writer`` writes
-    for the same rows: nothing needs quoting, and lines end in CRLF.  A run
+    ``chunks`` pairs the index of a chunk's first episode with the chunk's
+    outcome columns, the :data:`TRACE_COLUMNS` at least; its E episodes
+    are numbered on from that index.  It is read lazily, and each chunk's
+    rows are written before the next chunk is read, so a generator's chunks
+    can go one at a time.  The bytes are those ``csv.writer`` writes for
+    the same rows: nothing needs quoting, and lines end in CRLF.  A run
     repeats a few distinct (D, C_R, C_P, reward) rows, so each row's tail is
     formatted once.
     """
-    width = num_targets + 3
-    row_bits = np.dtype((np.void, 8 * width))
-    tails = _TraceTails(num_ues, width)
+    tails = _TraceTails(num_ues, num_targets + 3)
     with replace_atomically(path, newline="") as fh:
-        lines = [",".join(trace_header(num_targets)) + "\r\n"]
-        chunk = None
-        for episode_idx, view in episodes:
-            if view.columns is not chunk:  # the views of one chunk share its columns
-                fh.write("".join(lines))
-                lines.clear()
-                chunk = view.columns
-                values = np.concatenate(
-                    (
-                        chunk["d"][..., None],
-                        chunk["c_r_per_target"],
-                        chunk["c_p"][..., None],
-                        chunk["reward"][..., None],
-                    ),
-                    axis=-1,
-                )
-                keys = values.view(row_bits)[..., 0]  # (E, N) row bits
-                slots = chunk["slot"].tolist()
-            prefix = f"{episode_idx},"
-            lines += [f"{prefix}{n},{tails[key]}" for n, key in zip(slots, keys[view.episode].tolist())]
-        fh.write("".join(lines))
+        fh.write(",".join(trace_header(num_targets)) + "\r\n")
+        for first, columns in chunks:
+            fh.write(_trace_rows(first, columns, tails))
+
+
+def _trace_rows(first: int, columns: dict[str, np.ndarray], tails: _TraceTails) -> str:
+    """The trace rows of one chunk whose first episode is ``first``."""
+    values = np.concatenate(
+        (
+            columns["d"][..., None],
+            columns["c_r_per_target"],
+            columns["c_p"][..., None],
+            columns["reward"][..., None],
+        ),
+        axis=-1,
+    )
+    row_bits = np.dtype((np.void, values.itemsize * values.shape[-1]))
+    keys = values.view(row_bits)[..., 0]  # (E, N) row bits
+    slots = columns["slot"].tolist()
+    lines = []
+    for e, episode_keys in enumerate(keys, start=first):  # one episode's keys at a time
+        prefix = f"{e},"
+        lines += [f"{prefix}{n},{tails[key]}" for n, key in zip(slots, episode_keys.tolist())]
+    return "".join(lines)
 
 
 SUMMARY_HEADER = [
@@ -647,8 +653,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
             keep=TRACE_COLUMNS,
         ):
             records.extend(metrics)
-            for e in range(len(metrics)):
-                yield first + e, EpisodeOutcomes(columns, e)
+            yield first, columns
 
     write_trace_csv(out_dir / "trace.csv", traces(), scenario.num_ues, scenario.num_targets)
     row = summary_row(records, spec.agent, label=label_for_nu(scenario.nu))

@@ -5,7 +5,10 @@ and cheap at desk scale (observation dims in the tens, batch in the
 thousands).  The trunk is shared; each terminal gets one head of
 ``num_actions`` logits and a single linear value head estimates the state
 value.  Several parameter sets stacked into a :class:`StackedPolicy` run
-their decision forward as one pass.
+their decision forward as one pass.  A learner's pass runs in one
+:class:`TrunkBuffers` set, which holds its observation rows, activations,
+logits, values and gradients: :func:`forward_batch` writes them and
+:func:`backward_trunk` reads them back.
 """
 
 from __future__ import annotations
@@ -128,23 +131,16 @@ def zero_params(
 
 
 @dataclass
-class ForwardCache:
-    """Activations kept for the backward pass."""
-
-    inputs: np.ndarray  # (B, obs_dim)
-    h1: np.ndarray  # (B, hidden1) post-tanh
-    h2: np.ndarray  # (B, hidden2) post-tanh
-
-
-@dataclass
 class TrunkBuffers:
     """The arrays of one forward and backward pass over ``rows`` observations.
 
-    :func:`forward_batch` and :func:`backward_trunk` write into them when
-    given them as ``out``, so a learner that keeps one set for a run makes
-    no new arrays per update; each pass overwrites the one before.
+    ``forward_batch(params, trunk.inputs, out=trunk)`` writes the
+    activations, logits and values, and :func:`backward_trunk` reads them
+    and writes the gradients, so a learner that keeps one set for a run
+    makes no new arrays per update; each pass overwrites the one before.
     """
 
+    inputs: np.ndarray  # (rows, obs_dim) observations
     h1: np.ndarray  # (rows, hidden1) post-tanh
     h2: np.ndarray  # (rows, hidden2) post-tanh
     logits: np.ndarray  # (rows, J * K)
@@ -156,6 +152,7 @@ class TrunkBuffers:
     def allocate(cls, params: PolicyParameters, rows: int) -> "TrunkBuffers":
         h1, h2 = params.hidden_sizes
         return cls(
+            inputs=np.empty((rows, params.obs_dim)),
             h1=np.empty((rows, h1)),
             h2=np.empty((rows, h2)),
             logits=np.empty((rows, params.num_ues * params.num_actions)),
@@ -216,14 +213,14 @@ def forward_batch(
     obs: np.ndarray,
     value_head: bool = True,
     out: TrunkBuffers | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, ForwardCache]:
-    """Logits (B, J, K), values (B,), and the cache for backprop.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Logits (B, J, K) and values (B,) of (B, obs_dim) observations.
 
     A :class:`StackedPolicy` takes (G, B, obs_dim) observations and gives
     (G, B, J, K) logits; it runs only with ``value_head=False``, which
     skips the value head and gives None for the values.  With ``out`` the
     activations, logits and values are written into its buffers, which the
-    results and the cache then view; without, each is a new array.
+    results then view; without, each is a new array.
     """
     if value_head and isinstance(params, StackedPolicy):
         raise ValueError("a stacked policy runs without its value head")
@@ -244,12 +241,11 @@ def forward_batch(
     logits = np.matmul(h2, params.w_pi, out=logits)
     logits += params.b_pi
     logits = logits.reshape(obs.shape[:-1] + (params.num_ues, params.num_actions))
-    cache = ForwardCache(inputs=obs, h1=h1, h2=h2)
     if not value_head:
-        return logits, None, cache
+        return logits, None
     values = np.matmul(h2, params.w_v, out=values)
     values += params.b_v[0]
-    return logits, values, cache
+    return logits, values
 
 
 def forward(params: PolicyParameters | StackedPolicy, obs: np.ndarray) -> np.ndarray:
@@ -264,31 +260,29 @@ def forward(params: PolicyParameters | StackedPolicy, obs: np.ndarray) -> np.nda
     lead = obs.shape[:-1]
     groups = (len(params),) if isinstance(params, StackedPolicy) else ()
     rows = obs.reshape(groups + (-1, obs.shape[-1]))
-    logits, _, _ = forward_batch(params, rows, value_head=False)
+    logits, _ = forward_batch(params, rows, value_head=False)
     return logits.reshape(lead + logits.shape[-2:])
 
 
 def backward_trunk(
     params: PolicyParameters,
-    cache: ForwardCache,
+    trunk: TrunkBuffers,
     dlogits: np.ndarray,
     dvalues: np.ndarray,
-    out: TrunkBuffers | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of any scalar loss given its logits/value gradients.
 
-    The intermediates and gradients are written into ``out``, or into a set
-    allocated for this pass, and the gradients returned are its ``grads``.
+    ``trunk`` holds the pass ``forward_batch(params, trunk.inputs,
+    out=trunk)`` made: its inputs and activations are read, its spares take
+    the intermediates, and the gradients returned are its ``grads``.
     """
-    b = cache.inputs.shape[0]
+    b = trunk.inputs.shape[0]
     dlogits_flat = dlogits.reshape(b, -1)
-    if out is None:
-        out = TrunkBuffers.allocate(params, b)
-    grads = out.grads
-    first, second = out.spares
-    np.matmul(cache.h2.T, dlogits_flat, out=grads["w_pi"])
+    grads = trunk.grads
+    first, second = trunk.spares
+    np.matmul(trunk.h2.T, dlogits_flat, out=grads["w_pi"])
     np.sum(dlogits_flat, axis=0, out=grads["b_pi"])
-    np.matmul(cache.h2.T, dvalues, out=grads["w_v"])
+    np.matmul(trunk.h2.T, dvalues, out=grads["w_v"])
     np.sum(dvalues, keepdims=True, out=grads["b_v"])
 
     # The first spare holds dz2, then h1's tanh slope once dz2 is used up;
@@ -297,13 +291,13 @@ def backward_trunk(
     dz2 = np.matmul(dlogits_flat, params.w_pi.T, out=_rows(first, b, h2_width))
     outer = np.multiply(dvalues[:, None], params.w_v[None, :], out=_rows(second, b, h2_width))
     dz2 += outer
-    dz2 *= _tanh_slope(cache.h2, out=outer)
-    np.matmul(cache.h1.T, dz2, out=grads["w2"])
+    dz2 *= _tanh_slope(trunk.h2, out=outer)
+    np.matmul(trunk.h1.T, dz2, out=grads["w2"])
     np.sum(dz2, axis=0, out=grads["b2"])
 
     dz1 = np.matmul(dz2, params.w2.T, out=_rows(second, b, h1_width))
-    dz1 *= _tanh_slope(cache.h1, out=_rows(first, b, h1_width))
-    np.matmul(cache.inputs.T, dz1, out=grads["w1"])
+    dz1 *= _tanh_slope(trunk.h1, out=_rows(first, b, h1_width))
+    np.matmul(trunk.inputs.T, dz1, out=grads["w1"])
     np.sum(dz1, axis=0, out=grads["b1"])
     return grads
 

@@ -27,14 +27,15 @@ log-probabilities of the whole rollout in one pass after its last slot,
 and gives the learner one stacked segment, which each update slices into
 its batch.
 
-The learner writes every array of an update into one
-:class:`LearnerBuffers` set: the batch's observations and actions copied
-as (S * L, ...) rows, the activations, the heads' probabilities and
-logit gradient, the loss terms, the backward pass and the gradients.
-:func:`train` allocates the set at its first update and keeps it until it
-returns, so an update makes no new arrays beyond small per-head and
-per-segment ones, and its speed does not depend on what the allocator
-did with memory freed before it.
+The learner has one path, and every array of an update has one name in
+one :class:`LearnerBuffers` set: the batch's actions copied as (S * L, J)
+rows, the heads' probabilities and logit gradient and the loss terms, and
+its :class:`net.TrunkBuffers` part, which holds the observation rows, the
+activations, the logits (then the log-probabilities), the values, the
+backward pass and the gradients.  :func:`train` allocates the set at its
+first update and keeps it until it returns, so an update makes no new
+arrays beyond small per-head and per-segment ones, and its speed does not
+depend on what the allocator did with memory freed before it.
 """
 
 from __future__ import annotations
@@ -195,9 +196,8 @@ class LearnerBuffers:
     a buffer holds while that array is not yet or no longer live.
     """
 
-    inputs: np.ndarray  # (rows, obs_dim) observations
     actions: np.ndarray  # (rows, J) int
-    trunk: net.TrunkBuffers  # activations, logits, values, backward pass, gradients
+    trunk: net.TrunkBuffers  # observations, activations, logits then log-probs, values, gradients
     probs: np.ndarray  # (rows, J, K)
     chosen_logp: np.ndarray  # (rows, J); then its masked loss terms
     entropies: np.ndarray  # (rows, J); first the softmax's per-head max and sum
@@ -209,7 +209,6 @@ class LearnerBuffers:
     def allocate(cls, params: net.PolicyParameters, rows: int) -> "LearnerBuffers":
         heads = (rows, params.num_ues)
         return cls(
-            inputs=np.empty((rows, params.obs_dim)),
             actions=np.empty(heads, dtype=np.int64),
             trunk=net.TrunkBuffers.allocate(params, rows),
             probs=np.empty(heads + (params.num_actions,)),
@@ -221,87 +220,50 @@ class LearnerBuffers:
         )
 
 
-@dataclass
-class _BatchPass:
-    """One learner forward pass over every transition of a batch, in order.
-
-    Its arrays live in ``buffers``, and the loss builds its logit gradient
-    in ``probs`` and ``logp``, so a pass serves one update.
-    """
-
-    buffers: LearnerBuffers
-    values: np.ndarray  # (B,)
-    cache: net.ForwardCache
-    actions: np.ndarray  # (B, J)
-    masks: np.ndarray  # (B, J) float
-    probs: np.ndarray  # (B, J, K)
-    logp: np.ndarray  # (B, J, K)
-    chosen_logp: np.ndarray  # (B, J) log pi of the actions taken
-
-
 def _forward(
-    params: net.PolicyParameters,
-    segments: vtrace.TrajectorySegment,
-    buffers: LearnerBuffers | None = None,
-) -> _BatchPass:
+    params: net.PolicyParameters, segments: vtrace.TrajectorySegment, buffers: LearnerBuffers
+) -> None:
     """The pass over a stack of segments, its (S, L, ...) arrays read as (S * L, ...) rows.
 
-    It writes into ``buffers``, or into a set allocated for this batch.
+    It leaves the values in ``buffers.trunk.values``, the log-probabilities
+    in ``buffers.trunk.logits`` (over the logits, which nothing reads after
+    them), the probabilities in ``buffers.probs`` and log pi of the actions
+    taken in ``buffers.chosen_logp``.
     """
+    trunk = buffers.trunk
     observations = segments.observations[:, :-1]
-    if buffers is None:
-        buffers = LearnerBuffers.allocate(params, segments.rewards.size)
-    inputs, actions = buffers.inputs, buffers.actions
-    np.copyto(inputs.reshape(observations.shape), observations)
-    np.copyto(actions.reshape(segments.actions.shape), segments.actions)
-    logits, values, cache = net.forward_batch(params, inputs, out=buffers.trunk)
-    # The log-probabilities overwrite the logits, which nothing reads after them.
-    probs, logp = net.softmax_and_log_softmax(
+    np.copyto(trunk.inputs.reshape(observations.shape), observations)
+    np.copyto(buffers.actions.reshape(segments.actions.shape), segments.actions)
+    logits, _ = net.forward_batch(params, trunk.inputs, out=trunk)
+    net.softmax_and_log_softmax(
         logits, out=(buffers.probs, logits), per_head=buffers.entropies[..., None]
     )
-    return _BatchPass(
-        buffers=buffers,
-        values=values,
-        cache=cache,
-        actions=actions,
-        masks=segments.masks.reshape(actions.shape),
-        probs=probs,
-        logp=logp,
-        chosen_logp=net.pick(logp, actions, out=buffers.chosen_logp),
-    )
+    net.pick(logits, buffers.actions, out=buffers.chosen_logp)
 
 
-def loss_and_gradient_with_targets(
+def _loss_and_gradient(
     params: net.PolicyParameters,
     segments: vtrace.TrajectorySegment,
     targets: np.ndarray,
     advantages: np.ndarray,
     cfg: VtraceConfig,
-    forward: _BatchPass | None = None,
+    buffers: LearnerBuffers,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
-    """Three-term loss and its exact gradient, targets held constant.
-
-    total = policy + baseline_coeff * baseline - entropy_coeff * entropy.
-    The targets/advantages are stop-gradients: they are recomputed from the
-    current parameters before every update but not differentiated through.
-    ``forward`` is the batch's learner pass when the caller already has it;
-    this call uses it up, and the gradients it returns live in the pass's
-    buffers until the next pass over them.
-    """
-    batch = _forward(params, segments) if forward is None else forward
-    buffers = batch.buffers
-    probs, logp, masks = batch.probs, batch.logp, batch.masks
+    """The loss and gradient of the pass :func:`_forward` left in ``buffers``, which this uses up."""
+    trunk, probs, actions = buffers.trunk, buffers.probs, buffers.actions
+    logp = trunk.logits.reshape(probs.shape)
+    masks = segments.masks.reshape(actions.shape)
     # The product goes in dlogits' buffer, which is free until dlogits is built.
     entropies = np.sum(np.multiply(probs, logp, out=buffers.dlogits), axis=-1, out=buffers.entropies)
     np.negative(entropies, out=entropies)  # (B, J)
 
     # Each loss term is reduced in a buffer whose array is dead by then.
-    chosen = batch.chosen_logp
+    chosen = buffers.chosen_logp
     chosen *= masks
     per_row = np.sum(chosen, axis=1, out=buffers.per_row)
     per_row *= advantages
     policy_loss = -float(per_row.sum())
-    value_error = np.subtract(batch.values, targets, out=buffers.value_error)
+    value_error = np.subtract(trunk.values, targets, out=buffers.value_error)
     baseline_loss = 0.5 * float(np.square(value_error, out=buffers.per_row).sum())
     entropy_total = float(np.multiply(entropies, masks, out=chosen).sum())
     total = (
@@ -312,7 +274,7 @@ def loss_and_gradient_with_targets(
 
     # d(total)/dlogits = -A (onehot - p) + c p (log p + H), built in place
     # in the pass's buffers; pinned heads contribute nothing to any term.
-    dlogits = np.equal(batch.actions[..., None], np.arange(probs.shape[-1]), out=buffers.dlogits)
+    dlogits = np.equal(actions[..., None], np.arange(probs.shape[-1]), out=buffers.dlogits)
     dlogits -= probs
     dlogits *= np.negative(advantages, out=buffers.per_row)[:, None, None]
     probs *= cfg.entropy_coeff
@@ -322,39 +284,57 @@ def loss_and_gradient_with_targets(
     dlogits *= masks[..., None]
     dvalues = np.multiply(value_error, cfg.baseline_coeff, out=value_error)
 
-    grads = net.backward_trunk(params, batch.cache, dlogits, dvalues, out=buffers.trunk)
+    grads = net.backward_trunk(params, trunk, dlogits, dvalues)
     report = LossReport(
         policy=policy_loss, baseline=baseline_loss, entropy=entropy_total, total=total
     )
     return report, grads
 
 
+def loss_and_gradient_with_targets(
+    params: net.PolicyParameters,
+    segments: vtrace.TrajectorySegment,
+    targets: np.ndarray,
+    advantages: np.ndarray,
+    cfg: VtraceConfig,
+    buffers: LearnerBuffers,
+) -> tuple[LossReport, dict[str, np.ndarray]]:
+    """Three-term loss and its exact gradient, targets held constant.
+
+    total = policy + baseline_coeff * baseline - entropy_coeff * entropy.
+    The targets/advantages are stop-gradients: they are recomputed from the
+    current parameters before every update but not differentiated through.
+    The pass writes into ``buffers``, and the gradients returned live there
+    until the next pass over them.
+    """
+    _forward(params, segments, buffers)
+    return _loss_and_gradient(params, segments, targets, advantages, cfg, buffers)
+
+
 def loss_and_gradient(
     params: net.PolicyParameters,
     segments: vtrace.TrajectorySegment,
     cfg: VtraceConfig,
-    buffers: LearnerBuffers | None = None,
+    buffers: LearnerBuffers,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """The loss and its gradient, from one forward pass over the batch.
 
-    The pass writes into ``buffers``, or into a set allocated for this
-    batch, and the gradients returned live there.  Its values and log pi
-    of the recorded actions feed :func:`vtrace.vtrace_targets`, looked up
-    on the module, where the benchmark's tracer patches it.
+    The pass writes into ``buffers``, and the gradients returned live
+    there.  Its values and log pi of the recorded actions feed
+    :func:`vtrace.vtrace_targets`, looked up on the module, where the
+    benchmark's tracer patches it.
     """
-    forward = _forward(params, segments, buffers)
+    _forward(params, segments, buffers)
     targets, advantages = vtrace.vtrace_targets(
         segments,
-        forward.values.reshape(segments.rewards.shape),
-        forward.chosen_logp.reshape(segments.actions.shape),
+        buffers.trunk.values.reshape(segments.rewards.shape),
+        buffers.chosen_logp.reshape(segments.actions.shape),
         cfg.gamma,
         cfg.rho_bar,
         cfg.c_bar,
         cfg.vtrace_enabled,
     )
-    return loss_and_gradient_with_targets(
-        params, segments, targets.ravel(), advantages.ravel(), cfg, forward
-    )
+    return _loss_and_gradient(params, segments, targets.ravel(), advantages.ravel(), cfg, buffers)
 
 
 class Adam:
@@ -468,7 +448,6 @@ def train(
     cfg: VtraceConfig,
     episodes: int,
     seed: int = 0,
-    initial_params: net.PolicyParameters | None = None,
 ) -> tuple[net.PolicyParameters, list[MetricsRecord]]:
     """Run the actor-learner loop and return final parameters plus the curve.
 
@@ -492,17 +471,13 @@ def train(
     the same as rolling out one batch per pass.
     """
     check_training(scenario, cfg, episodes)
-    obs_dim = observation_size(scenario)
-    if initial_params is None:
-        params = net.init_params(
-            obs_dim,
-            scenario.num_ues,
-            scenario.num_planes,
-            hidden=cfg.hidden,
-            rng=np.random.default_rng([seed, 2**16]),
-        )
-    else:
-        params = initial_params.copy()
+    params = net.init_params(
+        observation_size(scenario),
+        scenario.num_ues,
+        scenario.num_planes,
+        hidden=cfg.hidden,
+        rng=np.random.default_rng([seed, 2**16]),
+    )
 
     optimizer = Adam(params)
     env = HandoverEnv(scenario)

@@ -25,7 +25,7 @@ from leoho.experiments import (
     scenario_for_case,
     summary_row,
 )
-from leoho.training import VtraceConfig, loss_and_gradient_with_targets, train
+from leoho.training import LearnerBuffers, VtraceConfig, loss_and_gradient_with_targets, train
 from leoho.vtrace import TrajectorySegment, vtrace_from_values, vtrace_targets
 
 EVAL_EPISODES = 1000
@@ -51,13 +51,13 @@ def test_criterion_01_gradient_correctness():
         observations = rng.uniform(0, 1, size=(length + 1, 5))
         actions = rng.integers(0, 3, size=(length, 2))
         masks = (rng.uniform(size=(length, 2)) > 0.25).astype(float)
-        logits, _, _ = net.forward_batch(behavior, observations[:-1])
+        logits, _ = net.forward_batch(behavior, observations[:-1])
         logprobs = net.head_log_probs(logits, actions) * masks
         episodes.append((observations, actions, logprobs, rng.normal(size=length), masks))
     segments = TrajectorySegment(*map(np.stack, zip(*episodes)), bootstrap_value=0.0)
     cfg = VtraceConfig(gamma=0.95, entropy_coeff=0.011, baseline_coeff=0.55, hidden=(8, 8))
     observations = segments.observations[:, :-1].reshape(-1, 5)
-    logits, values, _ = net.forward_batch(params, observations)
+    logits, values = net.forward_batch(params, observations)
     targets, advantages = vtrace_targets(
         segments,
         values.reshape(segments.rewards.shape),
@@ -67,7 +67,9 @@ def test_criterion_01_gradient_correctness():
         cfg.c_bar,
     )
     targets, advantages = targets.ravel(), advantages.ravel()
-    _, grads = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)
+    # The analytic gradients live in their own buffers, which the probes' passes leave alone.
+    buffers, probe = (LearnerBuffers.allocate(params, segments.rewards.size) for _ in range(2))
+    _, grads = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg, buffers)
 
     h = 1e-5
     worst = 0.0
@@ -77,9 +79,9 @@ def test_criterion_01_gradient_correctness():
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + h
-            up = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)[0].total
+            up = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg, probe)[0].total
             flat[idx] = keep - h
-            down = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)[0].total
+            down = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg, probe)[0].total
             flat[idx] = keep
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(grad_flat[idx]), 1e-6)
@@ -136,7 +138,7 @@ def test_criterion_02_vtrace_oracle():
         observations = rng.uniform(0, 1, size=(length + 1, 6))
         actions = rng.integers(0, 3, size=(length, 2))
         masks = np.ones((length, 2))
-        logits, values_net, _ = net.forward_batch(params, observations[:-1])
+        logits, values_net = net.forward_batch(params, observations[:-1])
         segment = TrajectorySegment(
             observations=observations,
             actions=actions,

@@ -6,7 +6,11 @@ to check every episode; the chunk engine, ``env.play``, returns outcome
 columns and final states and calls it for neither.  Its traced run patches the
 attributes listed in ``bench/tracing.TARGETS``, among them the
 ``rollout_segment`` and ``dho_decide`` that ``train`` looks up on
-``training``.  Its set-up probe calls ``parse_spec_file``,
+``training``, and its hooks read the calls' arguments: the learner rows of
+``net.forward_batch(params, rows, ...)``, the ``inputs`` of the
+``net.TrunkBuffers`` that ``net.backward_trunk(params, trunk, ...)`` reads
+back, and the segments of ``training.loss_and_gradient(params, segments,
+...)``.  Its set-up probe calls ``parse_spec_file``,
 ``HandoverEnv.reset(seed)`` with an int seed (a chunk of one episode),
 ``make_agent(kind, params=...)`` and ``init_params``.  A refactor that renames
 one of them, changes their signatures, or stops calling ``episode_metrics``
@@ -109,6 +113,32 @@ def test_learner_targets_go_through_the_traced_name():
         with patched(vtrace, "vtrace_targets", counted):
             training.train(scenario, cfg, episodes=13, seed=2)
         assert [len(segments) for segments in calls] == [5, 5], vtrace_enabled
+
+
+def test_learner_hooks_count_each_update_row_once():
+    # The traced run's learner metrics read three hooks: the rows of each
+    # learner ``forward_batch`` (the one outside ``net.forward``), the rows
+    # of the trunk each ``backward_trunk`` reads back, and the transitions
+    # of each ``loss_and_gradient``.  The tracer wraps them with the real
+    # arguments and results, so one learner pass per update counts each
+    # row once in all three.
+    scenario = ScenarioConfig(num_ues=4, rb_per_target=(2, 2), num_preambles=6, horizon=8)
+    for vtrace_enabled in (True, False):
+        cfg = training.VtraceConfig(batch_size=40, hidden=(8, 8), vtrace_enabled=vtrace_enabled)
+        tracer = tracing.Tracer()
+        with ExitStack() as stack:
+            tracer.install(stack)
+            # Batches of five: two updates, and a trailing partial batch.
+            training.train(scenario, cfg, episodes=13, seed=2)
+        counts = tracer.fold(wall_s=1.0).counts
+        rows = counts["training.updates"] * cfg.batch_episodes(scenario.horizon) * scenario.horizon
+        assert counts["training.updates"] == 2, vtrace_enabled
+        assert (
+            counts["net.backward_trunk.rows"]
+            == counts["net.forward_batch.learner_rows"]
+            == counts["training.transitions"]
+            == rows
+        ), (vtrace_enabled, counts)
 
 
 def test_run_writes_each_report_through_the_traced_name(tmp_path):

@@ -212,6 +212,18 @@ def test_missing_spec_file_exits_3(tmp_path):
     assert main(["run", "--spec", str(tmp_path / "absent.spec")]) == 3
 
 
+def test_spec_file_that_is_not_utf8_exits_2_before_any_work(tmp_path):
+    spec = tmp_path / "bad.spec"
+    spec.write_bytes(b"agent = random\n\xff\xfe = 1\n")
+    out = tmp_path / "out"
+    code, err = exit_code(["run", "--spec", str(spec), "--out", str(out)])
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and "configuration error" in lines[0] and "UTF-8" in lines[0], lines
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_cli(tmp_path):
     spec = write_spec(tmp_path, FAST_RANDOM)
     for parameter, values in (("rb_ratio", "0.5,1.0"), ("R", "3,10")):

@@ -38,12 +38,17 @@ def small_config(**kw) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
-def episode_view(outcomes) -> EpisodeOutcomes:
-    """The view of one episode's slot outcomes, stacked as a loop collects them."""
+def episode_columns(outcomes) -> OutcomeColumns:
+    """The columns of one episode's slot outcomes, stacked as a loop collects them."""
     columns = OutcomeColumns(len(outcomes))
     for outcome in outcomes:
         columns.append(outcome)
-    return EpisodeOutcomes(columns, 0)
+    return columns
+
+
+def episode_view(outcomes) -> EpisodeOutcomes:
+    """The view of one episode's slot outcomes."""
+    return EpisodeOutcomes(episode_columns(outcomes), 0)
 
 
 # --- configuration -------------------------------------------------------
@@ -959,7 +964,7 @@ def test_trace_csv_schema_and_determinism(tmp_path):
     for e in range(2):
         env.reset(e)
         outcomes = [env.step(np.ones((1, 10), dtype=int))[1] for _ in range(cfg.horizon)]
-        episodes.append((e, episode_view(outcomes)))
+        episodes.append((e, episode_columns(outcomes)))
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(path_a, episodes, cfg.num_ues, cfg.num_targets)
     write_trace_csv(path_b, episodes, cfg.num_ues, cfg.num_targets)
@@ -982,7 +987,8 @@ def test_trace_writer_bytes_match_csv_writer(tmp_path):
     for e, zero in ((3, 0.0), (4, -0.0)):
         episodes.append((e, [dataclasses.replace(o, reward=np.full(1, zero)) for o in episodes[0][1]]))
     views = [(e, episode_view(outcomes)) for e, outcomes in episodes]
-    write_trace_csv(tmp_path / "trace.csv", views, cfg.num_ues, cfg.num_targets)
+    chunks = [(e, view.columns) for e, view in views]
+    write_trace_csv(tmp_path / "trace.csv", chunks, cfg.num_ues, cfg.num_targets)
     with open(tmp_path / "reference.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(trace_header(cfg.num_targets))

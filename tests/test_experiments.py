@@ -496,13 +496,13 @@ def test_episodes_to_threshold():
 # --- artifacts ------------------------------------------------------------------
 
 
-def _trace_episodes():
+def _trace_chunks():
     env = HandoverEnv(ScenarioConfig(horizon=3))
     env.reset(episodes=[0])
     columns = OutcomeColumns(3)
     for _ in range(3):
         columns.append(env.step(np.ones((1, 10), dtype=int))[1])
-    yield 0, EpisodeOutcomes(columns, 0)
+    yield 0, columns
 
 
 def _broken(items, exc=RuntimeError("midway")):
@@ -529,8 +529,8 @@ ARTIFACT_WRITERS = {
         ValueError,
     ),
     "trace.csv": (
-        lambda path: write_trace_csv(path, _trace_episodes(), 10, 2),
-        lambda path: write_trace_csv(path, _broken(_trace_episodes()), 10, 2),
+        lambda path: write_trace_csv(path, _trace_chunks(), 10, 2),
+        lambda path: write_trace_csv(path, _broken(_trace_chunks()), 10, 2),
         RuntimeError,
     ),
     "curve.csv": (

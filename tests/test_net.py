@@ -9,7 +9,7 @@ from leoho import net
 def test_zero_params_give_uniform_logits_and_zero_value():
     params = net.zero_params(6, 2, 3, hidden=(8, 8))
     assert np.array_equal(net.forward(params, np.ones(6)), np.zeros((2, 3)))
-    logits, values, _ = net.forward_batch(params, np.ones((1, 6)))
+    logits, values = net.forward_batch(params, np.ones((1, 6)))
     assert np.array_equal(logits, np.zeros((1, 2, 3))) and np.array_equal(values, [0.0])
 
 
@@ -23,7 +23,7 @@ def test_forward_finite_on_unit_box_inputs():
     rng = np.random.default_rng(0)
     params = net.init_params(41, 10, 3, rng=rng)
     obs = rng.uniform(0, 1, size=(64, 41))
-    logits, values, _ = net.forward_batch(params, obs)
+    logits, values = net.forward_batch(params, obs)
     assert np.isfinite(logits).all() and np.isfinite(values).all()
 
 
@@ -88,22 +88,22 @@ def reference_forward_batch(params, obs):
     return logits, values, h1, h2
 
 
-def reference_backward_trunk(params, cache, dlogits, dvalues):
-    b = cache.inputs.shape[0]
+def reference_backward_trunk(params, trunk, dlogits, dvalues):
+    b = trunk.inputs.shape[0]
     dlogits_flat = dlogits.reshape(b, -1)
     grads = {
-        "w_pi": cache.h2.T @ dlogits_flat,
+        "w_pi": trunk.h2.T @ dlogits_flat,
         "b_pi": dlogits_flat.sum(axis=0),
-        "w_v": cache.h2.T @ dvalues,
+        "w_v": trunk.h2.T @ dvalues,
         "b_v": np.array([dvalues.sum()]),
     }
     dh2 = dlogits_flat @ params.w_pi.T + dvalues[:, None] * params.w_v[None, :]
-    dz2 = dh2 * (1.0 - cache.h2**2)
-    grads["w2"] = cache.h1.T @ dz2
+    dz2 = dh2 * (1.0 - trunk.h2**2)
+    grads["w2"] = trunk.h1.T @ dz2
     grads["b2"] = dz2.sum(axis=0)
     dh1 = dz2 @ params.w2.T
-    dz1 = dh1 * (1.0 - cache.h1**2)
-    grads["w1"] = cache.inputs.T @ dz1
+    dz1 = dh1 * (1.0 - trunk.h1**2)
+    grads["w1"] = trunk.inputs.T @ dz1
     grads["b1"] = dz1.sum(axis=0)
     return grads
 
@@ -161,15 +161,20 @@ def test_trunk_passes_match_plain_formulas_bit_for_bit(
     for name in ("b1", "b2", "b_pi", "b_v"):
         getattr(params, name)[...] = rng.normal(scale=scale, size=getattr(params, name).shape)
     obs = rng.normal(scale=scale, size=(rows, obs_dim))
-    logits, values, cache = net.forward_batch(params, obs)
+    # The learner's path: observations copied into the trunk's buffers,
+    # and both passes run in them.
+    trunk = net.TrunkBuffers.allocate(params, rows)
+    trunk.inputs[...] = obs
+    logits, values = net.forward_batch(params, trunk.inputs, out=trunk)
     ref_logits, ref_values, ref_h1, ref_h2 = reference_forward_batch(params, obs)
-    for got, want in ((logits, ref_logits), (values, ref_values), (cache.h1, ref_h1), (cache.h2, ref_h2)):
+    for got, want in ((logits, ref_logits), (values, ref_values), (trunk.h1, ref_h1), (trunk.h2, ref_h2)):
         assert_same_bits(got, want)
 
     dlogits = rng.normal(scale=scale, size=logits.shape)
     dvalues = rng.normal(scale=scale, size=values.shape)
-    grads = net.backward_trunk(params, cache, dlogits, dvalues)
-    reference = reference_backward_trunk(params, cache, dlogits, dvalues)
+    reference = reference_backward_trunk(params, trunk, dlogits, dvalues)
+    grads = net.backward_trunk(params, trunk, dlogits, dvalues)
+    assert grads is trunk.grads
     assert grads.keys() == reference.keys()
     for name, grad in grads.items():
         assert_same_bits(grad, reference[name])

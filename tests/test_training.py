@@ -51,7 +51,7 @@ def make_segments(rng, params, count=3, length=4):
         observations = rng.uniform(0, 1, size=(length + 1, params.obs_dim))
         actions = rng.integers(0, params.num_actions, size=(length, params.num_ues))
         masks = (rng.uniform(size=(length, params.num_ues)) > 0.25).astype(float)
-        logits, _, _ = net.forward_batch(behavior, observations[:-1])
+        logits, _ = net.forward_batch(behavior, observations[:-1])
         logprobs = net.head_log_probs(logits, actions) * masks
         episodes.append((observations, actions, logprobs, rng.normal(size=length), masks))
     return TrajectorySegment(*map(np.stack, zip(*episodes)), bootstrap_value=0.0)
@@ -60,7 +60,7 @@ def make_segments(rng, params, count=3, length=4):
 def policy_pass(params, segments):
     """The current policy's values ([S,] L) and log pi ([S,] L, J) of the recorded actions."""
     observations = segments.observations[..., :-1, :]
-    logits, values, _ = net.forward_batch(params, observations.reshape(-1, params.obs_dim))
+    logits, values = net.forward_batch(params, observations.reshape(-1, params.obs_dim))
     logits = logits.reshape(segments.actions.shape + (params.num_actions,))
     return values.reshape(segments.rewards.shape), net.head_log_probs(logits, segments.actions)
 
@@ -76,7 +76,9 @@ def flat_targets(params, segments, cfg):
 def finite_difference_check(params, segments, cfg, h=1e-5, tolerance=1e-4):
     """Central differences of the fixed-target loss against analytic grads."""
     targets, advantages = flat_targets(params, segments, cfg)
-    _, grads = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)
+    # The analytic gradients live in their own buffers, which the probes' passes leave alone.
+    buffers, probe = (training.LearnerBuffers.allocate(params, segments.rewards.size) for _ in range(2))
+    _, grads = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg, buffers)
     worst = 0.0
     for name, tensor in params.tensors().items():
         flat = tensor.ravel()
@@ -84,9 +86,9 @@ def finite_difference_check(params, segments, cfg, h=1e-5, tolerance=1e-4):
         for idx in range(flat.size):
             original = flat[idx]
             flat[idx] = original + h
-            up = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)[0].total
+            up = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg, probe)[0].total
             flat[idx] = original - h
-            down = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)[0].total
+            down = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg, probe)[0].total
             flat[idx] = original
             numeric = (up - down) / (2 * h)
             denom = max(abs(numeric), abs(grad_flat[idx]), 1e-6)
@@ -117,7 +119,9 @@ def test_uniform_policy_entropy_is_j_log_k():
     segments = make_segments(rng, params, count=1, length=6)
     segments[0].masks[:] = 1.0
     cfg = VtraceConfig(hidden=(8, 8))
-    report, _ = loss_and_gradient(params, segments, cfg)
+    report, _ = loss_and_gradient(
+        params, segments, cfg, training.LearnerBuffers.allocate(params, segments.rewards.size)
+    )
     assert report.entropy == pytest.approx(6 * 4 * np.log(3), abs=1e-9)
 
 
@@ -128,7 +132,12 @@ def test_zero_advantages_zero_policy_gradient():
     targets, _ = flat_targets(params, segments, VtraceConfig(hidden=(8, 8)))
     cfg = VtraceConfig(entropy_coeff=0.0, baseline_coeff=0.0, hidden=(8, 8))
     report, grads = loss_and_gradient_with_targets(
-        params, segments, targets, np.zeros_like(targets), cfg
+        params,
+        segments,
+        targets,
+        np.zeros_like(targets),
+        cfg,
+        training.LearnerBuffers.allocate(params, segments.rewards.size),
     )
     assert report.policy == 0.0
     for g in grads.values():
@@ -249,9 +258,10 @@ def test_learner_update_uses_vtrace_targets(vtrace_enabled):
     params = net.init_params(5, 2, 3, hidden=(8, 8), rng=rng)
     segments = make_segments(rng, params, count=3, length=5)
     cfg = VtraceConfig(gamma=0.9, rho_bar=1.2, c_bar=0.8, vtrace_enabled=vtrace_enabled, hidden=(8, 8))
-    report, grads = loss_and_gradient(params, segments, cfg)
+    buffers, fixed = (training.LearnerBuffers.allocate(params, segments.rewards.size) for _ in range(2))
+    report, grads = loss_and_gradient(params, segments, cfg, buffers)
     targets, advantages = flat_targets(params, segments, cfg)
-    want_report, want = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg)
+    want_report, want = loss_and_gradient_with_targets(params, segments, targets, advantages, cfg, fixed)
     assert report == want_report
     for name in net.TENSOR_NAMES:
         assert grads[name].tobytes() == want[name].tobytes(), name
@@ -746,8 +756,8 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     obs = np.random.default_rng(1).uniform(0, 1, (1, 41))
-    logits_a, values_a, _ = net.forward_batch(params, obs)
-    logits_b, values_b, _ = net.forward_batch(loaded, obs)
+    logits_a, values_a = net.forward_batch(params, obs)
+    logits_b, values_b = net.forward_batch(loaded, obs)
     assert np.array_equal(logits_a, logits_b) and np.array_equal(values_a, values_b)
     for name in net.TENSOR_NAMES:
         assert np.array_equal(getattr(params, name), getattr(loaded, name))

@@ -114,7 +114,7 @@ def make_segment(rng, params, length=5):
     actions = rng.integers(0, params.num_actions, size=(length, j))
     masks = (rng.uniform(size=(length, j)) > 0.2).astype(float)
     behavior = net.init_params(obs_dim, j, params.num_actions, hidden=(8, 8), rng=rng)
-    logits, _, _ = net.forward_batch(behavior, observations[:-1])
+    logits, _ = net.forward_batch(behavior, observations[:-1])
     logprobs = net.head_log_probs(logits, actions) * masks
     rewards = rng.normal(size=length)
     return TrajectorySegment(
@@ -172,7 +172,7 @@ def test_segment_stack_on_a_leading_episode_axis():
 
 def policy_pass(params, segment):
     """The current policy's values and per-head log pi of the recorded actions."""
-    logits, values, _ = net.forward_batch(params, segment.observations[:-1])
+    logits, values = net.forward_batch(params, segment.observations[:-1])
     return values, net.head_log_probs(logits, segment.actions)
 
 
