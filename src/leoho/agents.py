@@ -104,14 +104,18 @@ def dho_decide(
     return actions, logits
 
 
-def dho_log_probs(logits: np.ndarray, actions: np.ndarray, accessed: np.ndarray) -> np.ndarray:
+def dho_log_probs(
+    logits: np.ndarray, actions: np.ndarray, accessed: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-head log-probabilities of the actions :func:`dho_decide` chose from ``logits``.
 
     Takes any leading axes, so one call serves a whole rollout.  A pinned
-    (accessed) head chose 0 with probability one and reports 0.
+    (accessed) head chose 0 with probability one and reports 0.  With
+    ``out`` the log-probabilities go there and are computed in place over
+    ``logits``, which the call uses up (:func:`net.head_log_probs`).
     """
-    log_probs = net.head_log_probs(logits, actions)
-    log_probs[accessed] = 0.0
+    log_probs = net.head_log_probs(logits, actions, out=out)
+    np.copyto(log_probs, 0.0, where=accessed)
     return log_probs
 
 

@@ -9,6 +9,18 @@ their decision forward as one pass.  A learner's pass runs in one
 :class:`TrunkBuffers` set, which holds its observation rows, activations,
 logits, values and gradients: :func:`forward_batch` writes them and
 :func:`backward_trunk` reads them back.
+
+The per-head kernels run one of the K planes at a time: the softmax and
+the log-probabilities of chosen actions, the per-head sum
+(:func:`head_sum`), a per-head array's broadcast over the planes
+(:func:`broadcast_planes`) and the actions' one-hot (:func:`one_hot`).
+At J = 100 a reduction or a broadcast over a last axis of length 3 costs
+several times a loop over its planes.  Elementwise operations and the
+max give the same bits either way.  A sum does only for K < 8: numpy
+sums fewer than eight values left to right, as a plane loop does, from
+0.0, and eight or more pairwise, so :func:`head_sum` keeps numpy's
+reduction from K = 8 on.  The softmax's own per-head sum, of positive
+terms, is a plane loop for every K.
 """
 
 from __future__ import annotations
@@ -69,7 +81,12 @@ class PolicyParameters:
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in TENSOR_NAMES}
 
-    def copy(self) -> "PolicyParameters":
+    def copy(self, out: "PolicyParameters | None" = None) -> "PolicyParameters":
+        """A deep copy; with ``out``, a set of the same shapes, into its arrays."""
+        if out is not None:
+            for name, tensor in out.tensors().items():
+                np.copyto(tensor, getattr(self, name))
+            return out
         return PolicyParameters(
             obs_dim=self.obs_dim,
             num_ues=self.num_ues,
@@ -199,12 +216,25 @@ class StackedPolicy:
 _ROW_BIASES = ("b1", "b2", "b_pi")
 
 
-def stack_params(params: Sequence[PolicyParameters]) -> StackedPolicy:
-    """One :class:`StackedPolicy` of parameter sets that share their shapes."""
+def stack_params(
+    params: Sequence[PolicyParameters], out: StackedPolicy | None = None
+) -> StackedPolicy:
+    """One :class:`StackedPolicy` of parameter sets that share their shapes.
+
+    With ``out``, a stack of at least ``len(params)`` groups, the sets are
+    copied into its first groups, and the stack returned views them; a set
+    may be a view of its own group there.  Without, the arrays are new.
+    """
     first = params[0]
-    tensors = {name: np.stack([getattr(p, name) for p in params]) for name in TENSOR_NAMES}
-    # (G, 1, fan_out) biases broadcast over each group's rows.
-    tensors.update({name: tensors[name][:, None] for name in _ROW_BIASES})
+    if out is None:
+        tensors = {name: np.stack([getattr(p, name) for p in params]) for name in TENSOR_NAMES}
+        # (G, 1, fan_out) biases broadcast over each group's rows.
+        tensors.update({name: tensors[name][:, None] for name in _ROW_BIASES})
+    else:
+        tensors = {name: getattr(out, name)[: len(params)] for name in TENSOR_NAMES}
+        for name, stacked in tensors.items():
+            for group, p in zip(stacked, params):
+                np.copyto(group, getattr(p, name))
     return StackedPolicy(first.obs_dim, first.num_ues, first.num_actions, **tensors)
 
 
@@ -313,29 +343,70 @@ def _tanh_slope(h: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, slope, out=slope)
 
 
+def _planes(values: np.ndarray) -> list[np.ndarray]:
+    """The K planes of (..., K) values, as (...) views."""
+    return [values[..., plane] for plane in range(values.shape[-1])]
+
+
+def broadcast_planes(
+    ufunc: np.ufunc, values: np.ndarray, per_head: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``ufunc(values, per_head[..., None], out=out)``, one plane at a time.
+
+    ``values`` is (..., K) and ``per_head`` broadcasts against (...);
+    ``out`` defaults to ``values``, in place.
+    """
+    out = values if out is None else out
+    for plane, dest in zip(_planes(values), _planes(out)):
+        ufunc(plane, per_head, out=dest)
+    return out
+
+
+def one_hot(actions: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``actions[..., None] == np.arange(K)`` into ``out``, (..., K), one plane at a time."""
+    for action, plane in enumerate(_planes(out)):
+        np.equal(actions, action, out=plane)
+    return out
+
+
 def _shift(
     logits: np.ndarray, out: np.ndarray | None = None, top: np.ndarray | None = None
 ) -> np.ndarray:
     """Logits less their per-head max, into ``out``; ``top`` is a (..., 1) buffer for the max.
 
-    The K planes are reduced one elementwise op at a time, here and in
-    :func:`_plane_sum`, which is cheaper than a reduction over a short last
-    axis.  numpy sums an axis shorter than eight left to right, as the plane
-    loop does, so for K < 8 the results are bit-identical to ``.max`` and
-    ``.sum`` over the last axis.
+    ``out`` may be ``logits`` itself.
     """
     top = _copy(logits[..., 0:1], top)
     for plane in range(1, logits.shape[-1]):
         np.maximum(top, logits[..., plane : plane + 1], out=top)
-    return np.subtract(logits, top, out=out)
+    out = np.empty_like(logits) if out is None else out
+    return broadcast_planes(np.subtract, logits, top[..., 0], out=out)
 
 
 def _plane_sum(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The sum over the last axis, kept with length one, into ``out``."""
-    total = _copy(values[..., 0:1], out)
+    """The sum over the last axis, kept with length one, into ``out``.
+
+    It adds ``0.0 + v_0 + v_1 + ...`` left to right, one plane at a time,
+    which is how numpy sums an axis shorter than eight, so for K < 8 the
+    bits are those of ``np.sum(values, axis=-1)``, signed zeros included.
+    ``out`` may be ``values[..., 0:1]`` itself.
+    """
+    total = np.add(values[..., 0:1], 0.0, out=out)
     for plane in range(1, values.shape[-1]):
         total += values[..., plane : plane + 1]
     return total
+
+
+def head_sum(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum(values, axis=-1)`` with its bits, into ``out``, a (...) buffer.
+
+    numpy sums fewer than eight values left to right and eight or more
+    pairwise, so K < 8 goes through :func:`_plane_sum`'s plane loop and
+    longer heads keep numpy's reduction.
+    """
+    if values.shape[-1] >= 8:
+        return np.sum(values, axis=-1, out=out)
+    return _plane_sum(values, out=None if out is None else out[..., None])[..., 0]
 
 
 def _copy(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -355,14 +426,16 @@ def softmax_and_log_softmax(
 
     ``out`` is a (probs, logp) pair of buffers shaped like ``logits``, and
     logp may be ``logits`` itself; ``per_head`` is a (..., 1) buffer for
-    the per-head max and sum.  Without them each is a new array.
+    the per-head max and sum.  Without them each is a new array.  The
+    per-head max and sum run one plane at a time, and so do their
+    broadcasts over the planes.
     """
     probs, logp = (None, None) if out is None else out
     shifted = _shift(logits, out=logp, top=per_head)
     exps = np.exp(shifted, out=probs)
-    total = _plane_sum(exps, out=per_head)
-    exps /= total
-    shifted -= np.log(total, out=total)
+    total = _plane_sum(exps, out=per_head)[..., 0]
+    broadcast_planes(np.divide, exps, total)
+    broadcast_planes(np.subtract, shifted, np.log(total, out=total))
     return exps, shifted
 
 
@@ -374,13 +447,22 @@ def pick(values: np.ndarray, actions: np.ndarray, out: np.ndarray | None = None)
     return picked
 
 
-def head_log_probs(logits: np.ndarray, actions: np.ndarray) -> np.ndarray:
+def head_log_probs(
+    logits: np.ndarray, actions: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-head log-probability of the chosen actions.
 
     ``logits`` is (..., J, K), ``actions`` (..., J) integer; returns (..., J).
+    With ``out``, a (..., J) buffer, the result goes there and the pass
+    runs in place over ``logits``, which it uses up; without, the logits
+    are left as they are and each array is new.
     """
-    shifted = _shift(logits)
-    chosen = pick(shifted, actions)
-    # The exps overwrite the shifted logits, which are no longer needed.
-    chosen -= np.log(_plane_sum(np.exp(shifted, out=shifted))[..., 0])
+    if out is None:
+        shifted = _shift(logits)
+    else:  # the max goes in ``out``, which the chosen log-probs then overwrite
+        shifted = _shift(logits, out=logits, top=out[..., None])
+    chosen = pick(shifted, actions, out=out)
+    exps = np.exp(shifted, out=shifted)
+    total = _plane_sum(exps, out=exps[..., 0:1])[..., 0]
+    chosen -= np.log(total, out=total)
     return chosen

@@ -22,10 +22,17 @@ A pass is one chunk of :func:`env.play`, decided under one
 is one forward pass, a matmul over (G, rows, ...).  It ends only as a
 whole: once every terminal of every episode has access, the remaining
 slots pin every head to action 0 and are retired without a decision.  The
-pass keeps the logits of the slots it decided, takes the behavior
-log-probabilities of the whole rollout in one pass after its last slot,
-and gives the learner one stacked segment, which each update slices into
-its batch.
+pass writes each decided slot's logits over that slot's Gumbel noise,
+takes the behavior log-probabilities of the whole rollout in place over
+them after its last slot, and gives the learner one stacked segment, which
+each update slices into its batch.
+
+A pass writes its blocks into one :class:`PassBlocks` set: the stacked
+weights, the noise (then the logits), the observations and the behavior
+log-probabilities.  :func:`train` allocates the set at its first pass,
+which is its largest, and keeps it until it returns; after the pass's
+last update the parameters actors download go into the stack's first
+group, where the next pass reads them.
 
 The learner has one path, and every array of an update has one name in
 one :class:`LearnerBuffers` set: the batch's actions copied as (S * L, J)
@@ -35,7 +42,10 @@ activations, the logits (then the log-probabilities), the values, the
 backward pass and the gradients.  :func:`train` allocates the set at its
 first update and keeps it until it returns, so an update makes no new
 arrays beyond small per-head and per-segment ones, and its speed does not
-depend on what the allocator did with memory freed before it.
+depend on what the allocator did with memory freed before it.  The
+V-trace targets take their masked log-probabilities in two of the set's
+buffers whose arrays are not built yet.  Where a per-head term broadcasts
+over the K planes, the update runs one plane at a time (see :mod:`net`).
 """
 
 from __future__ import annotations
@@ -200,8 +210,8 @@ class LearnerBuffers:
     trunk: net.TrunkBuffers  # observations, activations, logits then log-probs, values, gradients
     probs: np.ndarray  # (rows, J, K)
     chosen_logp: np.ndarray  # (rows, J); then its masked loss terms
-    entropies: np.ndarray  # (rows, J); first the softmax's per-head max and sum
-    dlogits: np.ndarray  # (rows, J, K); first probs * logp, then the actions one-hot
+    entropies: np.ndarray  # (rows, J); first the softmax's per-head max and sum, then masked log pi
+    dlogits: np.ndarray  # (rows, J, K); first masked log mu, then probs * logp, then the one-hot
     value_error: np.ndarray  # (rows,); then the value gradient
     per_row: np.ndarray  # (rows,) loss-term scratch
 
@@ -254,7 +264,7 @@ def _loss_and_gradient(
     logp = trunk.logits.reshape(probs.shape)
     masks = segments.masks.reshape(actions.shape)
     # The product goes in dlogits' buffer, which is free until dlogits is built.
-    entropies = np.sum(np.multiply(probs, logp, out=buffers.dlogits), axis=-1, out=buffers.entropies)
+    entropies = net.head_sum(np.multiply(probs, logp, out=buffers.dlogits), out=buffers.entropies)
     np.negative(entropies, out=entropies)  # (B, J)
 
     # Each loss term is reduced in a buffer whose array is dead by then.
@@ -273,15 +283,17 @@ def _loss_and_gradient(
         raise FloatingPointError("non-finite training loss")
 
     # d(total)/dlogits = -A (onehot - p) + c p (log p + H), built in place
-    # in the pass's buffers; pinned heads contribute nothing to any term.
-    dlogits = np.equal(actions[..., None], np.arange(probs.shape[-1]), out=buffers.dlogits)
+    # in the pass's buffers, a per-head term one plane at a time; pinned
+    # heads contribute nothing to any term.
+    dlogits = net.one_hot(actions, out=buffers.dlogits)
     dlogits -= probs
-    dlogits *= np.negative(advantages, out=buffers.per_row)[:, None, None]
+    negated = np.negative(advantages, out=buffers.per_row)
+    net.broadcast_planes(np.multiply, dlogits, negated[:, None])
     probs *= cfg.entropy_coeff
-    logp += entropies[..., None]
+    net.broadcast_planes(np.add, logp, entropies)
     logp *= probs
     dlogits += logp
-    dlogits *= masks[..., None]
+    net.broadcast_planes(np.multiply, dlogits, masks)
     dvalues = np.multiply(value_error, cfg.baseline_coeff, out=value_error)
 
     grads = net.backward_trunk(params, trunk, dlogits, dvalues)
@@ -325,14 +337,21 @@ def loss_and_gradient(
     benchmark's tracer patches it.
     """
     _forward(params, segments, buffers)
+    heads = segments.actions.shape
+    # The masked log pi and log mu go in buffers whose arrays are not built yet.
+    scratch = (
+        buffers.entropies.reshape(heads),
+        buffers.dlogits.reshape(-1)[: buffers.entropies.size].reshape(heads),
+    )
     targets, advantages = vtrace.vtrace_targets(
         segments,
         buffers.trunk.values.reshape(segments.rewards.shape),
-        buffers.chosen_logp.reshape(segments.actions.shape),
+        buffers.chosen_logp.reshape(heads),
         cfg.gamma,
         cfg.rho_bar,
         cfg.c_bar,
         cfg.vtrace_enabled,
+        scratch=scratch,
     )
     return _loss_and_gradient(params, segments, targets.ravel(), advantages.ravel(), cfg, buffers)
 
@@ -381,12 +400,41 @@ class Adam:
             tensor -= step
 
 
+@dataclass
+class PassBlocks:
+    """Every block a rollout pass writes, for passes of up to ``episodes`` episodes.
+
+    :func:`train` allocates one set at its first pass, which is its
+    largest, and keeps it until it returns; each pass overwrites its first
+    E episodes' rows, and its first G groups of the stack.
+    """
+
+    stack: net.StackedPolicy  # (G, ...) the snapshots the pass decides under
+    noise: np.ndarray  # (E, N, J, K) Gumbel noise, then each decided slot's logits
+    observations: np.ndarray  # (E, N + 1, obs_dim)
+    log_probs: np.ndarray  # (E, N, J) behavior log-probabilities
+
+    @classmethod
+    def allocate(
+        cls, params: net.PolicyParameters, horizon: int, episodes: int, groups: int
+    ) -> "PassBlocks":
+        heads = (episodes, horizon, params.num_ues)
+        return cls(
+            stack=net.stack_params([params] * groups),
+            noise=np.empty(heads + (params.num_actions,)),
+            observations=np.empty((episodes, horizon + 1, params.obs_dim)),
+            log_probs=np.empty(heads),
+        )
+
+
 class _Behavior:
     """A rollout pass's decider: this module's ``dho_decide``, sampling with the noise given.
 
-    It keeps each slot's logits and pinned (accessed) heads.  The slots
-    left when the pass settles keep their start values: pinned, with
-    logits 0 (a pinned head's log-prob is 0 whatever its logits).
+    It uses the noise up: once a slot is decided, its logits overwrite its
+    noise, so one (E, N, J, K) block ends holding the logits of every
+    decided slot.  It keeps each slot's pinned (accessed) heads.  The slots
+    left when the pass settles keep their noise and their start value,
+    pinned (a pinned head's log-prob is 0 whatever its logits).
     """
 
     def __init__(self, policy: net.PolicyParameters | net.StackedPolicy, noise: np.ndarray):
@@ -394,14 +442,13 @@ class _Behavior:
         self.noise = noise  # (E, N, J, K)
 
     def begin_episode(self, env: HandoverEnv, rngs) -> None:
-        self.logits = np.zeros(self.noise.shape)
         self.pinned = np.ones(self.noise.shape[:-1], dtype=bool)
 
     def act(self, env: HandoverEnv, observation: np.ndarray) -> np.ndarray:
         n, accessed = env.state.slot, env.state.accessed
         self.pinned[:, n] = accessed
         noise = self.noise[:, n]
-        actions, self.logits[:, n] = dho_decide(self.policy, observation, noise, "sample", accessed)
+        actions, noise[...] = dho_decide(self.policy, observation, noise, "sample", accessed)
         return actions
 
     def retire(self, settled: np.ndarray) -> None:
@@ -413,28 +460,37 @@ def rollout_segment(
     policy: net.PolicyParameters | net.StackedPolicy,
     noise: np.ndarray,
     env_seeds: list,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[vtrace.TrajectorySegment, list[MetricsRecord]]:
     """Sampled episodes, stepped together under one behavior policy.
 
     A :class:`net.StackedPolicy` of G parameter sets splits the episodes
     into G equal runs in order, each under its own set.  Episode ``e``
     starts from seed key ``env_seeds[e]`` and samples with the Gumbel noise
-    ``noise[e]`` (N, J, K).  The episodes are one chunk of
-    :func:`env.play`, given an observation buffer, so it ends as a whole,
-    and its outcome columns hold the actions (the requests, equal under the
-    pin) and the rewards.  The behavior log-probabilities come from one pass
-    over the whole rollout's logits.  Returns one stacked segment and each
-    episode's metrics.
+    ``noise[e]`` (N, J, K), which the pass uses up: each decided slot's
+    logits overwrite its noise, and the behavior log-probabilities are
+    taken in place over them, in one pass over the whole rollout.  The
+    episodes are one chunk of :func:`env.play`, given an observation
+    buffer, so it ends as a whole, and its outcome columns hold the actions
+    (the requests, equal under the pin) and the rewards.  ``out`` is an
+    (observations, log-probs) pair of (E, N + 1, obs_dim) and (E, N, J)
+    blocks for the segment's observations and behavior log-probabilities;
+    without it each is a new array.  Returns one stacked segment, which
+    views them, and each episode's metrics.
     """
     cfg = env.config
-    observations = np.empty((len(env_seeds), cfg.horizon + 1, observation_size(cfg)))
+    episodes = len(env_seeds)
+    observations, log_probs = out or (
+        np.empty((episodes, cfg.horizon + 1, observation_size(cfg))),
+        np.empty(noise.shape[:-1]),
+    )
     behavior = _Behavior(policy, noise)
     columns, finals = play(env, env_seeds, behavior, observations=observations)
     actions = columns["requested"]
     segment = vtrace.TrajectorySegment(
         observations=observations,
         actions=actions,
-        behavior_logprobs=dho_log_probs(behavior.logits, actions, behavior.pinned),
+        behavior_logprobs=dho_log_probs(noise, actions, behavior.pinned, out=log_probs),
         rewards=columns["reward"],
         masks=(~behavior.pinned).astype(float),
         bootstrap_value=0.0,  # episodes terminate at the horizon
@@ -481,49 +537,56 @@ def train(
 
     optimizer = Adam(params)
     env = HandoverEnv(scenario)
-    actor_rngs = [np.random.default_rng([seed, i, 1]) for i in range(cfg.actors_count)]
+    # Only the first min(actors, episodes) actors act.
+    actor_rngs = [
+        np.random.default_rng([seed, i, 1]) for i in range(min(cfg.actors_count, episodes))
+    ]
     noise_shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
-    published = params.copy()  # what actors download
+    published = params  # what actors download, the learner's own until its first update
     per_batch = cfg.batch_episodes(scenario.horizon)
     lag = cfg.lag
 
     curve: list[MetricsRecord] = []
+    blocks: PassBlocks | None = None  # every pass's blocks, kept for the run
     buffers: LearnerBuffers | None = None  # every update's arrays, kept for the run
     done = 0
     while done < episodes:
         count = min((1 + lag) * per_batch, episodes - done)
         if count > per_batch:
             count -= count % per_batch  # only equal batches share a pass
+        groups = math.ceil(count / per_batch)
+        if blocks is None:  # the first pass is the largest
+            blocks = PassBlocks.allocate(params, scenario.horizon, count, groups)
         # The published parameters decide the first batch and the learner's
         # the rest; Adam.step updates params in place, so the stack holds
-        # copies, and the snapshots are views of it.
-        stack = net.stack_params([published] + [params] * (math.ceil(count / per_batch) - 1))
-        published, *snapshots = map(stack.group, range(len(stack)))
-        noise = np.empty((count,) + noise_shape)
+        # copies.
+        stack = net.stack_params([published] + [params] * (groups - 1), out=blocks.stack)
+        noise = blocks.noise[:count]
         seeds = []
         for d in range(done, done + count):
             i = d % cfg.actors_count
             noise[d - done] = actor_rngs[i].gumbel(size=noise_shape)
             seeds.append((seed ^ i, d // cfg.actors_count))
-        segments, records = rollout_segment(env, stack, noise, seeds)
-        # Nothing past the rollout reads the noise, and the parameters the
-        # first batch acted under can go once the learner replaces them.
-        del stack, noise
+        out = blocks.observations[:count], blocks.log_probs[:count]
+        segments, records = rollout_segment(env, stack, noise, seeds, out=out)
         curve += records
         done += count
 
-        for g in range(count // per_batch):  # none for a partial batch
+        updates = count // per_batch  # none for a partial batch
+        for g in range(updates):
             if buffers is None:  # so a run shorter than one batch allocates none
                 buffers = LearnerBuffers.allocate(params, per_batch * scenario.horizon)
             batch = slice(g * per_batch, (g + 1) * per_batch)
             _, grads = loss_and_gradient(params, segments[batch], cfg, buffers)
-            if lag:
-                # One update of publication lag models the actor-learner queue:
-                # actors download the parameters from before this update,
-                # which the pass's next batch already acted under.
-                published = snapshots[g] if g < len(snapshots) else params.copy()
+            # The next pass's first batch acts under the parameters after
+            # this pass's last update or, with one update of publication lag
+            # modelling the actor-learner queue, under those from before it.
+            # The rollout is over, so they go in the stack's first group,
+            # where the next pass reads them.
+            if lag and g == updates - 1:
+                published = params.copy(out=stack.group(0))
             optimizer.step(params, grads, cfg.learning_rate)
             if not lag:
-                published = params.copy()
-        del segments  # free this pass's arrays before the next pass allocates its own
+                published = params.copy(out=stack.group(0))
+        del segments  # free the pass's actions, rewards and masks before the next pass
     return params, curve

@@ -119,6 +119,8 @@ def vtrace_targets(
     rho_bar: float = 1.0,
     c_bar: float = 1.0,
     vtrace_enabled: bool = True,
+    *,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Targets and advantages, shaped like ``segments.rewards``, under the current policy.
 
@@ -126,11 +128,15 @@ def vtrace_targets(
     of the recorded actions, come from the current policy's pass over the
     segments.  The joint log pi/mu ratio of a step sums over its heads, and
     masked heads contribute nothing; with ``vtrace_enabled=False`` every
-    ratio is one.
+    ratio is one.  ``scratch``, two arrays shaped like ``target_logp``,
+    takes the masked log pi and log mu; without it they are new arrays.
     """
     if vtrace_enabled:
         masks = segments.masks
-        log_ratios = (target_logp * masks - segments.behavior_logprobs * masks).sum(axis=-1)
+        target, behavior = (None, None) if scratch is None else scratch
+        masked = np.multiply(target_logp, masks, out=target)
+        masked -= np.multiply(segments.behavior_logprobs, masks, out=behavior)
+        log_ratios = masked.sum(axis=-1)
     else:
         log_ratios = np.zeros(segments.rewards.shape)
     targets, pg_advantages, _ = vtrace_from_values(

@@ -143,6 +143,71 @@ def test_head_kernels_match_reductions_bit_for_bit(case):
     assert_same_bits(net.pick(logp, actions), chosen)
 
 
+@st.composite
+def planes_cases(draw):
+    """(..., K) values with K in 2..12, holding ties and signed zeros, a
+    per-head (...) array, a row (rows, 1) array and (...) actions.
+
+    Values are products of a probability and a log-probability, as the
+    learner's entropy sums them, or plain normals; either may be rounded to
+    integers, so heads hold ties, and some entries are set to -0.0 or 0.0.
+    """
+    k = draw(st.integers(2, 12))
+    lead = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-3, 1e3))
+    if draw(st.booleans()):
+        probs, logp = net.softmax_and_log_softmax(rng.normal(scale=scale, size=lead + (k,)))
+        values = probs * logp
+    else:
+        values = rng.normal(scale=scale, size=lead + (k,))
+    if draw(st.booleans()):
+        values = np.round(values)
+    zeros = rng.random(values.shape)
+    values[zeros < 0.2] = -0.0
+    values[(zeros >= 0.2) & (zeros < 0.3)] = 0.0
+    per_head = rng.normal(scale=scale, size=lead)
+    per_head[rng.random(lead) < 0.2] = -0.0
+    per_row = rng.normal(scale=scale, size=lead[:1] + (1,) * (len(lead) - 1))
+    actions = rng.integers(0, k, size=lead)
+    return values, per_head, per_row, actions
+
+
+@settings(max_examples=300, deadline=None)
+@given(planes_cases())
+def test_plane_kernels_match_the_plain_expressions_bit_for_bit(case):
+    # The per-plane kernels against the expressions they replace: the
+    # entropy's sum over K (a plane loop for K < 8, numpy's reduction for
+    # K >= 8), the actions' one-hot and the per-head broadcasts over K.
+    values, per_head, per_row, actions = case
+    k = values.shape[-1]
+    assert_same_bits(net.head_sum(values), np.sum(values, axis=-1))
+    assert_same_bits(net.head_sum(values, out=np.empty(per_head.shape)), np.sum(values, axis=-1))
+    want = np.equal(actions[..., None], np.arange(k), out=np.empty(values.shape))
+    assert_same_bits(net.one_hot(actions, out=np.full(values.shape, np.nan)), want)
+    for ufunc in (np.add, np.subtract, np.multiply, np.divide):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for other in (per_head, per_row):
+                got = net.broadcast_planes(ufunc, values.copy(), other)
+                assert_same_bits(got, ufunc(values, other[..., None]))
+            out = np.empty_like(values)
+            assert net.broadcast_planes(ufunc, values, per_head, out=out) is out
+            assert_same_bits(out, ufunc(values, per_head[..., None]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planes_cases())
+def test_in_place_head_log_probs_match_the_allocating_pass(case):
+    # With ``out`` the pass runs over the logits it is given and uses them
+    # up; the log-probabilities keep the bits of the pass that allocates.
+    logits, _, _, actions = case
+    want = net.head_log_probs(logits, actions)
+    scratch = logits.copy()
+    out = np.full(actions.shape, np.nan)
+    assert net.head_log_probs(scratch, actions, out=out) is out
+    assert_same_bits(out, want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -578,6 +578,92 @@ def test_learner_updates_allocate_no_new_arrays(monkeypatch):
     assert max(rises[1:]) < block, rises
 
 
+def test_rollout_passes_allocate_no_new_blocks(monkeypatch):
+    # train() allocates its pass blocks once, so past the first pass a
+    # pass's traced memory, from stacking its weights to the end of its
+    # rollout, rises by less than one (E, N, J, K) noise block beyond the
+    # outcome columns it records.  At case1's ratios and J = 30 the rest
+    # (the head masks and small per-slot arrays) is about half a block.
+    scenario = dataclasses.replace(
+        scenario_for_case("case1"), num_ues=30, rb_per_target=(15, 15), num_preambles=150
+    )
+    held, rises, recorded = [], [], []
+    stack_params, rollout, play = net.stack_params, training.rollout_segment, training.play
+
+    def stacked(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return stack_params(*args, **kwargs)
+
+    def played(*args, **kwargs):
+        columns, finals = play(*args, **kwargs)
+        recorded.append(sum(column.nbytes for column in columns.values()))
+        return columns, finals
+
+    def traced(*args, **kwargs):
+        result = rollout(*args, **kwargs)
+        rises.append(tracemalloc.get_traced_memory()[1] - held[-1] - recorded[-1])
+        return result
+
+    monkeypatch.setattr(net, "stack_params", stacked)
+    monkeypatch.setattr(training, "play", played)
+    monkeypatch.setattr(training, "rollout_segment", traced)
+    tracemalloc.start()
+    try:
+        train(scenario, DESK_TRAINING, episodes=60, seed=0)
+    finally:
+        tracemalloc.stop()
+    episodes = (1 + DESK_TRAINING.lag) * DESK_TRAINING.batch_episodes(scenario.horizon)
+    cells = episodes * scenario.horizon * scenario.num_ues * scenario.num_planes
+    block = cells * np.dtype(float).itemsize  # 281 KiB
+    assert len(rises) == 3
+    assert max(rises[1:]) < block, rises
+
+
+@pytest.mark.parametrize("vtrace_enabled", [True, False], ids=["vtrace", "no_vtrace"])
+@pytest.mark.parametrize("blocks", [(3, 3), (1, 1)], ids=["settles", "never_settles"])
+def test_pass_blocks_are_written_before_they_are_read(vtrace_enabled, blocks, monkeypatch, tmp_path):
+    # A run whose kept pass blocks start as NaN writes the same curve and
+    # checkpoint, so no pass reads a cell of them before writing it.  Six
+    # blocks in all settle before the horizon and two never do; 32 episodes
+    # in batches of six end on a partial batch.
+    scenario = dataclasses.replace(tiny_scenario(), horizon=8, rb_per_target=blocks)
+    cfg = tiny_training(vtrace_enabled=vtrace_enabled, batch_size=48, actors_count=3)
+    allocate = training.PassBlocks.allocate
+
+    def poisoned(*args, **kwargs):
+        kept = allocate(*args, **kwargs)
+        stacked = [getattr(kept.stack, name) for name in net.TENSOR_NAMES]
+        for array in (kept.noise, kept.observations, kept.log_probs, *stacked):
+            array.fill(np.nan)
+        return kept
+
+    written = []
+    for run in ("plain", "poisoned"):
+        if run == "poisoned":
+            monkeypatch.setattr(training.PassBlocks, "allocate", poisoned)
+        params, curve = train(scenario, cfg, episodes=32, seed=6)
+        write_curve_csv(tmp_path / f"{run}.csv", curve)
+        save_checkpoint(params, tmp_path / f"{run}.npz")
+        written.append([(tmp_path / f"{run}.{suffix}").read_bytes() for suffix in ("csv", "npz")])
+    assert written[0] == written[1]
+
+
+def test_idle_actors_build_no_generator():
+    # Only the actors that act build a generator, so a run with 10**12
+    # actors returns at once; each of its episodes has an actor of its own,
+    # as with one actor per episode, and the runs match bit for bit.
+    scenario = tiny_scenario()
+    for vtrace_enabled in (True, False):
+        (params, curve), (want, want_curve) = (
+            train(scenario, tiny_training(actors_count=actors, vtrace_enabled=vtrace_enabled), 7, seed=4)
+            for actors in (10**12, 7)
+        )
+        for name in net.TENSOR_NAMES:
+            assert getattr(params, name).tobytes() == getattr(want, name).tobytes(), name
+        assert curve == want_curve
+
+
 @pytest.mark.parametrize("vtrace_enabled", [True, False])
 def test_rollout_decides_once_per_slot(vtrace_enabled, monkeypatch):
     scenario = tiny_scenario()
@@ -688,7 +774,8 @@ def test_rollout_matches_the_slot_by_slot_reference(mask, vtrace_enabled, blocks
         return inner(self, rows, *args, **kwargs)
 
     monkeypatch.setattr(HandoverEnv, "retire", retire)
-    segment, records = rollout_segment(HandoverEnv(scenario), policy, noise, seeds)
+    # The rollout uses its noise up, and the reference reads the same noise.
+    segment, records = rollout_segment(HandoverEnv(scenario), policy, noise.copy(), seeds)
     want, want_records = stepped_rollout(HandoverEnv(scenario), policy, noise, seeds)
     assert len(settled) == (1 if settles else 0)
     for field in ("observations", "actions", "behavior_logprobs", "rewards", "masks"):
@@ -710,7 +797,8 @@ def test_rollout_groups_act_under_their_own_parameters():
         for s in (1, 2)
     )
     # A stack of equal groups decides in one call, with each set's bits.
-    stacked, _ = rollout_segment(env, net.stack_params([a, b]), noise[1:], seeds[1:])
+    # A rollout uses its noise up, and the groups apart read the same noise.
+    stacked, _ = rollout_segment(env, net.stack_params([a, b]), noise[1:].copy(), seeds[1:])
     apart = [
         rollout_segment(env, a, noise[1:3], seeds[1:3])[0],
         rollout_segment(env, b, noise[3:], seeds[3:])[0],
