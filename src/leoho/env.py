@@ -284,92 +284,49 @@ _ARRAY_FIELDS = tuple(f.name for f in fields(StepOutcome))[1:8]
 _FLOAT_FIELDS = tuple(f.name for f in fields(StepOutcome))[8:]
 
 
-def _outcome(
-    config: ScenarioConfig, slot: int, requested, command, preamble, rb_collision,
-    prach_collision, newly, c_r, c_p, accessed: np.ndarray,
-) -> StepOutcome:
-    """A slot's :class:`StepOutcome`, its aggregates taken from ``accessed``, the set after the slot.
-
-    ``D`` is the share of terminals still lacking access, ``C`` sums both
-    collision rates, and the reward is ``-nu * D - C``.
-    """
-    d = (config.num_ues - accessed.sum(axis=-1)) / config.num_ues
-    c_total = c_r.sum(axis=-1) + c_p
-    reward = -config.nu * d - c_total
-    return StepOutcome(
-        slot, requested, command, preamble, rb_collision, prach_collision, newly, c_r,
-        c_p, c_total, d, reward,
-    )
-
-
-def settled_outcome(config: ScenarioConfig, slot: int) -> StepOutcome:
-    """The outcome of slot ``slot`` of an episode every terminal of which has access, as one row.
-
-    Every agent decides action 0 then, so nothing is requested, granted or
-    sent, nobody collides and D = 0; the aggregates come from
-    :meth:`HandoverEnv.step`'s arithmetic, so the reward is -0.0.
-    :meth:`OutcomeColumns.repeat` gives the row to every episode.
-    """
-    j = config.num_ues
-    requested, command, preamble = (np.zeros((1, j), dtype=np.int64) for _ in range(3))
-    rb_collision, prach_collision, newly = (np.zeros((1, j), dtype=bool) for _ in range(3))
-    return _outcome(
-        config, slot, requested, command, preamble, rb_collision, prach_collision, newly,
-        np.zeros((1, config.num_targets)), np.zeros(1), np.ones((1, j), dtype=bool),
-    )
-
-
 class OutcomeColumns(dict):
-    """Columns of N consecutive slot outcomes, one per :class:`StepOutcome` field.
+    """Columns of a chunk's N slot outcomes, one per :class:`StepOutcome` field.
 
-    :meth:`append` copies each slot's outcome into (N, E, ...) buffers
-    allocated at the first slot, so no slot outlives its step, and
-    :meth:`repeat` copies one outcome into every slot left.  :meth:`append`
-    can fill some of the episodes only: those still stepped.  Each column
-    is an (E, N, ...) view of its buffer, for E episodes, with the slot
-    axis outermost in memory.  ``slot`` is (N,).  The columns are complete
-    once every slot of every episode is appended or repeated.
+    The (N, E, ...) buffers, for E episodes of ``config``, are allocated
+    when the columns are built, and every slot starts with the outcome of a
+    settled episode, every terminal of which has access.  Every agent
+    decides action 0 then, so nothing is requested, granted or sent, nobody
+    collides, D = 0 and the reward is ``-nu * 0.0 - 0.0``, -0.0 for every nu.
+    :meth:`append` writes a stepped slot over the rows of the episodes
+    still stepped, so an episode retired from its chunk
+    (:meth:`HandoverEnv.retire`) keeps the settled outcome in its remaining
+    slots.  Each column is an (E, N, ...) view of its buffer, with the slot
+    axis outermost in memory.  ``slot`` is (N,).
     """
 
-    def __init__(self, slots: int):
-        super().__init__()
-        self._slots = slots
-        self._buffers: list[tuple[str, np.ndarray]] = []
-        self._filled = 0
+    def __init__(self, config: ScenarioConfig, episodes: int):
+        super().__init__(slot=np.arange(1, config.horizon + 1))
+        lead = (config.horizon, episodes)
+        terminals = lead + (config.num_ues,)
+        self._buffers = [
+            ("requested", np.zeros(terminals, np.int64)),
+            ("command", np.zeros(terminals, np.int64)),
+            ("preamble", np.zeros(terminals, np.int64)),
+            ("rb_collision", np.zeros(terminals, bool)),
+            ("prach_collision", np.zeros(terminals, bool)),
+            ("newly_accessed", np.zeros(terminals, bool)),
+            ("c_r_per_target", np.zeros(lead + (config.num_targets,))),
+            ("c_p", np.zeros(lead)),
+            ("c_total", np.zeros(lead)),
+            ("d", np.zeros(lead)),
+            ("reward", np.full(lead, -0.0)),
+        ]
+        for name, buffer in self._buffers:
+            self[name] = buffer.swapaxes(0, 1)
 
     def append(self, outcome: StepOutcome, rows: np.ndarray | slice = slice(None)) -> None:
-        """Fill the next slot of the episodes ``rows`` with ``outcome``, one row each.
+        """Write ``outcome``, one row for each episode in ``rows``, into its slot.
 
-        The first slot's outcome covers every episode.  The other episodes'
-        entries of the slot stay as they are.
+        The other episodes' entries of the slot stay as they are.
         """
-        n = self._filled
-        if n == 0:
-            self._buffers = [("slot", np.empty(self._slots, dtype=int))]
-            for name in _ARRAY_FIELDS + _FLOAT_FIELDS:
-                value = getattr(outcome, name)
-                self._buffers.append((name, np.empty((self._slots,) + value.shape, value.dtype)))
-            for name, buffer in self._buffers:
-                self[name] = buffer if name == "slot" else buffer.swapaxes(0, 1)
-        self["slot"][n] = outcome.slot
-        for name, buffer in self._buffers[1:]:
+        n = outcome.slot - 1
+        for name, buffer in self._buffers:
             buffer[n, rows] = getattr(outcome, name)
-        self._filled = n + 1
-
-    def repeat(self, outcome: StepOutcome) -> None:
-        """Give ``outcome``, one row, to every episode's slots left, numbered on from its ``slot``.
-
-        :func:`settled_outcome` is what an episode retired from its chunk
-        (:meth:`HandoverEnv.retire`) holds in its remaining slots, and
-        appends after this fill the rows of the episodes still stepped.
-        Call it after the first :meth:`append`.
-        """
-        n = self._filled
-        self["slot"][n:] = outcome.slot + np.arange(self._slots - n)
-        for name, buffer in self._buffers[1:]:
-            # Copying a whole slot on is faster than broadcasting an episode's row.
-            buffer[n] = getattr(outcome, name)
-            buffer[n + 1 :] = buffer[n]
 
     @functools.cached_property
     def episode_sums(self) -> list[tuple[float, float, float, float]]:
@@ -408,8 +365,6 @@ class EpisodeOutcomes(Sequence):
         return len(self.columns["slot"])
 
     def __getitem__(self, n):
-        if isinstance(n, slice):
-            return [self[i] for i in range(len(self))[n]]
         c, e = self.columns, self.episode
         return StepOutcome(
             int(c["slot"][n]),
@@ -716,9 +671,13 @@ class HandoverEnv:
 
         state.prev_action = actions
         state.slot += 1
-        outcome = _outcome(
-            cfg, state.slot, requested, command, preamble, rb_collision, prach_collision, newly,
-            c_r, c_p, state.accessed,
+        # D is the share of terminals still lacking access, and C sums both
+        # collision rates.
+        d = (cfg.num_ues - state.accessed.sum(axis=-1)) / cfg.num_ues
+        c_total = c_r.sum(axis=-1) + c_p
+        outcome = StepOutcome(
+            state.slot, requested, command, preamble, rb_collision, prach_collision, newly, c_r,
+            c_p, c_total, d, -cfg.nu * d - c_total,
         )
         return self.observe(), outcome
 
@@ -726,9 +685,10 @@ class HandoverEnv:
         """End the episodes flagged in ``settled`` (E,), every terminal of which has access.
 
         Every agent decides action 0 in their remaining slots, each of which
-        has the outcome :func:`settled_outcome`.  Returns their final state:
-        at the horizon, with previous action 0.  Retiring every episode ends
-        the chunk, and the env's state is then that final state.
+        has the settled outcome :class:`OutcomeColumns` starts with.
+        Returns their final state: at the horizon, with previous action 0.
+        Retiring every episode ends the chunk, and the env's state is then
+        that final state.
         ``observations``, an (E, horizon - slot, obs_dim) buffer, retires
         every episode and receives the observations of the slots left, as
         stepping action 0 builds them.  Otherwise the other episodes step on
@@ -835,21 +795,22 @@ def play(
     decides for the episodes still stepped and ``env.step`` steps them.
     Once every terminal of some episodes has access, before the horizon,
     they are retired (:meth:`HandoverEnv.retire` and ``agent.retire``), and
-    their remaining slots get :func:`settled_outcome`, what deciding them
-    would give.  Without ``observations`` episodes leave the chunk as they
-    settle.  ``observations``, an (E, N + 1, obs_dim) buffer, receives the
-    observations of every slot instead, and the chunk ends only as a whole,
-    once every episode has settled, its retirement filling the rest.
+    their remaining slots keep the settled outcome the columns start with,
+    what deciding them would give.  Without ``observations`` episodes leave
+    the chunk as they settle.  ``observations``, an (E, N + 1, obs_dim)
+    buffer, receives the observations of every slot instead, and the chunk
+    ends only as a whole, once every episode has settled, its retirement
+    filling the rest.
 
     Returns the chunk's :class:`OutcomeColumns` and each episode's final
     state, in ``keys`` order.
     """
     horizon = env.config.horizon
     obs = env.reset(episodes=keys)
+    columns = OutcomeColumns(env.config, len(keys))
     agent.begin_episode(env, rngs)
     if observations is not None:
         observations[:, 0] = obs
-    columns = OutcomeColumns(horizon)
     finals = [None] * len(keys)
     live = np.arange(len(keys))  # the chunk's rows still stepped
     rows = slice(None)  # the same, as the columns take them until an episode retires
@@ -862,10 +823,6 @@ def play(
         settled = outcome.d == 0  # D is 0 only once every terminal has access
         if slot == horizon or not (settled.any() if observations is None else settled.all()):
             continue
-        if isinstance(rows, slice):
-            # Every slot left holds the settled outcome until a live
-            # episode's append fills its row.
-            columns.repeat(settled_outcome(env.config, slot + 1))
         final = env.retire(settled, None if observations is None else observations[:, slot + 1 :])
         agent.retire(settled)
         for i, e in enumerate(live[settled].tolist()):

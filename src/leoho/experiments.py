@@ -18,6 +18,8 @@ import dataclasses
 import json
 import math
 import os
+import zipfile
+import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -565,33 +567,43 @@ def save_checkpoint(params: net.PolicyParameters, path) -> None:
 def load_checkpoint(path, scenarios: Iterable[ScenarioConfig] = ()) -> net.PolicyParameters:
     """Load a checkpoint, checked to fit and evaluate on each of ``scenarios``.
 
-    The shapes must be ints, every tensor a real floating-point array and
-    the shapes those of each scenario; anything else is a
-    :class:`CheckpointError`.  A scenario whose evaluation chunk the policy
-    would make too wide is :func:`check_evaluation`'s ConfigError.
+    The file must be an .npz archive whose entries read and decode, the
+    shapes ints, every tensor a real floating-point array and the shapes
+    those of each scenario; anything else is a :class:`CheckpointError`.  A
+    scenario whose evaluation chunk the policy would make too wide is
+    :func:`check_evaluation`'s ConfigError.
     """
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data else None
-        if not isinstance(meta, dict):
-            raise CheckpointError(f"{path} is not a policy checkpoint")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint version {meta.get('version')} unsupported (want {CHECKPOINT_VERSION})"
-            )
-        missing = [k for k in _CHECKPOINT_SHAPES if k not in meta]
-        missing += [name for name in net.TENSOR_NAMES if name not in data]
-        if missing:
-            raise CheckpointError(f"{path} lacks {', '.join(missing)}")
-        shapes = {k: meta[k] for k in _CHECKPOINT_SHAPES}
-        tensors = {name: data[name] for name in net.TENSOR_NAMES}
-        malformed = [k for k, v in shapes.items() if type(v) is not int]
-        malformed += [name for name, t in tensors.items() if t.dtype.kind != "f"]
-        if malformed:
-            raise CheckpointError(
-                f"{path} holds malformed {', '.join(malformed)} "
-                "(shapes must be ints, tensors real floating-point arrays)"
-            )
-        params = net.PolicyParameters(**shapes, **tensors)
+    not_checkpoint = f"{path} is not a policy checkpoint"
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy array
+            raise CheckpointError(not_checkpoint)
+        with data:
+            meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data else None
+            tensors = {name: data[name] for name in net.TENSOR_NAMES if name in data}
+    # np.load's refusal of a pickle, a bad array header and a meta entry
+    # that is not UTF-8 JSON are ValueErrors.
+    except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise CheckpointError(not_checkpoint) from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(not_checkpoint)
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version {meta.get('version')} unsupported (want {CHECKPOINT_VERSION})"
+        )
+    missing = [k for k in _CHECKPOINT_SHAPES if k not in meta]
+    missing += [name for name in net.TENSOR_NAMES if name not in tensors]
+    if missing:
+        raise CheckpointError(f"{path} lacks {', '.join(missing)}")
+    shapes = {k: meta[k] for k in _CHECKPOINT_SHAPES}
+    malformed = [k for k, v in shapes.items() if type(v) is not int]
+    malformed += [name for name, t in tensors.items() if t.dtype.kind != "f"]
+    if malformed:
+        raise CheckpointError(
+            f"{path} holds malformed {', '.join(malformed)} "
+            "(shapes must be ints, tensors real floating-point arrays)"
+        )
+    params = net.PolicyParameters(**shapes, **tensors)
     actual = (params.obs_dim, params.num_ues, params.num_actions)
     for scenario in scenarios:
         expected = (observation_size(scenario), scenario.num_ues, scenario.num_planes)

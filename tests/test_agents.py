@@ -272,7 +272,7 @@ def test_reset_seed_is_a_chunk_of_one(kind, mode):
         agent = make_agent(kind, params=params, mode=mode)
         obs = start(env)
         agent.begin_episode(env, [np.random.default_rng(5)])
-        arrays, columns = [obs], OutcomeColumns(cfg.horizon)
+        arrays, columns = [obs], OutcomeColumns(cfg, 1)
         for _ in range(cfg.horizon):
             obs, outcome = env.step(agent.act(env, obs))
             columns.append(outcome)

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import pickle
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +108,54 @@ def test_eval_with_checkpoint(tmp_path):
     assert (tmp_path / "eval" / "summary.csv").exists()
 
 
+def meta_entry(meta: dict) -> np.ndarray:
+    """A checkpoint's ``meta`` entry: the JSON of ``meta`` as bytes."""
+    return np.frombuffer(json.dumps(meta).encode(), np.uint8)
+
+
+def unreadable_checkpoints(tmp_path, meta: dict, policy: dict) -> list[Path]:
+    """Files that are no .npz archive, or whose entries cannot be read or decoded.
+
+    ``meta`` and ``policy`` are the shapes and tensors of a policy that fits.
+    """
+    real = tmp_path / "real.npz"
+    np.savez(real, meta=meta_entry(meta), **policy)
+    whole = real.read_bytes()
+    array = io.BytesIO()
+    np.save(array, np.zeros(3))
+    # A byte of w1's data flipped: its CRC-32 no longer matches.
+    flipped = bytearray(whole)
+    flipped[whole.index(b"\x93NUMPY", whole.index(b"w1.npy")) + 200] ^= 0xFF
+    # A deflated entry whose stream breaks off at its first byte.
+    deflated = io.BytesIO()
+    with zipfile.ZipFile(deflated, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("meta.npy", array.getvalue())
+    broken_stream = bytearray(deflated.getvalue())
+    broken_stream[30 + len("meta.npy")] ^= 0xFF
+    contents = {
+        "array.npy": array.getvalue(),
+        "empty.npz": b"",
+        "truncated.npz": whole[: len(whole) // 2],
+        "zip-garbage.npz": b"PK\x03\x04" + b"garbage" * 20,
+        "pickle.npz": pickle.dumps({"meta": meta, **policy}),
+        "bad-crc.npz": bytes(flipped),
+        "broken-deflate.npz": bytes(broken_stream),
+    }
+    paths = []
+    for name, content in contents.items():
+        paths.append(tmp_path / name)
+        paths[-1].write_bytes(content)
+    entries = {
+        "meta-not-json.npz": {"meta": np.frombuffer(b"{not json", np.uint8), **policy},
+        "meta-not-utf8.npz": {"meta": np.frombuffer(b"\xff\xfe{}", np.uint8), **policy},
+        "object-tensor.npz": {**policy, "meta": meta_entry(meta), "w1": np.array([None] * 3)},
+    }
+    for name, arrays in entries.items():
+        paths.append(tmp_path / name)
+        np.savez(paths[-1], **arrays)
+    return paths
+
+
 def test_malformed_checkpoint_exits_3_with_one_line(tmp_path, capsys):
     spec = write_spec(tmp_path, FAST_DHO)
     shapes = {"version": 1, "obs_dim": 3, "num_ues": 1, "num_actions": 2}
@@ -123,14 +173,24 @@ def test_malformed_checkpoint_exits_3_with_one_line(tmp_path, capsys):
         ({**fitting, "num_actions": True}, policy),
         (fitting, {**policy, "b1": np.array(["x"] * 16)}),  # a string tensor
     ]
+    paths = []
     for g, (meta, arrays) in enumerate(malformed):
-        path = tmp_path / f"malformed{g}.npz"
-        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8), **arrays)
-        for command in (["eval", "--out", str(tmp_path / "o")], ["behavior", "--episodes", "2"]):
+        paths.append(tmp_path / f"malformed{g}.npz")
+        np.savez(paths[-1], meta=meta_entry(meta), **arrays)
+    unreadable = unreadable_checkpoints(tmp_path, fitting, policy)
+    commands = (
+        ["eval", "--out", str(tmp_path / "o")],
+        ["behavior", "--episodes", "2"],
+        ["sweep", "--parameter", "rb_ratio", "--values", "0.5,1", "--out", str(tmp_path / "s")],
+    )
+    for path in paths + unreadable:
+        for command in commands:
             code = main([*command, "--spec", spec, "--checkpoint", str(path)])
-            assert code == 3, (command[0], meta)
+            assert code == 3, (command[0], path.name)
             err = capsys.readouterr().err
-            assert err.count("\n") == 1 and "Traceback" not in err
+            assert err.count("\n") == 1 and "Traceback" not in err, (command[0], path.name)
+            if path in unreadable:
+                assert err == f"error: {path} is not a policy checkpoint\n", (command[0], path.name)
 
 
 def test_bad_spec_exits_2(tmp_path, capsys):

@@ -27,7 +27,6 @@ from leoho.env import (
     episode_metrics,
     observation_size,
     rach,
-    settled_outcome,
 )
 from leoho.experiments import trace_header, write_trace_csv
 
@@ -38,17 +37,17 @@ def small_config(**kw) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
-def episode_columns(outcomes) -> OutcomeColumns:
-    """The columns of one episode's slot outcomes, stacked as a loop collects them."""
-    columns = OutcomeColumns(len(outcomes))
+def episode_columns(config: ScenarioConfig, outcomes) -> OutcomeColumns:
+    """The columns of a chunk's slot outcomes, stacked as a loop collects them."""
+    columns = OutcomeColumns(config, len(outcomes[0].reward))
     for outcome in outcomes:
         columns.append(outcome)
     return columns
 
 
-def episode_view(outcomes) -> EpisodeOutcomes:
+def episode_view(config: ScenarioConfig, outcomes) -> EpisodeOutcomes:
     """The view of one episode's slot outcomes."""
-    return EpisodeOutcomes(episode_columns(outcomes), 0)
+    return EpisodeOutcomes(episode_columns(config, outcomes), 0)
 
 
 # --- configuration -------------------------------------------------------
@@ -589,7 +588,7 @@ def test_everyone_accesses_first_slot_scores_zero_delay():
     for _ in range(19):
         _, o = env.step(np.zeros((1, 10), dtype=int))
         outcomes.append(o)
-    m = episode_metrics(episode_view(outcomes), env.state.episode(0))
+    m = episode_metrics(episode_view(env.config, outcomes), env.state.episode(0))
     assert m.sum_delay == 0.0
     assert m.ho_success == 1.0
 
@@ -598,7 +597,7 @@ def test_never_accessing_scores_full_delay():
     env = HandoverEnv(small_config())
     env.reset(0)
     outcomes = [env.step(np.zeros((1, 10), dtype=int))[1] for _ in range(20)]
-    m = episode_metrics(episode_view(outcomes), env.state.episode(0))
+    m = episode_metrics(episode_view(env.config, outcomes), env.state.episode(0))
     assert m.sum_delay == 20.0
     assert m.ho_success == 0.0
     assert m.episode_return == -20.0
@@ -610,55 +609,56 @@ def test_return_identity_with_delay_weight():
     rng = np.random.default_rng(0)
     env.reset(9)
     outcomes = [env.step(rng.integers(0, 3, (1, 10)))[1] for _ in range(20)]
-    m = episode_metrics(episode_view(outcomes), env.state.episode(0))
+    m = episode_metrics(episode_view(cfg, outcomes), env.state.episode(0))
     assert m.episode_return == pytest.approx(-cfg.nu * m.sum_delay - m.sum_collision, abs=1e-12)
 
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_settle_gives_what_stepping_action_zero_gives(batched):
     # Retiring every episode at once ends the chunk as a whole, and fills
-    # the observations of its remaining slots.  The A3 flags put the
-    # measurement fold in every observation, and at nu = 0 a settled slot's
-    # reward is still step's -0.0.
-    cfg = small_config(horizon=12, nu=0.0, features=FeatureMask(a3_centralized=True))
-    stepped, settled = HandoverEnv(cfg), HandoverEnv(cfg)
-    columns = {}
-    for env in (stepped, settled):
-        if batched:
-            env.reset(episodes=[3, 4])
-        else:
-            env.reset(3)
-        columns[env] = OutcomeColumns(cfg.horizon)
-    everyone = np.ones(len(settled.state.accessed), dtype=bool)
-    with pytest.raises(ValueError, match="every terminal"):
-        settled.retire(everyone)
-    while not settled.state.accessed.all():  # request plane 1 until everyone has access
-        actions = np.where(settled.state.accessed, 0, 1)
+    # the observations of its remaining slots, while their outcomes are
+    # those fresh columns hold.  The A3 flags put the measurement fold in
+    # every observation, and a settled slot's reward is step's -0.0 at
+    # nu = 0 as at nu = 5.
+    for nu in (0.0, 5.0):
+        cfg = small_config(horizon=12, nu=nu, features=FeatureMask(a3_centralized=True))
+        stepped, settled = HandoverEnv(cfg), HandoverEnv(cfg)
+        columns = {}
         for env in (stepped, settled):
-            columns[env].append(env.step(actions)[1])
-    slot = settled.state.slot
-    assert 0 < slot < cfg.horizon - 1
-    want = np.empty((len(everyone), cfg.horizon - slot, observation_size(cfg)))
-    for i in range(cfg.horizon - slot):
-        want[:, i], outcome = stepped.step(np.zeros_like(actions))
-        columns[stepped].append(outcome)
-    with pytest.raises(ValueError, match="slots left"):
-        settled.retire(everyone, np.empty((len(everyone), 1, want.shape[-1])))
-    observations = np.empty_like(want)
-    if batched:
-        with pytest.raises(ValueError, match="every episode's"):
-            settled.retire(np.array([True, False]), observations)
-    final = settled.retire(everyone, observations)
-    columns[settled].repeat(settled_outcome(cfg, slot + 1))
-    assert observations.tobytes() == want.tobytes()
-    for name, column in columns[stepped].items():
-        assert columns[settled][name].tobytes() == column.tobytes(), name
-    assert np.signbit(columns[settled]["reward"][..., slot:]).all()
-    for state in (final, settled.state):
-        for name in ("slot", "accessed", "rb_remaining", "prev_action"):
-            assert np.array_equal(getattr(state, name), getattr(stepped.state, name)), name
-    with pytest.raises(RuntimeError):
-        settled.step(np.zeros_like(actions))
+            if batched:
+                env.reset(episodes=[3, 4])
+            else:
+                env.reset(3)
+            columns[env] = OutcomeColumns(cfg, len(env.state.accessed))
+        everyone = np.ones(len(settled.state.accessed), dtype=bool)
+        with pytest.raises(ValueError, match="every terminal"):
+            settled.retire(everyone)
+        while not settled.state.accessed.all():  # request plane 1 until everyone has access
+            actions = np.where(settled.state.accessed, 0, 1)
+            for env in (stepped, settled):
+                columns[env].append(env.step(actions)[1])
+        slot = settled.state.slot
+        assert 0 < slot < cfg.horizon - 1
+        want = np.empty((len(everyone), cfg.horizon - slot, observation_size(cfg)))
+        for i in range(cfg.horizon - slot):
+            want[:, i], outcome = stepped.step(np.zeros_like(actions))
+            columns[stepped].append(outcome)
+        with pytest.raises(ValueError, match="slots left"):
+            settled.retire(everyone, np.empty((len(everyone), 1, want.shape[-1])))
+        observations = np.empty_like(want)
+        if batched:
+            with pytest.raises(ValueError, match="every episode's"):
+                settled.retire(np.array([True, False]), observations)
+        final = settled.retire(everyone, observations)
+        assert observations.tobytes() == want.tobytes()
+        for name, column in columns[stepped].items():
+            assert columns[settled][name].tobytes() == column.tobytes(), (nu, name)
+        assert np.signbit(columns[settled]["reward"][..., slot:]).all()
+        for state in (final, settled.state):
+            for name in ("slot", "accessed", "rb_remaining", "prev_action"):
+                assert np.array_equal(getattr(state, name), getattr(stepped.state, name)), name
+        with pytest.raises(RuntimeError):
+            settled.step(np.zeros_like(actions))
 
 
 def test_retired_episodes_leave_the_others_as_they_were():
@@ -729,12 +729,12 @@ def test_batched_views_equal_single_episode_records(scenario):
         assert outcome.c_r_per_target.shape == (len(seeds), cfg.num_targets)
         assert outcome.reward.shape == (len(seeds),)
         slots.append(outcome)
-    columns = episode_view(slots).columns
+    columns = episode_columns(cfg, slots)
     for e, seed in enumerate(seeds):
         alone = HandoverEnv(cfg)
         alone.reset(seed)
         stepped = [alone.step(actions[e, n][None])[1] for n in range(cfg.horizon)]
-        records = list(episode_view(stepped))
+        records = list(episode_view(cfg, stepped))
         view = EpisodeOutcomes(columns, e)
         assert len(view) == cfg.horizon
         for got, want in zip(view, records):
@@ -742,7 +742,7 @@ def test_batched_views_equal_single_episode_records(scenario):
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 assert type(a) is type(b), f.name
                 assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, f.name
-        assert view[-1].slot == cfg.horizon and [o.slot for o in view[2:4]] == [3, 4]
+        assert view[-1].slot == cfg.horizon and [view[n].slot for n in (2, 3)] == [3, 4]
         # Slot order, as the per-record sums add them up.
         oracle = MetricsRecord(
             sum_delay=float(sum(o.d for o in records)),
@@ -752,7 +752,30 @@ def test_batched_views_equal_single_episode_records(scenario):
             episode_return=float(sum(o.reward for o in records)),
         )
         assert episode_metrics(view, env.state.episode(e)) == oracle
-        assert episode_metrics(episode_view(stepped), alone.state.episode(0)) == oracle
+        assert episode_metrics(episode_view(cfg, stepped), alone.state.episode(0)) == oracle
+
+
+@pytest.mark.parametrize("scenario", [CASE1, J100_SCARCE], ids=["case1", "J100-scarce"])
+def test_columns_take_step_outcomes_without_a_cast(scenario):
+    # The columns are allocated before any slot is stepped, so each has to
+    # have the dtype and per-slot shape of the field step returns, or it
+    # would cast what step writes.  Random actions in odd slots and action 0
+    # in even ones take admission and random access down their busy and
+    # idle paths.
+    cfg = small_config(**scenario)
+    seeds = [5, 6, 7]
+    env = HandoverEnv(cfg)
+    env.reset(episodes=seeds)
+    columns = OutcomeColumns(cfg, len(seeds))
+    assert columns["slot"].tolist() == list(range(1, cfg.horizon + 1))
+    rng = np.random.default_rng(3)
+    for n in range(cfg.horizon):
+        actions = rng.integers(0, cfg.num_planes, (len(seeds), cfg.num_ues)) * (n % 2)
+        _, outcome = env.step(actions)
+        for f in dataclasses.fields(StepOutcome)[1:]:
+            value, column = np.asarray(getattr(outcome, f.name)), columns[f.name]
+            assert (column.dtype, column[:, n].shape) == (value.dtype, value.shape), f.name
+        columns.append(outcome)
 
 
 def _per_episode_sums(d, c_r_block, c_p, reward) -> list[str]:
@@ -766,10 +789,15 @@ def _per_episode_sums(d, c_r_block, c_p, reward) -> list[str]:
     return [v.hex() for v in sums]
 
 
+def _chunk_config(slots: int, targets: int) -> ScenarioConfig:
+    """A scenario of ``slots`` slots with one terminal and ``targets`` target planes."""
+    return ScenarioConfig(num_ues=1, num_planes=targets + 1, rb_per_target=0, horizon=slots)
+
+
 def _chunk_of(c_r: np.ndarray, rates: np.ndarray) -> OutcomeColumns:
     """Columns of a chunk with (N, E, K-1) block rates and (N, E, 3) D, C_P, reward."""
-    slots, episodes = rates.shape[:2]
-    columns = OutcomeColumns(slots)
+    slots, episodes, targets = c_r.shape
+    columns = OutcomeColumns(_chunk_config(slots, targets), episodes)
     flags = np.zeros((episodes, 1), dtype=bool)
     plane = np.zeros((episodes, 1), dtype=np.int64)
     for n in range(slots):
@@ -834,7 +862,8 @@ def test_chunk_sums_past_numpy_buffer_match_the_episode_alone(targets):
         view = EpisodeOutcomes(columns, e)
         alone = np.array([o.c_r_per_target for o in view]).sum()
         assert episode_metrics(view, final).sum_collision_rb.hex() == float(alone).hex()
-        restacked = episode_metrics(episode_view([with_episode_axis(o) for o in view]), final)
+        restacked = episode_view(_chunk_config(slots, targets), [with_episode_axis(o) for o in view])
+        restacked = episode_metrics(restacked, final)
         assert restacked.sum_collision_rb.hex() == float(alone).hex()
 
 
@@ -881,7 +910,7 @@ def test_episode_metrics_length_mismatch():
     env.reset(0)
     _, out = env.step(np.zeros((1, 10), dtype=int))
     with pytest.raises(ValueError):
-        episode_metrics(episode_view([out, out]), env.state.episode(0))
+        episode_metrics(episode_view(env.config, [out, out]), env.state.episode(0))
 
 
 # --- whole-episode invariants -------------------------------------------------
@@ -928,7 +957,7 @@ def test_episode_invariants_hold(seed, rb, preambles, data):
         )
     )
     env, outcomes = run_episode(cfg, seed, actions)
-    m = episode_metrics(episode_view(outcomes), env.state.episode(0))
+    m = episode_metrics(episode_view(cfg, outcomes), env.state.episode(0))
     # Block accounting: every spent block belongs to a completed terminal.
     completions = np.zeros(2, dtype=int)
     for out in outcomes:
@@ -964,7 +993,7 @@ def test_trace_csv_schema_and_determinism(tmp_path):
     for e in range(2):
         env.reset(e)
         outcomes = [env.step(np.ones((1, 10), dtype=int))[1] for _ in range(cfg.horizon)]
-        episodes.append((e, episode_columns(outcomes)))
+        episodes.append((e, episode_columns(cfg, outcomes)))
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(path_a, episodes, cfg.num_ues, cfg.num_targets)
     write_trace_csv(path_b, episodes, cfg.num_ues, cfg.num_targets)
@@ -986,7 +1015,7 @@ def test_trace_writer_bytes_match_csv_writer(tmp_path):
     # Rows equal but for the sign of a zero are formatted apart.
     for e, zero in ((3, 0.0), (4, -0.0)):
         episodes.append((e, [dataclasses.replace(o, reward=np.full(1, zero)) for o in episodes[0][1]]))
-    views = [(e, episode_view(outcomes)) for e, outcomes in episodes]
+    views = [(e, episode_view(cfg, outcomes)) for e, outcomes in episodes]
     chunks = [(e, view.columns) for e, view in views]
     write_trace_csv(tmp_path / "trace.csv", chunks, cfg.num_ues, cfg.num_targets)
     with open(tmp_path / "reference.csv", "w", newline="") as fh:

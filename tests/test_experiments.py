@@ -499,7 +499,7 @@ def test_episodes_to_threshold():
 def _trace_chunks():
     env = HandoverEnv(ScenarioConfig(horizon=3))
     env.reset(episodes=[0])
-    columns = OutcomeColumns(3)
+    columns = OutcomeColumns(env.config, 1)
     for _ in range(3):
         columns.append(env.step(np.ones((1, 10), dtype=int))[1])
     yield 0, columns
@@ -621,7 +621,7 @@ def stepped_chunks(scenario, agent_kind, episodes, master_seed, params, eval_mod
         seeds = [master_seed + i for i in range(first, min(first + size, episodes))]
         obs = env.reset(episodes=seeds)
         agent.begin_episode(env, episode_generators([seed, 101] for seed in seeds))
-        columns = OutcomeColumns(scenario.horizon)
+        columns = OutcomeColumns(scenario, len(seeds))
         for _ in range(scenario.horizon):
             obs, outcome = env.step(agent.act(env, obs))
             columns.append(outcome)

@@ -720,7 +720,7 @@ def stepped_rollout(env, policy, noise, env_seeds):
     pinned = np.empty((episodes, length, j), dtype=bool)
     rewards = np.empty((episodes, length))
     obs = env.reset(episodes=env_seeds)
-    columns = OutcomeColumns(length)
+    columns = OutcomeColumns(cfg, episodes)
     for n in range(length):
         observations[:, n] = obs
         pinned[:, n] = env.state.accessed
