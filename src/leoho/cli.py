@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="leoho", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, mask_help: str = "feature mask name") -> None:
         p.add_argument("--spec", help="experiment spec file (flat key = value)")
         p.add_argument("--agent", choices=experiments.AGENT_KINDS)
         p.add_argument("--seed", type=int, help="master seed; run i uses seed + i")
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu", help="reward delay weight, e.g. 1, 5, 1/20")
         p.add_argument("--rb-ratio", type=float, help="blocks per terminal on each target")
         p.add_argument("--preamble-ratio", type=float, help="signatures per terminal")
-        p.add_argument("--mask", help="feature mask name(s), comma separated")
+        p.add_argument("--mask", help=mask_help)
         p.add_argument("--checkpoint", help="policy checkpoint to load")
         p.add_argument("--mode", choices=["greedy", "sample"], help="learned-policy decision mode")
         p.add_argument("--case", help="named resource regime, e.g. case1..case4")
@@ -50,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="evaluate across one parameter's values")
     behavior_p = sub.add_parser("behavior", help="request/wait statistics of a checkpoint")
     ablation_p = sub.add_parser("ablation", help="train one policy per feature mask")
-    for p in (run_p, eval_p, sweep_p, behavior_p, ablation_p):
+    for p in (run_p, eval_p, sweep_p, behavior_p):
         add_common(p)
+    add_common(ablation_p, mask_help="feature mask names, comma separated (default: every mask)")
     sweep_p.add_argument("--parameter", help="sweep parameter, e.g. rb_ratio")
     sweep_p.add_argument("--values", help="comma-separated sweep values")
     return parser

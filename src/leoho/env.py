@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from leoho import link, orbital
-from leoho.rng import episode_generators, integers_by_rows, seed_key, uniform_from_raw
+from leoho.rng import episode_generators, integer_words, integers_by_rows, seed_key, uniform_from_raw
 
 # Terminal-episodes stepped together by the evaluation loops: 256 episodes at
 # J = 10 and 25 at J = 100, enough to amortise the per-slot numpy calls.
@@ -332,17 +332,26 @@ class OutcomeColumns(dict):
     def episode_sums(self) -> list[tuple[float, float, float, float]]:
         """Each episode's (D, C_R, C_P, reward) sums over its slots.
 
-        D, C_P and the reward are Python's ``sum`` of the episode's floats,
-        as its own records give.  C_R is numpy's ``sum`` of the episode's
-        (N, K-1) block laid out as one contiguous row, as for an episode
-        stepped alone, so it does not depend on the chunk.
+        D, C_P and the reward are folded left to right from 0.0, slot by
+        slot over the slot-major buffers, for every episode at once: what
+        Python's ``sum`` of an episode's floats gives up to 3.11, and the
+        same on every interpreter (3.12's ``sum`` compensates its rounding).
+        C_R is numpy's ``sum`` of the episode's (N, K-1) block laid out as
+        one contiguous row, as for an episode stepped alone, so it does not
+        depend on the chunk.
         """
-        d, c_p, reward = (
-            [float(sum(row)) for row in self[name].tolist()] for name in ("d", "c_p", "reward")
-        )
+        d, c_p, reward = (_fold_slots(self[name].T) for name in ("d", "c_p", "reward"))
         blocks = self["c_r_per_target"]
         c_r = np.ascontiguousarray(blocks).reshape(len(blocks), -1).sum(axis=1).tolist()
         return list(zip(d, c_r, c_p, reward))
+
+
+def _fold_slots(buffer: np.ndarray) -> list[float]:
+    """((0.0 + x_1) + x_2) + ... + x_N of an (N, E) buffer, one float per episode."""
+    total = buffer[0] + 0.0
+    for row in buffer[1:]:
+        total += row
+    return total.tolist()
 
 
 class EpisodeOutcomes(Sequence):
@@ -527,6 +536,8 @@ class HandoverEnv:
         # The reset batch's rows still stepped: all, then an index array.
         self._live: slice | np.ndarray = slice(None)
         self._keys = self._preambles = None  # (E, N, J) per-slot draws
+        # reset's raw words, kept for the largest chunk; the keys are a view.
+        self._words: np.ndarray | None = None
         self._meas: link.MeasurementState | None = None
         self._shadowing_rngs: np.ndarray | None = None  # object array, one generator per row
         self._meas_slot = 0  # slots folded into measurements
@@ -545,34 +556,40 @@ class HandoverEnv:
         (N, J) uniform admission keys ``random`` and (N, J) preamble
         signatures ``integers(1, P + 1)``.  Measurement shadowing comes from
         ``default_rng(s + (0x4D53,))``, drawn as :meth:`measurements` folds.
-        :func:`rng.episode_generators` builds a chunk's generators.  The
-        positions and signatures are read as raw PCG64 words, one block per
-        episode, and converted for the whole chunk at once with numpy's own
+        :func:`rng.episode_generators` builds a chunk's generators.  Each
+        episode reads the words of all three in one ``random_raw`` call, and
+        each part is converted for the whole chunk at once with numpy's own
         conversions (:func:`rng.uniform_from_raw`,
         :func:`rng.integers_by_rows`), so they keep ``default_rng``'s bits.
+        The words go into a block the env keeps for its largest chunk, and
+        the keys are converted where their words lie, so they hold until the
+        next reset.
         """
         cfg = self.config
         self._seed_keys = [seed_key(s) for s in ([seed] if episodes is None else episodes)]
         e, j, n = len(self._seed_keys), cfg.num_ues, cfg.horizon
         draw_positions = cfg.ue_positions is None
-        # Blocks are filled in place, so a chunk's working set is allocated
-        # once; the position words are converted where they lie.
-        ue_pos = np.zeros((e, j, 3))
-        position_words = ue_pos.view(np.uint64)[..., :2]
-        keys = np.empty((e, n, j))
-        preambles = np.empty((e, n, j), dtype=np.int64)
+        # Each episode's words: positions, keys, then signatures.
+        keys_at = 2 * j if draw_positions else 0
+        preambles_at = keys_at + n * j
+        width = preambles_at + integer_words(n * j, cfg.num_preambles)
+        if self._words is None or len(self._words) < e:
+            self._words = np.empty((e, width), dtype=np.uint64)
+        words = self._words[:e]
         generators = list(episode_generators(self._seed_keys))
         for i, rng in enumerate(generators):
-            if draw_positions:
-                position_words[i] = rng.bit_generator.random_raw((j, 2))
-            rng.random(out=keys[i])
-        integers_by_rows(generators, 1, cfg.num_preambles + 1, preambles)
+            words[i] = rng.bit_generator.random_raw(width)
+        ue_pos = np.zeros((e, j, 3))
         if draw_positions:
-            uniform_from_raw(position_words, cfg.area_m, out=ue_pos[..., :2])
+            uniform_from_raw(words[:, :keys_at].reshape(e, j, 2), cfg.area_m, out=ue_pos[..., :2])
         else:
             explicit = np.asarray(cfg.ue_positions, dtype=float)
             ue_pos[..., : explicit.shape[1]] = explicit
-        self._keys = keys
+        keys = words[:, keys_at:preambles_at].view(np.float64)
+        uniform_from_raw(words[:, keys_at:preambles_at], 1.0, out=keys)
+        preambles = np.empty((e, n, j), dtype=np.int64)
+        integers_by_rows(generators, 1, cfg.num_preambles + 1, preambles, words=words[:, preambles_at:])
+        self._keys = keys.reshape(e, n, j)
         self._preambles = preambles
         self._live = slice(None)
         self._meas = None

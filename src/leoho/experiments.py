@@ -457,11 +457,11 @@ def _trace_rows(first: int, columns: dict[str, np.ndarray], tails: _TraceTails) 
     )
     row_bits = np.dtype((np.void, values.itemsize * values.shape[-1]))
     keys = values.view(row_bits)[..., 0]  # (E, N) row bits
-    slots = columns["slot"].tolist()
+    slots = [f"{n}," for n in columns["slot"].tolist()]
     lines = []
     for e, episode_keys in enumerate(keys, start=first):  # one episode's keys at a time
         prefix = f"{e},"
-        lines += [f"{prefix}{n},{tails[key]}" for n, key in zip(slots, episode_keys.tolist())]
+        lines += [prefix + slot + tails[key] for slot, key in zip(slots, episode_keys.tolist())]
     return "".join(lines)
 
 

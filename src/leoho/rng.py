@@ -5,9 +5,10 @@ seed key.  :func:`episode_generators` builds the generators of many keys
 with numpy's SeedSequence hash run once, vectorised over the keys, and
 gives generators bit-identical to ``default_rng``'s.  :func:`uniform_from_raw`
 and :func:`integers_from_raw` apply the conversions numpy's ``Generator``
-makes of PCG64's raw 64-bit words to a whole chunk's words at once, so each
-episode pays one ``random_raw`` call per block instead of a ``uniform`` or
-``integers`` call, and the values keep their bits.
+makes of PCG64's raw 64-bit words to a whole chunk's words at once, so an
+episode pays one ``random_raw`` call, for blocks drawn one after another,
+instead of a ``uniform``, ``random`` or ``integers`` call per block, and the
+values keep their bits.
 """
 
 from __future__ import annotations
@@ -185,13 +186,16 @@ _PCG64_PERIOD = 2**128
 def uniform_from_raw(words: np.ndarray, high: float, out: np.ndarray) -> None:
     """numpy's ``uniform(0, high)`` of raw PCG64 words, one value per word, into ``out``.
 
-    Each value is ``0.0 + high * ((w >> 11) * 2**-53)``.  ``words`` is
-    shifted in place; ``out`` may share its memory.
+    Each value is ``0.0 + high * ((w >> 11) * 2**-53)``: at ``high`` 1.0
+    that is ``(w >> 11) * 2**-53``, numpy's ``random()``, and the scaling
+    is skipped.  ``words`` is shifted in place; ``out`` may share its
+    memory.
     """
     np.right_shift(words, 11, out=words)
     np.multiply(words, 2.0**-53, out=out)
-    out *= high
-    out += 0.0
+    if high != 1.0:
+        out *= high
+        out += 0.0
 
 
 def integer_words(count: int, span: int) -> int:
@@ -230,21 +234,27 @@ def integers_from_raw(words: np.ndarray, low: int, span: int, out: np.ndarray) -
     return redraw
 
 
-def integers_by_rows(generators: list, low: int, high: int, out: np.ndarray) -> None:
+def integers_by_rows(
+    generators: list, low: int, high: int, out: np.ndarray, words: np.ndarray | None = None
+) -> None:
     """``generators[i].integers(low, high, size=out.shape[1:])`` into each ``out[i]``, bit for bit.
 
     ``out`` is a C-contiguous int64 array with one row per generator.  Each
-    generator gives one ``random_raw`` block, and one
-    :func:`integers_from_raw` converts them all.  A row it flags is drawn
-    again by numpy's own ``integers``, after stepping its generator back
-    over the block: PCG64 advances modulo 2**128, so advancing by 2**128 - W
-    undoes W words and leaves the generator where a fresh one for its key
-    stands once advanced past the words drawn before.
+    generator gives one ``random_raw`` block of :func:`integer_words`
+    words, and one :func:`integers_from_raw` converts them all.  ``words``,
+    (rows, W) uint64 with a contiguous last axis, passes blocks already
+    drawn instead: each row the last W words its generator drew, such as
+    the tail of a longer ``random_raw`` call.  A row the conversion flags
+    is drawn again by numpy's own ``integers``, after stepping its
+    generator back over the block: PCG64 advances modulo 2**128, so
+    advancing by 2**128 - W undoes W words and leaves the generator where a
+    fresh one for its key stands once advanced past the words drawn before.
     """
     rows, count = len(generators), math.prod(out.shape[1:])
-    words = np.empty((rows, integer_words(count, high - low)), dtype=np.uint64)
-    for row, generator in zip(words, generators):
-        row[...] = generator.bit_generator.random_raw(words.shape[1])
+    if words is None:
+        words = np.empty((rows, integer_words(count, high - low)), dtype=np.uint64)
+        for i, generator in enumerate(generators):
+            words[i] = generator.bit_generator.random_raw(words.shape[1])
     for i in np.flatnonzero(integers_from_raw(words, low, high - low, out.reshape(rows, count))):
         generator = generators[i]
         generator.bit_generator.advance(_PCG64_PERIOD - words.shape[1])

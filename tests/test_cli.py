@@ -425,6 +425,27 @@ def test_ablation_with_an_empty_mask_name_exits_2_before_any_work(tmp_path, mask
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "eval", "sweep", "behavior", "ablation"])
+def test_mask_help_names_what_each_subcommand_takes(command, capsys):
+    # Only ablation takes a comma-separated list; the others take one mask.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    takes_a_list = "--mask MASK feature mask names, comma separated" in help_text
+    assert takes_a_list == (command == "ablation")
+    assert takes_a_list or "--mask MASK feature mask name --" in help_text
+
+
+def test_run_refuses_a_mask_list(tmp_path):
+    out = tmp_path / "o"
+    spec = write_spec(tmp_path, FAST_RANDOM)
+    code, err = exit_code(["run", "--spec", spec, "--mask", "no_time,centralized", "--out", str(out)])
+    assert code == 2, err
+    assert "unknown mask 'no_time,centralized'" in err
+    assert not out.exists()
+
+
 def test_cli_overrides_apply(tmp_path):
     spec = write_spec(tmp_path, FAST_RANDOM)
     out = tmp_path / "o"

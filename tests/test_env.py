@@ -1,7 +1,9 @@
 
 import csv
 import dataclasses
+import functools
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -743,13 +745,13 @@ def test_batched_views_equal_single_episode_records(scenario):
                 assert type(a) is type(b), f.name
                 assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, f.name
         assert view[-1].slot == cfg.horizon and [view[n].slot for n in (2, 3)] == [3, 4]
-        # Slot order, as the per-record sums add them up.
+        # Slot order, folded left to right from 0.0 as the sums are defined.
         oracle = MetricsRecord(
-            sum_delay=float(sum(o.d for o in records)),
+            sum_delay=fold([o.d for o in records]),
             sum_collision_rb=float(np.sum([o.c_r_per_target for o in records])),
-            sum_collision_prach=float(sum(o.c_p for o in records)),
+            sum_collision_prach=fold([o.c_p for o in records]),
             ho_success=float(alone.state.accessed.sum()) / cfg.num_ues,
-            episode_return=float(sum(o.reward for o in records)),
+            episode_return=fold([o.reward for o in records]),
         )
         assert episode_metrics(view, env.state.episode(e)) == oracle
         assert episode_metrics(episode_view(cfg, stepped), alone.state.episode(0)) == oracle
@@ -778,14 +780,22 @@ def test_columns_take_step_outcomes_without_a_cast(scenario):
         columns.append(outcome)
 
 
+def fold(values) -> float:
+    """``((0.0 + v_1) + v_2) + ...``: the episode sums' definition.
+
+    Up to Python 3.11 this is what ``sum`` of floats gives, bit for bit;
+    from 3.12 on ``sum`` compensates its rounding, and the sums do not.
+    """
+    return float(functools.reduce(operator.add, values, 0.0))
+
+
 def _per_episode_sums(d, c_r_block, c_p, reward) -> list[str]:
     """The D, C_R, C_P and return sums one episode's own columns give, as bits.
 
-    These are the per-episode sums ``episode_metrics`` took before a chunk
-    summed its episodes at once: Python's ``sum`` of the floats, which
-    compensates its rounding from Python 3.12 on, and numpy's of the block.
+    D, C_P and the return fold the episode's floats left to right from 0.0,
+    whatever the interpreter, and C_R is numpy's sum of the block.
     """
-    sums = (float(sum(d)), float(c_r_block.sum()), float(sum(c_p)), float(sum(reward)))
+    sums = (fold(d), float(c_r_block.sum()), fold(c_p), fold(reward))
     return [v.hex() for v in sums]
 
 
@@ -825,11 +835,12 @@ rate_floats = st.one_of(
     shape=st.tuples(st.integers(1, 20), st.integers(1, 5), st.integers(1, 3)),
     data=st.data(),
 )
-@example(shape=(3, 2, 1), data=None)
+@example(shape=(3, 2, 1), data=-0.0)
+@example(shape=(10, 1, 1), data=0.1)  # 0.9999999999999999 folded; 3.12's sum gives 1.0
 def test_chunk_sums_match_per_episode_sums(shape, data):
     slots, episodes, targets = shape
-    if data is None:  # every rate -0.0
-        c_r, other = np.full((slots, episodes, targets), -0.0), np.full((slots, episodes, 3), -0.0)
+    if isinstance(data, float):  # every rate this value
+        c_r, other = np.full((slots, episodes, targets), data), np.full((slots, episodes, 3), data)
     else:
         c_r = data.draw(hnp.arrays(np.float64, (slots, episodes, targets), elements=rate_floats))
         other = data.draw(hnp.arrays(np.float64, (slots, episodes, 3), elements=rate_floats))
@@ -1030,6 +1041,43 @@ def test_trace_writer_bytes_match_csv_writer(tmp_path):
                 )
     written = (tmp_path / "trace.csv").read_bytes()
     assert written.count(b"\r\n") == 1 + 5 * cfg.horizon
+    assert b",-0.000000," in written
+    assert written == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_trace_writer_bytes_match_csv_writer_for_multi_episode_chunks(tmp_path):
+    # Two chunks of three episodes through one writer, so the second reads
+    # tails the first formatted; the first chunk's episodes run 998..1000,
+    # across a digit boundary.  Rates are J = 100-like shares with three
+    # target planes, so most rows are distinct, and the second chunk
+    # repeats the first's rows in another order with a settled -0.0 reward.
+    num_ues, slots, targets = 100, 20, 3
+    rng = np.random.default_rng(27)
+    shares = rng.integers(0, num_ues + 1, (slots, 3, targets + 2)) / num_ues
+    c_r, d, c_p = shares[..., :targets], shares[..., targets], shares[..., targets + 1]
+    reward = -d - c_r.sum(axis=-1) - c_p
+    first = _chunk_of(c_r, np.stack((d, c_p, reward), axis=-1))
+    order = rng.permutation(slots)
+    reward_again = reward[order, ::-1].copy()
+    reward_again[-1] = -0.0
+    again_rates = np.stack((d[order, ::-1], c_p[order, ::-1], reward_again), axis=-1)
+    again = _chunk_of(c_r[order, ::-1], again_rates)
+    chunks = [(998, first), (1001, again)]
+    write_trace_csv(tmp_path / "trace.csv", iter(chunks), num_ues, targets)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(trace_header(targets))
+        for start, columns in chunks:
+            for e in range(3):
+                for o in EpisodeOutcomes(columns, e):
+                    writer.writerow(
+                        [start + e, o.slot, f"{o.d:.6f}"]
+                        + [f"{v:.6f}" for v in o.c_r_per_target]
+                        + [f"{o.c_p:.6f}", f"{o.reward:.6f}", round(num_ues * (1.0 - o.d))]
+                    )
+    written = (tmp_path / "trace.csv").read_bytes()
+    assert written.count(b"\r\n") == 1 + 6 * slots
+    assert b"\r\n999,20," in written and b"\r\n1000,1," in written and b"\r\n1003,20," in written
     assert b",-0.000000," in written
     assert written == (tmp_path / "reference.csv").read_bytes()
 

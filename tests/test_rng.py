@@ -5,6 +5,8 @@
 PCG64 words, so these tests pin them to the numpy they run on.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +174,28 @@ def test_integers_by_rows_redraws_at_a_redraw_heavy_range(shape):
     integers_by_rows(list(episode_generators(keys)), 1, REDRAW_HEAVY + 1, got)
     want = np.stack([np.random.default_rng(key).integers(1, REDRAW_HEAVY + 1, size=shape) for key in keys])
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("prefix", [0, 7, 320])
+@pytest.mark.parametrize("span, shape", [(50, (20, 10)), (REDRAW_HEAVY, (20, 10)), (REDRAW_HEAVY, (9, 11))])
+def test_integers_by_rows_converts_the_tail_of_a_longer_block(prefix, span, shape):
+    # Each key's words are the tail of one random_raw call, as reset draws
+    # its signatures after the positions and keys; a flagged row steps its
+    # generator back over the tail only.
+    keys = list(range(100, 164))
+    generators = list(episode_generators(keys))
+    width = integer_words(math.prod(shape), span)
+    block = np.stack([g.bit_generator.random_raw(prefix + width) for g in generators])
+    got = np.empty((len(keys),) + shape, dtype=np.int64)
+    flagged = integers_from_raw(block[:, prefix:], 1, span, np.empty((len(keys), math.prod(shape)), np.int64))
+    assert flagged.any() == (span == REDRAW_HEAVY)
+    integers_by_rows(generators, 1, span + 1, got, words=block[:, prefix:])
+    for row, generator, key in zip(got, generators, keys, strict=True):
+        want_generator = np.random.default_rng(key)
+        want_generator.random(prefix)  # one raw word per double
+        want = want_generator.integers(1, span + 1, size=shape)
+        assert row.tobytes() == want.tobytes()
+        assert generator.bit_generator.state["state"] == want_generator.bit_generator.state["state"]
 
 
 def test_integers_by_rows_of_no_generators():
