@@ -141,14 +141,7 @@ def _dispatch(args) -> int:
 
     if args.command == "ablation":
         masks = args.mask.split(",") if args.mask is not None else list(experiments.ABLATION_MASKS)
-        result = experiments.ablation(
-            spec.scenario,
-            spec.training,
-            masks,
-            episodes=spec.train_episodes,
-            master_seed=spec.master_seed,
-            out_dir=out_dir,
-        )
+        result = experiments.ablation(spec, masks, out_dir)
         print(f"ablation curves: {result['path']}")
         return EXIT_OK
 

@@ -144,9 +144,14 @@ class ExperimentSpec:
             raise ConfigError("master_seed", "must be non-negative")
         if self.eval_mode not in ("greedy", "sample"):
             raise ConfigError("eval_mode", f"expected greedy or sample, got {self.eval_mode!r}")
-        if self.agent == "dho" and not self.checkpoint:
+        if _trains(self):
             check_training(self.scenario, self.training, self.train_episodes)
             check_evaluation(self.scenario, self.training.hidden)
+
+
+def _trains(spec: ExperimentSpec) -> bool:
+    """Whether the spec's run trains a policy: only the dho agent with no checkpoint does."""
+    return spec.agent == "dho" and not spec.checkpoint
 
 
 # Spec-file aliases to dataclass fields.
@@ -518,12 +523,21 @@ def summary_row(
     return row
 
 
-def write_summary_csv(path, rows: Sequence[dict]) -> None:
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with replace_atomically(path, newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_HEADER)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _summary_values(row: dict) -> list:
+    if row.keys() != set(SUMMARY_HEADER):
+        raise ValueError(f"a summary row's fields must be {SUMMARY_HEADER}, got {list(row)}")
+    return [row[key] for key in SUMMARY_HEADER]
+
+
+def write_summary_csv(path, rows: Sequence[dict]) -> None:
+    _write_csv(path, SUMMARY_HEADER, map(_summary_values, rows))
 
 
 CURVE_HEADER = ["episode", "mean_return", "sum_delay", "sum_collision"]
@@ -535,10 +549,7 @@ def _curve_row(episode: int, r: MetricsRecord) -> list:
 
 def write_curve_csv(path, records: Sequence[MetricsRecord]) -> None:
     """One row per training episode; the episode index is the record's position."""
-    with replace_atomically(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_HEADER)
-        writer.writerows(_curve_row(episode, r) for episode, r in enumerate(records))
+    _write_csv(path, CURVE_HEADER, (_curve_row(episode, r) for episode, r in enumerate(records)))
 
 
 CHECKPOINT_VERSION = 1
@@ -628,32 +639,30 @@ def episodes_to_threshold(curve, threshold: float, window: int = 100) -> int | N
     return None
 
 
-def _trained_params(spec: ExperimentSpec, out_dir: Path | None):
-    """Train the spec's learned policy; returns (params, curve)."""
-    params, curve = train(
-        spec.scenario,
-        spec.training,
-        episodes=spec.train_episodes,
-        seed=spec.master_seed,
-    )
-    if out_dir is not None:
-        save_checkpoint(params, out_dir / "checkpoint.npz")
-        write_curve_csv(out_dir / "curve.csv", curve)
-    return params, curve
+def _checked_checkpoint(spec: ExperimentSpec, points: Iterable[ExperimentSpec]) -> net.PolicyParameters | None:
+    """The spec's policy checkpoint, loaded once and checked against every point; None when it names none."""
+    if spec.agent == "dho" and spec.checkpoint:
+        return load_checkpoint(spec.checkpoint, [point.scenario for point in points])
+    return None
+
+
+def _policy(point: ExperimentSpec, loaded: net.PolicyParameters | None):
+    """A point's (params, curve): its policy trained, or ``loaded`` and no curve when it trains none."""
+    if not _trains(point):
+        return loaded, None
+    return train(point.scenario, point.training, episodes=point.train_episodes, seed=point.master_seed)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """Train if needed, evaluate, and write summary/trace artifacts."""
     out_dir = Path(out_dir)
     scenario = spec.scenario
-    learned = spec.agent == "dho"
-    params = None
-    curve = None
-    if learned and spec.checkpoint:  # checked before anything is written
-        params = load_checkpoint(spec.checkpoint, [scenario])
+    loaded = _checked_checkpoint(spec, [spec])  # checked before anything is written
     out_dir.mkdir(parents=True, exist_ok=True)
-    if learned and not spec.checkpoint:
-        params, curve = _trained_params(spec, out_dir)
+    params, curve = _policy(spec, loaded)
+    if curve is not None:
+        save_checkpoint(params, out_dir / "checkpoint.npz")
+        write_curve_csv(out_dir / "curve.csv", curve)
 
     records: list[MetricsRecord] = []
 
@@ -682,8 +691,11 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     return artifacts
 
 
-def _sweep_key(parameter: str) -> str:
-    """The spec key a sweep ``parameter`` sets: a numeric scenario or training field, by name or alias."""
+def _sweep_key(parameter: str, trains: bool) -> str:
+    """The spec key a sweep ``parameter`` sets: a numeric scenario or training field, by name or alias.
+
+    A training field is swept only by a sweep that trains.
+    """
     name = _SCENARIO_ALIASES.get(parameter, parameter)
     if name == "num_planes":
         raise ConfigError(
@@ -696,9 +708,15 @@ def _sweep_key(parameter: str) -> str:
         config = getattr(defaults, section)
         if hasattr(config, name):
             current = getattr(config, name)
-            if isinstance(current, (int, float)) and not isinstance(current, bool):
-                return f"{section}.{name}"
-            raise ConfigError("sweep.parameter", f"{parameter} is not a numeric {section} field")
+            if not isinstance(current, (int, float)) or isinstance(current, bool):
+                raise ConfigError("sweep.parameter", f"{parameter} is not a numeric {section} field")
+            if section == "training" and not trains:
+                raise ConfigError(
+                    "sweep.parameter",
+                    f"{parameter!r} is a training field, but this sweep trains nothing "
+                    "(only the dho agent with no checkpoint trains)",
+                )
+            return f"{section}.{name}"
     raise ConfigError("sweep.parameter", f"unknown parameter {parameter!r}")
 
 
@@ -723,20 +741,17 @@ def sweep_experiment(spec: ExperimentSpec, parameter: str, values: Sequence[floa
     Every sweep point is built, and so validated, before any of them runs,
     and a policy checkpoint is loaded once and checked against every point.
     """
-    key = _sweep_key(parameter)
+    key = _sweep_key(parameter, _trains(spec))
     points = [(value, _sweep_point(spec, key, value)) for value in values]
-    learned = spec.agent == "dho"
-    params = None
-    if learned and spec.checkpoint:
-        params = load_checkpoint(spec.checkpoint, [point.scenario for _, point in points])
+    loaded = _checked_checkpoint(spec, [point for _, point in points])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for value, point in points:
         scenario = point.scenario
+        params, curve = _policy(point, loaded)
         to_threshold = ""
-        if learned and not spec.checkpoint:
-            params, curve = _trained_params(point, None)
+        if curve is not None:
             hit = episodes_to_threshold(curve, spec.threshold_return)
             to_threshold = "" if hit is None else str(hit)
         records = evaluate(
@@ -793,33 +808,22 @@ def behavior_stats(
     return requests / total, waits / total
 
 
-ABLATION_HEADER = ["mask", "episode", "mean_return", "sum_delay", "sum_collision"]
+ABLATION_HEADER = ["mask", *CURVE_HEADER]
 
 
-def ablation(
-    scenario: ScenarioConfig,
-    training: VtraceConfig,
-    mask_names: Sequence[str],
-    episodes: int,
-    master_seed: int,
-    out_dir,
-) -> dict:
-    """Train one policy per feature mask and emit the overlaid curves."""
-    masked = {}
-    for name in mask_names:
-        masked[name] = dataclasses.replace(scenario, features=_named("mask", ABLATION_MASKS, name))
-        check_training(masked[name], training, episodes)
+def ablation(spec: ExperimentSpec, mask_names: Sequence[str], out_dir) -> dict:
+    """Train one policy per feature mask and emit the overlaid curves.
+
+    Each mask's point is the spec as a dho agent with no checkpoint and the
+    mask's four ``features.*`` settings; every point is built, and so
+    validated, before any training.  A mask named twice trains once.
+    """
+    learner = [("agent", "dho"), ("checkpoint", "")]
+    points = {name: apply_settings(spec, learner + mask_settings(name)) for name in dict.fromkeys(mask_names)}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = {}
-    for name, masked_scenario in masked.items():
-        _, curve = train(masked_scenario, training, episodes=episodes, seed=master_seed)
-        curves[name] = curve
-
+    curves = {name: _policy(point, None)[1] for name, point in points.items()}
     path = out_dir / "ablation_curves.csv"
-    with replace_atomically(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ABLATION_HEADER)
-        for name, curve in curves.items():
-            writer.writerows([name, *_curve_row(episode, r)] for episode, r in enumerate(curve))
+    rows = ([name, *_curve_row(episode, r)] for name, curve in curves.items() for episode, r in enumerate(curve))
+    _write_csv(path, ABLATION_HEADER, rows)
     return {"curves": curves, "path": path}

@@ -460,7 +460,7 @@ def rollout_segment(
     policy: net.PolicyParameters | net.StackedPolicy,
     noise: np.ndarray,
     env_seeds: list,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    out: tuple[np.ndarray, np.ndarray],
 ) -> tuple[vtrace.TrajectorySegment, list[MetricsRecord]]:
     """Sampled episodes, stepped together under one behavior policy.
 
@@ -474,16 +474,11 @@ def rollout_segment(
     buffer, so it ends as a whole, and its outcome columns hold the actions
     (the requests, equal under the pin) and the rewards.  ``out`` is an
     (observations, log-probs) pair of (E, N + 1, obs_dim) and (E, N, J)
-    blocks for the segment's observations and behavior log-probabilities;
-    without it each is a new array.  Returns one stacked segment, which
-    views them, and each episode's metrics.
+    blocks for the segment's observations and behavior log-probabilities.
+    Returns one stacked segment, which views them, and each episode's
+    metrics.
     """
-    cfg = env.config
-    episodes = len(env_seeds)
-    observations, log_probs = out or (
-        np.empty((episodes, cfg.horizon + 1, observation_size(cfg))),
-        np.empty(noise.shape[:-1]),
-    )
+    observations, log_probs = out
     behavior = _Behavior(policy, noise)
     columns, finals = play(env, env_seeds, behavior, observations=observations)
     actions = columns["requested"]

@@ -344,6 +344,20 @@ def test_sweep_checks_its_checkpoint_before_any_work(tmp_path, monkeypatch, caps
     assert "does not fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("agent", ["random", "conventional", "dho"])
+def test_sweep_of_a_training_field_that_trains_nothing_exits_2_before_any_work(tmp_path, agent):
+    # Each point would evaluate the same policy.
+    spec = write_spec(tmp_path, FAST_DHO)
+    out = tmp_path / "o"
+    args = ["sweep", "--spec", spec, "--agent", agent, "--parameter", "gamma", "--values", "0.5,0.9", "--out", str(out)]
+    if agent == "dho":
+        args += ["--checkpoint", fast_dho_policy(tmp_path / "policy.npz")]
+    code, err = exit_code(args)
+    assert code == 2, err
+    assert "trains nothing" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_behavior_refuses_a_checkpoint_that_eval_refuses(tmp_path):
     # Fits FAST_DHO's scenario, but a 640-episode evaluation chunk of its
     # 52429-wide layer passes the cell bound.

@@ -485,6 +485,24 @@ def test_sweep_with_learned_agent_reports_training_cost(tmp_path):
         assert int(row["episodes_to_threshold"]) <= 60
 
 
+def test_sweep_from_a_checkpoint_loads_it_once(monkeypatch, tmp_path):
+    spec = fast_spec(agent="dho", eval_episodes=2, checkpoint=str(tmp_path / "policy.npz"))
+    scenario = spec.scenario
+    params = net.init_params(observation_size(scenario), scenario.num_ues, scenario.num_planes, hidden=(8, 8))
+    save_checkpoint(params, spec.checkpoint)
+    loads = []
+
+    def counted(path, scenarios=(), inner=experiments.load_checkpoint):
+        loads.append([sc.nu for sc in scenarios])
+        return inner(path, scenarios)
+
+    monkeypatch.setattr(experiments, "load_checkpoint", counted)
+    monkeypatch.setattr(experiments, "train", None)  # a checkpoint trains nothing
+    result = sweep_experiment(spec, "nu", (1.0, 5.0, 1 / 20), tmp_path / "sweep")
+    assert loads == [[1.0, 5.0, 1 / 20]]
+    assert [row["episodes_to_threshold"] for row in result["rows"]] == ["", "", ""]
+
+
 def test_episodes_to_threshold():
     curve = [MetricsRecord(0, 0, 0, 1.0, -10.0)] * 50
     curve += [MetricsRecord(0, 0, 0, 1.0, -1.0)] * 100
@@ -707,16 +725,39 @@ def test_evaluate_chunks_seeds_agents_from_its_stream(monkeypatch):
 
 def test_ablation_curves_have_identical_episode_counts(tmp_path):
     tr = dataclasses.replace(DESK_TRAINING, batch_size=30, hidden=(16, 16))
-    result = ablation(
-        ScenarioConfig(), tr, ["full_local", "no_time", "centralized"], 40, 0, tmp_path
-    )
+    spec = ExperimentSpec(training=tr, train_episodes=40, master_seed=0)
+    result = ablation(spec, ["full_local", "no_time", "centralized"], tmp_path)
     lengths = {name: len(curve) for name, curve in result["curves"].items()}
     assert set(lengths.values()) == {40}
     lines = (tmp_path / "ablation_curves.csv").read_text().splitlines()
     assert lines[0] == "mask,episode,mean_return,sum_delay,sum_collision"
     assert len(lines) == 1 + 3 * 40
     with pytest.raises(ConfigError):
-        ablation(ScenarioConfig(), tr, ["bogus"], 5, 0, tmp_path)
+        ablation(dataclasses.replace(spec, train_episodes=5), ["bogus"], tmp_path)
+
+
+def test_ablation_trains_the_spec_under_each_masks_features(tmp_path):
+    # The oracle: each mask's features put in place of the scenario's, and
+    # trained in this process.  The spec's agent and checkpoint are not the
+    # learner's, and its own features are not all a mask's.
+    spec = dataclasses.replace(
+        fast_spec(train_episodes=24, master_seed=3, checkpoint="unused.npz"),
+        scenario=ScenarioConfig(
+            num_ues=4, rb_per_target=(4, 4), num_preambles=20, horizon=8,
+            features=FeatureMask(time_index=False, a3_centralized=True),
+        ),
+    )
+    masks = list(ABLATION_MASKS)
+    ablation(spec, masks + ["no_time"], tmp_path)
+    want = ["mask,episode,mean_return,sum_delay,sum_collision"]
+    for name in masks:
+        scenario = dataclasses.replace(spec.scenario, features=ABLATION_MASKS[name])
+        _, curve = experiments.train(scenario, spec.training, episodes=24, seed=3)
+        want += [
+            f"{name},{e},{r.episode_return:.6f},{r.sum_delay:.6f},{r.sum_collision:.6f}"
+            for e, r in enumerate(curve)
+        ]
+    assert (tmp_path / "ablation_curves.csv").read_text().splitlines() == want
 
 
 def test_ablation_masks_cover_documented_variants():

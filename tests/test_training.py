@@ -475,6 +475,12 @@ def test_train_with_vtrace_disabled_runs():
     assert len(curve) == 8
 
 
+def segment_blocks(env, noise):
+    """Fresh (observations, log-probs) blocks for a rollout of ``noise``'s episodes."""
+    cfg = env.config
+    return np.empty((len(noise), cfg.horizon + 1, observation_size(cfg))), np.empty(noise.shape[:-1])
+
+
 def serial_train(scenario, cfg, episodes, actors, seed):
     """The reference loop: one learner batch per rollout, under the published parameters.
 
@@ -498,7 +504,7 @@ def serial_train(scenario, cfg, episodes, actors, seed):
         batch = range(start, min(start + per_batch, episodes))
         noise = np.stack([rngs[d % actors].gumbel(size=shape) for d in batch])
         seeds = [(seed ^ (d % actors), d // actors) for d in batch]
-        segments, records = rollout_segment(env, published, noise, seeds)
+        segments, records = rollout_segment(env, published, noise, seeds, segment_blocks(env, noise))
         curve += records
         if len(batch) == per_batch:
             previous = params.copy()
@@ -775,7 +781,8 @@ def test_rollout_matches_the_slot_by_slot_reference(mask, vtrace_enabled, blocks
 
     monkeypatch.setattr(HandoverEnv, "retire", retire)
     # The rollout uses its noise up, and the reference reads the same noise.
-    segment, records = rollout_segment(HandoverEnv(scenario), policy, noise.copy(), seeds)
+    env = HandoverEnv(scenario)
+    segment, records = rollout_segment(env, policy, noise.copy(), seeds, segment_blocks(env, noise))
     want, want_records = stepped_rollout(HandoverEnv(scenario), policy, noise, seeds)
     assert len(settled) == (1 if settles else 0)
     for field in ("observations", "actions", "behavior_logprobs", "rewards", "masks"):
@@ -798,10 +805,12 @@ def test_rollout_groups_act_under_their_own_parameters():
     )
     # A stack of equal groups decides in one call, with each set's bits.
     # A rollout uses its noise up, and the groups apart read the same noise.
-    stacked, _ = rollout_segment(env, net.stack_params([a, b]), noise[1:].copy(), seeds[1:])
+    stacked, _ = rollout_segment(
+        env, net.stack_params([a, b]), noise[1:].copy(), seeds[1:], segment_blocks(env, noise[1:])
+    )
     apart = [
-        rollout_segment(env, a, noise[1:3], seeds[1:3])[0],
-        rollout_segment(env, b, noise[3:], seeds[3:])[0],
+        rollout_segment(env, a, noise[1:3], seeds[1:3], segment_blocks(env, noise[1:3]))[0],
+        rollout_segment(env, b, noise[3:], seeds[3:], segment_blocks(env, noise[3:]))[0],
     ]
     for field in ("observations", "actions", "behavior_logprobs", "rewards", "masks"):
         want = np.concatenate([getattr(segment, field) for segment in apart])
@@ -817,7 +826,8 @@ def test_rollout_pinned_heads_report_action_zero_with_log_prob_zero():
         net.init_params(observation_size(scenario), 3, 3, hidden=(8, 8), rng=np.random.default_rng(s))
         for s in (3, 4)
     ]
-    segments, _ = rollout_segment(env, net.stack_params(policies), noise, [(2, e) for e in range(8)])
+    seeds = [(2, e) for e in range(8)]
+    segments, _ = rollout_segment(env, net.stack_params(policies), noise, seeds, segment_blocks(env, noise))
     for g, policy in enumerate(policies):
         for segment in segments[4 * g : 4 * (g + 1)]:
             pinned = segment.masks == 0.0
