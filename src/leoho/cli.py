@@ -79,6 +79,11 @@ FLAG_KEYS = {
 }
 
 
+# Flags every subcommand parses that ablation, which trains one fresh dho
+# policy per mask and evaluates none, refuses.
+ABLATION_REFUSES = ("checkpoint", "agent", "episodes", "mode")
+
+
 def _load_spec(args) -> ExperimentSpec:
     spec = parse_spec_file(args.spec) if args.spec else ExperimentSpec()
     flags = vars(args)
@@ -102,6 +107,10 @@ def _print_row(row: dict) -> None:
 
 
 def _dispatch(args) -> int:
+    if args.command == "ablation":
+        for dest in ABLATION_REFUSES:
+            if getattr(args, dest) is not None:
+                raise ConfigError(f"--{dest}", "ablation trains one dho policy per mask and evaluates none")
     spec = _load_spec(args)
     out_dir = _out_dir(spec)
 

@@ -329,8 +329,8 @@ class OutcomeColumns(dict):
             buffer[n, rows] = getattr(outcome, name)
 
     @functools.cached_property
-    def episode_sums(self) -> list[tuple[float, float, float, float]]:
-        """Each episode's (D, C_R, C_P, reward) sums over its slots.
+    def episode_sums(self) -> list[tuple[float, float, float, float, float]]:
+        """Each episode's (D, C_R, C_P, accessed share, reward): its :class:`MetricsRecord` fields.
 
         D, C_P and the reward are folded left to right from 0.0, slot by
         slot over the slot-major buffers, for every episode at once: what
@@ -338,12 +338,17 @@ class OutcomeColumns(dict):
         same on every interpreter (3.12's ``sum`` compensates its rounding).
         C_R is numpy's ``sum`` of the episode's (N, K-1) block laid out as
         one contiguous row, as for an episode stepped alone, so it does not
-        depend on the chunk.
+        depend on the chunk.  The accessed share is the count of the
+        episode's terminals flagged ``newly_accessed`` in some slot, over J:
+        none has access at reset, so those are the ones that have it at the
+        end.
         """
         d, c_p, reward = (_fold_slots(self[name].T) for name in ("d", "c_p", "reward"))
         blocks = self["c_r_per_target"]
         c_r = np.ascontiguousarray(blocks).reshape(len(blocks), -1).sum(axis=1).tolist()
-        return list(zip(d, c_r, c_p, reward))
+        accessed = self["newly_accessed"].any(axis=1)  # (E, J)
+        share = (accessed.sum(axis=1) / accessed.shape[1]).tolist()
+        return list(zip(d, c_r, c_p, share, reward))
 
 
 def _fold_slots(buffer: np.ndarray) -> list[float]:
@@ -854,18 +859,12 @@ def play(
 def episode_metrics(outcomes: EpisodeOutcomes, final_state: EnvState) -> MetricsRecord:
     """Episode aggregates of an :class:`EpisodeOutcomes` view.
 
-    The sums are the episode's row of :attr:`OutcomeColumns.episode_sums`,
-    which the first call for a chunk computes for every episode in it.
+    The values are the episode's row of :attr:`OutcomeColumns.episode_sums`,
+    which the first call for a chunk computes for every episode in it, so a
+    call makes no numpy call.  ``final_state`` gives the slot count only.
     """
     if len(outcomes) != final_state.slot:
         raise ValueError(
             f"got {len(outcomes)} outcomes for {final_state.slot} completed slots"
         )
-    d, c_r, c_p, reward = outcomes.columns.episode_sums[outcomes.episode]
-    return MetricsRecord(
-        sum_delay=d,
-        sum_collision_rb=c_r,
-        sum_collision_prach=c_p,
-        ho_success=np.count_nonzero(final_state.accessed) / final_state.accessed.shape[0],
-        episode_return=reward,
-    )
+    return MetricsRecord(*outcomes.columns.episode_sums[outcomes.episode])

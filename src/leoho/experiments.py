@@ -435,22 +435,37 @@ def write_trace_csv(
 
     ``chunks`` pairs the index of a chunk's first episode with the chunk's
     outcome columns, the :data:`TRACE_COLUMNS` at least; its E episodes
-    are numbered on from that index.  It is read lazily, and each chunk's
-    rows are written before the next chunk is read, so a generator's chunks
-    can go one at a time.  The bytes are those ``csv.writer`` writes for
-    the same rows: nothing needs quoting, and lines end in CRLF.  A run
-    repeats a few distinct (D, C_R, C_P, reward) rows, so each row's tail is
-    formatted once.
+    are numbered on from that index, and every chunk's ``slot`` column
+    numbers the same N slots.  It is read lazily, and each chunk's rows are
+    written before the next chunk is read, so a generator's chunks can go
+    one at a time.  The bytes are those ``csv.writer`` writes for the same
+    rows: nothing needs quoting, and lines end in CRLF.  A run repeats a
+    few distinct (D, C_R, C_P, reward) rows, so each row's tail is
+    formatted once; and an episode that has settled repeats its last row to
+    the horizon, so each such trailing run is formatted once, with the
+    episode field left to each episode.
     """
     tails = _TraceTails(num_ues, num_targets + 3)
+    runs = {}
     with replace_atomically(path, newline="") as fh:
         fh.write(",".join(trace_header(num_targets)) + "\r\n")
         for first, columns in chunks:
-            fh.write(_trace_rows(first, columns, tails))
+            fh.write(_trace_rows(first, columns, tails, runs))
 
 
-def _trace_rows(first: int, columns: dict[str, np.ndarray], tails: _TraceTails) -> str:
-    """The trace rows of one chunk whose first episode is ``first``."""
+def _trace_rows(
+    first: int,
+    columns: dict[str, np.ndarray],
+    tails: _TraceTails,
+    runs: dict[tuple[bytes, int], tuple[str, ...]],
+) -> str:
+    """The trace rows of one chunk whose first episode is ``first``.
+
+    An episode whose last rows, from slot index ``start`` on, are two or
+    more equal rows takes them from ``runs[row bits, start]``: "" and then
+    those rows without their episode field, which joining them with the
+    episode's field puts back.
+    """
     values = np.concatenate(
         (
             columns["d"][..., None],
@@ -460,13 +475,33 @@ def _trace_rows(first: int, columns: dict[str, np.ndarray], tails: _TraceTails) 
         ),
         axis=-1,
     )
+    # (E, N-1): row n + 1 equals row n, bit for bit, so -0.0 and 0.0 differ.
+    # Column by column, as all() over a short last axis is slower.
+    bits = values.view(np.uint64)
+    repeats = bits[:, 1:, 0] == bits[:, :-1, 0]
+    for k in range(1, bits.shape[-1]):
+        repeats &= bits[:, 1:, k] == bits[:, :-1, k]
+    tied = np.logical_and.accumulate(repeats[:, ::-1], axis=1).sum(axis=1)  # each episode's last repeats
+    horizon = len(columns["slot"])
+    ends = np.where(tied > 0, horizon - 1 - tied, horizon)  # the rows before each episode's run
     row_bits = np.dtype((np.void, values.itemsize * values.shape[-1]))
     keys = values.view(row_bits)[..., 0]  # (E, N) row bits
+    heads = keys[np.arange(horizon) < ends[:, None]].tolist()  # every episode's rows before its run
+    run_rows = iter(keys[ends < horizon, -1].tolist())  # the row of each run
     slots = [f"{n}," for n in columns["slot"].tolist()]
     lines = []
-    for e, episode_keys in enumerate(keys, start=first):  # one episode's keys at a time
+    stop = 0
+    for e, end in enumerate(ends.tolist(), start=first):
         prefix = f"{e},"
-        lines += [prefix + slot + tails[key] for slot, key in zip(slots, episode_keys.tolist())]
+        begin, stop = stop, stop + end
+        lines += [prefix + slot + tails[key] for slot, key in zip(slots, heads[begin:stop])]
+        if end < horizon:
+            key = next(run_rows)
+            run = runs.get((key, end))
+            if run is None:
+                tail = tails[key]
+                run = runs[key, end] = ("", *(slot + tail for slot in slots[end:]))
+            lines.append(prefix.join(run))
     return "".join(lines)
 
 

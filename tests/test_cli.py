@@ -439,6 +439,34 @@ def test_ablation_with_an_empty_mask_name_exits_2_before_any_work(tmp_path, mask
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--checkpoint", "/nonexistent.npz"],
+        ["--agent", "random"],
+        ["--agent", "dho"],
+        ["--episodes", "5"],
+        ["--mode", "sample"],
+        ["--checkpoint", "/nonexistent.npz", "--agent", "random", "--episodes", "5", "--mode", "sample"],
+    ],
+)
+def test_ablation_refuses_evaluation_flags_before_any_work(tmp_path, monkeypatch, flags):
+    # Ablation trains a fresh dho policy per mask and evaluates none, so an
+    # evaluation or checkpoint flag would be ignored; it is refused instead.
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablation trained")
+
+    monkeypatch.setattr(experiments, "train", no_training)
+    spec = write_spec(tmp_path, FAST_DHO)
+    out = tmp_path / "abl"
+    argv = ["ablation", "--spec", spec, "--mask", "full_local", "--train-episodes", "12", "--out", str(out)]
+    code, err = exit_code(argv + flags)
+    assert code == 2, err
+    assert len(err.splitlines()) == 1
+    assert f"{flags[0]}: ablation trains one dho policy per mask" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "eval", "sweep", "behavior", "ablation"])
 def test_mask_help_names_what_each_subcommand_takes(command, capsys):
     # Only ablation takes a comma-separated list; the others take one mask.

@@ -4,6 +4,8 @@ import dataclasses
 import functools
 import math
 import operator
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -805,15 +807,20 @@ def _chunk_config(slots: int, targets: int) -> ScenarioConfig:
 
 
 def _chunk_of(c_r: np.ndarray, rates: np.ndarray) -> OutcomeColumns:
-    """Columns of a chunk with (N, E, K-1) block rates and (N, E, 3) D, C_P, reward."""
+    """Columns of a chunk with (N, E, K-1) block rates and (N, E, 3) D, C_P, reward.
+
+    The terminal of each even episode gains access in the first slot.
+    """
     slots, episodes, targets = c_r.shape
     columns = OutcomeColumns(_chunk_config(slots, targets), episodes)
     flags = np.zeros((episodes, 1), dtype=bool)
     plane = np.zeros((episodes, 1), dtype=np.int64)
+    gains = np.arange(episodes)[:, None] % 2 == 0
     for n in range(slots):
         d, c_p, reward = rates[n].T
+        newly = gains if n == 0 else flags
         columns.append(
-            StepOutcome(n + 1, plane, plane, plane, flags, flags, flags, c_r[n], c_p, c_p, d, reward)
+            StepOutcome(n + 1, plane, plane, plane, flags, flags, newly, c_r[n], c_p, c_p, d, reward)
         )
     return columns
 
@@ -922,6 +929,100 @@ def test_episode_metrics_length_mismatch():
     _, out = env.step(np.zeros((1, 10), dtype=int))
     with pytest.raises(ValueError):
         episode_metrics(episode_view(env.config, [out, out]), env.state.episode(0))
+
+
+def _record_oracle(outcomes: EpisodeOutcomes, final) -> MetricsRecord:
+    """The record one episode's own rows and final state give, one episode at a time."""
+    c, e = outcomes.columns, outcomes.episode
+    return MetricsRecord(
+        sum_delay=fold(c["d"][e].tolist()),
+        sum_collision_rb=float(np.ascontiguousarray(c["c_r_per_target"][e]).sum()),
+        sum_collision_prach=fold(c["c_p"][e].tolist()),
+        ho_success=np.count_nonzero(final.accessed) / final.accessed.shape[0],
+        episode_return=fold(c["reward"][e].tolist()),
+    )
+
+
+def _watch_records(monkeypatch, module) -> list[str]:
+    """Check every ``episode_metrics`` call of ``module`` against the oracle.
+
+    Returns, per call, how the episode ended: settled before the horizon
+    (so evaluation retires it), settled in the last slot, or never settled.
+    """
+    seen = []
+    inner = module.episode_metrics
+
+    def checked(outcomes, final_state):
+        record = inner(outcomes, final_state)
+        want = _record_oracle(outcomes, final_state)
+        assert record == want
+        bits = [[float(v).hex() for v in vars(r).values()] for r in (record, want)]
+        assert bits[0] == bits[1]
+        d = outcomes.columns["d"][outcomes.episode]
+        settled = np.flatnonzero(d == 0)
+        seen.append("never" if not len(settled) else "retired" if settled[0] < len(d) - 1 else "last slot")
+        return record
+
+    monkeypatch.setattr(module, "episode_metrics", checked)
+    return seen
+
+
+# One chunk of this scenario's 12 random episodes (seeds 0..11) holds
+# episodes that settle early and retire, one that settles in its last slot,
+# and some that never settle.
+MIXED_ENDINGS = dict(num_ues=3, rb_per_target=(1, 2), num_preambles=4, horizon=4)
+
+
+@pytest.mark.parametrize(
+    "scenario, agent, episodes",
+    [
+        (MIXED_ENDINGS, "random", 12),
+        (dict(num_ues=1, rb_per_target=(1, 1), num_preambles=5), "random", 30),
+        (CASE1, "random", 300),
+        (CASE1, "conventional", 300),
+        (J100_SCARCE, "random", 30),
+        (J100_SCARCE, "conventional", 30),
+    ],
+    ids=["mixed-endings", "J1", "case1-random", "case1-conventional", "J100-random", "J100-conventional"],
+)
+def test_evaluation_records_match_the_per_episode_oracle(monkeypatch, scenario, agent, episodes):
+    cfg = small_config(**scenario)
+    seen = _watch_records(monkeypatch, experiments)
+    records = experiments.evaluate(cfg, agent, episodes, master_seed=0)
+    assert len(seen) == len(records) == episodes
+    if scenario is MIXED_ENDINGS:
+        assert batch_episodes(cfg) >= episodes  # one chunk
+        assert set(seen) == {"retired", "last slot", "never"}
+
+
+@pytest.mark.parametrize(
+    "scenario", [MIXED_ENDINGS, CASE1, J100_SCARCE], ids=["mixed-endings", "case1", "J100-scarce"]
+)
+def test_training_records_match_the_per_episode_oracle(monkeypatch, scenario):
+    # A training pass ends as a whole, so an episode that settles early
+    # steps on, unretired, until every episode of the pass has settled.
+    cfg = small_config(**scenario)
+    seen = _watch_records(monkeypatch, training)
+    vtrace_cfg = training.VtraceConfig(batch_size=2 * cfg.horizon, hidden=(8, 8))
+    _, curve = training.train(cfg, vtrace_cfg, episodes=6, seed=2)
+    assert len(seen) == len(curve) == 6
+
+
+def test_episode_metrics_records_behave_as_built_records():
+    env = HandoverEnv(small_config(**MIXED_ENDINGS))
+    columns, finals = env_module.play(env, [3, 4], RandomAgent(), rng_module.episode_generators([3, 4]))
+    for e, final in enumerate(finals):
+        record = episode_metrics(EpisodeOutcomes(columns, e), final)
+        built = MetricsRecord(*(getattr(record, f.name) for f in dataclasses.fields(MetricsRecord)))
+        assert type(record) is MetricsRecord
+        assert record == built and hash(record) == hash(built) and repr(record) == repr(built)
+        assert vars(record) == vars(built) and list(vars(record)) == list(vars(built))
+        assert dataclasses.asdict(record) == dataclasses.asdict(built)
+        assert record != dataclasses.replace(built, ho_success=-1.0)
+        assert dataclasses.replace(record, sum_delay=2.5) == dataclasses.replace(built, sum_delay=2.5)
+        assert record.sum_collision == built.sum_collision
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.ho_success = 0.0
 
 
 # --- whole-episode invariants -------------------------------------------------
@@ -1080,6 +1181,85 @@ def test_trace_writer_bytes_match_csv_writer_for_multi_episode_chunks(tmp_path):
     assert b"\r\n999,20," in written and b"\r\n1000,1," in written and b"\r\n1003,20," in written
     assert b",-0.000000," in written
     assert written == (tmp_path / "reference.csv").read_bytes()
+
+
+trace_floats = st.sampled_from([0.0, -0.0, 0.1, 0.25, 1.0, 1 / 3, -1.5])
+
+
+@st.composite
+def trace_cases(draw):
+    """Chunks of (E, N, K + 2) trace rows: D, C_R_1.., C_P, reward.
+
+    Each episode ends in a run of 0 to N copies of one row, after rows
+    drawn from the same few rows, so runs also form by chance.  The chunks
+    follow on from a first episode next to a digit boundary.
+    """
+    slots, targets = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    row = st.tuples(*[trace_floats] * (targets + 3))
+    settled = (0.0,) * (targets + 2) + (-0.0,)  # D, C_R and C_P 0.0, the reward -0.0
+    palette = [settled, *draw(st.lists(row, min_size=1, max_size=3))]
+    first = draw(st.sampled_from([0, 7, 97, 996]))
+    chunks = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for _ in range(draw(st.integers(1, 4))):
+            run = draw(st.integers(0, slots))
+            body = draw(st.lists(st.sampled_from(palette), min_size=slots - run, max_size=slots - run))
+            rows.append(body + [draw(st.sampled_from(palette))] * run)
+        chunks.append((first, np.array(rows)))
+        first += len(rows)
+    return targets, chunks
+
+
+def _rows_chunk(rows: np.ndarray) -> OutcomeColumns:
+    """The outcome columns whose trace rows are ``rows`` (E, N, K + 2)."""
+    d, c_r, c_p, reward = rows[..., 0], rows[..., 1:-2], rows[..., -2], rows[..., -1]
+    return _chunk_of(c_r.swapaxes(0, 1), np.stack((d, c_p, reward), axis=-1).swapaxes(0, 1))
+
+
+def _example(targets: int, *chunks):
+    """An explicit case of ``trace_cases``: (first episode, rows as nested lists) pairs."""
+    return example(case=(targets, [(first, np.array(rows)) for first, rows in chunks]))
+
+
+# Rows of one target plane: two live rows, and a settled row beside one
+# that differs only by the sign of its zero reward.
+ROW_A, ROW_B = (0.25, 0.0, 0.1, -0.35), (0.1, 0.0, 0.0, -0.1)
+ROW_ZERO, ROW_SETTLED = (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=trace_cases())
+@_example(1, (0, [[ROW_A]]), (1, [[ROW_SETTLED]]))  # N = 1
+# Every row equal; runs of one row from different slots; a run of a live row.
+@_example(1, (8, [[ROW_A, ROW_B, ROW_SETTLED, ROW_SETTLED], [ROW_SETTLED] * 4, [ROW_B] * 4]))
+# -0.0 beside 0.0, inside a run and at the end of one.
+@_example(
+    1,
+    (98, [[ROW_A, *[ROW_ZERO] * 2, *[ROW_SETTLED] * 2], [*[ROW_SETTLED] * 2, *[ROW_ZERO] * 3]]),
+    (100, [[ROW_A, *[ROW_ZERO] * 2, *[ROW_SETTLED] * 2]]),
+)
+# One run string for episodes of one chunk and of the next.
+@_example(
+    1,
+    (998, [[ROW_A, ROW_SETTLED, ROW_SETTLED], [ROW_B, ROW_SETTLED, ROW_SETTLED]]),
+    (1000, [[ROW_A, ROW_SETTLED, ROW_SETTLED]]),
+)
+@_example(1, (0, [[ROW_A, ROW_B] * 5 + [ROW_SETTLED]] * 12))  # no run, past episode 9
+def test_trace_writer_runs_match_csv_writer(case):
+    targets, chunks = case
+    num_ues = 10
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "trace.csv", Path(tmp) / "reference.csv"
+        write_trace_csv(path, ((first, _rows_chunk(rows)) for first, rows in chunks), num_ues, targets)
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(trace_header(targets))
+            for first, rows in chunks:
+                for e, episode in enumerate(rows.tolist(), start=first):
+                    for n, (d, *rest) in enumerate(episode, start=1):
+                        writer.writerow([e, n, *(f"{v:.6f}" for v in (d, *rest)), round(num_ues * (1.0 - d))])
+        assert path.read_bytes() == reference.read_bytes()
 
 
 # --- measurements ------------------------------------------------------------------
