@@ -39,17 +39,24 @@ import numpy as np
 from leoho import link, orbital
 from leoho.rng import episode_generators, integer_words, integers_by_rows, seed_key, uniform_from_raw
 
-# Terminal-episodes stepped together by the evaluation loops: 256 episodes at
-# J = 10 and 25 at J = 100, enough to amortise the per-slot numpy calls.
-# Bounding E * J rather than E keeps a chunk's random blocks and per-slot
-# arrays the same size whatever the number of terminals.  Evaluation keeps
-# one chunk's outcome columns at a time, so memory does not grow with it.
-BATCH_TERMINALS = 2560
+# An evaluation chunk of E episodes is bounded by the two things it fills.
+# Its per-terminal arrays (the (E, N, J) admission keys, preamble signatures
+# and random actions, and the (N, E, J) outcome columns) grow with E * J,
+# which BATCH_TERMINALS bounds, so they keep one size whatever the number of
+# terminals.  Its per-episode rows and objects (generators, metrics records
+# and trace rows) grow with E, which BATCH_EPISODES bounds: E * J alone would
+# make 640-episode chunks at J = 10, which raised case1's peak memory 13 %
+# for no clear speed.  So a chunk holds 256 episodes at J = 10 and 64 at
+# J = 100, enough to amortise the per-slot numpy calls.  Evaluation keeps one
+# chunk's outcome columns at a time, so memory does not grow with the
+# episodes.
+BATCH_TERMINALS = 6400
+BATCH_EPISODES = 256
 
 # Cells of the largest block an evaluation chunk allocates.  A chunk takes
-# fewer than BATCH_TERMINALS // J episodes when theirs would pass it, and a
-# scenario whose one episode passes it (ScenarioConfig.episode_cells) is a
-# ConfigError, so no count asks for an array the machine cannot hold.
+# fewer episodes when theirs would pass it, and a scenario whose one episode
+# passes it (ScenarioConfig.episode_cells) is a ConfigError, so no count asks
+# for an array the machine cannot hold.
 MAX_CHUNK_CELLS = 2**25  # 256 MiB of float64
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -189,16 +196,17 @@ class ScenarioConfig:
 
     @property
     def episode_cells(self) -> int:
-        """Cells of the largest block one episode of an evaluation chunk adds, or a bound on it.
+        """Cells of the largest block one episode of an evaluation chunk adds.
 
-        Per (terminal, plane): M*N + 1, which holds the episode's N Gumbel
-        draws of the sampling agent, or one slot's M x 3 terminal-to-satellite
-        coordinate differences; or the episode's K * (P + 1) RACH contention
-        bins.
+        The largest of: the sampling agent's (N, J, K) Gumbel noise; one
+        folded slot's M x 3 terminal-to-satellite coordinate differences per
+        (terminal, plane); and the K * (P + 1) RACH contention bins.  The
+        noise also covers the (N, J) per-slot draws and, from four slots on,
+        the 2J + NJ + ceil(NJ / 2) raw words :meth:`HandoverEnv.reset` draws
+        them from.
         """
-        m = self.samples_per_slot
-        per_cell = max(m * self.horizon + 1, 3 * m)
-        return max(self.num_ues * self.num_planes * per_cell, self.num_planes * (self.num_preambles + 1))
+        j, k = self.num_ues, self.num_planes
+        return max(self.horizon * j * k, 3 * self.samples_per_slot * j * k, k * (self.num_preambles + 1))
 
     @property
     def beta_l3(self) -> float:
@@ -208,10 +216,11 @@ class ScenarioConfig:
 def batch_episodes(config: ScenarioConfig) -> int:
     """Episodes an evaluation chunk steps together.
 
-    ``BATCH_TERMINALS // J``, fewer where their blocks would pass
-    :data:`MAX_CHUNK_CELLS`, and at least one.
+    ``min(BATCH_EPISODES, BATCH_TERMINALS // J)``, fewer where their blocks
+    would pass :data:`MAX_CHUNK_CELLS`, and at least one.
     """
-    return max(1, min(BATCH_TERMINALS // config.num_ues, MAX_CHUNK_CELLS // config.episode_cells))
+    fit = MAX_CHUNK_CELLS // config.episode_cells
+    return max(1, min(BATCH_EPISODES, BATCH_TERMINALS // config.num_ues, fit))
 
 
 def observation_size(config: ScenarioConfig) -> int:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from leoho import cli, experiments, net
 from leoho.cli import main
+from leoho.env import MAX_CHUNK_CELLS, batch_episodes
 from leoho.experiments import AGENT_KINDS
 
 
@@ -358,12 +359,17 @@ def test_sweep_of_a_training_field_that_trains_nothing_exits_2_before_any_work(t
     assert not out.exists()
 
 
+def too_wide_to_evaluate(spec: str) -> int:
+    """The narrowest first layer whose evaluation chunks at ``spec``'s scenario pass the cell bound."""
+    return MAX_CHUNK_CELLS // batch_episodes(experiments.parse_spec_file(spec).scenario) + 1
+
+
 def test_behavior_refuses_a_checkpoint_that_eval_refuses(tmp_path):
-    # Fits FAST_DHO's scenario, but a 640-episode evaluation chunk of its
-    # 52429-wide layer passes the cell bound.
+    # Fits FAST_DHO's scenario, but an evaluation chunk of its first layer
+    # passes the cell bound.
     spec = write_spec(tmp_path, FAST_DHO)
     policy = tmp_path / "wide.npz"
-    experiments.save_checkpoint(net.init_params(17, 4, 3, hidden=(52429, 1)), policy)
+    experiments.save_checkpoint(net.init_params(17, 4, 3, hidden=(too_wide_to_evaluate(spec), 1)), policy)
     errors = []
     for command in (["eval", "--out", str(tmp_path / "o")], ["behavior"]):
         code, err = exit_code([*command, "--spec", spec, "--checkpoint", str(policy), "--episodes", "1"])
@@ -378,7 +384,7 @@ def test_refused_checkpoint_leaves_no_output_directory(tmp_path):
     spec = write_spec(tmp_path, FAST_DHO)
     fits = fast_dho_policy(tmp_path / "policy.npz")
     wide = tmp_path / "wide.npz"
-    experiments.save_checkpoint(net.init_params(17, 4, 3, hidden=(52429, 1)), wide)
+    experiments.save_checkpoint(net.init_params(17, 4, 3, hidden=(too_wide_to_evaluate(spec), 1)), wide)
     cases = (
         (["--checkpoint", fits, "--mask", "no_time"], 3),  # one input fewer than the policy's
         (["--checkpoint", str(wide)], 2),  # an evaluation chunk too wide
@@ -663,8 +669,9 @@ def test_huge_counts_exit_2_before_any_work(tmp_path):
     ):
         vast = write_spec(tmp_path, FAST_DHO + lines, f"vast{i}.spec")
         cases += [["run", "--spec", vast], ["ablation", "--spec", vast]]
-    # Trains within its bounds, but a 640-episode evaluation chunk is 52429 wide.
-    cases.append(["run", "--spec", write_spec(tmp_path, FAST_DHO + "training.hidden = 52429,1\n", "ev.spec")])
+    # Trains within its bounds, but an evaluation chunk is too wide.
+    hidden = f"training.hidden = {too_wide_to_evaluate(dho)},1\n"
+    cases.append(["run", "--spec", write_spec(tmp_path, FAST_DHO + hidden, "ev.spec")])
     long_dho = write_spec(tmp_path, FAST_DHO + "train_episodes = 1e12\n", "long.spec")
     cases.append(["sweep", "--spec", long_dho, "--parameter", "batch_size", "--values", "24,1e18"])
     for argv in cases:
@@ -687,7 +694,7 @@ def test_a3_trigger_past_int64_acts_as_horizon_plus_one(tmp_path):
 
 
 def test_long_horizon_at_default_terminals_exits_0(tmp_path):
-    # Its chunks shrink to fit their blocks rather than refusing the run.
+    # A long horizon runs; only one whose single episode passes the cell bound is refused.
     spec = write_spec(tmp_path, "agent = random\neval_episodes = 2\nscenario.N = 3000\n")
     code, err = exit_code(["run", "--spec", spec, "--out", str(tmp_path / "out")])
     assert code == 0, err

@@ -5,6 +5,7 @@ import functools
 import math
 import operator
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from leoho import env as env_module, experiments, link, orbital, rng as rng_module, training
+from leoho import env as env_module, experiments, link, net, orbital, rng as rng_module, training
 from leoho.agents import RandomAgent
 from leoho.env import (
     INT64_MAX,
@@ -100,6 +101,7 @@ def test_config_errors_carry_field_names():
         (dict(num_preambles=10**30), "scenario"),
         (dict(num_preambles=MAX_CHUNK_CELLS // 3), "scenario"),
         (dict(horizon=10**9), "scenario"),
+        (dict(horizon=MAX_CHUNK_CELLS // 30 + 1), "scenario"),
         (dict(slot_s=1e30), "scenario"),
         # One slot's M x 3 coordinate differences alone pass the bound.
         (
@@ -119,6 +121,8 @@ def test_largest_counts_the_engine_holds_are_valid():
     ScenarioConfig(rb_per_target=(INT64_MAX, 0), num_preambles=MAX_CHUNK_CELLS // 3 - 1)
     # J * K past the learned policy's bound: the baseline agents need no policy.
     ScenarioConfig(num_ues=2**15, num_planes=3, rb_per_target=(1, 1), horizon=60)
+    # The longest horizon at J = 10, K = 3 and M = 2: its Gumbel noise fills the bound.
+    assert ScenarioConfig(horizon=MAX_CHUNK_CELLS // 30).episode_cells == MAX_CHUNK_CELLS - 2
 
 
 def test_one_budget_means_every_target():
@@ -128,14 +132,63 @@ def test_one_budget_means_every_target():
     )
 
 
+@pytest.mark.parametrize("j, episodes", [(1, 256), (10, 256), (30, 213), (100, 64), (300, 21)])
+def test_chunks_bound_their_terminals_and_their_episodes(j, episodes):
+    # E * J per-terminal cells and E per-episode rows and objects.
+    expected = min(env_module.BATCH_EPISODES, env_module.BATCH_TERMINALS // j)
+    assert batch_episodes(ScenarioConfig(num_ues=j)) == expected == episodes
+
+
 def test_chunks_shrink_to_fit_their_largest_block():
-    # The workload scales keep whole chunks of BATCH_TERMINALS // J.
-    for j in (10, 100):
-        assert batch_episodes(ScenarioConfig(num_ues=j)) == env_module.BATCH_TERMINALS // j
-    # 30 * 6001 shadowing cells an episode, and 3 * (10^7 + 1) RACH bins.
-    assert batch_episodes(ScenarioConfig(horizon=3000)) == MAX_CHUNK_CELLS // (30 * 6001)
+    # 30 * 10^4 cells of Gumbel noise an episode bind before BATCH_EPISODES.
+    assert ScenarioConfig(horizon=10**4).episode_cells == 30 * 10**4
+    assert batch_episodes(ScenarioConfig(horizon=10**4)) == MAX_CHUNK_CELLS // (30 * 10**4) == 111
+    # 3 * (10^7 + 1) RACH bins an episode, and a J past BATCH_TERMINALS.
     assert batch_episodes(ScenarioConfig(num_preambles=10**7)) == 1
     assert batch_episodes(ScenarioConfig(num_ues=2**15, horizon=60)) == 1
+
+
+def test_a_chunks_largest_block_fits_the_cell_bound(monkeypatch):
+    # M = 4 samples a slot over 200 slots: an episode's (N, J, K) Gumbel
+    # noise, 2400 cells, is its largest block, so a chunk of 13 episodes
+    # holds 31200 of the 2^15 cells, and no measurement sample adds to it.
+    bound = 2**15
+    monkeypatch.setattr(env_module, "MAX_CHUNK_CELLS", bound)
+    config = small_config(num_ues=4, horizon=200, measurement_period_s=0.075)
+    assert config.samples_per_slot == 4 and config.episode_cells == 200 * 4 * 3
+    assert batch_episodes(config) == 13
+    largest = []  # bytes of the largest numpy block alive at each look
+
+    def look():
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        )
+        largest.append(max(trace.size for trace in snapshot.traces))
+
+    def looking(inner):
+        def call(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            if len(largest) < 40:  # the chunk's first slots
+                look()
+            return result
+
+        return call
+
+    # After each slot's outcome, and inside each measurement fold.
+    monkeypatch.setattr(OutcomeColumns, "append", looking(OutcomeColumns.append))
+    monkeypatch.setattr(link, "rsrp_dbm", looking(link.rsrp_dbm))
+    params = net.zero_params(observation_size(config), 4, 3, hidden=(8, 8))
+    tracemalloc.start()
+    try:
+        experiments.evaluate(config, "dho", 13, master_seed=0, params=params, eval_mode="sample")
+        noise = max(largest)
+        largest.clear()
+        experiments.evaluate(config, "conventional", 13, master_seed=0)
+        fold = max(largest)
+    finally:
+        tracemalloc.stop()
+    assert noise == 13 * 200 * 4 * 3 * 8 <= bound * 8
+    assert fold <= bound * 8
 
 
 # --- reset ----------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 from leoho import env as env_module, experiments, net
 from leoho.agents import dho_decide, make_agent
 from leoho.env import (
-    BATCH_TERMINALS,
     ConfigError,
     EpisodeOutcomes,
     FeatureMask,
@@ -228,9 +227,11 @@ def test_only_stochastic_agents_build_generators(monkeypatch, agent, mode, built
 J100_SCARCE = ScenarioConfig(num_ues=100, rb_per_target=(30, 30), num_preambles=80, horizon=10)
 
 
-def _artifacts_at_chunk_size(out, terminals, monkeypatch, base) -> dict[str, bytes]:
-    """Every report file of the evaluation runs of ``base``, at ``terminals`` per chunk."""
-    monkeypatch.setattr(env_module, "BATCH_TERMINALS", terminals)
+def _artifacts_at_chunk_size(out, episodes, monkeypatch, base) -> dict[str, bytes]:
+    """Every report file of the evaluation runs of ``base``, at ``episodes`` per chunk."""
+    monkeypatch.setattr(env_module, "BATCH_TERMINALS", episodes * base.scenario.num_ues)
+    monkeypatch.setattr(env_module, "BATCH_EPISODES", episodes)
+    assert batch_episodes(base.scenario) == episodes
     runs = {
         "random": base,
         "conventional": dataclasses.replace(base, agent="conventional"),
@@ -255,13 +256,13 @@ def _artifacts_at_chunk_sizes(tmp_path, monkeypatch, scenario, episodes) -> list
     base = ExperimentSpec(
         scenario=scenario, eval_episodes=episodes, master_seed=9, checkpoint=str(checkpoint)
     )
-    sizes = (j, BATCH_TERMINALS, episodes * j)
+    sizes = (1, batch_episodes(scenario), episodes)
     return [_artifacts_at_chunk_size(tmp_path / str(size), size, monkeypatch, base) for size in sizes]
 
 
 def test_artifacts_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
-    # Chunks of 25 episodes by default; no episode settles.
-    found = _artifacts_at_chunk_sizes(tmp_path, monkeypatch, J100_SCARCE, 60)
+    # Chunks of 64 + 64 + 2 episodes by default; no episode settles.
+    found = _artifacts_at_chunk_sizes(tmp_path, monkeypatch, J100_SCARCE, 130)
     assert len(found[0]) == 4 * 2 + 1
     assert found[0] == found[1] == found[2]
 
@@ -369,7 +370,7 @@ def test_trace_matches_reference_bytes(tmp_path, reference):
     """``trace.csv`` is byte-identical to a reference in ``tests/data``.
 
     ``scarce-J100-random-trace.csv`` contends for blocks and preambles in
-    every slot, over two evaluation chunks; it was written by
+    every slot, in one evaluation chunk; it was written by
     ``leoho run --spec scarce.spec --out <dir>`` with ``scarce.spec`` holding
     the lines of ``SCARCE_J100_SPEC``.  The others were written by
     ``leoho run --spec scripts/<case>.spec --agent <agent> --episodes 20

@@ -209,7 +209,7 @@ def test_training_sizes_are_bounded_before_training():
     big = VtraceConfig(hidden=(8, 8), batch_size=fit // 2 + 1)
     assert field(one, big, 10**6) == "batch_size"
     training.check_training(one, VtraceConfig(hidden=(8, 8), batch_size=fit // 2), episodes=10**6)
-    # An episode's observations can outgrow its blocks: here 11 x 61 against 330.
+    # An episode's observations can outgrow its blocks: here 11 x 61 against 300.
     a3 = ScenarioConfig(
         num_ues=10,
         rb_per_target=10,
@@ -217,7 +217,7 @@ def test_training_sizes_are_bounded_before_training():
         measurement_period_s=0.3,
         features=FeatureMask(a3_centralized=True),
     )
-    assert a3.episode_cells == 330 and observation_size(a3) == 61
+    assert a3.episode_cells == 300 and observation_size(a3) == 61
     fit = MAX_CHUNK_CELLS // (11 * 61)
     training.check_training(a3, cfg, episodes=fit)
     assert field(a3, cfg, fit + 1) == "batch_size"
