@@ -81,12 +81,8 @@ class PolicyParameters:
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in TENSOR_NAMES}
 
-    def copy(self, out: "PolicyParameters | None" = None) -> "PolicyParameters":
-        """A deep copy; with ``out``, a set of the same shapes, into its arrays."""
-        if out is not None:
-            for name, tensor in out.tensors().items():
-                np.copyto(tensor, getattr(self, name))
-            return out
+    def copy(self) -> "PolicyParameters":
+        """A deep copy."""
         return PolicyParameters(
             obs_dim=self.obs_dim,
             num_ues=self.num_ues,
@@ -188,6 +184,10 @@ class StackedPolicy:
     observations, each group under its own parameters.  The stack serves
     decisions only and never runs its value head, which it keeps so that
     :meth:`group` can give each set back as :class:`PolicyParameters`.
+    Each set's arrays live in the stack: a group is a view, so a set that
+    is updated in place through :meth:`group` is what the next decision
+    reads (the learner's parameters during training, see
+    :class:`training.PassBlocks`).
     """
 
     obs_dim: int
@@ -202,11 +202,31 @@ class StackedPolicy:
     w_v: np.ndarray  # (G, hidden2)
     b_v: np.ndarray  # (G, 1)
 
+    @classmethod
+    def allocate(cls, params: PolicyParameters, groups: int) -> "StackedPolicy":
+        """An unwritten stack of ``groups`` sets shaped like ``params``."""
+        tensors = {
+            name: np.empty((groups,) + tensor.shape) for name, tensor in params.tensors().items()
+        }
+        # (G, 1, fan_out) biases broadcast over each group's rows.
+        tensors.update({name: tensors[name][:, None] for name in _ROW_BIASES})
+        return cls(params.obs_dim, params.num_ues, params.num_actions, **tensors)
+
     def __len__(self) -> int:
         return self.w1.shape[0]
 
+    def first(self, groups: int) -> "StackedPolicy":
+        """The stack of its first ``groups`` sets, viewing its arrays."""
+        tensors = {name: getattr(self, name)[:groups] for name in TENSOR_NAMES}
+        return StackedPolicy(self.obs_dim, self.num_ues, self.num_actions, **tensors)
+
+    def put(self, g: int, params: PolicyParameters) -> None:
+        """Copy ``params`` into group ``g``, which may be unwritten."""
+        for name, tensor in params.tensors().items():
+            np.copyto(getattr(self, name)[g], tensor)
+
     def group(self, g: int) -> PolicyParameters:
-        """Parameter set ``g``, as views of the stacked arrays."""
+        """Parameter set ``g``, as views of the stacked arrays, which must be written."""
         tensors = {name: getattr(self, name)[g] for name in TENSOR_NAMES}
         tensors.update({name: tensors[name][0] for name in _ROW_BIASES})
         return PolicyParameters(self.obs_dim, self.num_ues, self.num_actions, **tensors)
@@ -216,26 +236,12 @@ class StackedPolicy:
 _ROW_BIASES = ("b1", "b2", "b_pi")
 
 
-def stack_params(
-    params: Sequence[PolicyParameters], out: StackedPolicy | None = None
-) -> StackedPolicy:
-    """One :class:`StackedPolicy` of parameter sets that share their shapes.
-
-    With ``out``, a stack of at least ``len(params)`` groups, the sets are
-    copied into its first groups, and the stack returned views them; a set
-    may be a view of its own group there.  Without, the arrays are new.
-    """
-    first = params[0]
-    if out is None:
-        tensors = {name: np.stack([getattr(p, name) for p in params]) for name in TENSOR_NAMES}
-        # (G, 1, fan_out) biases broadcast over each group's rows.
-        tensors.update({name: tensors[name][:, None] for name in _ROW_BIASES})
-    else:
-        tensors = {name: getattr(out, name)[: len(params)] for name in TENSOR_NAMES}
-        for name, stacked in tensors.items():
-            for group, p in zip(stacked, params):
-                np.copyto(group, getattr(p, name))
-    return StackedPolicy(first.obs_dim, first.num_ues, first.num_actions, **tensors)
+def stack_params(params: Sequence[PolicyParameters]) -> StackedPolicy:
+    """A new :class:`StackedPolicy` of parameter sets that share their shapes."""
+    stack = StackedPolicy.allocate(params[0], len(params))
+    for g, p in enumerate(params):
+        stack.put(g, p)
+    return stack
 
 
 def forward_batch(

@@ -27,25 +27,38 @@ takes the behavior log-probabilities of the whole rollout in place over
 them after its last slot, and gives the learner one stacked segment, which
 each update slices into its batch.
 
-A pass writes its blocks into one :class:`PassBlocks` set: the stacked
-weights, the noise (then the logits), the observations and the behavior
-log-probabilities.  :func:`train` allocates the set at its first pass,
-which is its largest, and keeps it until it returns; after the pass's
-last update the parameters actors download go into the stack's first
-group, where the next pass reads them.
+Every array of a run has one home, shared between rollout and learner
+where their lifetimes do not overlap:
 
-The learner has one path, and every array of an update has one name in
-one :class:`LearnerBuffers` set: the batch's actions copied as (S * L, J)
-rows, the heads' probabilities and logit gradient and the loss terms, and
-its :class:`net.TrunkBuffers` part, which holds the observation rows, the
-activations, the logits (then the log-probabilities), the values, the
-backward pass and the gradients.  :func:`train` allocates the set at its
-first update and keeps it until it returns, so an update makes no new
-arrays beyond small per-head and per-segment ones, and its speed does not
-depend on what the allocator did with memory freed before it.  The
-V-trace targets take their masked log-probabilities in two of the set's
-buffers whose arrays are not built yet.  Where a per-head term broadcasts
-over the K planes, the update runs one plane at a time (see :mod:`net`).
+- A :class:`PassBlocks` set holds what a pass writes: the stack of
+  weights it decides under, the noise (then the logits), the observations
+  and the behavior log-probabilities.  :func:`train` allocates it at its
+  first pass, which is its largest, and keeps it until it returns.
+- The stack always holds ``1 + lag`` groups, and the learner's parameters
+  live in the last, where Adam updates them in place.  With V-trace the
+  first group is the snapshot actors download: before a pass's last
+  update the learner's group is copied into it, and the next pass reads
+  it there.  Without V-trace the one group is the learner's own set, and
+  nothing is copied.  :func:`train` returns a copy of the learner's group.
+- The learner has one path, and every array of an update has one name in
+  one :class:`LearnerBuffers` set: the heads' probabilities and logit
+  gradient, the loss terms, and its :class:`net.TrunkBuffers` part, which
+  holds the observation rows, the activations, the logits (then the
+  log-probabilities), the values, the backward pass and the gradients.
+  :func:`train` allocates the set at its first update and keeps it until
+  it returns, so an update makes no new arrays beyond small per-head and
+  per-segment ones, and its speed does not depend on what the allocator
+  did with memory freed before it.
+- The probabilities and the logit gradient, (rows, J, K) each, live in
+  the pass's noise block as far as its cells hold them: both once a pass
+  holds two batches, the probabilities alone with one.  That block is
+  spent once the behavior log-probabilities are taken, and the next pass
+  draws its noise only after the updates.
+- The learner reads the pass's recorded actions, rewards and masks in
+  place.  The V-trace targets take their masked log-probabilities in two
+  of the set's buffers whose arrays are not built yet.  Where a per-head
+  term broadcasts over the K planes, the update runs one plane at a time
+  (see :mod:`net`).
 """
 
 from __future__ import annotations
@@ -203,10 +216,12 @@ class LearnerBuffers:
     :func:`train` allocates one set at its first update and each update
     overwrites the one before, so updates make no new arrays.  A buffer
     serves each array that is live at a time; the comments name what else
-    a buffer holds while that array is not yet or no longer live.
+    a buffer holds while that array is not yet or no longer live.  The
+    batch's actions are read where the rollout recorded them.  ``probs``
+    and ``dlogits`` may view a ``host`` block (see :meth:`allocate`) that
+    is free whenever an update runs; the rest are arrays of their own.
     """
 
-    actions: np.ndarray  # (rows, J) int
     trunk: net.TrunkBuffers  # observations, activations, logits then log-probs, values, gradients
     probs: np.ndarray  # (rows, J, K)
     chosen_logp: np.ndarray  # (rows, J); then its masked loss terms
@@ -216,15 +231,30 @@ class LearnerBuffers:
     per_row: np.ndarray  # (rows,) loss-term scratch
 
     @classmethod
-    def allocate(cls, params: net.PolicyParameters, rows: int) -> "LearnerBuffers":
+    def allocate(
+        cls, params: net.PolicyParameters, rows: int, host: np.ndarray | None = None
+    ) -> "LearnerBuffers":
+        """A set for ``rows`` transitions.
+
+        ``probs``, then ``dlogits``, view consecutive cells of ``host``, a
+        contiguous float block, as far as its cells hold them.
+        """
         heads = (rows, params.num_ues)
+        planes = heads + (params.num_actions,)
+        cells = math.prod(planes)
+        free = np.empty(0) if host is None else host.reshape(-1)
+        probs, dlogits = (
+            free[i * cells : (i + 1) * cells].reshape(planes)
+            if (i + 1) * cells <= free.size
+            else np.empty(planes)
+            for i in range(2)
+        )
         return cls(
-            actions=np.empty(heads, dtype=np.int64),
             trunk=net.TrunkBuffers.allocate(params, rows),
-            probs=np.empty(heads + (params.num_actions,)),
+            probs=probs,
             chosen_logp=np.empty(heads),
             entropies=np.empty(heads),
-            dlogits=np.empty(heads + (params.num_actions,)),
+            dlogits=dlogits,
             value_error=np.empty(rows),
             per_row=np.empty(rows),
         )
@@ -243,12 +273,12 @@ def _forward(
     trunk = buffers.trunk
     observations = segments.observations[:, :-1]
     np.copyto(trunk.inputs.reshape(observations.shape), observations)
-    np.copyto(buffers.actions.reshape(segments.actions.shape), segments.actions)
     logits, _ = net.forward_batch(params, trunk.inputs, out=trunk)
     net.softmax_and_log_softmax(
         logits, out=(buffers.probs, logits), per_head=buffers.entropies[..., None]
     )
-    net.pick(logits, buffers.actions, out=buffers.chosen_logp)
+    actions = segments.actions.reshape(buffers.chosen_logp.shape)
+    net.pick(logits, actions, out=buffers.chosen_logp)
 
 
 def _loss_and_gradient(
@@ -260,7 +290,8 @@ def _loss_and_gradient(
     buffers: LearnerBuffers,
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
     """The loss and gradient of the pass :func:`_forward` left in ``buffers``, which this uses up."""
-    trunk, probs, actions = buffers.trunk, buffers.probs, buffers.actions
+    trunk, probs = buffers.trunk, buffers.probs
+    actions = segments.actions.reshape(buffers.chosen_logp.shape)
     logp = trunk.logits.reshape(probs.shape)
     masks = segments.masks.reshape(actions.shape)
     # The product goes in dlogits' buffer, which is free until dlogits is built.
@@ -406,11 +437,16 @@ class PassBlocks:
 
     :func:`train` allocates one set at its first pass, which is its
     largest, and keeps it until it returns; each pass overwrites its first
-    E episodes' rows, and its first G groups of the stack.
+    E episodes' rows and decides under its stack's first G groups.  The
+    stack's last group is the learner's parameters and its first the
+    snapshot actors download, one and the same set without V-trace.  Once
+    the behavior log-probabilities are taken the noise block is spent, and
+    the learner's head buffers live in it until the next pass draws its
+    noise (see :class:`LearnerBuffers`).
     """
 
-    stack: net.StackedPolicy  # (G, ...) the snapshots the pass decides under
-    noise: np.ndarray  # (E, N, J, K) Gumbel noise, then each decided slot's logits
+    stack: net.StackedPolicy  # (1 + lag, ...) the published snapshot, then the learner's set
+    noise: np.ndarray  # (E, N, J, K) Gumbel noise, then the logits, then the learner's heads
     observations: np.ndarray  # (E, N + 1, obs_dim)
     log_probs: np.ndarray  # (E, N, J) behavior log-probabilities
 
@@ -418,9 +454,10 @@ class PassBlocks:
     def allocate(
         cls, params: net.PolicyParameters, horizon: int, episodes: int, groups: int
     ) -> "PassBlocks":
+        """Unwritten blocks, with a stack of ``groups`` sets shaped like ``params``."""
         heads = (episodes, horizon, params.num_ues)
         return cls(
-            stack=net.stack_params([params] * groups),
+            stack=net.StackedPolicy.allocate(params, groups),
             noise=np.empty(heads + (params.num_actions,)),
             observations=np.empty((episodes, horizon + 1, params.obs_dim)),
             log_probs=np.empty(heads),
@@ -500,7 +537,7 @@ def train(
     episodes: int,
     seed: int = 0,
 ) -> tuple[net.PolicyParameters, list[MetricsRecord]]:
-    """Run the actor-learner loop and return final parameters plus the curve.
+    """Run the actor-learner loop and return a copy of the final parameters, plus the curve.
 
     The curve is every episode's :class:`MetricsRecord`, in episode order.
 
@@ -537,7 +574,6 @@ def train(
         np.random.default_rng([seed, i, 1]) for i in range(min(cfg.actors_count, episodes))
     ]
     noise_shape = (scenario.horizon, scenario.num_ues, scenario.num_planes)
-    published = params  # what actors download, the learner's own until its first update
     per_batch = cfg.batch_episodes(scenario.horizon)
     lag = cfg.lag
 
@@ -551,11 +587,13 @@ def train(
             count -= count % per_batch  # only equal batches share a pass
         groups = math.ceil(count / per_batch)
         if blocks is None:  # the first pass is the largest
-            blocks = PassBlocks.allocate(params, scenario.horizon, count, groups)
-        # The published parameters decide the first batch and the learner's
-        # the rest; Adam.step updates params in place, so the stack holds
-        # copies.
-        stack = net.stack_params([published] + [params] * (groups - 1), out=blocks.stack)
+            blocks = PassBlocks.allocate(params, scenario.horizon, count, 1 + lag)
+            # Actors download the initial parameters until the first update.
+            for g in range(1 + lag):
+                blocks.stack.put(g, params)
+            params = blocks.stack.group(lag)  # the learner's set, updated in place
+        # The published snapshot decides the first batch and the learner's set the rest.
+        stack = blocks.stack.first(groups)
         noise = blocks.noise[:count]
         seeds = []
         for d in range(done, done + count):
@@ -570,18 +608,17 @@ def train(
         updates = count // per_batch  # none for a partial batch
         for g in range(updates):
             if buffers is None:  # so a run shorter than one batch allocates none
-                buffers = LearnerBuffers.allocate(params, per_batch * scenario.horizon)
+                rows = per_batch * scenario.horizon
+                buffers = LearnerBuffers.allocate(params, rows, host=blocks.noise)
             batch = slice(g * per_batch, (g + 1) * per_batch)
             _, grads = loss_and_gradient(params, segments[batch], cfg, buffers)
-            # The next pass's first batch acts under the parameters after
-            # this pass's last update or, with one update of publication lag
-            # modelling the actor-learner queue, under those from before it.
-            # The rollout is over, so they go in the stack's first group,
-            # where the next pass reads them.
+            # With one update of publication lag, modelling the actor-learner
+            # queue, the next pass's first batch acts under the parameters
+            # from before this pass's last update.  The rollout is over, so
+            # they go in the stack's first group, where the next pass reads
+            # them.  Without lag that group is the learner's own set.
             if lag and g == updates - 1:
-                published = params.copy(out=stack.group(0))
+                blocks.stack.put(0, params)
             optimizer.step(params, grads, cfg.learning_rate)
-            if not lag:
-                published = params.copy(out=stack.group(0))
         del segments  # free the pass's actions, rewards and masks before the next pass
-    return params, curve
+    return params.copy(), curve

@@ -541,6 +541,21 @@ def test_pipelined_train_matches_serial_reference(vtrace_enabled, actors, episod
         assert curve == ref_curve
 
 
+def test_published_snapshot_is_apart_from_the_learners_set():
+    # With V-trace a run whose first pass holds one batch still keeps two
+    # parameter sets: the trailing partial pass acts under the parameters
+    # from before the update, while the learner's set moves on.  At this
+    # learning rate the update changes decisions, so a published snapshot
+    # that aliased the learner's set would give another curve.
+    scenario = tiny_scenario()
+    cfg = tiny_training(batch_size=10 * scenario.horizon, learning_rate=0.5)
+    params, curve = train(scenario, cfg, episodes=15, seed=5)
+    ref_params, ref_curve = serial_train(scenario, cfg, 15, 1, seed=5)
+    for name in net.TENSOR_NAMES:
+        assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes(), name
+    assert curve == ref_curve
+
+
 @pytest.mark.parametrize("vtrace_enabled", [True, False], ids=["vtrace", "no_vtrace"])
 @pytest.mark.parametrize("hidden", [(1, 1), (16, 16)])
 def test_repeated_train_calls_match_the_reference_learner(vtrace_enabled, hidden):
@@ -586,20 +601,21 @@ def test_learner_updates_allocate_no_new_arrays(monkeypatch):
 
 def test_rollout_passes_allocate_no_new_blocks(monkeypatch):
     # train() allocates its pass blocks once, so past the first pass a
-    # pass's traced memory, from stacking its weights to the end of its
-    # rollout, rises by less than one (E, N, J, K) noise block beyond the
-    # outcome columns it records.  At case1's ratios and J = 30 the rest
-    # (the head masks and small per-slot arrays) is about half a block.
+    # pass's traced memory, from its first call (taking the stack's groups
+    # it decides under) to the end of its rollout, rises by less than one
+    # (E, N, J, K) noise block beyond the outcome columns it records.  At
+    # case1's ratios and J = 30 the rest (the head masks and small per-slot
+    # arrays) is about half a block.
     scenario = dataclasses.replace(
         scenario_for_case("case1"), num_ues=30, rb_per_target=(15, 15), num_preambles=150
     )
     held, rises, recorded = [], [], []
-    stack_params, rollout, play = net.stack_params, training.rollout_segment, training.play
+    first, rollout, play = net.StackedPolicy.first, training.rollout_segment, training.play
 
     def stacked(*args, **kwargs):
         held.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
-        return stack_params(*args, **kwargs)
+        return first(*args, **kwargs)
 
     def played(*args, **kwargs):
         columns, finals = play(*args, **kwargs)
@@ -611,7 +627,7 @@ def test_rollout_passes_allocate_no_new_blocks(monkeypatch):
         rises.append(tracemalloc.get_traced_memory()[1] - held[-1] - recorded[-1])
         return result
 
-    monkeypatch.setattr(net, "stack_params", stacked)
+    monkeypatch.setattr(net.StackedPolicy, "first", stacked)
     monkeypatch.setattr(training, "play", played)
     monkeypatch.setattr(training, "rollout_segment", traced)
     tracemalloc.start()
@@ -624,6 +640,43 @@ def test_rollout_passes_allocate_no_new_blocks(monkeypatch):
     block = cells * np.dtype(float).itemsize  # 281 KiB
     assert len(rises) == 3
     assert max(rises[1:]) < block, rises
+
+
+# The second pass's traced peak in the run below, measured when the learner
+# kept its parameters in a set of its own beside the stack, and its heads'
+# probabilities, logit gradient and action copy in arrays of their own
+# (Python 3.11, numpy 2.4).
+SEPARATE_LEARNER_ARRAYS_PEAK = 5_566_548
+
+
+def test_rollout_passes_share_the_learners_arrays(monkeypatch):
+    # The learner's parameters live in the pass's stack and its (rows, J, K)
+    # head buffers in the spent noise block, so a later pass's traced peak,
+    # from its first call to the next pass's, sits at least one parameter
+    # set and one such block below the peak with separate arrays.  The run
+    # is test_rollout_passes_allocate_no_new_blocks' (J = 30, V-trace, two
+    # batches a pass, where the block hosts both head buffers).
+    scenario = dataclasses.replace(
+        scenario_for_case("case1"), num_ues=30, rb_per_target=(15, 15), num_preambles=150
+    )
+    peaks, first = [], net.StackedPolicy.first
+
+    def marked(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return first(*args, **kwargs)
+
+    monkeypatch.setattr(net.StackedPolicy, "first", marked)
+    tracemalloc.start()
+    try:
+        params, _ = train(scenario, DESK_TRAINING, episodes=60, seed=0)
+    finally:
+        tracemalloc.stop()
+    rows = DESK_TRAINING.batch_episodes(scenario.horizon) * scenario.horizon
+    block = rows * scenario.num_ues * scenario.num_planes * np.dtype(float).itemsize  # 144 KB
+    parameter_set = sum(tensor.nbytes for tensor in params.tensors().values())  # 351 KB
+    assert len(peaks) == 3
+    assert peaks[2] <= SEPARATE_LEARNER_ARRAYS_PEAK - parameter_set - block, peaks
 
 
 @pytest.mark.parametrize("vtrace_enabled", [True, False], ids=["vtrace", "no_vtrace"])
