@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -525,6 +526,16 @@ SUMMARY_HEADER = [
 ]
 
 
+# Summary column stem: the MetricsRecord field it summarises.
+_SUMMARY_FIELDS = {
+    "sum_delay": "sum_delay",
+    "sum_collision_rb": "sum_collision_rb",
+    "sum_collision_prach": "sum_collision_prach",
+    "ho_success": "ho_success",
+    "return": "episode_return",
+}
+
+
 def summary_row(
     records: Sequence[MetricsRecord],
     agent: str,
@@ -533,10 +544,9 @@ def summary_row(
     value: str = "",
     episodes_to_threshold: str = "",
 ) -> dict:
-    def stats(name):
-        data = np.array([getattr(r, name) for r in records])
-        return float(data.mean()), float(data.std())
-
+    # (5, E): each row is one field's contiguous column, so its mean and
+    # spread have the bits of the same reductions over that column alone.
+    block = np.array([[getattr(r, name) for r in records] for name in _SUMMARY_FIELDS.values()])
     row = {
         "agent": agent,
         "label": label,
@@ -545,24 +555,10 @@ def summary_row(
         "eval_episodes": len(records),
         "episodes_to_threshold": episodes_to_threshold,
     }
-    for name, column in (
-        ("sum_delay", "sum_delay"),
-        ("sum_collision_rb", "sum_collision_rb"),
-        ("sum_collision_prach", "sum_collision_prach"),
-        ("ho_success", "ho_success"),
-        ("episode_return", "return"),
-    ):
-        mean, std = stats(name)
+    for column, mean, std in zip(_SUMMARY_FIELDS, block.mean(axis=1).tolist(), block.std(axis=1).tolist()):
         row[f"{column}_mean"] = f"{mean:.6f}"
         row[f"{column}_std"] = f"{std:.6f}"
     return row
-
-
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with replace_atomically(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _summary_values(row: dict) -> list:
@@ -572,19 +568,34 @@ def _summary_values(row: dict) -> list:
 
 
 def write_summary_csv(path, rows: Sequence[dict]) -> None:
-    _write_csv(path, SUMMARY_HEADER, map(_summary_values, rows))
+    with replace_atomically(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SUMMARY_HEADER)
+        writer.writerows(map(_summary_values, rows))
 
 
 CURVE_HEADER = ["episode", "mean_return", "sum_delay", "sum_collision"]
+# The bytes csv.writer writes for a curve row of the episode and three
+# "%.6f" fields: none of them needs quoting, and lines end in CRLF.
+_CURVE_ROW = "%d,%.6f,%.6f,%.6f\r\n"
 
 
-def _curve_row(episode: int, r: MetricsRecord) -> list:
-    return [episode, f"{r.episode_return:.6f}", f"{r.sum_delay:.6f}", f"{r.sum_collision:.6f}"]
+def _curve_rows(records: Sequence[MetricsRecord], prefix: str = "") -> str:
+    """The curve rows of ``records``, each led by ``prefix``, which holds no ``%``.
+
+    The episode index is the record's position.
+    """
+    template = prefix + _CURVE_ROW
+    return "".join(
+        [template % (e, r.episode_return, r.sum_delay, r.sum_collision) for e, r in enumerate(records)]
+    )
 
 
 def write_curve_csv(path, records: Sequence[MetricsRecord]) -> None:
-    """One row per training episode; the episode index is the record's position."""
-    _write_csv(path, CURVE_HEADER, (_curve_row(episode, r) for episode, r in enumerate(records)))
+    """One row per training episode, built in memory and written once."""
+    text = ",".join(CURVE_HEADER) + "\r\n" + _curve_rows(records)
+    with replace_atomically(path, newline="") as fh:
+        fh.write(text)
 
 
 CHECKPOINT_VERSION = 1
@@ -604,10 +615,13 @@ def save_checkpoint(params: net.PolicyParameters, path) -> None:
         "num_actions": params.num_actions,
         "hidden": list(params.hidden_sizes),
     }
-    # An open file, so np.savez appends no ".npz" to the temporary name.
-    with replace_atomically(path, "wb") as fh:
-        meta_bytes = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(fh, meta=meta_bytes, **params.tensors())
+    # Built in memory, then written once: the archive's bytes are those
+    # np.savez writes to a file, since both are seekable.
+    archive = io.BytesIO()
+    meta_bytes = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(archive, meta=meta_bytes, **params.tensors())
+    with replace_atomically(path, "wb") as fh, archive.getbuffer() as data:
+        fh.write(data)
 
 
 def load_checkpoint(path, scenarios: Iterable[ScenarioConfig] = ()) -> net.PolicyParameters:
@@ -859,6 +873,19 @@ def ablation(spec: ExperimentSpec, mask_names: Sequence[str], out_dir) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = {name: _policy(point, None)[1] for name, point in points.items()}
     path = out_dir / "ablation_curves.csv"
-    rows = ([name, *_curve_row(episode, r)] for name, curve in curves.items() for episode, r in enumerate(curve))
-    _write_csv(path, ABLATION_HEADER, rows)
+    write_ablation_csv(path, curves)
     return {"curves": curves, "path": path}
+
+
+def write_ablation_csv(path, curves: dict[str, Sequence[MetricsRecord]]) -> None:
+    """Each mask's curve rows led by its name, built in memory and written once.
+
+    Every name must be one of :data:`ABLATION_MASKS`, none of which needs
+    CSV quoting, so the rows are the bytes ``csv.writer`` writes.
+    """
+    for name in curves:
+        _named("mask", ABLATION_MASKS, name)
+    text = ",".join(ABLATION_HEADER) + "\r\n"
+    text += "".join([_curve_rows(curve, f"{name},") for name, curve in curves.items()])
+    with replace_atomically(path, newline="") as fh:
+        fh.write(text)

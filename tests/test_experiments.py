@@ -1,10 +1,14 @@
 import copy
+import csv
 import dataclasses
+import io
 import pathlib
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from leoho import env as env_module, experiments, net
 from leoho.agents import dho_decide, make_agent
@@ -38,6 +42,7 @@ from leoho.experiments import (
     scenario_for_case,
     summary_row,
     sweep_experiment,
+    write_ablation_csv,
     write_curve_csv,
     write_summary_csv,
     write_trace_csv,
@@ -166,6 +171,21 @@ def test_evaluate_deterministic_rows():
     assert [m.episode_return for m in r1] == [m.episode_return for m in r2]
     row1, row2 = summary_row(r1, "random"), summary_row(r2, "random")
     assert row1 == row2
+
+
+@pytest.mark.parametrize("episodes", [1, 7, 50, 800, 9000])
+def test_summary_stats_are_those_of_each_column_alone(episodes):
+    # The oracle: each field's mean and spread over its own 1-D column.
+    # Values spread over 24 decades, so a sum taken in another order shows
+    # in the sixth decimal.
+    rng = np.random.default_rng(episodes)
+    values = rng.standard_normal((episodes, 5)) * 10.0 ** rng.uniform(-6, 18, (episodes, 5))
+    row = summary_row([MetricsRecord(*v) for v in values.tolist()], "random")
+    fields = ("sum_delay", "sum_collision_rb", "sum_collision_prach", "ho_success", "return")
+    for k, column in enumerate(fields):
+        data = np.array(values[:, k].tolist())
+        assert row[f"{column}_mean"] == f"{float(data.mean()):.6f}"
+        assert row[f"{column}_std"] == f"{float(data.std()):.6f}"
 
 
 @pytest.mark.parametrize("agent", ["random", "conventional"])
@@ -562,6 +582,11 @@ ARTIFACT_WRITERS = {
         lambda path: save_checkpoint(PARAMS, path),
         OSError,
     ),
+    "ablation_curves.csv": (
+        lambda path: write_ablation_csv(path, {"full_local": CURVE, "no_time": CURVE}),
+        lambda path: write_ablation_csv(path, {"no_time": CURVE, "centralized": [*CURVE, None]}),
+        AttributeError,
+    ),
 }
 
 
@@ -576,6 +601,110 @@ def test_artifact_writers_replace_the_file_whole(tmp_path, monkeypatch, name):
         write_midway(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+class _DiskFull:
+    """A file that takes half of the first write and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_WRITERS))
+def test_artifact_writes_that_fail_in_the_file_leave_the_previous_file(tmp_path, monkeypatch, name):
+    # The writers that build a file in memory fail before they open it when
+    # their content does; this one fails in the file itself.
+    write = ARTIFACT_WRITERS[name][0]
+    path = tmp_path / name
+    write(path)
+    before = path.read_bytes()
+    monkeypatch.setattr(experiments, "open", lambda *a, **kw: _DiskFull(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+def _old_curve_fields(episode: int, r: MetricsRecord) -> list:
+    """A curve row's fields formatted one by one for csv.writer: the reference for the row template."""
+    return [episode, f"{r.episode_return:.6f}", f"{r.sum_delay:.6f}", f"{r.sum_collision:.6f}"]
+
+
+# Signed zeros, non-finite values, ties at the sixth decimal and values of
+# 1e6 and more.
+CURVE_EDGES = [
+    0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-7, -5e-7, 1.5e-6, 2.5e-6,
+    0.1234565, 1e6, -1e6, 123456789.0000005, 1e22, 5e-324, -1.7976931348623157e308,
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=30))
+@example([(v, v, v) for v in CURVE_EDGES])
+def test_curve_writers_bytes_match_csv_writer(values):
+    # Each record's return, delay and collisions; the PRACH collisions are
+    # -0.0, so the collision sum is the drawn value, -0.0 included.
+    records = [MetricsRecord(d, c, -0.0, 1.0, r) for r, d, c in values]
+    curves = {"full_local": records, "no_prev_action": records[::-1]}
+    with tempfile.TemporaryDirectory() as tmp:
+        curve_path, ablation_path = pathlib.Path(tmp, "curve.csv"), pathlib.Path(tmp, "ablation.csv")
+        write_curve_csv(curve_path, records)
+        write_ablation_csv(ablation_path, curves)
+        curve, ablation_curves = curve_path.read_bytes(), ablation_path.read_bytes()
+    assert curve == _csv_writer_bytes(
+        experiments.CURVE_HEADER, [_old_curve_fields(e, r) for e, r in enumerate(records)]
+    )
+    rows = [[name, *_old_curve_fields(e, r)] for name, curve in curves.items() for e, r in enumerate(curve)]
+    assert ablation_curves == _csv_writer_bytes(experiments.ABLATION_HEADER, rows)
+
+
+def test_ablation_writer_takes_only_mask_names_that_need_no_quoting(tmp_path):
+    # The writer puts each name in front of a row template as it is, which
+    # is csv.writer's output only for a name it would not quote.
+    for name in ABLATION_MASKS:
+        assert _csv_writer_bytes([name], []) == f"{name}\r\n".encode()
+    with pytest.raises(ConfigError, match="mask"):
+        write_ablation_csv(tmp_path / "ablation_curves.csv", {"full_local": CURVE, "a,b": CURVE})
+    assert list(tmp_path.iterdir()) == []
+
+
+def _checkpoint_sets() -> dict[str, net.PolicyParameters]:
+    rng = np.random.default_rng(5)
+    sets = [net.init_params(41, 10, 3, hidden=(16, 8), rng=rng) for _ in range(2)]
+    stack = net.stack_params(sets)
+    return {
+        "plain": sets[0],
+        "group-view": stack.group(1),
+        "group-copy": stack.group(1).copy(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_checkpoint_sets()))
+def test_checkpoint_bytes_match_np_savez_to_a_path(tmp_path, name):
+    params = _checkpoint_sets()[name]
+    save_checkpoint(params, tmp_path / "checkpoint.npz")
+    with np.load(tmp_path / "checkpoint.npz") as data:
+        meta = data["meta"]
+    np.savez(tmp_path / "direct.npz", meta=meta, **params.tensors())
+    assert (tmp_path / "checkpoint.npz").read_bytes() == (tmp_path / "direct.npz").read_bytes()
 
 
 # --- behavior stats ---------------------------------------------------------------
