@@ -720,13 +720,14 @@ class HandoverEnv:
         Returns their final state: at the horizon, with previous action 0.
         Retiring every episode ends the chunk, and the env's state is then
         that final state.
-        ``observations``, an (E, horizon - slot, obs_dim) buffer, retires
-        every episode and receives the observations of the slots left, as
-        stepping action 0 builds them.  Otherwise the other episodes step on
-        as the chunk: their state, measurement state and shadowing
-        generators are gathered, and the per-slot blocks drawn at reset are
-        read at their rows (:meth:`at_slot`), so each keeps its own draws and
-        later slots draw shadowing for them only.
+        ``observations``, an (E, horizon - slot - 1, obs_dim) buffer,
+        retires every episode and receives the observations of the slots
+        left to decide after the current one, as stepping action 0 builds
+        them.  Otherwise the other episodes step on as the chunk: their
+        state, measurement state and shadowing generators are gathered, and
+        the per-slot blocks drawn at reset are read at their rows
+        (:meth:`at_slot`), so each keeps its own draws and later slots draw
+        shadowing for them only.
         """
         state = self.state
         if state is None:
@@ -736,9 +737,9 @@ class HandoverEnv:
             raise ValueError("retire() needs every terminal of a retired episode to have access")
         horizon = self.config.horizon
         if observations is not None:
-            if not settled.all() or observations.shape[-2] != horizon - state.slot:
+            if not settled.all() or observations.shape[-2] != horizon - state.slot - 1:
                 raise ValueError(
-                    f"observations must hold every episode's {horizon - state.slot} slots left"
+                    f"observations must hold every episode's {horizon - state.slot - 1} slots left"
                 )
             state.prev_action = np.zeros(state.prev_action.shape, dtype=np.int64)
             for i in range(observations.shape[-2]):
@@ -828,8 +829,9 @@ def play(
     they are retired (:meth:`HandoverEnv.retire` and ``agent.retire``), and
     their remaining slots keep the settled outcome the columns start with,
     what deciding them would give.  Without ``observations`` episodes leave
-    the chunk as they settle.  ``observations``, an (E, N + 1, obs_dim)
-    buffer, receives the observations of every slot instead, and the chunk
+    the chunk as they settle.  ``observations``, an (E, N, obs_dim) buffer,
+    receives the observation each slot 0..N-1 is decided on instead (the
+    state after the last slot has no decision, and no row), and the chunk
     ends only as a whole, once every episode has settled, its retirement
     filling the rest.
 
@@ -849,7 +851,7 @@ def play(
         obs, outcome = env.step(agent.act(env, obs))
         columns.append(outcome, rows)
         slot = env.state.slot
-        if observations is not None:
+        if observations is not None and slot < horizon:
             observations[:, slot] = obs
         settled = outcome.d == 0  # D is 0 only once every terminal has access
         if slot == horizon or not (settled.any() if observations is None else settled.all()):

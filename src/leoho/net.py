@@ -6,9 +6,9 @@ thousands).  The trunk is shared; each terminal gets one head of
 ``num_actions`` logits and a single linear value head estimates the state
 value.  Several parameter sets stacked into a :class:`StackedPolicy` run
 their decision forward as one pass.  A learner's pass runs in one
-:class:`TrunkBuffers` set, which holds its observation rows, activations,
-logits, values and gradients: :func:`forward_batch` writes them and
-:func:`backward_trunk` reads them back.
+:class:`TrunkBuffers` set, which holds its activations, logits, values and
+gradients and views the observation rows it ran on: :func:`forward_batch`
+writes them and :func:`backward_trunk` reads them back.
 
 The per-head kernels run one of the K planes at a time: the softmax and
 the log-probabilities of chosen actions, the per-head sum
@@ -147,25 +147,26 @@ def zero_params(
 class TrunkBuffers:
     """The arrays of one forward and backward pass over ``rows`` observations.
 
-    ``forward_batch(params, trunk.inputs, out=trunk)`` writes the
-    activations, logits and values, and :func:`backward_trunk` reads them
-    and writes the gradients, so a learner that keeps one set for a run
-    makes no new arrays per update; each pass overwrites the one before.
+    ``forward_batch(params, obs, out=trunk)`` writes the activations,
+    logits and values and keeps ``obs`` as ``inputs``, with nothing copied,
+    and :func:`backward_trunk` reads them and writes the gradients, so a
+    learner that keeps one set for a run makes no new arrays per update;
+    each pass overwrites the one before.  The rows must stay as they are
+    until the backward pass.
     """
 
-    inputs: np.ndarray  # (rows, obs_dim) observations
     h1: np.ndarray  # (rows, hidden1) post-tanh
     h2: np.ndarray  # (rows, hidden2) post-tanh
     logits: np.ndarray  # (rows, J * K)
     values: np.ndarray  # (rows,)
     spares: tuple[np.ndarray, np.ndarray]  # (rows * max(hidden),) each, see backward_trunk
     grads: dict[str, np.ndarray]  # shaped like the parameters
+    inputs: np.ndarray | None = None  # (rows, obs_dim) the last forward pass's rows, viewed
 
     @classmethod
     def allocate(cls, params: PolicyParameters, rows: int) -> "TrunkBuffers":
         h1, h2 = params.hidden_sizes
         return cls(
-            inputs=np.empty((rows, params.obs_dim)),
             h1=np.empty((rows, h1)),
             h2=np.empty((rows, h2)),
             logits=np.empty((rows, params.num_ues * params.num_actions)),
@@ -256,7 +257,8 @@ def forward_batch(
     (G, B, J, K) logits; it runs only with ``value_head=False``, which
     skips the value head and gives None for the values.  With ``out`` the
     activations, logits and values are written into its buffers, which the
-    results then view; without, each is a new array.
+    results then view, and ``out.inputs`` views ``obs``; without, each is a
+    new array.
     """
     if value_head and isinstance(params, StackedPolicy):
         raise ValueError("a stacked policy runs without its value head")
@@ -267,6 +269,8 @@ def forward_batch(
             f"{params.obs_dim}, got {obs.shape}"
         )
     h1, h2, logits, values = (None,) * 4 if out is None else (out.h1, out.h2, out.logits, out.values)
+    if out is not None:
+        out.inputs = obs
     # Each matmul writes its result, and the bias add and tanh run in place on it.
     h1 = np.matmul(obs, params.w1, out=h1)
     h1 += params.b1
@@ -308,8 +312,8 @@ def backward_trunk(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of any scalar loss given its logits/value gradients.
 
-    ``trunk`` holds the pass ``forward_batch(params, trunk.inputs,
-    out=trunk)`` made: its inputs and activations are read, its spares take
+    ``trunk`` holds the pass ``forward_batch(params, obs, out=trunk)``
+    made: its inputs (``obs``) and activations are read, its spares take
     the intermediates, and the gradients returned are its ``grads``.
     """
     b = trunk.inputs.shape[0]

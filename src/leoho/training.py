@@ -43,8 +43,8 @@ where their lifetimes do not overlap:
 - The learner has one path, and every array of an update has one name in
   one :class:`LearnerBuffers` set: the heads' probabilities and logit
   gradient, the loss terms, and its :class:`net.TrunkBuffers` part, which
-  holds the observation rows, the activations, the logits (then the
-  log-probabilities), the values, the backward pass and the gradients.
+  holds the activations, the logits (then the log-probabilities), the
+  values, the backward pass and the gradients.
   :func:`train` allocates the set at its first update and keeps it until
   it returns, so an update makes no new arrays beyond small per-head and
   per-segment ones, and its speed does not depend on what the allocator
@@ -54,11 +54,14 @@ where their lifetimes do not overlap:
   holds two batches, the probabilities alone with one.  That block is
   spent once the behavior log-probabilities are taken, and the next pass
   draws its noise only after the updates.
-- The learner reads the pass's recorded actions, rewards and masks in
-  place.  The V-trace targets take their masked log-probabilities in two
-  of the set's buffers whose arrays are not built yet.  Where a per-head
-  term broadcasts over the K planes, the update runs one plane at a time
-  (see :mod:`net`).
+- The learner reads the pass's recorded observations, actions, rewards
+  and masks in place.  The observation block holds one row per decided
+  slot, N per episode, so a batch's rows are one contiguous run of it,
+  which the trunk's forward and backward pass read as they lie.  The
+  V-trace targets take their masked log-probabilities in two of the set's
+  buffers whose arrays are not built yet.  Where a per-head term
+  broadcasts over the K planes, the update runs one plane at a time (see
+  :mod:`net`).
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def check_training(scenario: ScenarioConfig, cfg: VtraceConfig, episodes: int) -
             "hidden", f"each weight matrix must hold at most {MAX_CHUNK_CELLS} cells, got {matrix}"
         )
     per_batch = cfg.batch_episodes(scenario.horizon)
-    per_episode = max(scenario.episode_cells, (scenario.horizon + 1) * widths[0], max(widths))
+    per_episode = max(scenario.episode_cells, scenario.horizon * widths[0], max(widths))
     cells = min((1 + cfg.lag) * per_batch, episodes) * per_episode
     if cells > MAX_CHUNK_CELLS:
         raise ConfigError(
@@ -217,12 +220,13 @@ class LearnerBuffers:
     overwrites the one before, so updates make no new arrays.  A buffer
     serves each array that is live at a time; the comments name what else
     a buffer holds while that array is not yet or no longer live.  The
-    batch's actions are read where the rollout recorded them.  ``probs``
-    and ``dlogits`` may view a ``host`` block (see :meth:`allocate`) that
-    is free whenever an update runs; the rest are arrays of their own.
+    batch's observations and actions are read where the rollout recorded
+    them.  ``probs`` and ``dlogits`` may view a ``host`` block (see
+    :meth:`allocate`) that is free whenever an update runs; the rest are
+    arrays of their own.
     """
 
-    trunk: net.TrunkBuffers  # observations, activations, logits then log-probs, values, gradients
+    trunk: net.TrunkBuffers  # activations, logits then log-probs, values, gradients
     probs: np.ndarray  # (rows, J, K)
     chosen_logp: np.ndarray  # (rows, J); then its masked loss terms
     entropies: np.ndarray  # (rows, J); first the softmax's per-head max and sum, then masked log pi
@@ -265,15 +269,16 @@ def _forward(
 ) -> None:
     """The pass over a stack of segments, its (S, L, ...) arrays read as (S * L, ...) rows.
 
+    The observation rows are a view of ``segments.observations``, which the
+    trunk keeps as its inputs for the backward pass.
+
     It leaves the values in ``buffers.trunk.values``, the log-probabilities
     in ``buffers.trunk.logits`` (over the logits, which nothing reads after
     them), the probabilities in ``buffers.probs`` and log pi of the actions
     taken in ``buffers.chosen_logp``.
     """
-    trunk = buffers.trunk
-    observations = segments.observations[:, :-1]
-    np.copyto(trunk.inputs.reshape(observations.shape), observations)
-    logits, _ = net.forward_batch(params, trunk.inputs, out=trunk)
+    rows = segments.observations.reshape(-1, params.obs_dim)
+    logits, _ = net.forward_batch(params, rows, out=buffers.trunk)
     net.softmax_and_log_softmax(
         logits, out=(buffers.probs, logits), per_head=buffers.entropies[..., None]
     )
@@ -447,7 +452,7 @@ class PassBlocks:
 
     stack: net.StackedPolicy  # (1 + lag, ...) the published snapshot, then the learner's set
     noise: np.ndarray  # (E, N, J, K) Gumbel noise, then the logits, then the learner's heads
-    observations: np.ndarray  # (E, N + 1, obs_dim)
+    observations: np.ndarray  # (E, N, obs_dim) the observation each slot is decided on
     log_probs: np.ndarray  # (E, N, J) behavior log-probabilities
 
     @classmethod
@@ -459,7 +464,7 @@ class PassBlocks:
         return cls(
             stack=net.StackedPolicy.allocate(params, groups),
             noise=np.empty(heads + (params.num_actions,)),
-            observations=np.empty((episodes, horizon + 1, params.obs_dim)),
+            observations=np.empty((episodes, horizon, params.obs_dim)),
             log_probs=np.empty(heads),
         )
 
@@ -510,7 +515,7 @@ def rollout_segment(
     episodes are one chunk of :func:`env.play`, given an observation
     buffer, so it ends as a whole, and its outcome columns hold the actions
     (the requests, equal under the pin) and the rewards.  ``out`` is an
-    (observations, log-probs) pair of (E, N + 1, obs_dim) and (E, N, J)
+    (observations, log-probs) pair of (E, N, obs_dim) and (E, N, J)
     blocks for the segment's observations and behavior log-probabilities.
     Returns one stacked segment, which views them, and each episode's
     metrics.

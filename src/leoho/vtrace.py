@@ -24,14 +24,15 @@ class TrajectorySegment:
     The arrays take an optional leading episode axis, so a stack of S
     episodes is (S, L, ...); ``segment[e]`` is episode ``e`` and
     ``segment[a:b]`` a stack of a run of them, both views, and a stack
-    iterates as its episodes.  ``observations`` has one extra row (the
-    state after the last step); ``bootstrap_value`` stands in for the value
-    of that state, in every episode of a stack, and is 0 for terminal
-    episodes.  ``masks`` flags which heads actually chose (already accessed
-    terminals are pinned to action 0 with log-probability 0).
+    iterates as its episodes.  ``observations`` holds one row per step, the
+    state it was decided in; ``bootstrap_value`` stands in for the value of
+    the state after the last step, in every episode of a stack, and is 0
+    for terminal episodes.  ``masks`` flags which heads actually chose
+    (already accessed terminals are pinned to action 0 with
+    log-probability 0).
     """
 
-    observations: np.ndarray  # ([S,] L + 1, obs_dim)
+    observations: np.ndarray  # ([S,] L, obs_dim)
     actions: np.ndarray  # ([S,] L, J) int
     behavior_logprobs: np.ndarray  # ([S,] L, J) per-head log mu
     rewards: np.ndarray  # ([S,] L)
@@ -40,9 +41,7 @@ class TrajectorySegment:
 
     def __post_init__(self) -> None:
         *lead, length = self.rewards.shape
-        if self.observations.shape[:-1] != (*lead, length + 1):
-            raise ValueError("observations must hold one row per step plus the final state")
-        for name in ("actions", "behavior_logprobs", "masks"):
+        for name in ("observations", "actions", "behavior_logprobs", "masks"):
             if getattr(self, name).shape[:-1] != (*lead, length):
                 raise ValueError(f"{name} must be shaped {(*lead, length)} before its last axis")
         if not np.all(np.isfinite(self.behavior_logprobs)):

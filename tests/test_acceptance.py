@@ -48,15 +48,15 @@ def test_criterion_01_gradient_correctness():
     episodes = []
     for _ in range(3):
         length = 4
-        observations = rng.uniform(0, 1, size=(length + 1, 5))
+        observations = rng.uniform(0, 1, size=(length, 5))
         actions = rng.integers(0, 3, size=(length, 2))
         masks = (rng.uniform(size=(length, 2)) > 0.25).astype(float)
-        logits, _ = net.forward_batch(behavior, observations[:-1])
+        logits, _ = net.forward_batch(behavior, observations)
         logprobs = net.head_log_probs(logits, actions) * masks
         episodes.append((observations, actions, logprobs, rng.normal(size=length), masks))
     segments = TrajectorySegment(*map(np.stack, zip(*episodes)), bootstrap_value=0.0)
     cfg = VtraceConfig(gamma=0.95, entropy_coeff=0.011, baseline_coeff=0.55, hidden=(8, 8))
-    observations = segments.observations[:, :-1].reshape(-1, 5)
+    observations = segments.observations.reshape(-1, 5)
     logits, values = net.forward_batch(params, observations)
     targets, advantages = vtrace_targets(
         segments,
@@ -135,10 +135,10 @@ def test_criterion_02_vtrace_oracle():
     params = net.init_params(6, 2, 3, hidden=(8, 8), rng=rng)
     for _ in range(20):
         length = 5
-        observations = rng.uniform(0, 1, size=(length + 1, 6))
+        observations = rng.uniform(0, 1, size=(length, 6))
         actions = rng.integers(0, 3, size=(length, 2))
         masks = np.ones((length, 2))
-        logits, values_net = net.forward_batch(params, observations[:-1])
+        logits, values_net = net.forward_batch(params, observations)
         segment = TrajectorySegment(
             observations=observations,
             actions=actions,

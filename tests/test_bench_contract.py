@@ -7,14 +7,15 @@ columns and final states and calls it for neither.  Its traced run patches the
 attributes listed in ``bench/tracing.TARGETS``, among them the
 ``rollout_segment`` and ``dho_decide`` that ``train`` looks up on
 ``training``, and its hooks read the calls' arguments: the learner rows of
-``net.forward_batch(params, rows, ...)``, the ``inputs`` of the
+``net.forward_batch(params, rows, out=trunk)``, the ``inputs`` of the
 ``net.TrunkBuffers`` that ``net.backward_trunk(params, trunk, ...)`` reads
-back, and the segments of ``training.loss_and_gradient(params, segments,
-...)``.  Its set-up probe calls ``parse_spec_file``,
-``HandoverEnv.reset(seed)`` with an int seed (a chunk of one episode),
-``make_agent(kind, params=...)`` and ``init_params``.  A refactor that renames
-one of them, changes their signatures, or stops calling ``episode_metrics``
-once per episode, silently breaks the checked or traced benchmark run.
+back (the rows that forward pass ran on, which the trunk views), and the
+segments of ``training.loss_and_gradient(params, segments, ...)``.  Its
+set-up probe calls ``parse_spec_file``, ``HandoverEnv.reset(seed)`` with an
+int seed (a chunk of one episode), ``make_agent(kind, params=...)`` and
+``init_params``.  A refactor that renames one of them, changes their
+signatures, or stops calling ``episode_metrics`` once per episode, silently
+breaks the checked or traced benchmark run.
 """
 
 import dataclasses

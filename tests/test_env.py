@@ -673,19 +673,21 @@ def test_return_identity_with_delay_weight():
 @pytest.mark.parametrize("batched", [False, True])
 def test_settle_gives_what_stepping_action_zero_gives(batched):
     # Retiring every episode at once ends the chunk as a whole, and fills
-    # the observations of its remaining slots, while their outcomes are
-    # those fresh columns hold.  The A3 flags put the measurement fold in
-    # every observation, and a settled slot's reward is step's -0.0 at
-    # nu = 0 as at nu = 5.
-    for nu in (0.0, 5.0):
-        cfg = small_config(horizon=12, nu=nu, features=FeatureMask(a3_centralized=True))
+    # the observations of the slots left to decide, while their outcomes
+    # are those fresh columns hold.  The A3 flags put the measurement fold
+    # in every observation, and a settled slot's reward is step's -0.0 at
+    # nu = 0 as at nu = 5.  The last input settles at slot N - 1, so no
+    # slot is left to decide and its buffer holds no row.
+    lefts = []
+    for nu, horizon, key in ((0.0, 12, 3), (5.0, 12, 3), (5.0, 3, 4)):
+        cfg = small_config(horizon=horizon, nu=nu, features=FeatureMask(a3_centralized=True))
         stepped, settled = HandoverEnv(cfg), HandoverEnv(cfg)
         columns = {}
         for env in (stepped, settled):
             if batched:
-                env.reset(episodes=[3, 4])
+                env.reset(episodes=[key, key + 1])
             else:
-                env.reset(3)
+                env.reset(key)
             columns[env] = OutcomeColumns(cfg, len(env.state.accessed))
         everyone = np.ones(len(settled.state.accessed), dtype=bool)
         with pytest.raises(ValueError, match="every terminal"):
@@ -695,13 +697,19 @@ def test_settle_gives_what_stepping_action_zero_gives(batched):
             for env in (stepped, settled):
                 columns[env].append(env.step(actions)[1])
         slot = settled.state.slot
-        assert 0 < slot < cfg.horizon - 1
-        want = np.empty((len(everyone), cfg.horizon - slot, observation_size(cfg)))
-        for i in range(cfg.horizon - slot):
-            want[:, i], outcome = stepped.step(np.zeros_like(actions))
+        assert 0 < slot < cfg.horizon
+        left = cfg.horizon - slot - 1  # the slots decided after this one
+        lefts.append(left)
+        want = np.empty((len(everyone), left, observation_size(cfg)))
+        for i in range(cfg.horizon - slot):  # the last step's observation is no slot's
+            observation, outcome = stepped.step(np.zeros_like(actions))
             columns[stepped].append(outcome)
-        with pytest.raises(ValueError, match="slots left"):
-            settled.retire(everyone, np.empty((len(everyone), 1, want.shape[-1])))
+            if i < left:
+                want[:, i] = observation
+        for rows in (left - 1, left + 1):
+            if rows >= 0:
+                with pytest.raises(ValueError, match="slots left"):
+                    settled.retire(everyone, np.empty((len(everyone), rows, want.shape[-1])))
         observations = np.empty_like(want)
         if batched:
             with pytest.raises(ValueError, match="every episode's"):
@@ -716,6 +724,7 @@ def test_settle_gives_what_stepping_action_zero_gives(batched):
                 assert np.array_equal(getattr(state, name), getattr(stepped.state, name)), name
         with pytest.raises(RuntimeError):
             settled.step(np.zeros_like(actions))
+    assert lefts[-1] == 0 < min(lefts[:-1])
 
 
 def test_retired_episodes_leave_the_others_as_they_were():

@@ -226,11 +226,11 @@ def test_trunk_passes_match_plain_formulas_bit_for_bit(
     for name in ("b1", "b2", "b_pi", "b_v"):
         getattr(params, name)[...] = rng.normal(scale=scale, size=getattr(params, name).shape)
     obs = rng.normal(scale=scale, size=(rows, obs_dim))
-    # The learner's path: observations copied into the trunk's buffers,
-    # and both passes run in them.
+    # The learner's path: both passes run in the trunk's buffers, and the
+    # trunk keeps the rows the forward pass ran on, with nothing copied.
     trunk = net.TrunkBuffers.allocate(params, rows)
-    trunk.inputs[...] = obs
-    logits, values = net.forward_batch(params, trunk.inputs, out=trunk)
+    logits, values = net.forward_batch(params, obs, out=trunk)
+    assert trunk.inputs is obs
     ref_logits, ref_values, ref_h1, ref_h2 = reference_forward_batch(params, obs)
     for got, want in ((logits, ref_logits), (values, ref_values), (trunk.h1, ref_h1), (trunk.h2, ref_h2)):
         assert_same_bits(got, want)

@@ -48,10 +48,10 @@ def make_segments(rng, params, count=3, length=4):
         params.obs_dim, params.num_ues, params.num_actions, hidden=(8, 8), rng=rng
     )
     for _ in range(count):
-        observations = rng.uniform(0, 1, size=(length + 1, params.obs_dim))
+        observations = rng.uniform(0, 1, size=(length, params.obs_dim))
         actions = rng.integers(0, params.num_actions, size=(length, params.num_ues))
         masks = (rng.uniform(size=(length, params.num_ues)) > 0.25).astype(float)
-        logits, _ = net.forward_batch(behavior, observations[:-1])
+        logits, _ = net.forward_batch(behavior, observations)
         logprobs = net.head_log_probs(logits, actions) * masks
         episodes.append((observations, actions, logprobs, rng.normal(size=length), masks))
     return TrajectorySegment(*map(np.stack, zip(*episodes)), bootstrap_value=0.0)
@@ -59,8 +59,7 @@ def make_segments(rng, params, count=3, length=4):
 
 def policy_pass(params, segments):
     """The current policy's values ([S,] L) and log pi ([S,] L, J) of the recorded actions."""
-    observations = segments.observations[..., :-1, :]
-    logits, values = net.forward_batch(params, observations.reshape(-1, params.obs_dim))
+    logits, values = net.forward_batch(params, segments.observations.reshape(-1, params.obs_dim))
     logits = logits.reshape(segments.actions.shape + (params.num_actions,))
     return values.reshape(segments.rewards.shape), net.head_log_probs(logits, segments.actions)
 
@@ -209,7 +208,7 @@ def test_training_sizes_are_bounded_before_training():
     big = VtraceConfig(hidden=(8, 8), batch_size=fit // 2 + 1)
     assert field(one, big, 10**6) == "batch_size"
     training.check_training(one, VtraceConfig(hidden=(8, 8), batch_size=fit // 2), episodes=10**6)
-    # An episode's observations can outgrow its blocks: here 11 x 61 against 300.
+    # An episode's observations can outgrow its blocks: here 10 x 61 against 300.
     a3 = ScenarioConfig(
         num_ues=10,
         rb_per_target=10,
@@ -218,7 +217,7 @@ def test_training_sizes_are_bounded_before_training():
         features=FeatureMask(a3_centralized=True),
     )
     assert a3.episode_cells == 300 and observation_size(a3) == 61
-    fit = MAX_CHUNK_CELLS // (11 * 61)
+    fit = MAX_CHUNK_CELLS // (10 * 61)
     training.check_training(a3, cfg, episodes=fit)
     assert field(a3, cfg, fit + 1) == "batch_size"
 
@@ -303,7 +302,7 @@ def reference_learner_update(params, segments, cfg):
     reach their results.  For K < 8 the per-head max and sum equal the
     learner's plane loops bit for bit.
     """
-    obs = segments.observations[:, :-1].reshape(-1, params.obs_dim)
+    obs = segments.observations.reshape(-1, params.obs_dim)
     h1 = np.tanh(obs @ params.w1 + params.b1)
     h2 = np.tanh(h1 @ params.w2 + params.b2)
     logits = (h2 @ params.w_pi + params.b_pi).reshape(len(obs), params.num_ues, params.num_actions)
@@ -478,7 +477,7 @@ def test_train_with_vtrace_disabled_runs():
 def segment_blocks(env, noise):
     """Fresh (observations, log-probs) blocks for a rollout of ``noise``'s episodes."""
     cfg = env.config
-    return np.empty((len(noise), cfg.horizon + 1, observation_size(cfg))), np.empty(noise.shape[:-1])
+    return np.empty((len(noise), cfg.horizon, observation_size(cfg))), np.empty(noise.shape[:-1])
 
 
 def serial_train(scenario, cfg, episodes, actors, seed):
@@ -679,6 +678,69 @@ def test_rollout_passes_share_the_learners_arrays(monkeypatch):
     assert peaks[2] <= SEPARATE_LEARNER_ARRAYS_PEAK - parameter_set - block, peaks
 
 
+def learner_arrays(buffers):
+    """Every array of a :class:`LearnerBuffers` set, its trunk's included."""
+    for value in vars(buffers).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, net.TrunkBuffers):
+            yield from learner_arrays(value)
+        elif isinstance(value, tuple):
+            yield from value
+        elif isinstance(value, dict):
+            yield from value.values()
+
+
+@pytest.mark.parametrize("vtrace_enabled", [True, False], ids=["vtrace", "no_vtrace"])
+def test_learner_reads_the_pass_observations_in_place(vtrace_enabled, monkeypatch):
+    # A learner batch's observation rows are one run of the pass's
+    # (E, N, obs_dim) block, so the learner's forward pass (the one given
+    # buffers; decisions run through net.forward without) and the trunk the
+    # backward pass reads view the block, and the learner's set holds no
+    # (rows, obs_dim) copy.  With V-trace a pass holds two batches, each
+    # its own run of the block.
+    scenario, cfg = tiny_scenario(), tiny_training(vtrace_enabled=vtrace_enabled)
+    rows, obs_dim = cfg.batch_size, observation_size(scenario)
+    assert obs_dim not in cfg.hidden  # so no activation is (rows, obs_dim)
+    blocks, learners, forwards, backwards = [], [], [], []
+    allocate_blocks, allocate_learner = training.PassBlocks.allocate, training.LearnerBuffers.allocate
+    forward_batch, backward_trunk = net.forward_batch, net.backward_trunk
+
+    def kept_blocks(*args, **kwargs):
+        blocks.append(allocate_blocks(*args, **kwargs))
+        return blocks[-1]
+
+    def kept_learner(*args, **kwargs):
+        learners.append(allocate_learner(*args, **kwargs))
+        assert learners[-1].trunk.inputs is None
+        assert all(array.shape != (rows, obs_dim) for array in learner_arrays(learners[-1]))
+        return learners[-1]
+
+    def forward(params, obs, *args, out=None, **kwargs):
+        if out is not None:
+            forwards.append(obs)
+        return forward_batch(params, obs, *args, out=out, **kwargs)
+
+    def backward(params, trunk, *args):
+        backwards.append(trunk.inputs)
+        return backward_trunk(params, trunk, *args)
+
+    monkeypatch.setattr(training.PassBlocks, "allocate", kept_blocks)
+    monkeypatch.setattr(training.LearnerBuffers, "allocate", kept_learner)
+    monkeypatch.setattr(net, "forward_batch", forward)
+    monkeypatch.setattr(net, "backward_trunk", backward)
+    train(scenario, cfg, episodes=30, seed=2)
+    assert len(blocks) == len(learners) == 1 and len(forwards) == len(backwards) == 5
+    block = blocks[0].observations
+    assert block.shape[1:] == (scenario.horizon, obs_dim)
+    runs = set()
+    for obs, inputs in zip(forwards, backwards):
+        assert inputs is obs and obs.shape == (rows, obs_dim)
+        assert np.shares_memory(obs, block)
+        runs.add((obs.ctypes.data - block.ctypes.data) // obs.nbytes)
+    assert runs == ({0, 1} if vtrace_enabled else {0})
+
+
 @pytest.mark.parametrize("vtrace_enabled", [True, False], ids=["vtrace", "no_vtrace"])
 @pytest.mark.parametrize("blocks", [(3, 3), (1, 1)], ids=["settles", "never_settles"])
 def test_pass_blocks_are_written_before_they_are_read(vtrace_enabled, blocks, monkeypatch, tmp_path):
@@ -773,7 +835,7 @@ def stepped_rollout(env, policy, noise, env_seeds):
     """The reference rollout: it decides and steps every slot up to the horizon."""
     cfg = env.config
     episodes, length, j = len(env_seeds), cfg.horizon, cfg.num_ues
-    observations = np.empty((episodes, length + 1, observation_size(cfg)))
+    observations = np.empty((episodes, length, observation_size(cfg)))
     actions = np.empty((episodes, length, j), dtype=np.int64)
     logits = np.empty((episodes, length, j, cfg.num_planes))
     pinned = np.empty((episodes, length, j), dtype=bool)
@@ -787,7 +849,6 @@ def stepped_rollout(env, policy, noise, env_seeds):
         obs, outcome = env.step(actions[:, n])
         rewards[:, n] = outcome.reward
         columns.append(outcome)
-    observations[:, length] = obs
     segment = TrajectorySegment(
         observations=observations,
         actions=actions,
@@ -887,7 +948,7 @@ def test_rollout_pinned_heads_report_action_zero_with_log_prob_zero():
             assert pinned.any() and not pinned.all()
             assert not segment.actions[pinned].any()
             assert not segment.behavior_logprobs[pinned].any()
-            logits = net.forward(policy, segment.observations[:-1])
+            logits = net.forward(policy, segment.observations)
             free = net.head_log_probs(logits, segment.actions)[~pinned]
             assert np.allclose(segment.behavior_logprobs[~pinned], free, rtol=0.0, atol=1e-12)
 

@@ -110,11 +110,11 @@ def test_length_mismatch_rejected():
 
 def make_segment(rng, params, length=5):
     obs_dim, j = params.obs_dim, params.num_ues
-    observations = rng.uniform(0, 1, size=(length + 1, obs_dim))
+    observations = rng.uniform(0, 1, size=(length, obs_dim))
     actions = rng.integers(0, params.num_actions, size=(length, j))
     masks = (rng.uniform(size=(length, j)) > 0.2).astype(float)
     behavior = net.init_params(obs_dim, j, params.num_actions, hidden=(8, 8), rng=rng)
-    logits, _ = net.forward_batch(behavior, observations[:-1])
+    logits, _ = net.forward_batch(behavior, observations)
     logprobs = net.head_log_probs(logits, actions) * masks
     rewards = rng.normal(size=length)
     return TrajectorySegment(
@@ -130,7 +130,7 @@ def make_segment(rng, params, length=5):
 def test_segment_validation():
     with pytest.raises(ValueError):
         TrajectorySegment(
-            observations=np.zeros((5, 3)),  # needs 6 rows for 5 steps
+            observations=np.zeros((6, 3)),  # needs 5 rows for 5 steps, no final state
             actions=np.zeros((5, 2), int),
             behavior_logprobs=np.zeros((5, 2)),
             rewards=np.zeros(5),
@@ -138,7 +138,7 @@ def test_segment_validation():
         )
     with pytest.raises(ValueError):
         TrajectorySegment(
-            observations=np.zeros((6, 3)),
+            observations=np.zeros((5, 3)),
             actions=np.zeros((5, 2), int),
             behavior_logprobs=np.full((5, 2), np.nan),
             rewards=np.zeros(5),
@@ -149,7 +149,7 @@ def test_segment_validation():
 def test_segment_stack_on_a_leading_episode_axis():
     episodes, length = 3, 5
 
-    def stack(observation_rows=length + 1, action_episodes=episodes):
+    def stack(observation_rows=length, action_episodes=episodes):
         return TrajectorySegment(
             observations=np.zeros((episodes, observation_rows, 4)),
             actions=np.zeros((action_episodes, length, 2), int),
@@ -159,7 +159,7 @@ def test_segment_stack_on_a_leading_episode_axis():
         )
 
     with pytest.raises(ValueError):
-        stack(observation_rows=length)  # no final state
+        stack(observation_rows=length + 1)  # a final state
     with pytest.raises(ValueError):
         stack(action_episodes=episodes - 1)
     segments = stack()
@@ -172,7 +172,7 @@ def test_segment_stack_on_a_leading_episode_axis():
 
 def policy_pass(params, segment):
     """The current policy's values and per-head log pi of the recorded actions."""
-    logits, values = net.forward_batch(params, segment.observations[:-1])
+    logits, values = net.forward_batch(params, segment.observations)
     return values, net.head_log_probs(logits, segment.actions)
 
 
